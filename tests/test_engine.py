@@ -155,7 +155,9 @@ def test_rollout_fault_reports_step():
     spec = parse_model_spec("d(x)/dt = x ^ 3.0")
     with pytest.raises(EvaluationFault) as err:
         rollout(spec, init_params(spec), schema, [5.0], np.zeros((80, 0)), dt=1.0)
-    assert err.value.step is not None
+    # x = 5, 130, ~2.2e6, ~1e19, ~1e57, ~1e171: the cube overflows at step 5
+    assert err.value.step == 5
+    assert err.value.component == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,156 @@
+"""Golden pins: exact numbers from the data generator and the rollouts.
+
+The determinism tests compare two runs of the same code, so they cannot
+see a change that moves every run the same way.  These pins can: each
+value below was taken from the code and must stay unchanged under any
+refactor that claims to keep the numbers.  If a pin moves, find the
+cause; do not re-pin.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from hdtwin.engine import Dataset, rollout, rollout_mse, save_dataset
+from hdtwin.systems import (
+    BUILTIN_IDS,
+    GenConfig,
+    builtin_system,
+    generate_dataset,
+    load_csv_dataset,
+)
+
+CANCER_FAMILY = tuple(s for s in BUILTIN_IDS
+                      if s.startswith("cancer") or s.startswith("synthetic-"))
+
+# sha256 of the save_dataset tree of every split, GenConfig(n=3, seed=7)
+PLAIN_SHA = {
+    "cancer": "8496c4a68d0b9f4d7236718c689dceeb07baae433bb492e62c29822de8e1576e",
+    "cancer-chemo": "a5c90de16680fe29f3baaf90d431c8841568f6874d9db0941b3a85562e2a4f33",
+    "cancer-chemo-radio": "e5d5707eb5fd12f2e9ca8da8f0c1821a4fa049afe9ac96e8c347e882ba15a3b3",
+    "seir-covid": "837412c155d4846e75b08d49df1ab12478229dd257127327b72fe3e5561daee1",
+    "lv2": "a1b41af91d44c5a71b3cb7b19d1b10c97f8ad043dd4f6fe0eab544ab10fbc3ad",
+    "lv3-plankton": "de03cd989426844cb254b5b9fb40a5ae096ce4342675642875cb75d1e03b2f88",
+    "synthetic-1": "7fc4375a7f4f9b0b3bd3a78773fa431ac6761ffa7dc749509981eed5579c71ad",
+    "synthetic-2": "593e41b76b9a8544db919498bdafc8eb624638741ffb008d53f98434da488396",
+    "synthetic-3": "500baf3245334e8a96915e1a6a57eade722b88e1c6da7241eb728468f3fb9169",
+    "synthetic-4": "53d0a03a846d690e99899fed1dccc64cf3da03be4d0ed17874c981f1a5556573",
+    "synthetic-5": "98957cbb274539b6defef64e0ee90a34b4186cbe48cbad7b43c8742c73db740d",
+}
+
+# the same with ood=True
+OOD_SHA = {
+    "cancer": "a23c666e03bc67674f08ca71b5e70d6be5a4ee82c424910f2f83fb9b9d33b1bc",
+    "cancer-chemo": "5e172321a20ea50464cac2d6a0d82173664045fd7536725ada00c06a35b9319b",
+    "cancer-chemo-radio": "00b599d901800aeee6f57b26b95be0c480ec03ca6068a1c05fa407228b5d22a9",
+    "synthetic-1": "95dc4eea3737148b789ba2d8abebb037ac04159bc6aab63e30bd2bd682d3f79d",
+    "synthetic-2": "3bb6bc55b0bd1743708a192e7c582f8fa851a0caaf1305e2e60a8a039b5042e1",
+    "synthetic-3": "a469250e5c57dbd39ceb470f468b1e4c94d943282d8f377cf4763825c7168436",
+    "synthetic-4": "97a9bccb4be11c6ffaadd4bc77635b72f43810034534932a04263b52ae0d004d",
+    "synthetic-5": "a4b7738225f6467fba6cc214f5630c048d8532b426bcf985a1d283f69b90b8a3",
+}
+
+# seir-covid with intervention=True
+INTERVENTION_SHA = "7434b8c8bab9720f16219cfa9a9363be925229084bce4aca9d2e24716320ab57"
+
+# repr of rollout_mse under perturbed parameters
+ROLLOUT_MSE_GENERATED = {
+    "synthetic-1": "708.6562206993364",
+    "seir-covid": "0.037097216400288624",
+    "lv3-plankton": "0.04117154766087214",
+}
+ROLLOUT_MSE_CSV = {
+    "train": "679.3518265293654",
+    "val": "0.0029284023819504345",
+    "test": "4.020101726415571e-05",
+    "mixed": "467.75087658795013",
+}
+
+# sha256 of the states and times bytes of a synthetic-1 rollout from t0 = 19
+ROLLOUT_T0_STATES = "9f1abfc190c87c8e8afb73a85e7caf8e6c0803634666fb471b2e863fbf7f479d"
+ROLLOUT_T0_TIMES = "5dba6f6bec5bd810b251f58d78cdcd77a5d971f8f065d7db922fbe937e5fe673"
+
+
+def tree_sha256(root: Path) -> str:
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        h.update(path.relative_to(root).as_posix().encode() + b"\0")
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def dataset_sha256(sys_id: str, cfg: GenConfig, out: Path) -> str:
+    for split, ds in generate_dataset(builtin_system(sys_id), cfg).items():
+        save_dataset(ds, out / split, seed=cfg.seed)
+    return tree_sha256(out)
+
+
+def perturbed(system):
+    params = system.true_params.copy()
+    for name in params.scalars:
+        params.scalars[name] *= 1.3
+    return params
+
+
+def synthetic_csv_splits(path: Path) -> dict[str, Dataset]:
+    """A generated synthetic-1 trajectory written as one CSV series and split
+    chronologically, so the val and test blocks start at t0 != 0."""
+    system = builtin_system("synthetic-1")
+    tr = generate_dataset(system, GenConfig(n=1, seed=3))["train"].trajectories[0]
+    with open(path, "w") as fh:
+        fh.write("t,x_1,x_2,u_1,u_2\n")
+        for row in np.hstack([tr.times[:, None], tr.states, tr.actions]):
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    return load_csv_dataset(path, system.schema)
+
+
+def t0_rollout():
+    system = builtin_system("synthetic-1")
+    rng = np.random.default_rng(19)
+    actions = np.column_stack([5.0 * (rng.random(40) < 0.5), 2.0 * (rng.random(40) < 0.5)])
+    return rollout(system.spec, system.true_params, system.schema, [640.0, 1.5], actions,
+                   dt=0.5, t0=19.0)
+
+
+@pytest.mark.parametrize("sys_id", BUILTIN_IDS)
+def test_plain_dataset_pin(sys_id, tmp_path):
+    assert dataset_sha256(sys_id, GenConfig(n=3, seed=7), tmp_path) == PLAIN_SHA[sys_id]
+
+
+@pytest.mark.parametrize("sys_id", CANCER_FAMILY)
+def test_ood_dataset_pin(sys_id, tmp_path):
+    assert dataset_sha256(sys_id, GenConfig(n=3, seed=7, ood=True), tmp_path) == OOD_SHA[sys_id]
+
+
+def test_intervention_dataset_pin(tmp_path):
+    cfg = GenConfig(n=3, seed=7, intervention=True)
+    assert dataset_sha256("seir-covid", cfg, tmp_path) == INTERVENTION_SHA
+
+
+@pytest.mark.parametrize("sys_id", sorted(ROLLOUT_MSE_GENERATED))
+def test_rollout_mse_pin_generated(sys_id):
+    system = builtin_system(sys_id)
+    test = generate_dataset(system, GenConfig(n=3, seed=7))["test"]
+    assert repr(rollout_mse(system.spec, perturbed(system), test)) == ROLLOUT_MSE_GENERATED[sys_id]
+
+
+def test_rollout_mse_pin_csv_blocks(tmp_path):
+    system = builtin_system("synthetic-1")
+    parts = synthetic_csv_splits(tmp_path / "series.csv")
+    assert parts["test"].trajectories[0].times[0] > 0.0
+    parts["mixed"] = Dataset([parts[s].trajectories[0] for s in ("train", "val", "test")],
+                             system.schema, "test")
+    got = {name: repr(rollout_mse(system.spec, perturbed(system), ds))
+           for name, ds in parts.items()}
+    assert got == ROLLOUT_MSE_CSV
+
+
+def test_rollout_t0_pin():
+    tr = t0_rollout()
+    assert tr.times[0] == 19.0
+    assert hashlib.sha256(tr.states.tobytes()).hexdigest() == ROLLOUT_T0_STATES
+    assert hashlib.sha256(tr.times.tobytes()).hexdigest() == ROLLOUT_T0_TIMES
