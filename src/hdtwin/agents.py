@@ -424,13 +424,10 @@ def check_proposal(spec_text: str, schema: SystemSchema) -> tuple[ModelSpec | No
     return (spec if not problems else None), problems
 
 
-def propose(client, ctx: ModelingContext, schema: SystemSchema, population: Population,
-            feedback: Feedback | None, generation: int,
-            decoding: DecodingConfig) -> tuple[ModelSpec, str]:
-    """Ask the modeling agent for a spec, re-prompting with the violation
-    messages on invalid replies; at most 1 + retries requests."""
-    messages = render_modeling_prompt(ctx, population, feedback, generation)
-    convo = list(messages)
+def request_spec(client, convo: list[dict], schema: SystemSchema, decoding: DecodingConfig,
+                 reply_again: str) -> tuple[ModelSpec, str]:
+    """Send `convo` until a reply carries a valid spec, at most 1 + retries
+    times, answering each unusable reply with its problems and `reply_again`."""
     problems: list[str] = []
     for _ in range(decoding.retries + 1):
         reply = client.complete(convo, decoding)
@@ -445,14 +442,21 @@ def propose(client, ctx: ModelingContext, schema: SystemSchema, population: Popu
             return spec, description
         convo = convo + [
             {"role": "assistant", "content": reply},
-            {"role": "user", "content": (
-                "Your previous reply could not be used:\n"
-                + "\n".join(f"* {p}" for p in problems)
-                + '\nReply again with a single JSON object carrying the corrected'
-                  ' "spec" and "description" fields.'
-            )},
+            {"role": "user", "content": "Your previous reply could not be used:\n"
+                + "\n".join(f"* {p}" for p in problems) + "\n" + reply_again},
         ]
     raise ProposalFailure(problems)
+
+
+def propose(client, ctx: ModelingContext, schema: SystemSchema, population: Population,
+            feedback: Feedback | None, generation: int,
+            decoding: DecodingConfig) -> tuple[ModelSpec, str]:
+    """Ask the modeling agent for a spec, re-prompting with the violation
+    messages on invalid replies; at most 1 + retries requests."""
+    messages = render_modeling_prompt(ctx, population, feedback, generation)
+    return request_spec(client, list(messages), schema, decoding,
+                        'Reply again with a single JSON object carrying the corrected'
+                        ' "spec" and "description" fields.')
 
 
 def critique(client, requirements: str, population: Population, next_generation: int,

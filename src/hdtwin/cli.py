@@ -296,6 +296,10 @@ def _finish_experiment(report) -> int:
         "half_width_95": report.half_width,
     }
     _metrics_line(doc)
+    lost = [f"seed {o.seed}: {o.error}" for o in report.outcomes if o.transport_failure]
+    if lost:
+        print("\n".join(lost), file=sys.stderr)
+        return EXIT_TRANSPORT
     if report.mean is None:
         raise RunFailure("every seed failed", [])
     return EXIT_OK

@@ -63,15 +63,6 @@ class ParamVector:
             {k: [(w.copy(), b.copy()) for w, b in layers] for k, layers in self.weights.items()},
         )
 
-    def all_finite(self) -> bool:
-        if not all(np.isfinite(v) for v in self.scalars.values()):
-            return False
-        return all(
-            np.isfinite(w).all() and np.isfinite(b).all()
-            for layers in self.weights.values()
-            for w, b in layers
-        )
-
     def zeros_like(self) -> "ParamVector":
         return ParamVector(
             {k: 0.0 for k in self.scalars},
@@ -503,9 +494,36 @@ def eval_derivative(spec: ModelSpec, params: ParamVector, state, action, time: f
     return ev.derivative(params, state, action, time)
 
 
-def euler_step(x: np.ndarray, f: np.ndarray, dt: float) -> np.ndarray:
-    """The one Euler update shared by rollout and the data generators."""
-    return x + f * dt
+def euler_rollout(ev: Evaluator, x0, times: np.ndarray, dt: float, inputs):
+    """The one explicit-Euler loop (rollout, rollout_mse, data generation);
+    steps N trajectories together.  x0 (N, d_x); times (N, T+1), each row a
+    trajectory's own time column; inputs(k, x) gives step k's (params,
+    actions (N, d_u)) from the states x, and at k = T the terminal action.
+    Returns states (N, T+1, d_x) and actions (N, T+1, d_u).  Raises
+    EvaluationFault at the first step with a non-finite derivative."""
+    by_step = np.ascontiguousarray(np.asarray(times, dtype=float).T)  # (T+1, N)
+    steps, n = by_step.shape[0] - 1, by_step.shape[1]
+    states = np.empty((n, steps + 1, ev.schema.d_x))
+    actions = np.empty((n, steps + 1, ev.schema.d_u))
+    x = np.array(x0, dtype=float).reshape(n, -1)
+    states[:, 0] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            params, u = inputs(k, x)
+            actions[:, k] = u
+            f = ev.derivatives(params, x, u, by_step[k])
+            bad = ~np.isfinite(f)
+            if bad.any():
+                j = int(np.argmax(bad[np.argmax(bad.any(axis=1))]))
+                target = ev.spec.components[j].target
+                raise EvaluationFault(
+                    f"non-finite derivative at step {k} (component {target})",
+                    component=j, step=k,
+                )
+            x = x + f * dt
+            states[:, k + 1] = x
+    actions[:, steps] = inputs(steps, x)[1]
+    return states, actions
 
 
 def rollout(spec: ModelSpec, params: ParamVector, schema: SystemSchema, x0, actions,
@@ -525,23 +543,11 @@ def rollout(spec: ModelSpec, params: ParamVector, schema: SystemSchema, x0, acti
     if actions.shape[1] != schema.d_u:
         raise ValueError(f"actions have {actions.shape[1]} columns, schema has {schema.d_u}")
     steps = actions.shape[0]
-    states = np.empty((steps + 1, schema.d_x))
-    states[0] = np.asarray(x0, dtype=float)
-    x = states[0].reshape(1, -1)
-    for k in range(steps):
-        u = actions[k].reshape(1, -1)
-        f = ev.derivatives(params, x, u, np.array([t0 + k * dt]))
-        if not np.isfinite(f).all():
-            bad = int(np.argmax(~np.isfinite(f[0])))
-            raise EvaluationFault(
-                f"non-finite derivative at step {k} (component {spec.components[bad].target})",
-                component=bad, step=k,
-            )
-        x = euler_step(x, f, dt)
-        states[k + 1] = x[0]
-    times = t0 + np.arange(steps + 1) * dt
     padded = np.vstack([actions, np.zeros((1, actions.shape[1]))])
-    return Trajectory(times, states, padded)
+    times = t0 + np.arange(steps + 1) * dt
+    states, _ = euler_rollout(ev, np.reshape(x0, (1, -1)), times[None], dt,
+                              lambda k, x: (params, padded[k:k + 1]))
+    return Trajectory(times, states[0], padded)
 
 
 def one_step_mse(spec: ModelSpec, params: ParamVector, dataset: Dataset) -> float:
@@ -587,30 +593,26 @@ def rollout_mse(spec: ModelSpec, params: ParamVector, dataset: Dataset) -> float
     """
     ev = Evaluator(spec, dataset.schema)
     ev.check_params(params)
-    dt = dataset.schema.dt
     total, count = 0.0, 0
-    lengths = {len(tr) for tr in dataset.trajectories}
-    groups = [
-        [tr for tr in dataset.trajectories if len(tr) == n] for n in sorted(lengths)
-    ]
-    for trs in groups:
-        steps = len(trs[0]) - 1
-        if steps < 1:
+    for length in sorted({len(tr) for tr in dataset.trajectories}):
+        trs = [tr for tr in dataset.trajectories if len(tr) == length]
+        if length < 2:
             continue
-        x = np.stack([tr.states[0] for tr in trs])
         truth = np.stack([tr.states for tr in trs])  # (N, T+1, d_x)
-        err = np.zeros(x.shape[0])
+        stored = np.stack([tr.actions for tr in trs], axis=1)  # (T+1, N, d_u)
+        times = np.stack([tr.times for tr in trs])
+        try:
+            predicted, _ = euler_rollout(ev, truth[:, 0], times, dataset.schema.dt,
+                                         lambda k, x: (params, stored[k]))
+        except EvaluationFault:
+            return float("inf")
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(steps):
-                u = np.stack([tr.actions[k] for tr in trs])
-                tcol = np.array([tr.times[k] for tr in trs])
-                f = ev.derivatives(params, x, u, tcol)
-                x = euler_step(x, f, dt)
-                err += np.sum((x - truth[:, k + 1]) ** 2, axis=1)
+            sq = np.sum((predicted[:, 1:] - truth[:, 1:]) ** 2, axis=2)
+            err = np.cumsum(sq, axis=1)[:, -1]  # in step order; np.sum would add pairwise
         if not np.isfinite(err).all():
             return float("inf")
         total += float(np.sum(err))
-        count += x.shape[0] * (steps + 1)  # rows incl. the exact step-0 match
+        count += len(trs) * length  # rows incl. the exact step-0 match
     if count == 0:
         raise ValueError("dataset has no multi-step trajectories")
     return total / count

@@ -35,12 +35,12 @@ from hdtwin.agents import (
     Population,
     PopulationEntry,
     ProposalFailure,
-    _extract_reply_fields,
-    check_proposal,
+    TransportError,
     critique,
     population_insert,
     propose,
     record_generation,
+    request_spec,
 )
 from hdtwin.dsl import ModelSpec, SystemSchema, canonicalize, dsl_skeleton
 from hdtwin.engine import (
@@ -312,26 +312,8 @@ def adapt_model(client, entry: PopulationEntry, instruction: str, schema: System
         params={k: float(v) for k, v in entry.params.scalars.items()},
         instruction=instruction.strip(),
     )
-    convo = [{"role": "user", "content": task}]
-    problems: list[str] = []
-    for _ in range(decoding.retries + 1):
-        reply = client.complete(convo, decoding)
-        try:
-            spec_text, description = _extract_reply_fields(reply)
-        except ValueError as err:
-            problems = [str(err)]
-            spec = None
-        else:
-            spec, problems = check_proposal(spec_text, schema)
-        if spec is not None:
-            return spec, description
-        convo = convo + [
-            {"role": "assistant", "content": reply},
-            {"role": "user", "content": "Your previous reply could not be used:\n"
-                + "\n".join(f"* {p}" for p in problems)
-                + "\nReply again with a single corrected JSON object."},
-        ]
-    raise ProposalFailure(problems)
+    return request_spec(client, [{"role": "user", "content": task}], schema, decoding,
+                        "Reply again with a single corrected JSON object.")
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +338,7 @@ class SeedOutcome:
     metric: float | None = None
     error: str | None = None
     archive: str | None = None
+    transport_failure: bool = False  # the LLM endpoint gave out during this seed
 
 
 @dataclass
@@ -379,7 +362,8 @@ def run_experiment(system_id: str, method: str, seeds: list[int], *,
 
     `method` is one of evolve | zero-shot | zero-optim | sindy |
     baseline:<id>.  Agent methods need `client_factory(seed) -> client`.
-    Per-seed failures are recorded in the report, never silently dropped.
+    Per-seed failures, transport failures included, are recorded in the
+    report and the summary, never silently dropped; later seeds still run.
     """
     from hdtwin.baselines import SindyConfig, builtin_baseline_spec, sindy_fit, sindy_params
 
@@ -436,6 +420,10 @@ def run_experiment(system_id: str, method: str, seeds: list[int], *,
         except (RunFailure, EvaluationFault, ValueError, KeyError) as err:
             log.warning("seed %d failed: %s", seed, err)
             outcome.error = str(err)
+        except TransportError as err:
+            log.warning("seed %d lost the LLM endpoint: %s", seed, err)
+            outcome.error = f"transport failure: {err}"
+            outcome.transport_failure = True
     values = [o.metric for o in outcomes if o.metric is not None]
     mean, half = confidence_interval(values) if values else (None, None)
     report = AggregateReport(system_id, method, evolve_cfg.test_metric, outcomes, mean, half)

@@ -1,9 +1,9 @@
 """Ground-truth dynamical systems and seeded dataset generation.
 
 Every built-in system carries its true dynamics as an ordinary model
-spec, so the generator and the evaluation engine share one Euler
-implementation; regenerating a stored trajectory through the engine
-reproduces it exactly.
+spec.  A split draws all its uniforms up front, in per-trajectory stream
+order, then steps its trajectories together through the engine's one
+Euler loop (`euler_rollout`); `engine.rollout` reproduces them exactly.
 
 Systems:
   cancer, cancer-chemo, cancer-chemo-radio
@@ -33,7 +33,7 @@ from hdtwin.engine import (
     Evaluator,
     ParamVector,
     Trajectory,
-    euler_step,
+    euler_rollout,
     init_params,
 )
 
@@ -299,12 +299,13 @@ def builtin_system(sys_id: str) -> SystemDef:
 # Treatment policy
 
 
-def volume_to_diameter(volume: float) -> float:
-    """Sphere relation D = (6 V / pi)^(1/3)."""
-    return (6.0 * max(volume, 0.0) / math.pi) ** (1.0 / 3.0)
+def volume_to_diameter(volume):
+    """Sphere relation D = (6 V / pi)^(1/3); elementwise on arrays."""
+    return (6.0 * np.maximum(volume, 0.0) / math.pi) ** (1.0 / 3.0)
 
 
-def cancer_dose_probabilities(volume: float, policy: CancerPolicyParams) -> tuple[float, float]:
+def cancer_dose_probabilities(volume, policy: CancerPolicyParams):
+    """(p_chemo, p_radio) for a tumor volume; elementwise on arrays."""
     d_bar = volume_to_diameter(volume)
     p_c = _sigmoid(policy.gamma_c / policy.d_max * (d_bar - policy.theta_c))
     p_r = _sigmoid(policy.gamma_r / policy.d_max * (d_bar - policy.theta_r))
@@ -320,55 +321,51 @@ def sample_cancer_actions(volume: float, policy: CancerPolicyParams,
     return chemo, radio
 
 
-def _sigmoid(z: float) -> float:
-    return 1.0 / (1.0 + math.exp(-z))
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
 
 
 # ---------------------------------------------------------------------------
 # Dataset generation
 
 
-def _sample_initial_state(system: SystemDef, rng: np.random.Generator,
-                          volume_range: tuple[float, float]) -> np.ndarray:
+def _draws_per_trajectory(system: SystemDef) -> int:
+    """Uniforms one trajectory consumes, in stream order: its initial state,
+    then under a dosing policy a (chemo, radio) pair at each of its
+    horizon + 1 states; both are drawn even where only chemo is used."""
+    if system.family == "lv":
+        return system.schema.d_x
+    return 1 + 2 * (system.horizon + 1) if system.policy is not None else 1
+
+
+def _generate_split(system: SystemDef, ev: Evaluator, draws: np.ndarray,
+                    volume_range: tuple[float, float], dt: float,
+                    scaled: ParamVector | None, switch_time: float) -> list[Trajectory]:
+    """One trajectory per row of `draws`, using `scaled` parameters from
+    `switch_time` on.  lo + (hi - lo) * u is what Generator.uniform computes."""
+    n, d_x, policy = draws.shape[0], system.schema.d_x, system.policy
     if system.family == "cancer":
-        x0 = np.zeros(system.schema.d_x)
-        x0[0] = rng.uniform(*volume_range)
-        return x0
-    if system.family == "seir":
-        i0 = rng.uniform(0.01, 0.1)
-        return np.array([1.0 - i0, 0.0, i0, 0.0])
-    # lv families: spread the starts wide so transients excite every
-    # interaction term, not just the attractor manifold
-    return rng.uniform(0.2, 2.5, size=system.schema.d_x)
+        lo, hi = volume_range
+        x0 = np.column_stack([lo + (hi - lo) * draws[:, 0], np.zeros((n, d_x - 1))])
+    elif system.family == "seir":
+        i0 = 0.01 + (0.1 - 0.01) * draws[:, 0]
+        x0 = np.column_stack([1.0 - i0, np.zeros(n), i0, np.zeros(n)])
+    else:  # lv: wide starts, so transients excite every interaction term
+        x0 = 0.2 + (2.5 - 0.2) * draws[:, :d_x]
+    times = np.tile(np.arange(system.horizon + 1) * dt, (n, 1))
 
+    def inputs(k, x):
+        switched = scaled is not None and times[0, k] >= switch_time
+        params = scaled if switched else system.true_params
+        if policy is None:
+            return params, np.zeros((n, system.schema.d_u))
+        p_c, p_r = cancer_dose_probabilities(x[:, 0], policy)
+        chemo = np.where(draws[:, 1 + 2 * k] < p_c, policy.chemo_quantum, 0.0)
+        radio = np.where(draws[:, 2 + 2 * k] < p_r, policy.radio_quantum, 0.0)
+        return params, np.column_stack([chemo, radio])[:, :system.schema.d_u]
 
-def _sample_action(system: SystemDef, state: np.ndarray,
-                   rng: np.random.Generator) -> np.ndarray:
-    if system.policy is None or system.schema.d_u == 0:
-        return np.zeros(system.schema.d_u)
-    chemo, radio = sample_cancer_actions(float(state[0]), system.policy, rng)
-    return np.array([chemo, radio][: system.schema.d_u])
-
-
-def _simulate(system: SystemDef, ev: Evaluator, x0: np.ndarray, dt: float,
-              rng: np.random.Generator, scaled_params: ParamVector | None = None,
-              switch_time: float | None = None) -> Trajectory:
-    steps = system.horizon
-    states = np.empty((steps + 1, system.schema.d_x))
-    actions = np.empty((steps + 1, system.schema.d_u))
-    states[0] = x0
-    x = x0.reshape(1, -1)
-    for k in range(steps):
-        t_k = k * dt
-        actions[k] = _sample_action(system, states[k], rng)
-        params = system.true_params
-        if scaled_params is not None and switch_time is not None and t_k >= switch_time:
-            params = scaled_params
-        f = ev.derivatives(params, x, actions[k].reshape(1, -1), np.array([t_k]))
-        x = euler_step(x, f, dt)
-        states[k + 1] = x[0]
-    actions[steps] = _sample_action(system, states[steps], rng)
-    return Trajectory(np.arange(steps + 1) * dt, states, actions)
+    states, actions = euler_rollout(ev, x0, times, dt, inputs)
+    return [Trajectory(times[i], states[i], actions[i]) for i in range(n)]
 
 
 OOD_TRAIN_VOLUMES = (0.0, 574.0)
@@ -405,15 +402,10 @@ def generate_dataset(system: SystemDef, cfg: GenConfig) -> dict[str, Dataset]:
             volumes = OOD_TEST_VOLUMES if name == "test" else OOD_TRAIN_VOLUMES
         else:
             volumes = IID_VOLUMES
+        draws = rng.random((n, _draws_per_trajectory(system)))
         use_scaled = scaled if (cfg.intervention and name == "test") else None
-        trajectories = []
-        for _ in range(n):
-            x0 = _sample_initial_state(system, rng, volumes)
-            trajectories.append(
-                _simulate(system, ev, x0, schema.dt, rng,
-                          scaled_params=use_scaled,
-                          switch_time=cfg.intervention_day if use_scaled is not None else None)
-            )
+        trajectories = _generate_split(system, ev, draws, volumes, schema.dt,
+                                       use_scaled, cfg.intervention_day)
         split = "test" if name == "test_iid" else name
         out[name] = Dataset(trajectories, schema, split)
     return out

@@ -211,7 +211,12 @@ def test_propose_retries_on_garbage_then_succeeds():
     spec, _ = propose(client, CTX, CANCER.schema, Population(), None, 1, FAST)
     assert len(client.transcript) == 2
     retry_msg = client.transcript[1]["request"][-1]["content"]
-    assert "could not be used" in retry_msg
+    assert retry_msg == (
+        "Your previous reply could not be used:\n"
+        "* reply carries no JSON object\n"
+        'Reply again with a single JSON object carrying the corrected "spec" and'
+        ' "description" fields.'
+    )
 
 
 def test_propose_relays_validation_messages():

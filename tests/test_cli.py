@@ -130,6 +130,26 @@ def test_evolve_replay_exhaustion_is_transport_failure(tmp_path):
     assert dispatch(["evolve", "--config", str(cfg)]) == EXIT_TRANSPORT
 
 
+def test_transport_failure_still_writes_summary(tmp_path):
+    # every seed runs out of replies: each is recorded, the summary is
+    # written, and the exit code still reports the transport failure
+    replay = tmp_path / "replies.json"
+    save_replay(replay_fixtures.evolution_replies()[:1], replay)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "system": "cancer-chemo-radio", "method": "evolve", "seeds": [0, 1],
+        "out": str(tmp_path / "run"),
+        "client": {"mode": "replay", "path": str(replay)},
+        "evolve": {"generations": 3},
+        "optim": {"batch_size": 200, "max_epochs": 5, "patience": 5},
+        "gen": {"n": 4},
+    }))
+    assert dispatch(["evolve", "--config", str(cfg)]) == EXIT_TRANSPORT
+    rows = (tmp_path / "run" / "summary.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:3]] == ["0", "1"]
+    assert all("transport failure" in row for row in rows[1:3])
+
+
 def test_baseline_sindy_subcommand(tmp_path, capsys):
     code = dispatch(["baseline", "--id", "sindy", "--system", "lv2", "--seeds", "0", "1",
                      "--n", "4", "--out", str(tmp_path / "s")])

@@ -247,9 +247,15 @@ def test_adapt_model_scripted_scaling():
 
 def test_adapt_model_invalid_replies_fail():
     system, entry = _fitted_seir_entry()
+    client = ScriptedClient(["junk"] * 8)
     with pytest.raises(ProposalFailure):
-        adapt_model(ScriptedClient(["junk"] * 8), entry, "change it", system.schema,
-                    FAST_DECODING)
+        adapt_model(client, entry, "change it", system.schema, FAST_DECODING)
+    assert len(client.transcript) == FAST_DECODING.retries + 1
+    assert client.transcript[1]["request"][-1]["content"] == (
+        "Your previous reply could not be used:\n"
+        "* reply carries no JSON object\n"
+        "Reply again with a single corrected JSON object."
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +290,23 @@ def test_run_experiment_records_per_seed_failures():
                             gen_cfg=GenConfig(n=2), evolve_cfg=small_cfg(1))
     assert all(o.error is not None for o in report.outcomes)
     assert report.mean is None
+
+
+def test_run_experiment_keeps_seeds_before_a_transport_failure(tmp_path):
+    # one shared client with a single reply: seed 0 uses it, seed 1 finds
+    # the replay exhausted; seed 0's outcome and the summary must survive
+    system = builtin_system("lv2")
+    client = ScriptedClient([make_reply(canonicalize(system.spec).text, "predator-prey")])
+    report = run_experiment("lv2", "zero-shot", [0, 1], gen_cfg=GenConfig(n=4),
+                            evolve_cfg=small_cfg(1), client_factory=lambda seed: client,
+                            out_dir=tmp_path)
+    first, second = report.outcomes
+    assert first.error is None and first.metric is not None
+    assert not first.transport_failure
+    assert second.transport_failure and "replay exhausted" in second.error
+    assert report.mean == first.metric
+    rows = (tmp_path / "summary.csv").read_text().splitlines()
+    assert rows[1].startswith("0,") and rows[2].startswith("1,,transport failure")
 
 
 def test_run_experiment_validates_method():

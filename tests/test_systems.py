@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hdtwin.dsl import SystemSchema, VarSpec, validate
-from hdtwin.engine import eval_derivative, rollout, save_dataset
+from hdtwin.engine import Evaluator, eval_derivative, rollout, save_dataset
 from hdtwin.systems import (
     BUILTIN_IDS,
     CancerPolicyParams,
@@ -124,6 +124,24 @@ def test_regeneration_fidelity_through_engine_rollout():
                              tr.states[0], tr.actions[:-1], system.schema.dt)
             assert np.max(np.abs(redone.states - tr.states)) <= 1e-12
             assert np.max(np.abs(redone.times - tr.times)) == 0.0
+
+
+def test_generator_matches_one_trajectory_at_a_time_reference():
+    # the batched generator must equal a per-trajectory loop that draws from
+    # the split's stream as it goes: x0 from rng.uniform, then the public
+    # policy's (chemo, radio) draws at every state, terminal state included
+    system = builtin_system("cancer-chemo-radio")
+    ev = Evaluator(system.spec, system.schema)
+    dt = system.schema.dt
+    data = generate_dataset(system, GenConfig(n=20, seed=13))
+    rng = np.random.default_rng(np.random.SeedSequence(13).spawn(3)[0])
+    for tr in data["train"].trajectories:
+        x = np.array([rng.uniform(0.0, 1149.0), 0.0])
+        for k in range(system.horizon + 1):
+            assert (tr.states[k] == x).all()
+            u = sample_cancer_actions(float(x[0]), system.policy, rng)
+            assert tuple(tr.actions[k]) == u
+            x = x + ev.derivative(system.true_params, x, u, k * dt) * dt
 
 
 def test_split_streams_are_disjoint():
