@@ -1,4 +1,5 @@
-"""Golden pins: exact numbers from the data generator and the rollouts.
+"""Golden pins: exact numbers from the data generator, the rollouts, the
+optimizer and a scripted evolution run.
 
 The determinism tests compare two runs of the same code, so they cannot
 see a change that moves every run the same way.  These pins can: each
@@ -15,7 +16,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hdtwin.engine import Dataset, rollout, rollout_mse, save_dataset
+import replay_fixtures
+from hdtwin.agents import ScriptedClient
+from hdtwin.dsl import parse_model_spec
+from hdtwin.engine import Dataset, init_params, rollout, rollout_mse, save_dataset, save_params
+from hdtwin.optim import OptimConfig, fit
+from hdtwin.orchestrator import EvolveConfig, evolve, make_modeling_context, write_run_archive
 from hdtwin.systems import (
     BUILTIN_IDS,
     GenConfig,
@@ -73,6 +79,20 @@ ROLLOUT_MSE_CSV = {
 # sha256 of the states and times bytes of a synthetic-1 rollout from t0 = 19
 ROLLOUT_T0_STATES = "9f1abfc190c87c8e8afb73a85e7caf8e6c0803634666fb471b2e863fbf7f479d"
 ROLLOUT_T0_TIMES = "5dba6f6bec5bd810b251f58d78cdcd77a5d971f8f065d7db922fbe937e5fe673"
+
+# repr of the curves of an 8-epoch fit of the replay SPEC_5 on
+# cancer-chemo-radio GenConfig(n=6, seed=3), and the sha256 of its params.json
+FIT_TRAIN_CURVE = ("[19511.748417118113, 6278.471196514612, 3975.8991916267114,"
+                   " 2979.4767520826717, 1547.6535124801867, 301.1026164063002,"
+                   " 167.56621980194424, 231.69563188991472]")
+FIT_VAL_CURVE = ("[23418.464545837753, 5246.933954363322, 1547.3357356867223,"
+                 " 1133.3945480763987, 729.5604290215385, 232.54701238419412,"
+                 " 73.48803581772422, 119.47171486317121, 88.28789797686295]")
+FIT_PARAMS_SHA = "ec6940759182e94232b5e649d3d50e28de0793cb10626bb540c08b90ff05e784"
+
+# sha256 of the write_run_archive tree of the scripted six-generation evolve
+# on cancer-chemo-radio GenConfig(n=5, seed=3), 10 fixed epochs per fit
+EVOLVE_ARCHIVE_SHA = "45f68c02bf24cbc43d266c242b9233689cfa19d2511e55a383a91963faf685f6"
 
 
 def tree_sha256(root: Path) -> str:
@@ -154,3 +174,28 @@ def test_rollout_t0_pin():
     assert tr.times[0] == 19.0
     assert hashlib.sha256(tr.states.tobytes()).hexdigest() == ROLLOUT_T0_STATES
     assert hashlib.sha256(tr.times.tobytes()).hexdigest() == ROLLOUT_T0_TIMES
+
+
+def test_fit_pin(tmp_path):
+    system = builtin_system("cancer-chemo-radio")
+    data = generate_dataset(system, GenConfig(n=6, seed=3))
+    spec = parse_model_spec(replay_fixtures.SPEC_5)
+    # 360 training rows in batches of 100: three full batches and a short one
+    cfg = OptimConfig(batch_size=100, max_epochs=8, patience=8, seed=2)
+    result = fit(spec, init_params(spec, seed=5), data["train"], data["val"], cfg)
+    assert repr(result.train_curve) == FIT_TRAIN_CURVE
+    assert repr(result.val_curve) == FIT_VAL_CURVE
+    save_params(result.params, tmp_path / "params.json")
+    assert hashlib.sha256((tmp_path / "params.json").read_bytes()).hexdigest() == FIT_PARAMS_SHA
+
+
+def test_evolve_archive_pin(tmp_path):
+    system = builtin_system("cancer-chemo-radio")
+    data = generate_dataset(system, GenConfig(n=5, seed=3))
+    cfg = EvolveConfig(generations=6, seed=0,
+                       optim=OptimConfig(batch_size=200, max_epochs=10, patience=10, seed=0))
+    ctx = make_modeling_context(system, 6, n_trajectories=5)
+    result = evolve(ctx, system, data, cfg, ScriptedClient(replay_fixtures.evolution_replies()))
+    assert [r.status for r in result.records] == ["inserted"] * 6
+    write_run_archive(tmp_path, result, "cancer-chemo-radio", "evolve", 0, cfg)
+    assert tree_sha256(tmp_path) == EVOLVE_ARCHIVE_SHA
