@@ -231,6 +231,7 @@ class _LineParser:
         self.pos = 0
         self.lineno = lineno
         self.text = text
+        self.net_refs: list[_Tok] = []  # network-name tokens of NAME[i], in order
 
     def peek(self) -> _Tok:
         return self.toks[self.pos]
@@ -345,6 +346,7 @@ class _LineParser:
                 self.expect(")")
                 return Expr.unary(tok.text, arg)
             if nxt.text == "[":
+                self.net_refs.append(tok)
                 self.next()
                 idx = self.expect_int("a network output index")
                 self.expect("]")
@@ -440,6 +442,7 @@ def parse_model_spec(text: str) -> ModelSpec:
     params: list[ParamDecl] = []
     mlps: list[MlpDecl] = []
     components: list[ComponentDef] = []
+    residual_at: dict[str, tuple[int, int, str]] = {}  # target -> (line, col, text)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -462,7 +465,10 @@ def parse_model_spec(text: str) -> ModelSpec:
             target, expr = _parse_component_line(p)
             if any(c.target == target for c in components):
                 raise ParseError(f"duplicate derivative for {target!r}", lineno, head.col, line)
-            components.append(_split_residual(target, expr, lineno))
+            comp = _split_residual(target, expr, lineno)
+            if comp.residual is not None:  # the line's last network reference
+                residual_at[target] = (lineno, p.net_refs[-1].col, line)
+            components.append(comp)
         else:
             raise ParseError(
                 f"unrecognized line (expected 'param', 'mlp', or 'd(...)/dt = ...'),"
@@ -481,14 +487,14 @@ def parse_model_spec(text: str) -> ModelSpec:
             decl = next((m for m in mlps if m.name == name), None)
             if decl is None:
                 raise ParseError(
-                    f"d({comp.target})/dt references undeclared network {name!r}", 1, 1
+                    f"d({comp.target})/dt references undeclared network {name!r}",
+                    *residual_at[comp.target],
                 )
             if not 0 <= idx < decl.outputs:
                 raise ParseError(
                     f"network output index {name}[{idx}] out of range"
                     f" (declared outputs {decl.outputs})",
-                    1,
-                    1,
+                    *residual_at[comp.target],
                 )
     return ModelSpec(tuple(components), tuple(params), tuple(mlps))
 

@@ -7,6 +7,22 @@ argument to >= 1e-8, division clamps |denominator| >= 1e-8 preserving
 sign, and pow with a non-integer exponent clamps its base to >= 1e-8.
 Anything that still produces a non-finite value raises EvaluationFault,
 which callers treat as a model fault rather than a crash.
+
+An Evaluator compiles its spec once into a flat tape (Griewank & Walther,
+*Evaluating Derivatives*, 2008).  The tape lists the operator nodes of
+every component expression in post order; it is tree-shaped: no subtree
+is shared and no constant folded, so it computes exactly what a
+recursive walk of the expressions would.  Values live in numbered
+slots: time, the state and action columns, the referenced parameters and
+the constants come first, then one slot per node.  The guarded domains
+are nodes of their own ("clamp" before log, sqrt and a real power's base,
+"guard" before a denominator).  A node is active when a parameter occurs
+in its subtree.  The forward pass is one loop over the nodes; the
+backward pass walks the active nodes in reverse and hands each operand
+its adjoint.  Every occurrence of a parameter has its own adjoint slot,
+so each parameter's gradient is summed over its occurrences in
+left-to-right leaf order, component by component.  One op table
+(`_OPS`) holds each op's forward and backward rule.
 """
 
 from __future__ import annotations
@@ -16,9 +32,9 @@ import json
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit
 
 from hdtwin.dsl import (
     TIME_SYMBOL,
@@ -104,15 +120,23 @@ class Trajectory:
 
 @dataclass
 class Dataset:
+    """Trajectories of one split.  Nothing mutates a dataset's trajectories
+    after construction, so transitions() stacks them once and returns that
+    same batch on every later call."""
+
     trajectories: list[Trajectory]
     schema: SystemSchema
     split: str = "train"
+    _transitions: "TransitionBatch | None" = field(default=None, init=False, repr=False,
+                                                   compare=False)
 
     def n_transitions(self) -> int:
         return sum(max(0, len(tr) - 1) for tr in self.trajectories)
 
     def transitions(self) -> "TransitionBatch":
-        return TransitionBatch.from_dataset(self)
+        if self._transitions is None:
+            self._transitions = TransitionBatch.from_dataset(self)
+        return self._transitions
 
 
 @dataclass
@@ -139,7 +163,13 @@ class TransitionBatch:
         return cls(np.vstack(xs), np.vstack(us), np.concatenate(ts), np.vstack(ys))
 
     def take(self, idx: np.ndarray) -> "TransitionBatch":
-        return TransitionBatch(self.x[idx], self.u[idx], self.t[idx], self.y[idx])
+        """The rows idx, in that order, copied into new arrays."""
+        return TransitionBatch(self.x.take(idx, axis=0), self.u.take(idx, axis=0),
+                               self.t.take(idx), self.y.take(idx, axis=0))
+
+    def rows(self, lo: int, hi: int) -> "TransitionBatch":
+        """Rows lo..hi-1 as views, without copying."""
+        return TransitionBatch(self.x[lo:hi], self.u[lo:hi], self.t[lo:hi], self.y[lo:hi])
 
     def __len__(self) -> int:
         return len(self.t)
@@ -184,7 +214,8 @@ def _mlp_backward(decl: MlpDecl, layers: list[Layer], caches, g_out: np.ndarray)
         a_prev, pre = caches[li]
         dz = d_a if li == len(layers) - 1 else d_a * _act_grad(decl.activation, pre)
         grads.append((a_prev.T @ dz, dz.sum(axis=0)))
-        d_a = dz @ layers[li][0].T
+        if li:  # the network inputs need no adjoint
+            d_a = dz @ layers[li][0].T
     grads.reverse()
     return grads
 
@@ -199,8 +230,152 @@ def _int_exponent(e: Expr) -> int | None:
     return None
 
 
+def _tape_op(e: Expr) -> str:
+    """The op-table entry of an operator node: "pow_int" for a power with
+    an integer constant exponent, which needs no clamped base."""
+    if e.op == "pow" and _int_exponent(e.args[1]) is not None:
+        return "pow_int"
+    return e.op
+
+
+# The op table.  A forward rule maps the operand values a, b (a unary op
+# ignores b) and the node's constant k to the node's value; a backward rule
+# maps the node's adjoint g, with the same a, b, k, to the adjoint of one
+# operand.  k is the exponent of "pow_int" (pow with an integer constant
+# exponent), the logistic function of "sigmoid", and None otherwise.  The
+# guarded domains are nodes of their own: "clamp" (max(a, 1e-8)) feeds log,
+# sqrt and pow's base, "guard" feeds the denominator of div.
+
+
+def _sigmoid_grad(g, a, b, k):
+    s = k(a)
+    return g * s * (1.0 - s)
+
+
+def _tanh_grad(g, a, b, k):
+    th = np.tanh(a)
+    return g * (1.0 - th * th)
+
+
+def _pow_int(a, b, k):
+    return a ** k if k >= 0 else np.asarray(a, dtype=float) ** k
+
+
+def _pow_int_grad(g, a, b, k):
+    return np.zeros_like(g) if k == 0 else g * k * a ** (k - 1)
+
+
+_OPS = {  # op: (forward, backward to a, backward to b)
+    "clamp": (lambda a, b, k: np.maximum(a, GUARD_EPS),
+              lambda g, a, b, k: g * (a > GUARD_EPS), None),
+    "guard": (lambda a, b, k: _guard_div(a), lambda g, a, b, k: g * (np.abs(a) >= GUARD_EPS),
+              None),
+    "neg": (lambda a, b, k: -a, lambda g, a, b, k: -g, None),
+    "log": (lambda a, b, k: np.log(a), lambda g, a, b, k: g / a, None),
+    "exp": (lambda a, b, k: np.exp(a), lambda g, a, b, k: g * np.exp(a), None),
+    "sin": (lambda a, b, k: np.sin(a), lambda g, a, b, k: g * np.cos(a), None),
+    "cos": (lambda a, b, k: np.cos(a), lambda g, a, b, k: -g * np.sin(a), None),
+    "sqrt": (lambda a, b, k: np.sqrt(a), lambda g, a, b, k: g / (2.0 * np.sqrt(a)), None),
+    "abs": (lambda a, b, k: np.abs(a), lambda g, a, b, k: g * np.sign(a), None),
+    "sigmoid": (lambda a, b, k: k(a), _sigmoid_grad, None),
+    "tanh": (lambda a, b, k: np.tanh(a), _tanh_grad, None),
+    "add": (lambda a, b, k: a + b, lambda g, a, b, k: g, lambda g, a, b, k: g),
+    "sub": (lambda a, b, k: a - b, lambda g, a, b, k: g, lambda g, a, b, k: -g),
+    "mul": (lambda a, b, k: a * b, lambda g, a, b, k: g * b, lambda g, a, b, k: g * a),
+    "div": (lambda a, b, k: a / b, lambda g, a, b, k: g / b,
+            lambda g, a, b, k: g * (-a / (b * b))),
+    "pow_int": (_pow_int, _pow_int_grad, None),
+    "pow": (lambda a, b, k: a ** b, lambda g, a, b, k: g * b * a ** (b - 1.0),
+            lambda g, a, b, k: g * (a ** b) * np.log(a)),
+}
+
+# the guard node each op puts on its operands
+_GUARDS = {"log": ("clamp", None), "sqrt": ("clamp", None), "pow": ("clamp", None),
+           "div": (None, "guard")}
+
+
+class _Tape(NamedTuple):
+    """A compiled spec (see the module docstring).  Adjoint slots number
+    as the value slots, then one per parameter occurrence from n_values."""
+
+    params: tuple[str, ...]    # the referenced parameters, in value-slot order
+    consts: tuple[float, ...]  # one per constant leaf
+    nodes: tuple               # (forward, a, b, k) per operator node
+    roots: tuple[int, ...]     # each component's value slot
+    seeds: tuple               # each component's adjoint slot, None if inactive
+    backward: tuple            # (slot, a, b, k, rule, to, rule, to) per active node, reversed
+    occurrences: tuple[str, ...]  # the parameter at each occurrence adjoint slot
+    n_values: int
+
+
+def _compile(spec: ModelSpec, schema: SystemSchema) -> _Tape:
+    inputs = {TIME_SYMBOL: 0}
+    for name in schema.state_names + schema.action_names:
+        inputs[name] = len(inputs)
+    params: dict[str, int] = {}
+    n_consts = n_nodes = 0
+    for comp in spec.components:
+        for e in comp.expr.walk():
+            if e.kind == "ref" and e.name not in inputs:
+                params.setdefault(e.name, len(inputs) + len(params))
+            n_consts += e.kind == "const"
+            if e.kind in ("unary", "binary"):
+                n_nodes += 1 + sum(g is not None for g in _GUARDS.get(_tape_op(e), ()))
+    const_base = len(inputs) + len(params)
+    n_values = const_base + n_consts + n_nodes
+    consts: list[float] = []
+    nodes: list[tuple] = []
+    backward: list[tuple] = []
+    occurrences: list[str] = []
+
+    def node(op, a, to_a, b=None, to_b=None, k=None) -> tuple[int, int | None]:
+        """Append one operator node (a unary one reads its operand as b too)."""
+        forward, rule_a, rule_b = _OPS[op]
+        b = a if b is None else b
+        slot = const_base + n_consts + len(nodes)
+        nodes.append((forward, a, b, k))
+        if to_a is None and to_b is None:
+            return slot, None
+        backward.append((slot, a, b, k, rule_a, to_a, rule_b, to_b))
+        return slot, slot
+
+    def emit(e: Expr) -> tuple[int, int | None]:
+        """Append e's subtree; return its value slot and its adjoint slot
+        (None when no parameter occurs in it)."""
+        if e.kind == "const":
+            consts.append(e.value)
+            return const_base + len(consts) - 1, None
+        if e.kind == "time":
+            return 0, None
+        if e.kind == "ref":
+            if e.name in inputs:
+                return inputs[e.name], None
+            occurrences.append(e.name)
+            return params[e.name], n_values + len(occurrences) - 1
+        op = _tape_op(e)
+        guard_a, guard_b = _GUARDS.get(op, (None, None))
+        a = emit(e.args[0])
+        if guard_a:
+            a = node(guard_a, *a)
+        if e.kind == "unary":
+            k = None
+            if op == "sigmoid":
+                from scipy.special import expit
+                k = expit
+            return node(op, *a, k=k)
+        b = emit(e.args[1])
+        if guard_b:
+            b = node(guard_b, *b)
+        return node(op, *a, *b, k=_int_exponent(e.args[1]) if op == "pow_int" else None)
+
+    roots, seeds = zip(*(emit(comp.expr) for comp in spec.components))
+    backward.reverse()
+    return _Tape(tuple(params), tuple(consts), tuple(nodes), roots, seeds, tuple(backward),
+                 tuple(occurrences), n_values)
+
+
 class Evaluator:
-    """A spec bound to a schema for repeated batched evaluation.
+    """A spec compiled against a schema for repeated batched evaluation.
 
     Pure given (params, data); safe to share across threads.
     """
@@ -216,6 +391,7 @@ class Evaluator:
         self._sidx = {n: i for i, n in enumerate(schema.state_names)}
         self._aidx = {n: i for i, n in enumerate(schema.action_names)}
         self._mlps = {m.name: m for m in spec.mlps}
+        self._tape = _compile(spec, schema)
 
     # -- parameter bookkeeping
 
@@ -245,124 +421,6 @@ class Evaluator:
             return x[:, i]
         return u[:, self._aidx[name]]
 
-    def _fwd(self, e: Expr, x, u, t, scalars):
-        kind = e.kind
-        if kind == "const":
-            return e.value, ()
-        if kind == "time":
-            return t, ()
-        if kind == "ref":
-            i = self._sidx.get(e.name)
-            if i is not None:
-                return x[:, i], ()
-            i = self._aidx.get(e.name)
-            if i is not None:
-                return u[:, i], ()
-            return scalars[e.name], ()
-        if kind == "unary":
-            val, ctx = self._fwd(e.args[0], x, u, t, scalars)
-            op = e.op
-            if op == "neg":
-                out = -val
-            elif op == "log":
-                out = np.log(np.maximum(val, GUARD_EPS))
-            elif op == "exp":
-                out = np.exp(val)
-            elif op == "sin":
-                out = np.sin(val)
-            elif op == "cos":
-                out = np.cos(val)
-            elif op == "sqrt":
-                out = np.sqrt(np.maximum(val, GUARD_EPS))
-            elif op == "abs":
-                out = np.abs(val)
-            elif op == "sigmoid":
-                out = expit(val)
-            else:  # tanh
-                out = np.tanh(val)
-            return out, ((val, ctx),)
-        # binary
-        aval, actx = self._fwd(e.args[0], x, u, t, scalars)
-        bval, bctx = self._fwd(e.args[1], x, u, t, scalars)
-        op = e.op
-        if op == "add":
-            out = aval + bval
-        elif op == "sub":
-            out = aval - bval
-        elif op == "mul":
-            out = aval * bval
-        elif op == "div":
-            out = aval / _guard_div(bval)
-        else:  # pow
-            n = _int_exponent(e.args[1])
-            if n is not None:
-                out = aval ** n if n >= 0 else np.asarray(aval, dtype=float) ** n
-            else:
-                out = np.maximum(aval, GUARD_EPS) ** bval
-        return out, ((aval, actx), (bval, bctx))
-
-    def _bwd(self, e: Expr, ctx, adj, grads: Gradients):
-        kind = e.kind
-        if kind in ("const", "time"):
-            return
-        if kind == "ref":
-            if e.name in self._sidx or e.name in self._aidx:
-                return
-            grads.scalars[e.name] += float(np.sum(adj))
-            return
-        if kind == "unary":
-            (val, sub), = ctx
-            op = e.op
-            if op == "neg":
-                d = -adj
-            elif op == "log":
-                d = adj / np.maximum(val, GUARD_EPS) * (val > GUARD_EPS)
-            elif op == "exp":
-                d = adj * np.exp(val)
-            elif op == "sin":
-                d = adj * np.cos(val)
-            elif op == "cos":
-                d = -adj * np.sin(val)
-            elif op == "sqrt":
-                d = adj / (2.0 * np.sqrt(np.maximum(val, GUARD_EPS))) * (val > GUARD_EPS)
-            elif op == "abs":
-                d = adj * np.sign(val)
-            elif op == "sigmoid":
-                s = expit(val)
-                d = adj * s * (1.0 - s)
-            else:  # tanh
-                th = np.tanh(val)
-                d = adj * (1.0 - th * th)
-            self._bwd(e.args[0], sub, d, grads)
-            return
-        (aval, actx), (bval, bctx) = ctx
-        op = e.op
-        if op == "add":
-            self._bwd(e.args[0], actx, adj, grads)
-            self._bwd(e.args[1], bctx, adj, grads)
-        elif op == "sub":
-            self._bwd(e.args[0], actx, adj, grads)
-            self._bwd(e.args[1], bctx, -adj, grads)
-        elif op == "mul":
-            self._bwd(e.args[0], actx, adj * bval, grads)
-            self._bwd(e.args[1], bctx, adj * aval, grads)
-        elif op == "div":
-            bc = _guard_div(bval)
-            self._bwd(e.args[0], actx, adj / bc, grads)
-            self._bwd(e.args[1], bctx, adj * (-aval / (bc * bc)) * (np.abs(bval) >= GUARD_EPS), grads)
-        else:  # pow
-            n = _int_exponent(e.args[1])
-            if n is not None:
-                if n == 0:
-                    d = np.zeros_like(adj)
-                else:
-                    d = adj * n * aval ** (n - 1)
-                self._bwd(e.args[0], actx, d, grads)
-            else:
-                ac = np.maximum(aval, GUARD_EPS)
-                self._bwd(e.args[0], actx, adj * bval * ac ** (bval - 1.0) * (aval > GUARD_EPS), grads)
-                self._bwd(e.args[1], bctx, adj * (ac ** bval) * np.log(ac), grads)
-
     def derivatives(self, params: ParamVector, x, u, t, with_cache: bool = False):
         """Model dx/dt for a batch; x (M, d_x), u (M, d_u), t (M,).
 
@@ -373,7 +431,6 @@ class Evaluator:
             return self._derivatives(params, x, u, t, with_cache)
 
     def _derivatives(self, params: ParamVector, x, u, t, with_cache: bool = False):
-        scalars = params.scalars
         mlp_out, mlp_caches = {}, {}
         m_rows = x.shape[0]
         for name, decl in self._mlps.items():
@@ -383,17 +440,20 @@ class Evaluator:
             out, caches = _mlp_forward(decl, params.weights[name], z0)
             mlp_out[name] = out
             mlp_caches[name] = caches
+        tape = self._tape
+        scalars = params.scalars
+        vals = [t, *x.T, *u.T, *[scalars[n] for n in tape.params], *tape.consts]
+        for forward, a, b, k in tape.nodes:
+            vals.append(forward(vals[a], vals[b], k))
         f = np.empty((m_rows, self.schema.d_x))
-        ectxs = []
         for j, comp in enumerate(self.spec.components):
-            val, ctx = self._fwd(comp.expr, x, u, t, scalars)
+            val = vals[tape.roots[j]]
             if comp.residual is not None:
                 name, idx = comp.residual
                 val = val + mlp_out[name][:, idx]
             f[:, j] = val
-            ectxs.append(ctx)
         if with_cache:
-            return f, (ectxs, mlp_out, mlp_caches)
+            return f, (vals, mlp_out, mlp_caches)
         return f
 
     def derivative(self, params: ParamVector, state, action, time: float) -> np.ndarray:
@@ -415,7 +475,7 @@ class Evaluator:
             return self._loss_and_grad(params, batch, dt)
 
     def _loss_and_grad(self, params: ParamVector, batch: TransitionBatch, dt: float):
-        f, (ectxs, mlp_out, mlp_caches) = self.derivatives(
+        f, (vals, mlp_out, mlp_caches) = self.derivatives(
             params, batch.x, batch.u, batch.t, with_cache=True
         )
         m_rows = len(batch)
@@ -426,18 +486,28 @@ class Evaluator:
             raise EvaluationFault(
                 f"non-finite loss (component {self.spec.components[bad].target})", component=bad
             )
-        grads = zero_gradients(self.spec)
         g_f = (2.0 * dt / m_rows) * resid
+        tape = self._tape
+        adj = [None] * (tape.n_values + len(tape.occurrences))
         out_adj = {name: np.zeros_like(out) for name, out in mlp_out.items()}
         for j, comp in enumerate(self.spec.components):
-            self._bwd(comp.expr, ectxs[j], g_f[:, j], grads)
+            if tape.seeds[j] is not None:
+                adj[tape.seeds[j]] = g_f[:, j]
             if comp.residual is not None:
                 name, idx = comp.residual
                 out_adj[name][:, idx] += g_f[:, j]
-        for name, decl in self._mlps.items():
-            grads.weights[name] = _mlp_backward(
-                decl, params.weights[name], mlp_caches[name], out_adj[name]
-            )
+        for slot, a, b, k, rule_a, to_a, rule_b, to_b in tape.backward:
+            g, va, vb = adj[slot], vals[a], vals[b]
+            if to_a is not None:
+                adj[to_a] = rule_a(g, va, vb, k)
+            if to_b is not None:
+                adj[to_b] = rule_b(g, va, vb, k)
+        grads = Gradients({p.name: 0.0 for p in self.spec.params}, {
+            name: _mlp_backward(decl, params.weights[name], mlp_caches[name], out_adj[name])
+            for name, decl in self._mlps.items()
+        })
+        for i, name in enumerate(tape.occurrences, start=tape.n_values):
+            grads.scalars[name] += float(adj[i].sum())
         for name, g in grads.scalars.items():
             if not np.isfinite(g):
                 raise EvaluationFault(f"non-finite gradient for parameter {name!r}", param=name)
@@ -446,17 +516,6 @@ class Evaluator:
                 if not (np.isfinite(w).all() and np.isfinite(b).all()):
                     raise EvaluationFault(f"non-finite gradient in network {name!r}", param=name)
         return loss, grads
-
-
-def zero_gradients(spec: ModelSpec) -> Gradients:
-    g = ParamVector({p.name: 0.0 for p in spec.params}, {})
-    for decl in spec.mlps:
-        dims = decl.layer_dims()
-        g.weights[decl.name] = [
-            (np.zeros((dims[i], dims[i + 1])), np.zeros(dims[i + 1]))
-            for i in range(len(dims) - 1)
-        ]
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +546,21 @@ def init_params(spec: ModelSpec, seed: int = 0) -> ParamVector:
 # Public operations
 
 
+def _evaluator(spec: ModelSpec, params: ParamVector, schema: SystemSchema,
+               evaluator: Evaluator | None = None) -> Evaluator:
+    """The given evaluator, or a new one for (spec, schema), checked
+    against params."""
+    if evaluator is None:
+        evaluator = Evaluator(spec, schema)
+    elif evaluator.spec != spec or evaluator.schema != schema:
+        raise ValueError("the evaluator was compiled for another spec or schema")
+    evaluator.check_params(params)
+    return evaluator
+
+
 def eval_derivative(spec: ModelSpec, params: ParamVector, state, action, time: float,
                     schema: SystemSchema) -> np.ndarray:
-    ev = Evaluator(spec, schema)
-    ev.check_params(params)
-    return ev.derivative(params, state, action, time)
+    return _evaluator(spec, params, schema).derivative(params, state, action, time)
 
 
 def euler_rollout(ev: Evaluator, x0, times: np.ndarray, dt: float, inputs):
@@ -533,8 +602,7 @@ def rollout(spec: ModelSpec, params: ParamVector, schema: SystemSchema, x0, acti
     Returns a trajectory with len(actions) + 1 rows whose final action row
     is zero padding (no action is taken at the terminal state).
     """
-    ev = Evaluator(spec, schema)
-    ev.check_params(params)
+    ev = _evaluator(spec, params, schema)
     actions = np.asarray(actions, dtype=float)
     if actions.ndim != 2:
         if schema.d_u == 0:
@@ -550,22 +618,26 @@ def rollout(spec: ModelSpec, params: ParamVector, schema: SystemSchema, x0, acti
     return Trajectory(times, states[0], padded)
 
 
-def one_step_mse(spec: ModelSpec, params: ParamVector, dataset: Dataset) -> float:
-    """Teacher-forced mean over transitions of ||(x + f dt) - y||^2."""
-    resid = _residuals(spec, params, dataset)
+def one_step_mse(spec: ModelSpec, params: ParamVector, dataset: Dataset,
+                 evaluator: Evaluator | None = None) -> float:
+    """Teacher-forced mean over transitions of ||(x + f dt) - y||^2.
+    `evaluator`, if given, must be compiled for spec and dataset.schema."""
+    resid = _residuals(spec, params, dataset, evaluator)
     return float(np.mean(np.sum(resid * resid, axis=1)))
 
 
-def per_component_mse(spec: ModelSpec, params: ParamVector, dataset: Dataset):
-    """Per-dimension one-step MSE delta and its mean upsilon."""
-    resid = _residuals(spec, params, dataset)
+def per_component_mse(spec: ModelSpec, params: ParamVector, dataset: Dataset,
+                      evaluator: Evaluator | None = None):
+    """Per-dimension one-step MSE delta and its mean upsilon.
+    `evaluator`, if given, must be compiled for spec and dataset.schema."""
+    resid = _residuals(spec, params, dataset, evaluator)
     delta = np.mean(resid * resid, axis=0)
     return delta, float(np.mean(delta))
 
 
-def _residuals(spec: ModelSpec, params: ParamVector, dataset: Dataset) -> np.ndarray:
-    ev = Evaluator(spec, dataset.schema)
-    ev.check_params(params)
+def _residuals(spec: ModelSpec, params: ParamVector, dataset: Dataset,
+               evaluator: Evaluator | None) -> np.ndarray:
+    ev = _evaluator(spec, params, dataset.schema, evaluator)
     batch = dataset.transitions()
     f = ev.derivatives(params, batch.x, batch.u, batch.t)
     if not np.isfinite(f).all():
@@ -579,9 +651,7 @@ def _residuals(spec: ModelSpec, params: ParamVector, dataset: Dataset) -> np.nda
 def loss_gradient(spec: ModelSpec, params: ParamVector, schema: SystemSchema,
                   batch: TransitionBatch, dt: float):
     """(batch one-step MSE, exact gradients for every scalar and weight)."""
-    ev = Evaluator(spec, schema)
-    ev.check_params(params)
-    return ev.loss_and_grad(params, batch, dt)
+    return _evaluator(spec, params, schema).loss_and_grad(params, batch, dt)
 
 
 def rollout_mse(spec: ModelSpec, params: ParamVector, dataset: Dataset) -> float:
@@ -591,8 +661,7 @@ def rollout_mse(spec: ModelSpec, params: ParamVector, dataset: Dataset) -> float
     Non-finite rollouts return inf rather than raising (an exploding model
     is a bad model, not a crash).
     """
-    ev = Evaluator(spec, dataset.schema)
-    ev.check_params(params)
+    ev = _evaluator(spec, params, dataset.schema)
     total, count = 0.0, 0
     for length in sorted({len(tr) for tr in dataset.trajectories}):
         trs = [tr for tr in dataset.trajectories if len(tr) == length]

@@ -104,6 +104,10 @@ def fit(spec: ModelSpec, init: ParamVector, train: Dataset, val: Dataset,
     """Fit a spec's parameters to training data, returning the snapshot
     with the best full-validation loss.
 
+    The spec is compiled once: one Evaluator serves every mini-batch and
+    every validation pass.  Each epoch gathers the shuffled training rows
+    once and takes its mini-batches as contiguous slices of them.
+
     A non-finite loss or gradient anywhere sets the fault flag and returns
     the best snapshot seen so far (validation loss +inf if none).
     """
@@ -122,12 +126,8 @@ def fit(spec: ModelSpec, init: ParamVector, train: Dataset, val: Dataset,
     rng = np.random.default_rng(cfg.seed)
     adam = _AdamState(params)
 
-    def validate_now():
-        delta, ups = per_component_mse(spec, params, val)
-        return delta, ups
-
     try:
-        best_delta, best_val = validate_now()
+        best_delta, best_val = per_component_mse(spec, params, val, evaluator=ev)
     except EvaluationFault as fault:
         log.warning("fit aborted: initial parameters fault (%s)", fault)
         return FitResult(params, float("inf"), np.full(train.schema.d_x, np.inf),
@@ -141,15 +141,15 @@ def fit(spec: ModelSpec, init: ParamVector, train: Dataset, val: Dataset,
 
     n = len(batch_all)
     for epoch in range(1, cfg.max_epochs + 1):
-        order = rng.permutation(n)
+        shuffled = batch_all.take(rng.permutation(n))
         epoch_losses = []
         try:
             for lo in range(0, n, cfg.batch_size):
-                batch = batch_all.take(order[lo:lo + cfg.batch_size])
+                batch = shuffled.rows(lo, lo + cfg.batch_size)
                 loss, grads = ev.loss_and_grad(params, batch, dt)
                 epoch_losses.append(loss)
                 adam.apply(params, grads, cfg)
-            delta, ups = validate_now()
+            delta, ups = per_component_mse(spec, params, val, evaluator=ev)
         except EvaluationFault as fault:
             log.warning("fit faulted at epoch %d: %s", epoch, fault)
             faulted = True

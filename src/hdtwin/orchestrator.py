@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from hdtwin.agents import (
     DEFAULT_OBJECTIVE,
@@ -86,11 +85,12 @@ class EvolveConfig:
 @dataclass
 class GenerationRecord:
     generation: int
-    status: str  # inserted | duplicate | proposal-failed | fit-faulted
+    status: str  # inserted | duplicate | proposal-failed | fit-faulted | transport-failed
     upsilon: float | None = None
     best_upsilon: float | None = None
     fingerprint: int | None = None
     description: str = ""
+    error: str | None = None  # why a transport-failed generation ended the run
 
 
 @dataclass
@@ -114,6 +114,9 @@ class RunResult:
     transcript: list[dict]
     fit_results: dict[int, FitResult] = field(default_factory=dict)
     stage_seconds: dict[str, float] = field(default_factory=dict)
+    # set when the LLM endpoint gave out: the run stopped early and keeps
+    # only the generations finished before it
+    transport_error: str | None = None
 
 
 def make_modeling_context(system: SystemDef, generations: int,
@@ -164,6 +167,9 @@ def evolve(ctx: ModelingContext, system: SystemDef, datasets: dict[str, Dataset]
 
     Failed proposals and faulted fits consume their generation without an
     insertion.  The best-by-validation entry is evaluated once on test.
+    A TransportError while proposing ends the run at that generation: the
+    finished generations are kept and the result carries the error in
+    `transport_error` (the error is raised if no generation finished).
     """
     train, val, test = datasets["train"], datasets["val"], datasets["test"]
     pop = Population(capacity=cfg.capacity)
@@ -172,6 +178,7 @@ def evolve(ctx: ModelingContext, system: SystemDef, datasets: dict[str, Dataset]
     best_curve: list[float] = []
     fit_results: dict[int, FitResult] = {}
     stages = {"propose": 0.0, "fit": 0.0, "evaluate": 0.0, "critique": 0.0}
+    transport_error = None
 
     for g in range(1, cfg.generations + 1):
         human = _read_human_feedback(human_feedback_dir, g)
@@ -186,6 +193,14 @@ def evolve(ctx: ModelingContext, system: SystemDef, datasets: dict[str, Dataset]
             stages["propose"] += time.perf_counter() - t0
             log.warning("generation %d: proposal failed (%s)", g, err)
             records.append(GenerationRecord(g, "proposal-failed"))
+        except TransportError as err:
+            stages["propose"] += time.perf_counter() - t0
+            if pop.best() is None:
+                raise
+            log.warning("generation %d: lost the LLM endpoint (%s)", g, err)
+            transport_error = f"generation {g}: {err}"
+            records.append(GenerationRecord(g, "transport-failed", error=str(err)))
+            break
         else:
             stages["propose"] += time.perf_counter() - t0
             t0 = time.perf_counter()
@@ -228,7 +243,8 @@ def evolve(ctx: ModelingContext, system: SystemDef, datasets: dict[str, Dataset]
     test_metrics = evaluate_test_metrics(best.spec, best.params, test)
     stages["evaluate"] += time.perf_counter() - t0
     return RunResult(best, pop, best_curve, records, test_metrics,
-                     list(getattr(client, "transcript", [])), fit_results, stages)
+                     list(getattr(client, "transcript", [])), fit_results, stages,
+                     transport_error)
 
 
 def _single_proposal(ctx, system, datasets, cfg, client, optimize: bool) -> RunResult:
@@ -327,6 +343,8 @@ def confidence_interval(values: list[float]) -> tuple[float, float | None]:
     mean = float(arr.mean())
     if len(arr) < 2:
         return mean, None
+    from scipy import stats  # imported here: it costs most of a second
+
     sem = float(arr.std(ddof=1)) / np.sqrt(len(arr))
     half = float(stats.t.ppf(0.975, len(arr) - 1) * sem)
     return mean, half
@@ -364,6 +382,8 @@ def run_experiment(system_id: str, method: str, seeds: list[int], *,
     baseline:<id>.  Agent methods need `client_factory(seed) -> client`.
     Per-seed failures, transport failures included, are recorded in the
     report and the summary, never silently dropped; later seeds still run.
+    An evolve run cut short by a transport failure still writes its
+    archive of the finished generations, but its metric is not aggregated.
     """
     from hdtwin.baselines import SindyConfig, builtin_baseline_spec, sindy_fit, sindy_params
 
@@ -395,7 +415,13 @@ def run_experiment(system_id: str, method: str, seeds: list[int], *,
                 runner = {"evolve": evolve, "zero-shot": zero_shot,
                           "zero-optim": zero_optim}[method]
                 result = runner(ctx, system, datasets, cfg, client)
-                outcome.metric = result.test.headline(cfg.test_metric)
+                if result.transport_error is None:
+                    outcome.metric = result.test.headline(cfg.test_metric)
+                else:  # a partial run: archived, but not aggregated
+                    log.warning("seed %d lost the LLM endpoint at %s", seed,
+                                result.transport_error)
+                    outcome.error = f"transport failure at {result.transport_error}"
+                    outcome.transport_failure = True
                 if seed_dir:
                     write_run_archive(seed_dir, result, system_id, method, seed, cfg)
                     outcome.archive = str(seed_dir)
@@ -453,7 +479,13 @@ def _metrics_doc(metrics: TestMetrics) -> dict:
 
 def write_run_archive(out_dir, result: RunResult, system_id: str, method: str,
                       seed: int, cfg: EvolveConfig):
-    """Write the documented run-archive layout (no wall-clock anywhere)."""
+    """Write the documented run-archive layout (no wall-clock anywhere).
+
+    A run cut short by a transport failure writes the same layout for its
+    finished generations; its report row for the failed generation holds
+    the error in the description column, and result.json gains a
+    "transport_error" entry.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _json_dump({
@@ -506,7 +538,7 @@ def write_run_archive(out_dir, result: RunResult, system_id: str, method: str,
                 "" if r.upsilon is None else repr(r.upsilon),
                 "" if r.best_upsilon is None else repr(r.best_upsilon),
                 "" if r.fingerprint is None else r.fingerprint,
-                r.description,
+                r.error or r.description,
             ])
 
     best = result.best
@@ -520,6 +552,8 @@ def write_run_archive(out_dir, result: RunResult, system_id: str, method: str,
         "headline_value": result.test.headline(cfg.test_metric),
     }
     doc.update(_metrics_doc(result.test))
+    if result.transport_error is not None:
+        doc["transport_error"] = result.transport_error
     _json_dump(doc, out / "result.json")
     (out / "best-model.hdt").write_text(best.canonical_text)
     save_params(best.params, out / "best-params.json")

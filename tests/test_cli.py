@@ -130,6 +130,26 @@ def test_evolve_replay_exhaustion_is_transport_failure(tmp_path):
     assert dispatch(["evolve", "--config", str(cfg)]) == EXIT_TRANSPORT
 
 
+def test_evolve_transport_failure_keeps_the_finished_generations(tmp_path):
+    replay = tmp_path / "replies.json"
+    save_replay(replay_fixtures.evolution_replies()[:3], replay)  # two generations
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "system": "cancer-chemo-radio", "method": "evolve", "seeds": [0],
+        "out": str(tmp_path / "run"),
+        "client": {"mode": "replay", "path": str(replay)},
+        "evolve": {"generations": 4},
+        "optim": {"batch_size": 200, "max_epochs": 5, "patience": 5},
+        "gen": {"n": 4},
+    }))
+    assert dispatch(["evolve", "--config", str(cfg)]) == EXIT_TRANSPORT
+    seed_dir = tmp_path / "run" / "seed-0000"
+    assert (seed_dir / "population" / "gen-002" / "model.hdt").exists()
+    assert "3,transport-failed," in (seed_dir / "report.csv").read_text()
+    rows = (tmp_path / "run" / "summary.csv").read_text().splitlines()
+    assert rows[1].startswith("0,,transport failure at generation 3")
+
+
 def test_transport_failure_still_writes_summary(tmp_path):
     # every seed runs out of replies: each is recorded, the summary is
     # written, and the exit code still reports the transport failure

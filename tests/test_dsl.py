@@ -86,10 +86,16 @@ def test_parse_errors_carry_location():
         parse_model_spec("d(x)/dt = relu(x)")
     with pytest.raises(ParseError, match="duplicate parameter"):
         parse_model_spec("param a = 1.0\nparam a = 2.0\nd(x)/dt = a")
-    with pytest.raises(ParseError, match="undeclared network"):
+    with pytest.raises(ParseError, match="undeclared network") as err:
         parse_model_spec("d(x)/dt = 0 + net[0]")
-    with pytest.raises(ParseError, match="out of range"):
+    assert (err.value.line, err.value.col) == (1, 15)
+    with pytest.raises(ParseError, match="undeclared network") as err:
+        parse_model_spec("param a = 1.0\n\nd(x)/dt = a * x + net[0]")
+    assert (err.value.line, err.value.col) == (3, 19)
+    with pytest.raises(ParseError, match="out of range") as err:
         parse_model_spec("mlp net(x) hidden [4] act relu outputs 1\nd(x)/dt = 0 + net[3]")
+    assert (err.value.line, err.value.col) == (2, 15)
+    assert "'d(x)/dt = 0 + net[3]'" in str(err.value)
     with pytest.raises(ParseError, match="final additive term"):
         parse_model_spec("mlp net(x) hidden [4] act relu outputs 1\nd(x)/dt = 2 * net[0]")
     with pytest.raises(ParseError, match="final additive term"):

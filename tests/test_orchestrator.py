@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ import replay_fixtures
 from hdtwin.agents import (
     DecodingConfig,
     ProposalFailure,
+    ReplayExhausted,
     ScriptedClient,
     make_reply,
 )
@@ -322,3 +325,42 @@ def test_run_experiment_baseline_fit(tmp_path):
     (outcome,) = report.outcomes
     assert outcome.error is None
     assert outcome.metric is not None and np.isfinite(outcome.metric)
+
+
+def test_evolve_keeps_finished_generations_on_transport_failure(cancer_datasets, tmp_path):
+    # replies for two generations and one critique: generation 3's proposal
+    # finds the replay exhausted
+    system, datasets = cancer_datasets
+    ctx = make_modeling_context(system, 6, n_trajectories=6)
+    client = ScriptedClient(replay_fixtures.evolution_replies()[:3])
+    result = evolve(ctx, system, datasets, small_cfg(6), client)
+    assert [r.status for r in result.records] == ["inserted", "inserted", "transport-failed"]
+    assert "replay exhausted" in result.records[-1].error
+    assert result.transport_error.startswith("generation 3: replay exhausted")
+    assert len(result.best_curve) == 2 and result.best.generation in (1, 2)
+    write_run_archive(tmp_path, result, "cancer-chemo-radio", "evolve", 0, small_cfg(6))
+    assert sorted(p.name for p in (tmp_path / "population").iterdir()) == ["gen-001", "gen-002"]
+    rows = (tmp_path / "report.csv").read_text().splitlines()
+    assert rows[3].startswith("3,transport-failed,") and "replay exhausted" in rows[3]
+    assert "generation 3" in json.loads((tmp_path / "result.json").read_text())["transport_error"]
+
+
+def test_evolve_transport_failure_before_any_generation_raises(cancer_datasets):
+    system, datasets = cancer_datasets
+    ctx = make_modeling_context(system, 2, n_trajectories=6)
+    with pytest.raises(ReplayExhausted):
+        evolve(ctx, system, datasets, small_cfg(2), ScriptedClient([]))
+
+
+def test_run_experiment_archives_a_run_cut_short(tmp_path):
+    replies = replay_fixtures.evolution_replies()[:3]
+    report = run_experiment("cancer-chemo-radio", "evolve", [0], gen_cfg=GenConfig(n=4),
+                            evolve_cfg=small_cfg(4),
+                            client_factory=lambda seed: ScriptedClient(replies),
+                            out_dir=tmp_path)
+    (outcome,) = report.outcomes
+    assert outcome.transport_failure and outcome.metric is None
+    assert outcome.error.startswith("transport failure at generation 3")
+    assert outcome.archive == str(tmp_path / "seed-0000")
+    assert (tmp_path / "seed-0000" / "population" / "gen-002" / "params.json").exists()
+    assert report.mean is None

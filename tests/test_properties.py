@@ -1,0 +1,99 @@
+"""Property tests: evaluation is total.
+
+On random specs, random parameters and inputs that reach every guarded
+branch (negative, zero and near-zero values), the engine either matches
+the naive scalar oracle of conftest or raises EvaluationFault; no other
+exception may escape.  Examples are derandomized, so every run draws the
+same cases.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import (
+    naive_derivative,
+    naive_one_step_loss,
+    random_params,
+    random_schema,
+    random_spec,
+)
+from hdtwin.dsl import SystemSchema, VarSpec, parse_model_spec
+from hdtwin.engine import EvaluationFault, Evaluator, TransitionBatch, init_params, loss_gradient
+
+ROWS = 4
+DT = 0.5
+
+# values at and around the guards (1e-8) and the sign changes, plus a spread
+guard_values = st.sampled_from([0.0, -0.0, 1e-8, -1e-8, 5e-9, -5e-9, 1e-12])
+inputs = st.one_of(guard_values, st.floats(-3.0, 3.0, allow_nan=False))
+
+
+def _oracle(fn, *args):
+    """The naive value, or None where Python float math refuses (an
+    overflow in **, math.sin(inf), ...): the engine must then fault."""
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError):
+        return None
+
+
+def _matches(got, want) -> bool:
+    return want is not None and all(
+        math.isclose(g, w, rel_tol=1e-9, abs_tol=1e-9)
+        for g, w in zip(np.atleast_1d(got).tolist(), np.atleast_1d(want).tolist()))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2 ** 32 - 1), values=st.lists(inputs, min_size=40, max_size=40))
+def test_evaluation_matches_oracle_or_faults(seed, values):
+    rng = np.random.default_rng(seed)
+    schema = random_schema(rng)
+    spec = random_spec(rng, schema)
+    params = random_params(rng, spec)
+    pool = iter(values)
+
+    def draw(*shape):
+        return np.array([next(pool) for _ in range(int(np.prod(shape)))]).reshape(shape)
+
+    batch = TransitionBatch(draw(ROWS, schema.d_x), draw(ROWS, schema.d_u), draw(ROWS),
+                            draw(ROWS, schema.d_x))
+    ev = Evaluator(spec, schema)
+    for r in range(ROWS):
+        try:
+            got = ev.derivative(params, batch.x[r], batch.u[r], batch.t[r])
+        except EvaluationFault:
+            continue
+        want = _oracle(naive_derivative, spec, schema, params, batch.x[r], batch.u[r], batch.t[r])
+        assert _matches(got, want), (got, want)
+    try:
+        loss, grads = loss_gradient(spec, params, schema, batch, DT)
+    except EvaluationFault:
+        return
+    assert _matches(loss, _oracle(naive_one_step_loss, spec, schema, params, batch, DT))
+    assert all(math.isfinite(g) for g in grads.scalars.values())
+    assert all(np.isfinite(w).all() and np.isfinite(b).all()
+               for layers in grads.weights.values() for w, b in layers)
+
+
+@pytest.mark.parametrize("text", [
+    "param a = 1.0\nd(x)/dt = log(a * x) + sqrt(-x) + x / (a - 1.0) + (a * x) ^ 1.5",
+    "param a = 0.0\nd(x)/dt = a / x + x ^ a + sigmoid(a * x) * tanh(x / a)",
+])
+def test_guard_branches_are_total(text):
+    # every guard at its boundary: zero, negative and -0.0 arguments
+    schema = SystemSchema(states=(VarSpec("x", -10.0, 10.0),))
+    spec = parse_model_spec(text)
+    params = init_params(spec)
+    x = np.array([[0.0], [-0.0], [-1.0], [1e-8], [2.0]])
+    batch = TransitionBatch(x, np.zeros((5, 0)), np.zeros(5), np.zeros((5, 1)))
+    try:
+        loss, _ = loss_gradient(spec, params, schema, batch, DT)
+    except EvaluationFault:
+        return
+    assert _matches(loss, _oracle(naive_one_step_loss, spec, schema, params, batch, DT))
