@@ -306,6 +306,7 @@ class _Tape(NamedTuple):
     backward: tuple            # (slot, a, b, k, rule, to, rule, to) per active node, reversed
     occurrences: tuple[str, ...]  # the parameter at each occurrence adjoint slot
     n_values: int
+    mlp_inputs: dict[str, tuple[int, ...]]  # each network's input value slots
 
 
 def _compile(spec: ModelSpec, schema: SystemSchema) -> _Tape:
@@ -370,8 +371,9 @@ def _compile(spec: ModelSpec, schema: SystemSchema) -> _Tape:
 
     roots, seeds = zip(*(emit(comp.expr) for comp in spec.components))
     backward.reverse()
+    mlp_inputs = {m.name: tuple(inputs[n] for n in m.inputs) for m in spec.mlps}
     return _Tape(tuple(params), tuple(consts), tuple(nodes), roots, seeds, tuple(backward),
-                 tuple(occurrences), n_values)
+                 tuple(occurrences), n_values, mlp_inputs)
 
 
 class Evaluator:
@@ -388,8 +390,6 @@ class Evaluator:
             )
         self.spec = spec
         self.schema = schema
-        self._sidx = {n: i for i, n in enumerate(schema.state_names)}
-        self._aidx = {n: i for i, n in enumerate(schema.action_names)}
         self._mlps = {m.name: m for m in spec.mlps}
         self._tape = _compile(spec, schema)
 
@@ -413,14 +413,6 @@ class Evaluator:
 
     # -- forward
 
-    def _col(self, name: str, x, u, t):
-        if name == TIME_SYMBOL:
-            return t
-        i = self._sidx.get(name)
-        if i is not None:
-            return x[:, i]
-        return u[:, self._aidx[name]]
-
     def derivatives(self, params: ParamVector, x, u, t, with_cache: bool = False):
         """Model dx/dt for a batch; x (M, d_x), u (M, d_u), t (M,).
 
@@ -431,18 +423,18 @@ class Evaluator:
             return self._derivatives(params, x, u, t, with_cache)
 
     def _derivatives(self, params: ParamVector, x, u, t, with_cache: bool = False):
+        tape = self._tape
+        scalars = params.scalars
+        vals = [t, *x.T, *u.T, *[scalars[n] for n in tape.params], *tape.consts]
         mlp_out, mlp_caches = {}, {}
         m_rows = x.shape[0]
         for name, decl in self._mlps.items():
             z0 = np.stack(
-                [np.broadcast_to(self._col(n, x, u, t), (m_rows,)) for n in decl.inputs], axis=1
+                [np.broadcast_to(vals[i], (m_rows,)) for i in tape.mlp_inputs[name]], axis=1
             )
             out, caches = _mlp_forward(decl, params.weights[name], z0)
             mlp_out[name] = out
             mlp_caches[name] = caches
-        tape = self._tape
-        scalars = params.scalars
-        vals = [t, *x.T, *u.T, *[scalars[n] for n in tape.params], *tape.consts]
         for forward, a, b, k in tape.nodes:
             vals.append(forward(vals[a], vals[b], k))
         f = np.empty((m_rows, self.schema.d_x))
