@@ -614,21 +614,21 @@ def one_step_mse(spec: ModelSpec, params: ParamVector, dataset: Dataset,
                  evaluator: Evaluator | None = None) -> float:
     """Teacher-forced mean over transitions of ||(x + f dt) - y||^2.
     `evaluator`, if given, must be compiled for spec and dataset.schema."""
-    resid = _residuals(spec, params, dataset, evaluator)
-    return float(np.mean(np.sum(resid * resid, axis=1)))
+    return float(np.mean(np.sum(_squared_residuals(spec, params, dataset, evaluator), axis=1)))
 
 
 def per_component_mse(spec: ModelSpec, params: ParamVector, dataset: Dataset,
                       evaluator: Evaluator | None = None):
     """Per-dimension one-step MSE delta and its mean upsilon.
     `evaluator`, if given, must be compiled for spec and dataset.schema."""
-    resid = _residuals(spec, params, dataset, evaluator)
-    delta = np.mean(resid * resid, axis=0)
+    delta = np.mean(_squared_residuals(spec, params, dataset, evaluator), axis=0)
     return delta, float(np.mean(delta))
 
 
-def _residuals(spec: ModelSpec, params: ParamVector, dataset: Dataset,
-               evaluator: Evaluator | None) -> np.ndarray:
+def _squared_residuals(spec: ModelSpec, params: ParamVector, dataset: Dataset,
+                       evaluator: Evaluator | None) -> np.ndarray:
+    """((x + f dt) - y)^2 per transition and component, computed in place
+    in the derivative array."""
     ev = _evaluator(spec, params, dataset.schema, evaluator)
     batch = dataset.transitions()
     f = ev.derivatives(params, batch.x, batch.u, batch.t)
@@ -637,7 +637,11 @@ def _residuals(spec: ModelSpec, params: ParamVector, dataset: Dataset,
         raise EvaluationFault(
             f"non-finite derivative (component {spec.components[bad].target})", component=bad
         )
-    return (batch.x + f * dataset.schema.dt) - batch.y
+    f *= dataset.schema.dt
+    f += batch.x
+    f -= batch.y
+    f *= f
+    return f
 
 
 def loss_gradient(spec: ModelSpec, params: ParamVector, schema: SystemSchema,
