@@ -538,8 +538,8 @@ def init_params(spec: ModelSpec, seed: int = 0) -> ParamVector:
 # Public operations
 
 
-def _evaluator(spec: ModelSpec, params: ParamVector, schema: SystemSchema,
-               evaluator: Evaluator | None = None) -> Evaluator:
+def _checked_evaluator(spec: ModelSpec, params: ParamVector, schema: SystemSchema,
+                       evaluator: Evaluator | None = None) -> Evaluator:
     """The given evaluator, or a new one for (spec, schema), checked
     against params."""
     if evaluator is None:
@@ -552,7 +552,7 @@ def _evaluator(spec: ModelSpec, params: ParamVector, schema: SystemSchema,
 
 def eval_derivative(spec: ModelSpec, params: ParamVector, state, action, time: float,
                     schema: SystemSchema) -> np.ndarray:
-    return _evaluator(spec, params, schema).derivative(params, state, action, time)
+    return _checked_evaluator(spec, params, schema).derivative(params, state, action, time)
 
 
 def euler_rollout(ev: Evaluator, x0, times: np.ndarray, dt: float, inputs):
@@ -594,7 +594,7 @@ def rollout(spec: ModelSpec, params: ParamVector, schema: SystemSchema, x0, acti
     Returns a trajectory with len(actions) + 1 rows whose final action row
     is zero padding (no action is taken at the terminal state).
     """
-    ev = _evaluator(spec, params, schema)
+    ev = _checked_evaluator(spec, params, schema)
     actions = np.asarray(actions, dtype=float)
     if actions.ndim != 2:
         if schema.d_u == 0:
@@ -629,7 +629,7 @@ def _squared_residuals(spec: ModelSpec, params: ParamVector, dataset: Dataset,
                        evaluator: Evaluator | None) -> np.ndarray:
     """((x + f dt) - y)^2 per transition and component, computed in place
     in the derivative array."""
-    ev = _evaluator(spec, params, dataset.schema, evaluator)
+    ev = _checked_evaluator(spec, params, dataset.schema, evaluator)
     batch = dataset.transitions()
     f = ev.derivatives(params, batch.x, batch.u, batch.t)
     if not np.isfinite(f).all():
@@ -647,7 +647,7 @@ def _squared_residuals(spec: ModelSpec, params: ParamVector, dataset: Dataset,
 def loss_gradient(spec: ModelSpec, params: ParamVector, schema: SystemSchema,
                   batch: TransitionBatch, dt: float):
     """(batch one-step MSE, exact gradients for every scalar and weight)."""
-    return _evaluator(spec, params, schema).loss_and_grad(params, batch, dt)
+    return _checked_evaluator(spec, params, schema).loss_and_grad(params, batch, dt)
 
 
 def rollout_mse(spec: ModelSpec, params: ParamVector, dataset: Dataset) -> float:
@@ -657,7 +657,7 @@ def rollout_mse(spec: ModelSpec, params: ParamVector, dataset: Dataset) -> float
     Non-finite rollouts return inf rather than raising (an exploding model
     is a bad model, not a crash).
     """
-    ev = _evaluator(spec, params, dataset.schema)
+    ev = _checked_evaluator(spec, params, dataset.schema)
     total, count = 0.0, 0
     for length in sorted({len(tr) for tr in dataset.trajectories}):
         trs = [tr for tr in dataset.trajectories if len(tr) == length]
