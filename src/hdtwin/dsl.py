@@ -21,6 +21,7 @@ Specs are immutable after construction and all operations here are pure.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
@@ -643,8 +644,8 @@ def _expr_prec(e: Expr) -> int:
         return _PRECEDENCE[e.op]
     if e.kind == "unary" and e.op == "neg":
         return _PRECEDENCE["neg"]
-    if e.kind == "const" and e.value < 0:
-        return _PRECEDENCE["neg"]  # prints with a leading '-'
+    if e.kind == "const" and math.copysign(1.0, e.value) < 0:
+        return _PRECEDENCE["neg"]  # prints with a leading '-', -0.0 included
     return _ATOM_PREC
 
 

@@ -23,6 +23,19 @@ its adjoint.  Every occurrence of a parameter has its own adjoint slot,
 so each parameter's gradient is summed over its occurrences in
 left-to-right leaf order, component by component.  One op table
 (`_OPS`) holds each op's forward and backward rule.
+
+A node is row-varying when time, a state or an action occurs in its
+subtree.  Nodes built only from parameters and constants stay numpy or
+Python scalars; each row-varying node owns one row of a (nodes, M)
+float64 block, and its forward rule writes there through a ufunc `out=`.
+The block, with the input, pre-activation and activation arrays of each
+network layer, forms the evaluator's workspace for M rows.  It is built
+the first time the evaluator sees M rows and kept for the evaluator's
+lifetime (a fit sees at most three row counts: the batch, the last
+partial batch and the validation split), so repeated passes reuse the
+same memory instead of allocating and faulting in fresh arrays.  The
+workspace is private scratch: no array an evaluator returns is a view of
+it.  The backward pass allocates its adjoints as before.
 """
 
 from __future__ import annotations
@@ -179,12 +192,13 @@ class TransitionBatch:
 # Compiled evaluation
 
 
-def _act(name: str, z: np.ndarray) -> np.ndarray:
+def _act(name: str, z: np.ndarray, out: np.ndarray) -> np.ndarray:
     if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "leaky_relu":
-        return np.where(z > 0.0, z, 0.1 * z)
-    return np.tanh(z)
+        return np.maximum(z, 0.0, out=out)
+    if name == "leaky_relu":  # max(z, 0.1 z) is z where z > 0, else 0.1 z
+        np.multiply(z, 0.1, out=out)
+        return np.maximum(z, out, out=out)
+    return np.tanh(z, out=out)
 
 
 def _act_grad(name: str, z: np.ndarray) -> np.ndarray:
@@ -196,14 +210,16 @@ def _act_grad(name: str, z: np.ndarray) -> np.ndarray:
     return 1.0 - th * th
 
 
-def _mlp_forward(decl: MlpDecl, layers: list[Layer], z0: np.ndarray):
+def _mlp_forward(decl: MlpDecl, layers: list[Layer], z0: np.ndarray, buffers):
+    """The network's output for inputs z0, computed in buffers: one
+    (pre-activation, activation) pair per layer, the last activation None."""
     caches = []
     a = z0
-    last = len(layers) - 1
-    for li, (w, b) in enumerate(layers):
-        pre = a @ w + b
+    for (w, b), (pre, act) in zip(layers, buffers):
+        np.matmul(a, w, out=pre)
+        np.add(pre, b, out=pre)
         caches.append((a, pre))
-        a = pre if li == last else _act(decl.activation, pre)
+        a = pre if act is None else _act(decl.activation, pre, act)
     return a, caches
 
 
@@ -218,10 +234,6 @@ def _mlp_backward(decl: MlpDecl, layers: list[Layer], caches, g_out: np.ndarray)
             d_a = dz @ layers[li][0].T
     grads.reverse()
     return grads
-
-
-def _guard_div(b):
-    return np.where(np.abs(b) >= GUARD_EPS, b, np.where(b >= 0.0, GUARD_EPS, -GUARD_EPS))
 
 
 def _int_exponent(e: Expr) -> int | None:
@@ -239,12 +251,41 @@ def _tape_op(e: Expr) -> str:
 
 
 # The op table.  A forward rule maps the operand values a, b (a unary op
-# ignores b) and the node's constant k to the node's value; a backward rule
-# maps the node's adjoint g, with the same a, b, k, to the adjoint of one
-# operand.  k is the exponent of "pow_int" (pow with an integer constant
-# exponent), the logistic function of "sigmoid", and None otherwise.  The
-# guarded domains are nodes of their own: "clamp" (max(a, 1e-8)) feeds log,
-# sqrt and pow's base, "guard" feeds the denominator of div.
+# ignores b), the node's constant k and its output row `out` to the node's
+# value; `out` is None for a scalar node, which then returns a new scalar.
+# A backward rule maps the node's adjoint g, with the same a, b, k, to the
+# adjoint of one operand.  k is the exponent of "pow_int" (pow with an
+# integer constant exponent), the logistic function of "sigmoid", and None
+# otherwise.  The guarded domains are nodes of their own: "clamp"
+# (max(a, 1e-8)) feeds log, sqrt and pow's base, "guard" feeds the
+# denominator of div.
+
+
+def _guard_div(a, b, k, out):
+    """a where |a| >= 1e-8, else 1e-8 where a >= 0 and -1e-8 where a < 0
+    or a is nan."""
+    keep = np.abs(a) >= GUARD_EPS
+    fill = np.where(a >= 0.0, GUARD_EPS, -GUARD_EPS)
+    if out is None:
+        return np.where(keep, a, fill)
+    np.copyto(out, fill)
+    np.copyto(out, a, where=keep)
+    return out
+
+
+def _power(a, b, k, out):
+    """a ** b, or a ** k for "pow_int".  A scalar base is a numpy scalar
+    (libm pow, as for a Python float, but overflow gives inf instead of
+    raising OverflowError), or a 0-d array for a negative integer exponent.
+    A row node copies a into out and raises it in place: ndarray picks the
+    same kernel for out **= e as for a ** e (square for 2, sqrt for 0.5,
+    ...), so the bits do not change."""
+    e = b if k is None else k
+    if out is None:
+        return (np.asarray(a, dtype=float) if k is not None and k < 0 else np.float64(a)) ** e
+    np.copyto(out, a)
+    out **= e
+    return out
 
 
 def _sigmoid_grad(g, a, b, k):
@@ -257,35 +298,34 @@ def _tanh_grad(g, a, b, k):
     return g * (1.0 - th * th)
 
 
-def _pow_int(a, b, k):
-    return a ** k if k >= 0 else np.asarray(a, dtype=float) ** k
-
-
 def _pow_int_grad(g, a, b, k):
     return np.zeros_like(g) if k == 0 else g * k * a ** (k - 1)
 
 
 _OPS = {  # op: (forward, backward to a, backward to b)
-    "clamp": (lambda a, b, k: np.maximum(a, GUARD_EPS),
+    "clamp": (lambda a, b, k, out: np.maximum(a, GUARD_EPS, out=out),
               lambda g, a, b, k: g * (a > GUARD_EPS), None),
-    "guard": (lambda a, b, k: _guard_div(a), lambda g, a, b, k: g * (np.abs(a) >= GUARD_EPS),
-              None),
-    "neg": (lambda a, b, k: -a, lambda g, a, b, k: -g, None),
-    "log": (lambda a, b, k: np.log(a), lambda g, a, b, k: g / a, None),
-    "exp": (lambda a, b, k: np.exp(a), lambda g, a, b, k: g * np.exp(a), None),
-    "sin": (lambda a, b, k: np.sin(a), lambda g, a, b, k: g * np.cos(a), None),
-    "cos": (lambda a, b, k: np.cos(a), lambda g, a, b, k: -g * np.sin(a), None),
-    "sqrt": (lambda a, b, k: np.sqrt(a), lambda g, a, b, k: g / (2.0 * np.sqrt(a)), None),
-    "abs": (lambda a, b, k: np.abs(a), lambda g, a, b, k: g * np.sign(a), None),
-    "sigmoid": (lambda a, b, k: k(a), _sigmoid_grad, None),
-    "tanh": (lambda a, b, k: np.tanh(a), _tanh_grad, None),
-    "add": (lambda a, b, k: a + b, lambda g, a, b, k: g, lambda g, a, b, k: g),
-    "sub": (lambda a, b, k: a - b, lambda g, a, b, k: g, lambda g, a, b, k: -g),
-    "mul": (lambda a, b, k: a * b, lambda g, a, b, k: g * b, lambda g, a, b, k: g * a),
-    "div": (lambda a, b, k: a / b, lambda g, a, b, k: g / b,
+    "guard": (_guard_div, lambda g, a, b, k: g * (np.abs(a) >= GUARD_EPS), None),
+    "neg": (lambda a, b, k, out: np.negative(a, out=out), lambda g, a, b, k: -g, None),
+    "log": (lambda a, b, k, out: np.log(a, out=out), lambda g, a, b, k: g / a, None),
+    "exp": (lambda a, b, k, out: np.exp(a, out=out), lambda g, a, b, k: g * np.exp(a), None),
+    "sin": (lambda a, b, k, out: np.sin(a, out=out), lambda g, a, b, k: g * np.cos(a), None),
+    "cos": (lambda a, b, k, out: np.cos(a, out=out), lambda g, a, b, k: -g * np.sin(a), None),
+    "sqrt": (lambda a, b, k, out: np.sqrt(a, out=out),
+             lambda g, a, b, k: g / (2.0 * np.sqrt(a)), None),
+    "abs": (lambda a, b, k, out: np.abs(a, out=out), lambda g, a, b, k: g * np.sign(a), None),
+    "sigmoid": (lambda a, b, k, out: k(a, out=out), _sigmoid_grad, None),
+    "tanh": (lambda a, b, k, out: np.tanh(a, out=out), _tanh_grad, None),
+    "add": (lambda a, b, k, out: np.add(a, b, out=out),
+            lambda g, a, b, k: g, lambda g, a, b, k: g),
+    "sub": (lambda a, b, k, out: np.subtract(a, b, out=out),
+            lambda g, a, b, k: g, lambda g, a, b, k: -g),
+    "mul": (lambda a, b, k, out: np.multiply(a, b, out=out),
+            lambda g, a, b, k: g * b, lambda g, a, b, k: g * a),
+    "div": (lambda a, b, k, out: np.divide(a, b, out=out), lambda g, a, b, k: g / b,
             lambda g, a, b, k: g * (-a / (b * b))),
-    "pow_int": (_pow_int, _pow_int_grad, None),
-    "pow": (lambda a, b, k: a ** b, lambda g, a, b, k: g * b * a ** (b - 1.0),
+    "pow_int": (_power, _pow_int_grad, None),
+    "pow": (_power, lambda g, a, b, k: g * b * a ** (b - 1.0),
             lambda g, a, b, k: g * (a ** b) * np.log(a)),
 }
 
@@ -301,6 +341,7 @@ class _Tape(NamedTuple):
     params: tuple[str, ...]    # the referenced parameters, in value-slot order
     consts: tuple[float, ...]  # one per constant leaf
     nodes: tuple               # (forward, a, b, k) per operator node
+    rows: tuple                # each node's workspace row, None for a scalar node
     roots: tuple[int, ...]     # each component's value slot
     seeds: tuple               # each component's adjoint slot, None if inactive
     backward: tuple            # (slot, a, b, k, rule, to, rule, to) per active node, reversed
@@ -326,6 +367,8 @@ def _compile(spec: ModelSpec, schema: SystemSchema) -> _Tape:
     n_values = const_base + n_consts + n_nodes
     consts: list[float] = []
     nodes: list[tuple] = []
+    rows: list[int | None] = []
+    varying = set(inputs.values())  # the row-varying value slots
     backward: list[tuple] = []
     occurrences: list[str] = []
 
@@ -334,7 +377,12 @@ def _compile(spec: ModelSpec, schema: SystemSchema) -> _Tape:
         forward, rule_a, rule_b = _OPS[op]
         b = a if b is None else b
         slot = const_base + n_consts + len(nodes)
+        row = None
+        if a in varying or b in varying:
+            row = len(varying) - len(inputs)
+            varying.add(slot)
         nodes.append((forward, a, b, k))
+        rows.append(row)
         if to_a is None and to_b is None:
             return slot, None
         backward.append((slot, a, b, k, rule_a, to_a, rule_b, to_b))
@@ -372,14 +420,25 @@ def _compile(spec: ModelSpec, schema: SystemSchema) -> _Tape:
     roots, seeds = zip(*(emit(comp.expr) for comp in spec.components))
     backward.reverse()
     mlp_inputs = {m.name: tuple(inputs[n] for n in m.inputs) for m in spec.mlps}
-    return _Tape(tuple(params), tuple(consts), tuple(nodes), roots, seeds, tuple(backward),
-                 tuple(occurrences), n_values, mlp_inputs)
+    return _Tape(tuple(params), tuple(consts), tuple(nodes), tuple(rows), roots, seeds,
+                 tuple(backward), tuple(occurrences), n_values, mlp_inputs)
+
+
+class _Workspace(NamedTuple):
+    """An evaluator's scratch arrays for one row count M."""
+
+    outs: list   # each tape node's row of one (row-varying nodes, M) block, None if scalar
+    mlps: dict   # per network: its (M, inputs) input and per layer (pre, activation)
 
 
 class Evaluator:
     """A spec compiled against a schema for repeated batched evaluation.
 
-    Pure given (params, data); safe to share across threads.
+    Results depend only on (params, data).  The forward pass writes into a
+    workspace kept per row count (see the module docstring), so an
+    evaluator is not safe to share across threads; nothing in hdtwin
+    shares one.  Returned derivatives and gradients never alias the
+    workspace; only the cache of derivatives(with_cache=True) does.
     """
 
     def __init__(self, spec: ModelSpec, schema: SystemSchema):
@@ -392,6 +451,24 @@ class Evaluator:
         self.schema = schema
         self._mlps = {m.name: m for m in spec.mlps}
         self._tape = _compile(spec, schema)
+        self._workspaces: dict[int, _Workspace] = {}
+
+    def _workspace(self, m_rows: int) -> _Workspace:
+        ws = self._workspaces.get(m_rows)
+        if ws is None:
+            rows = self._tape.rows
+            block = np.empty((sum(r is not None for r in rows), m_rows))
+            mlps = {}
+            for name, decl in self._mlps.items():
+                dims = decl.layer_dims()
+                last = len(dims) - 2
+                mlps[name] = (np.empty((m_rows, dims[0])), [
+                    (np.empty((m_rows, d)), None if li == last else np.empty((m_rows, d)))
+                    for li, d in enumerate(dims[1:])
+                ])
+            ws = self._workspaces[m_rows] = _Workspace(
+                [None if r is None else block[r] for r in rows], mlps)
+        return ws
 
     # -- parameter bookkeeping
 
@@ -417,7 +494,9 @@ class Evaluator:
         """Model dx/dt for a batch; x (M, d_x), u (M, d_u), t (M,).
 
         Overflow to inf/nan is allowed here and surfaced as an
-        EvaluationFault by the callers that check finiteness.
+        EvaluationFault by the callers that check finiteness.  The cache
+        (with_cache) holds workspace arrays, valid only until the
+        evaluator's next call: loss_and_grad's backward pass reads it.
         """
         with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
             return self._derivatives(params, x, u, t, with_cache)
@@ -426,24 +505,24 @@ class Evaluator:
         tape = self._tape
         scalars = params.scalars
         vals = [t, *x.T, *u.T, *[scalars[n] for n in tape.params], *tape.consts]
-        mlp_out, mlp_caches = {}, {}
         m_rows = x.shape[0]
+        ws = self._workspace(m_rows)
+        mlp_out, mlp_caches = {}, {}
         for name, decl in self._mlps.items():
-            z0 = np.stack(
-                [np.broadcast_to(vals[i], (m_rows,)) for i in tape.mlp_inputs[name]], axis=1
-            )
-            out, caches = _mlp_forward(decl, params.weights[name], z0)
-            mlp_out[name] = out
-            mlp_caches[name] = caches
-        for forward, a, b, k in tape.nodes:
-            vals.append(forward(vals[a], vals[b], k))
+            z0, buffers = ws.mlps[name]
+            for j, i in enumerate(tape.mlp_inputs[name]):
+                z0[:, j] = vals[i]
+            mlp_out[name], mlp_caches[name] = _mlp_forward(decl, params.weights[name], z0,
+                                                           buffers)
+        for (forward, a, b, k), out in zip(tape.nodes, ws.outs):
+            vals.append(forward(vals[a], vals[b], k, out))
         f = np.empty((m_rows, self.schema.d_x))
         for j, comp in enumerate(self.spec.components):
-            val = vals[tape.roots[j]]
-            if comp.residual is not None:
+            if comp.residual is None:
+                f[:, j] = vals[tape.roots[j]]
+            else:
                 name, idx = comp.residual
-                val = val + mlp_out[name][:, idx]
-            f[:, j] = val
+                np.add(vals[tape.roots[j]], mlp_out[name][:, idx], out=f[:, j])
         if with_cache:
             return f, (vals, mlp_out, mlp_caches)
         return f
@@ -614,21 +693,22 @@ def one_step_mse(spec: ModelSpec, params: ParamVector, dataset: Dataset,
                  evaluator: Evaluator | None = None) -> float:
     """Teacher-forced mean over transitions of ||(x + f dt) - y||^2.
     `evaluator`, if given, must be compiled for spec and dataset.schema."""
-    return float(np.mean(np.sum(_squared_residuals(spec, params, dataset, evaluator), axis=1)))
+    return float(np.mean(np.sum(squared_residuals(spec, params, dataset, evaluator), axis=1)))
 
 
 def per_component_mse(spec: ModelSpec, params: ParamVector, dataset: Dataset,
                       evaluator: Evaluator | None = None):
     """Per-dimension one-step MSE delta and its mean upsilon.
     `evaluator`, if given, must be compiled for spec and dataset.schema."""
-    delta = np.mean(_squared_residuals(spec, params, dataset, evaluator), axis=0)
+    delta = np.mean(squared_residuals(spec, params, dataset, evaluator), axis=0)
     return delta, float(np.mean(delta))
 
 
-def _squared_residuals(spec: ModelSpec, params: ParamVector, dataset: Dataset,
-                       evaluator: Evaluator | None) -> np.ndarray:
+def squared_residuals(spec: ModelSpec, params: ParamVector, dataset: Dataset,
+                      evaluator: Evaluator | None = None) -> np.ndarray:
     """((x + f dt) - y)^2 per transition and component, computed in place
-    in the derivative array."""
+    in the derivative array.  `evaluator`, if given, must be compiled for
+    spec and dataset.schema."""
     ev = _checked_evaluator(spec, params, dataset.schema, evaluator)
     batch = dataset.transitions()
     f = ev.derivatives(params, batch.x, batch.u, batch.t)
@@ -650,14 +730,16 @@ def loss_gradient(spec: ModelSpec, params: ParamVector, schema: SystemSchema,
     return _checked_evaluator(spec, params, schema).loss_and_grad(params, batch, dt)
 
 
-def rollout_mse(spec: ModelSpec, params: ParamVector, dataset: Dataset) -> float:
+def rollout_mse(spec: ModelSpec, params: ParamVector, dataset: Dataset,
+                evaluator: Evaluator | None = None) -> float:
     """Full-trajectory MSE: roll the model from each x(0) with the stored
     actions and average ||predicted - true||^2 over every row.
+    `evaluator`, if given, must be compiled for spec and dataset.schema.
 
     Non-finite rollouts return inf rather than raising (an exploding model
     is a bad model, not a crash).
     """
-    ev = _checked_evaluator(spec, params, dataset.schema)
+    ev = _checked_evaluator(spec, params, dataset.schema, evaluator)
     total, count = 0.0, 0
     for length in sorted({len(tr) for tr in dataset.trajectories}):
         trs = [tr for tr in dataset.trajectories if len(tr) == length]
@@ -691,13 +773,39 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
+def _csv_header(sch: SystemSchema) -> list[str]:
+    return ["t"] + [f"x_{i + 1}" for i in range(sch.d_x)] + [f"u_{i + 1}" for i in range(sch.d_u)]
+
+
+def read_csv_rows(path: Path, width: int) -> tuple[list[str], np.ndarray]:
+    """The header row and the (rows, width) float body of a CSV file.
+
+    Raises ValueError naming the file and the row (the header is row 1)
+    when there is no data row, a row has another width, or a field is
+    not a number.
+    """
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if len(rows) < 2:
+        raise ValueError(f"{path}: no data rows")
+    body = []
+    for i, row in enumerate(rows[1:], start=2):
+        if len(row) != width:
+            raise ValueError(f"{path}: row {i} has {len(row)} fields, expected {width}")
+        try:
+            body.append([float(v) for v in row])
+        except ValueError as err:
+            raise ValueError(f"{path}: row {i}: {err}") from None
+    return rows[0], np.array(body)
+
+
 def save_dataset(ds: Dataset, out_dir: str | Path, seed: int | None = None,
                  notes: dict | None = None):
     """One CSV per trajectory plus a manifest; floats round-trip bit-exactly."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     sch = ds.schema
-    header = ["t"] + [f"x_{i + 1}" for i in range(sch.d_x)] + [f"u_{i + 1}" for i in range(sch.d_u)]
+    header = _csv_header(sch)
     for i, tr in enumerate(ds.trajectories):
         with open(out / f"traj-{i:05d}.csv", "w", newline="") as fh:
             w = csv.writer(fh)
@@ -726,6 +834,8 @@ def save_dataset(ds: Dataset, out_dir: str | Path, seed: int | None = None,
 
 
 def load_saved_dataset(in_dir: str | Path) -> Dataset:
+    """Read a save_dataset directory back, bit-exactly.  Each CSV's header
+    and row width must match the manifest schema (ValueError otherwise)."""
     src = Path(in_dir)
     with open(src / "manifest.json") as fh:
         manifest = json.load(fh)
@@ -736,15 +846,15 @@ def load_saved_dataset(in_dir: str | Path) -> Dataset:
         time_units=sch["time_units"],
         dt=sch["dt"],
     )
-    d_x, d_u = schema.d_x, schema.d_u
+    d_x = schema.d_x
+    header = _csv_header(schema)
     trajectories = []
     for path in sorted(src.glob("traj-*.csv")):
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        body = np.array([[float(v) for v in row] for row in rows[1:]])
-        trajectories.append(
-            Trajectory(body[:, 0], body[:, 1:1 + d_x], body[:, 1 + d_x:1 + d_x + d_u])
-        )
+        names, body = read_csv_rows(path, len(header))
+        if names != header:
+            raise ValueError(f"{path}: row 1 has header {','.join(names)},"
+                             f" expected {','.join(header)}")
+        trajectories.append(Trajectory(body[:, 0], body[:, 1:1 + d_x], body[:, 1 + d_x:]))
     return Dataset(trajectories, schema, manifest["split"])
 
 

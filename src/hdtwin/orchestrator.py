@@ -45,12 +45,13 @@ from hdtwin.dsl import ModelSpec, SystemSchema, canonicalize, dsl_skeleton
 from hdtwin.engine import (
     Dataset,
     EvaluationFault,
+    Evaluator,
     ParamVector,
     init_params,
-    one_step_mse,
     per_component_mse,
     rollout_mse,
     save_params,
+    squared_residuals,
 )
 from hdtwin.optim import FitResult, OptimConfig, fit
 from hdtwin.systems import GenConfig, SystemDef, builtin_system, generate_dataset, system_description
@@ -139,12 +140,17 @@ def make_modeling_context(system: SystemDef, generations: int,
 
 
 def evaluate_test_metrics(spec: ModelSpec, params: ParamVector, test: Dataset) -> TestMetrics:
-    delta, ups = per_component_mse(spec, params, test)
+    """Test scores from one compiled evaluator and one one-step forward
+    pass; delta and upsilon reduce the squared residuals as
+    per_component_mse does, sum_mse as one_step_mse does."""
+    ev = Evaluator(spec, test.schema)
+    sq = squared_residuals(spec, params, test, evaluator=ev)
+    delta = np.mean(sq, axis=0)
     return TestMetrics(
-        upsilon=ups,
+        upsilon=float(np.mean(delta)),
         delta=delta,
-        sum_mse=one_step_mse(spec, params, test),
-        rollout=rollout_mse(spec, params, test),
+        sum_mse=float(np.mean(np.sum(sq, axis=1))),
+        rollout=rollout_mse(spec, params, test, evaluator=ev),
     )
 
 

@@ -35,6 +35,7 @@ from hdtwin.engine import (
     Trajectory,
     euler_rollout,
     init_params,
+    read_csv_rows,
 )
 
 BUILTIN_IDS = (
@@ -425,23 +426,9 @@ def load_csv_dataset(path: str | Path, schema: SystemSchema,
     three absolute row counts (trailing rows beyond their sum are dropped,
     as for the 92-row hare-lynx and 102-row plankton files).
     """
-    import csv as _csv
-
     path = Path(path)
-    with open(path, newline="") as fh:
-        rows = list(_csv.reader(fh))
-    if not rows or len(rows) < 2:
-        raise ValueError(f"{path}: no data rows")
     width = 1 + schema.d_x + schema.d_u
-    body = []
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise ValueError(f"{path}: row {i} has {len(row)} fields, expected {width}")
-        try:
-            body.append([float(v) for v in row])
-        except ValueError as err:
-            raise ValueError(f"{path}: row {i}: {err}") from None
-    data = np.array(body)
+    _, data = read_csv_rows(path, width)
     times = data[:, 0]
     if np.any(np.diff(times) <= 0):
         raise ValueError(f"{path}: time column is not strictly increasing")

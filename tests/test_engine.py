@@ -18,6 +18,7 @@ from hdtwin.dsl import MlpDecl, SystemSchema, VarSpec, parse_model_spec
 from hdtwin.engine import (
     Dataset,
     EvaluationFault,
+    Evaluator,
     ParamVector,
     Trajectory,
     TransitionBatch,
@@ -120,6 +121,97 @@ def test_guarded_division_is_total():
     spec2 = parse_model_spec("d(x)/dt = log(x - 5.0)")
     f2 = eval_derivative(spec2, init_params(spec2), [2.0], [], 0.0, schema)
     assert f2[0] == pytest.approx(math.log(1e-8))
+
+
+def test_scalar_power_overflow_is_a_fault():
+    # a parameter-only power of a Python float init once escaped as OverflowError
+    schema = SystemSchema(states=(VarSpec("x", 0, 10),))
+    spec = parse_model_spec("param p = 1e200\nd(x)/dt = p ^ 2 * x")
+    with pytest.raises(EvaluationFault):
+        eval_derivative(spec, init_params(spec), [1.0], [], 0.0, schema)
+
+
+# ---------------------------------------------------------------------------
+# the evaluator's per-row-count workspace
+
+WS_SCHEMA = SystemSchema(states=(VarSpec("x", -10.0, 10.0), VarSpec("y", -10.0, 10.0)),
+                         actions=(VarSpec("u", 0.0, 5.0),))
+WS_HYBRID = """
+param a = 0.3
+mlp net(x, u, t) hidden [5, 4] act {act} outputs 2
+d(x)/dt = a * x - u + net[0]
+d(y)/dt = -a * y * x + net[1]
+"""
+WS_SPECS = [WS_HYBRID.format(act=act) for act in ("relu", "leaky_relu", "tanh")] + [
+    "param a = 0.7\nparam b = 1.5\n"
+    "d(x)/dt = sigmoid(a * x) - x ^ b + y / (x - a)\n"
+    "d(y)/dt = (a * t) ^ 1.5 - exp(-b) * y * u\n",
+]
+
+
+def _ws_case(text, m, seed):
+    spec = parse_model_spec(text)
+    rng = np.random.default_rng(seed)
+    return spec, random_params(rng, spec), TransitionBatch(
+        rng.uniform(-2.0, 3.0, (m, 2)), rng.uniform(0.0, 5.0, (m, 1)),
+        rng.uniform(0.0, 60.0, m), rng.uniform(-2.0, 3.0, (m, 2)))
+
+
+def _same_grads(g1, g2) -> bool:
+    return g1.scalars == g2.scalars and all(
+        w1.tobytes() == w2.tobytes() and b1.tobytes() == b2.tobytes()
+        for name in g1.weights for (w1, b1), (w2, b2) in zip(g1.weights[name], g2.weights[name]))
+
+
+@pytest.mark.parametrize("text", WS_SPECS)
+def test_reused_evaluator_matches_fresh_across_row_counts(text):
+    spec = parse_model_spec(text)
+    shared = Evaluator(spec, WS_SCHEMA)
+    for i, m in enumerate((1, 7, 1000, 6000, 1000)):
+        _, params, batch = _ws_case(text, m, seed=i)
+        fresh = Evaluator(spec, WS_SCHEMA)
+        f = shared.derivatives(params, batch.x, batch.u, batch.t)
+        assert f.tobytes() == fresh.derivatives(params, batch.x, batch.u, batch.t).tobytes()
+        loss, grads = shared.loss_and_grad(params, batch, 0.5)
+        loss_fresh, grads_fresh = fresh.loss_and_grad(params, batch, 0.5)
+        assert repr(loss) == repr(loss_fresh)
+        assert _same_grads(grads, grads_fresh)
+
+
+def _arrays(grads):
+    return [a for layers in grads.weights.values() for pair in layers for a in pair]
+
+
+@pytest.mark.parametrize("text", WS_SPECS)
+def test_evaluator_results_share_no_memory(text):
+    spec, params, batch = _ws_case(text, 50, seed=1)
+    _, _, other = _ws_case(text, 50, seed=2)
+    ev = Evaluator(spec, WS_SCHEMA)
+    f1 = ev.derivatives(params, batch.x, batch.u, batch.t)
+    row = ev.derivative(params, batch.x[0], batch.u[0], batch.t[0])
+    kept_f, kept_row = f1.copy(), row.copy()
+    _, g1 = ev.loss_and_grad(params, batch, 0.5)
+    kept_g = [a.copy() for a in _arrays(g1)]
+    f2 = ev.derivatives(params, other.x, other.u, other.t)
+    ev.derivative(params, other.x[0], other.u[0], other.t[0])
+    _, g2 = ev.loss_and_grad(params, other, 0.5)
+    assert not np.shares_memory(f1, f2)
+    assert all(not np.shares_memory(a, b) for a in _arrays(g1) for b in _arrays(g2))
+    assert f1.tobytes() == kept_f.tobytes() and row.tobytes() == kept_row.tobytes()
+    assert all(a.tobytes() == k.tobytes() for a, k in zip(_arrays(g1), kept_g))
+
+
+@pytest.mark.parametrize("text", WS_SPECS)
+def test_fault_does_not_spoil_the_next_call(text):
+    spec, params, batch = _ws_case(text, 20, seed=3)
+    ev = Evaluator(spec, WS_SCHEMA)
+    blown = TransitionBatch(batch.x * 1e300, batch.u, batch.t, batch.y)
+    with pytest.raises(EvaluationFault):
+        ev.loss_and_grad(params, blown, 0.5)
+    loss, grads = ev.loss_and_grad(params, batch, 0.5)
+    loss_fresh, grads_fresh = Evaluator(spec, WS_SCHEMA).loss_and_grad(params, batch, 0.5)
+    assert repr(loss) == repr(loss_fresh)
+    assert _same_grads(grads, grads_fresh)
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +499,23 @@ def test_dataset_round_trip_bit_exact(tmp_path):
     save_dataset(back, tmp_path / "d2", seed=8)
     for f in sorted((tmp_path / "d").iterdir()):
         assert f.read_bytes() == (tmp_path / "d2" / f.name).read_bytes()
+
+
+def test_load_saved_dataset_checks_csv_against_manifest(tmp_path):
+    spec, params = cancer_model()
+    tr = rollout(spec, params, CANCER_SCHEMA, [100.0, 0.0], np.zeros((5, 2)), dt=1.0)
+    save_dataset(Dataset([tr, tr], CANCER_SCHEMA), tmp_path / "d")
+    path = tmp_path / "d" / "traj-00001.csv"
+    lines = path.read_text().splitlines()
+    # a file missing its last column (radiotherapy_dosage)
+    path.write_text("\n".join(line.rsplit(",", 1)[0] for line in lines) + "\n")
+    with pytest.raises(ValueError, match=r"traj-00001\.csv: row 2 has 4 fields, expected 5"):
+        load_saved_dataset(tmp_path / "d")
+    # the right width under another header
+    path.write_text("\n".join(["t,x_1,x_2,u_2,u_1"] + lines[1:]) + "\n")
+    with pytest.raises(ValueError, match=r"traj-00001\.csv: row 1 has header t,x_1,x_2,u_2,u_1,"
+                                         r" expected t,x_1,x_2,u_1,u_2"):
+        load_saved_dataset(tmp_path / "d")
 
 
 def test_params_round_trip(tmp_path):

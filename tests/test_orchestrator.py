@@ -14,13 +14,14 @@ from hdtwin.agents import (
     make_reply,
 )
 from hdtwin.dsl import canonicalize
-from hdtwin.engine import per_component_mse
+from hdtwin.engine import Evaluator, one_step_mse, per_component_mse, rollout_mse
 from hdtwin.optim import OptimConfig
 from hdtwin.orchestrator import (
     EvolveConfig,
     RunFailure,
     confidence_interval,
     adapt_model,
+    evaluate_test_metrics,
     evolve,
     make_modeling_context,
     run_experiment,
@@ -79,6 +80,28 @@ def test_evolve_best_metrics_rederivable(cancer_datasets):
         per_component_mse(result.best.spec, result.best.params, datasets["test"])[1],
         abs=1e-12,
     )
+
+
+def test_test_metrics_compile_once_and_match_the_separate_scores(cancer_datasets, monkeypatch):
+    system, datasets = cancer_datasets
+    test = datasets["test"]
+    params = system.true_params.copy()
+    for name in params.scalars:
+        params.scalars[name] *= 1.2
+    delta, ups = per_component_mse(system.spec, params, test)
+    separate = (ups, delta.tobytes(), one_step_mse(system.spec, params, test),
+                rollout_mse(system.spec, params, test))
+    builds = []
+    init = Evaluator.__init__
+
+    def counted(self, *args):
+        builds.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Evaluator, "__init__", counted)
+    m = evaluate_test_metrics(system.spec, params, test)
+    assert len(builds) == 1
+    assert (m.upsilon, m.delta.tobytes(), m.sum_mse, m.rollout) == separate
 
 
 def test_evolve_failed_proposals_consume_generations(cancer_datasets):

@@ -1,10 +1,13 @@
-"""Property tests: evaluation is total.
+"""Property tests.
 
-On random specs, random parameters and inputs that reach every guarded
-branch (negative, zero and near-zero values), the engine either matches
-the naive scalar oracle of conftest or raises EvaluationFault; no other
-exception may escape.  Examples are derandomized, so every run draws the
-same cases.
+Evaluation is total: on random specs, random parameters and inputs that
+reach every guarded branch (negative, zero and near-zero values), the
+engine either matches the naive scalar oracle of conftest or raises
+EvaluationFault; no other exception may escape.  The DSL's text forms
+round-trip: format_expr output parses back to the same tree, and the
+canonical text of a spec is a fixed point of parse + canonicalize.
+population_insert keeps its invariants.  Examples are derandomized, so
+every run draws the same cases.
 """
 
 from __future__ import annotations
@@ -23,7 +26,17 @@ from conftest import (
     random_schema,
     random_spec,
 )
-from hdtwin.dsl import SystemSchema, VarSpec, parse_model_spec
+from hdtwin.agents import Population, PopulationEntry, population_insert
+from hdtwin.dsl import (
+    BINARY_OPS,
+    UNARY_FUNCS,
+    Expr,
+    SystemSchema,
+    VarSpec,
+    canonicalize,
+    format_expr,
+    parse_model_spec,
+)
 from hdtwin.engine import EvaluationFault, Evaluator, TransitionBatch, init_params, loss_gradient
 
 ROWS = 4
@@ -97,3 +110,87 @@ def test_guard_branches_are_total(text):
     except EvaluationFault:
         return
     assert _matches(loss, _oracle(naive_one_step_loss, spec, schema, params, batch, DT))
+
+
+# ---------------------------------------------------------------------------
+# text forms
+
+
+def _leaf(v):
+    return Expr.const(v) if isinstance(v, float) else Expr.ref(v)
+
+
+def _unary(op, a):
+    # the parser folds a negated constant into the constant
+    return Expr.const(-a.value) if op == "neg" and a.kind == "const" else Expr.unary(op, a)
+
+
+exprs = st.recursive(
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(["x", "p", "t"]))
+    .map(_leaf),
+    lambda inner: st.one_of(
+        st.builds(_unary, st.sampled_from(("neg",) + tuple(UNARY_FUNCS)), inner),
+        st.builds(Expr.binary, st.sampled_from(BINARY_OPS), inner, inner),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(e=exprs)
+def test_format_expr_parses_back_to_the_same_tree(e):
+    spec = parse_model_spec(f"d(x)/dt = {format_expr(e)}")
+    assert spec.components[0].expr == e
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_canonical_text_is_a_fixed_point(seed):
+    rng = np.random.default_rng(seed)
+    spec = random_spec(rng, random_schema(rng))
+    canon = canonicalize(spec)
+    again = canonicalize(parse_model_spec(canon.text))
+    assert again == canon
+    assert canonicalize(parse_model_spec(again.text)) == canon
+
+
+# ---------------------------------------------------------------------------
+# population_insert
+
+STRUCTURES = [parse_model_spec(f"param a = 1.0\nd(x)/dt = a * x ^ {k}.0") for k in range(1, 9)]
+
+
+def _entry(structure, upsilon):
+    spec = STRUCTURES[structure]
+    canon = canonicalize(spec)
+    return PopulationEntry(spec, canon.text, canon.fingerprint, init_params(spec),
+                           np.array([upsilon]), upsilon, 1)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(capacity=st.integers(1, 5),
+       inserts=st.lists(st.tuples(st.integers(0, len(STRUCTURES) - 1),
+                                  st.sampled_from([0.0, 0.25, 0.5, 1.0, 1e300])
+                                  | st.floats(0.0, 2.0)), max_size=30))
+def test_population_insert_invariants(capacity, inserts):
+    pop = Population(capacity=capacity)
+    for structure, upsilon in inserts:
+        entry = _entry(structure, upsilon)
+        new = population_insert(pop, entry)
+        ups = [e.upsilon for e in new.entries]
+        assert ups == sorted(ups)
+        assert len(new) <= capacity
+        assert len({e.fingerprint for e in new.entries}) == len(new)
+        assert set(map(id, new.entries)) <= set(map(id, pop.entries)) | {id(entry)}
+        assert new.capacity == pop.capacity and new.history == pop.history
+        if any(e.fingerprint == entry.fingerprint for e in pop.entries):
+            assert new is pop
+        else:
+            # ties keep the incumbents ahead of the newcomer
+            fits = len(pop) < capacity or upsilon < pop.entries[-1].upsilon
+            assert any(e is entry for e in new.entries) == fits
+            assert len(new) == min(capacity, len(pop) + 1)
+        pop = new
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            population_insert(pop, _entry(0, bad))
