@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import time
 from pathlib import Path
 
 from hdtwin.agents import DecodingConfig, HttpClient, ScriptedClient, TransportError
@@ -146,14 +147,17 @@ def cmd_gen_data(args) -> int:
     cfg = GenConfig(n=args.n, seed=args.seed, ood=args.ood, intervention=args.intervention,
                     intervention_day=args.intervention_day,
                     intervention_scale=args.intervention_scale)
+    t0 = time.perf_counter()
     datasets = generate_dataset(system, cfg)
+    t1 = time.perf_counter()
     out = Path(args.out)
     for name, ds in datasets.items():
         save_dataset(ds, out / name, seed=args.seed,
                      notes={"system": args.system, "mode": name})
     _metrics_line({"command": "gen-data", "system": args.system, "seed": args.seed,
                    "splits": sorted(datasets),
-                   "trajectories_per_split": len(datasets["train"].trajectories)})
+                   "trajectories_per_split": len(datasets["train"].trajectories),
+                   "generate_s": t1 - t0, "save_s": time.perf_counter() - t1})
     return EXIT_OK
 
 

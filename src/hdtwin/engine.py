@@ -41,6 +41,7 @@ it.  The backward pass allocates its adjoints as before.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import zlib
 from dataclasses import dataclass, field
@@ -769,8 +770,7 @@ def rollout_mse(spec: ModelSpec, params: ParamVector, dataset: Dataset,
 # Dataset and parameter serialization
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+_TRAJ_FILE = "traj-{:05d}.csv"
 
 
 def _csv_header(sch: SystemSchema) -> list[str]:
@@ -785,36 +785,44 @@ def read_csv_rows(path: Path, width: int) -> tuple[list[str], np.ndarray]:
     not a number.
     """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+        rows = list(csv.reader(fh.read().splitlines()))
     if len(rows) < 2:
         raise ValueError(f"{path}: no data rows")
-    body = []
-    for i, row in enumerate(rows[1:], start=2):
+    body = rows[1:]
+    for i, row in enumerate(body, start=2):
         if len(row) != width:
             raise ValueError(f"{path}: row {i} has {len(row)} fields, expected {width}")
-        try:
-            body.append([float(v) for v in row])
-        except ValueError as err:
-            raise ValueError(f"{path}: row {i}: {err}") from None
-    return rows[0], np.array(body)
+    try:
+        data = np.array(list(map(float, itertools.chain.from_iterable(body))))
+    except ValueError:
+        for i, row in enumerate(body, start=2):
+            try:
+                list(map(float, row))
+            except ValueError as err:
+                raise ValueError(f"{path}: row {i}: {err}") from None
+        raise
+    return rows[0], data.reshape(len(body), width)
 
 
 def save_dataset(ds: Dataset, out_dir: str | Path, seed: int | None = None,
                  notes: dict | None = None):
-    """One CSV per trajectory plus a manifest; floats round-trip bit-exactly."""
+    """One CSV per trajectory, ``traj-00000.csv`` upward, plus a manifest.
+
+    Each row is ``t, x_1..x_dX, u_1..u_dU`` with every float written as
+    its ``repr`` and every line, the header included, ended by ``\\r\\n``
+    (what ``csv.writer`` writes; no field ever needs quoting), so floats
+    round-trip bit-exactly and same-seed exports are byte-identical.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     sch = ds.schema
     header = _csv_header(sch)
+    head = ",".join(header) + "\r\n"
     for i, tr in enumerate(ds.trajectories):
-        with open(out / f"traj-{i:05d}.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for k in range(len(tr)):
-                row = [_fmt(tr.times[k])]
-                row += [_fmt(v) for v in tr.states[k]]
-                row += [_fmt(v) for v in tr.actions[k]]
-                w.writerow(row)
+        rows = np.column_stack((tr.times, tr.states, tr.actions)).tolist()
+        text = head + "".join([",".join(map(repr, row)) + "\r\n" for row in rows])
+        with open(out / _TRAJ_FILE.format(i), "w", newline="") as fh:
+            fh.write(text)
     manifest = {
         "schema": {
             "states": [[v.name, v.low, v.high] for v in sch.states],
@@ -834,8 +842,12 @@ def save_dataset(ds: Dataset, out_dir: str | Path, seed: int | None = None,
 
 
 def load_saved_dataset(in_dir: str | Path) -> Dataset:
-    """Read a save_dataset directory back, bit-exactly.  Each CSV's header
-    and row width must match the manifest schema (ValueError otherwise)."""
+    """Read a save_dataset directory back, bit-exactly.
+
+    Reads exactly the manifest's ``n_trajectories`` files,
+    ``traj-00000.csv`` upward; other files in the directory are ignored.
+    A missing file, or a CSV whose header or row width does not match
+    the manifest schema, raises ValueError."""
     src = Path(in_dir)
     with open(src / "manifest.json") as fh:
         manifest = json.load(fh)
@@ -848,9 +860,14 @@ def load_saved_dataset(in_dir: str | Path) -> Dataset:
     )
     d_x = schema.d_x
     header = _csv_header(schema)
+    n = manifest["n_trajectories"]
     trajectories = []
-    for path in sorted(src.glob("traj-*.csv")):
-        names, body = read_csv_rows(path, len(header))
+    for i in range(n):
+        path = src / _TRAJ_FILE.format(i)
+        try:
+            names, body = read_csv_rows(path, len(header))
+        except FileNotFoundError:
+            raise ValueError(f"{path}: missing; the manifest lists {n} trajectories") from None
         if names != header:
             raise ValueError(f"{path}: row 1 has header {','.join(names)},"
                              f" expected {','.join(header)}")

@@ -44,7 +44,9 @@ def test_gen_data_exposes_every_generation_flag(capsys, tmp_path):
                      "--intervention", "--intervention-day", "19",
                      "--intervention-scale", "0.25", "--out", str(tmp_path / "x")])
     assert code == EXIT_OK
-    assert last_metrics(capsys)["splits"] == ["test", "train", "val"]
+    doc = last_metrics(capsys)
+    assert doc["splits"] == ["test", "train", "val"]
+    assert doc["generate_s"] >= 0 and doc["save_s"] >= 0
 
 
 def test_fit_and_eval_round_trip(small_data, tmp_path, capsys):

@@ -518,6 +518,22 @@ def test_load_saved_dataset_checks_csv_against_manifest(tmp_path):
         load_saved_dataset(tmp_path / "d")
 
 
+def test_load_saved_dataset_reads_exactly_the_manifest_count(tmp_path):
+    spec, params = cancer_model()
+    trs = [rollout(spec, params, CANCER_SCHEMA, [float(10 * (k + 1)), 0.0], np.zeros((4, 2)),
+                   dt=1.0) for k in range(6)]
+    d = tmp_path / "d"
+    save_dataset(Dataset(trs, CANCER_SCHEMA), d)
+    # re-saving three trajectories leaves traj-00003..5 behind; they are stale
+    save_dataset(Dataset(trs[3:], CANCER_SCHEMA), d)
+    back = load_saved_dataset(d)
+    assert len(back.trajectories) == 3
+    assert [tr.states[0, 0] for tr in back.trajectories] == [40.0, 50.0, 60.0]
+    (d / "traj-00001.csv").unlink()
+    with pytest.raises(ValueError, match=r"traj-00001\.csv: missing; the manifest lists 3"):
+        load_saved_dataset(d)
+
+
 def test_params_round_trip(tmp_path):
     decl = MlpDecl("net", ("x",), (3,), "relu", 1)
     params = ParamVector({"a": 0.1234567890123456789, "b": -7e-5},

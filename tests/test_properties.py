@@ -6,18 +6,24 @@ engine either matches the naive scalar oracle of conftest or raises
 EvaluationFault; no other exception may escape.  The DSL's text forms
 round-trip: format_expr output parses back to the same tree, and the
 canonical text of a spec is a fixed point of parse + canonicalize.
-population_insert keeps its invariants.  Examples are derandomized, so
-every run draws the same cases.
+population_insert keeps its invariants.  save_dataset writes the bytes
+csv.writer writes for repr'd floats, and its files load back bit-exactly.
+Examples are derandomized, so every run draws the same cases.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import (
     naive_derivative,
@@ -37,7 +43,17 @@ from hdtwin.dsl import (
     format_expr,
     parse_model_spec,
 )
-from hdtwin.engine import EvaluationFault, Evaluator, TransitionBatch, init_params, loss_gradient
+from hdtwin.engine import (
+    Dataset,
+    EvaluationFault,
+    Evaluator,
+    Trajectory,
+    TransitionBatch,
+    init_params,
+    load_saved_dataset,
+    loss_gradient,
+    save_dataset,
+)
 
 ROWS = 4
 DT = 0.5
@@ -194,3 +210,50 @@ def test_population_insert_invariants(capacity, inserts):
     for bad in (float("inf"), float("nan")):
         with pytest.raises(ValueError):
             population_insert(pop, _entry(0, bad))
+
+
+# ---------------------------------------------------------------------------
+# Dataset CSV export
+
+# every float, nan, +-inf, -0.0 and subnormals included; nan is made the
+# canonical one, the only nan whose bits survive the text round trip
+csv_floats = st.floats().map(lambda v: math.nan if math.isnan(v) else v)
+
+
+def _reference_csv(tr: Trajectory, header: list[str]) -> bytes:
+    """The export written row by row through csv.writer, each float as repr."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for k in range(len(tr)):
+        writer.writerow([repr(float(v)) for v in (tr.times[k], *tr.states[k], *tr.actions[k])])
+    return buf.getvalue().encode()
+
+
+@st.composite
+def trajectories(draw):
+    d_x, d_u, rows = draw(st.integers(1, 4)), draw(st.integers(0, 3)), draw(st.integers(1, 80))
+    t0 = draw(st.floats(-100.0, 100.0))
+    dt = draw(st.floats(0.01, 10.0))
+    states = draw(hnp.arrays(np.float64, (rows, d_x), elements=csv_floats))
+    actions = draw(hnp.arrays(np.float64, (rows, d_u), elements=csv_floats))
+    return Trajectory(t0 + dt * np.arange(rows), states, actions)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(tr=trajectories())
+def test_save_dataset_bytes_match_csv_writer_and_reload_bit_exactly(tr):
+    d_x, d_u = tr.states.shape[1], tr.actions.shape[1]
+    schema = SystemSchema(states=tuple(VarSpec(f"s{i}", 0, 1) for i in range(d_x)),
+                          actions=tuple(VarSpec(f"a{i}", 0, 1) for i in range(d_u)))
+    header = ["t"] + [f"x_{i + 1}" for i in range(d_x)] + [f"u_{i + 1}" for i in range(d_u)]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        save_dataset(Dataset([tr, tr], schema), out)
+        for name in ("traj-00000.csv", "traj-00001.csv"):
+            assert (out / name).read_bytes() == _reference_csv(tr, header)
+        back = load_saved_dataset(out)
+    assert len(back.trajectories) == 2
+    for got in back.trajectories:
+        for a, b in ((tr.times, got.times), (tr.states, got.states), (tr.actions, got.actions)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()

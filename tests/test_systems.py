@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hdtwin.dsl import SystemSchema, VarSpec, validate
-from hdtwin.engine import Evaluator, eval_derivative, rollout, save_dataset
+from hdtwin.engine import Evaluator, eval_derivative, read_csv_rows, rollout, save_dataset
 from hdtwin.systems import (
     BUILTIN_IDS,
     CancerPolicyParams,
@@ -290,6 +290,32 @@ def test_load_csv_rejects_malformed_row(tmp_path):
         fh.write("t,x_1,x_2\n0.0,1.0\n")
     with pytest.raises(ValueError, match="fields"):
         load_csv_dataset(path, LOAD_SCHEMA)
+
+
+def test_csv_reader_line_ends_quoting_and_errors(tmp_path):
+    path = tmp_path / "lines.csv"
+    rows = ["t,x_1,x_2", "0.0,1.0,2.0", "1.0,3.0,4.5", "2.0,-0.0,1e-320"]
+    want = np.array([[0.0, 1.0, 2.0], [1.0, 3.0, 4.5], [2.0, -0.0, 1e-320]])
+    # LF, CRLF, no final newline, a quoted header
+    texts = ("\n".join(rows) + "\n", "\r\n".join(rows) + "\r\n", "\n".join(rows),
+             '"t",x_1,"x_2"\n' + "\n".join(rows[1:]) + "\n")
+    for text in texts:
+        path.write_bytes(text.encode())
+        header, data = read_csv_rows(path, 3)
+        assert header == ["t", "x_1", "x_2"]
+        assert data.tobytes() == want.tobytes()
+        parts = load_csv_dataset(path, LOAD_SCHEMA, (1, 1, 1))
+        got = np.vstack([parts[s].trajectories[0].states for s in ("train", "val", "test")])
+        assert got.tobytes() == want[:, 1:].tobytes()
+    path.write_text("t,x_1,x_2\n0.0,1.0,2.0\n\n2.0,1.0,2.0\n")
+    with pytest.raises(ValueError) as err:
+        read_csv_rows(path, 3)
+    assert str(err.value) == f"{path}: row 3 has 0 fields, expected 3"
+    path.write_text("t,x_1,x_2\n0.0,1.0,2.0\n1.0,oops,2.0\n")
+    for load in (lambda: read_csv_rows(path, 3), lambda: load_csv_dataset(path, LOAD_SCHEMA)):
+        with pytest.raises(ValueError) as err:
+            load()
+        assert str(err.value) == f"{path}: row 3: could not convert string to float: 'oops'"
 
 
 def test_load_csv_feeds_the_fit_pipeline(tmp_path):
