@@ -418,6 +418,63 @@ def test_gradient_fault_carries_param_name():
         loss_gradient(spec, init_params(spec), schema, batch, dt=1.0)
 
 
+def test_gradient_overflow_with_finite_loss_names_the_scalar():
+    # a * b is 1.0, so the loss is ~1e20, but d loss/d a = 2 r b overflows
+    schema = SystemSchema(states=(VarSpec("x", 0, 10),))
+    spec = parse_model_spec("param c = 0.0\nparam b = 1e300\nparam a = 1e-300\n"
+                            "d(x)/dt = a * b + c")
+    batch = TransitionBatch(np.array([[1.0]]), np.zeros((1, 0)), np.zeros(1),
+                            np.array([[-1e10]]))
+    with pytest.raises(EvaluationFault) as err:
+        loss_gradient(spec, init_params(spec), schema, batch, dt=1.0)
+    assert err.value.param == "a"
+    assert str(err.value) == "non-finite gradient for parameter 'a'"
+
+
+def test_gradient_overflow_with_finite_loss_names_the_network():
+    # net's hidden unit is 1e300 and its output weight 1e-300: the output is
+    # 1.0 and the loss ~1e20, but the output weight's gradient overflows
+    schema = SystemSchema(states=(VarSpec("x", 0, 10), VarSpec("y", 0, 10)))
+    spec = parse_model_spec(
+        "param c = 0.0\n"
+        "mlp first(x) hidden [2] act tanh outputs 1\n"
+        "mlp net(y) hidden [1] act relu outputs 1\n"
+        "d(x)/dt = c + first[0]\n"
+        "d(y)/dt = c + net[0]\n")
+    params = ParamVector({"c": 0.0}, {
+        "first": mlp_init(spec.mlps[0], 0),
+        "net": [(np.array([[1e300]]), np.zeros(1)), (np.array([[1e-300]]), np.zeros(1))],
+    })
+    batch = TransitionBatch(np.array([[1.0, 1.0]]), np.zeros((1, 0)), np.zeros(1),
+                            np.array([[1.0, -1e10]]))
+    with pytest.raises(EvaluationFault) as err:
+        loss_gradient(spec, params, schema, batch, dt=1.0)
+    assert err.value.param == "net"
+    assert str(err.value) == "non-finite gradient in network 'net'"
+
+
+def _check_message(spec, params) -> str:
+    with pytest.raises(ValueError) as err:
+        Evaluator(spec, WS_SCHEMA).check_params(params)
+    return str(err.value)
+
+
+def test_check_params_messages():
+    spec = parse_model_spec(WS_HYBRID.format(act="relu"))  # net: 3 -> 5 -> 4 -> 2
+    layers = init_params(spec).weights["net"]
+    assert _check_message(spec, ParamVector({}, {"net": layers})) == \
+        "parameter vector is missing 'a'"
+    assert _check_message(spec, ParamVector({"a": 0.3}, {})) == \
+        "parameter vector has wrong layer count for 'net'"
+    assert _check_message(spec, ParamVector({"a": 0.3}, {"net": layers[:2]})) == \
+        "parameter vector has wrong layer count for 'net'"
+    bad = [layers[0], (np.zeros((5, 3)), np.zeros(4)), layers[2]]
+    assert _check_message(spec, ParamVector({"a": 0.3}, {"net": bad})) == \
+        "'net' layer 1 has shape (5, 3)/(4,), expected (5, 4)/(4,)"
+    # extra scalars are accepted
+    Evaluator(spec, WS_SCHEMA).check_params(ParamVector({"z": 1.0, "a": 0.3}, {"net": layers}))
+
+
 # ---------------------------------------------------------------------------
 # mlp_init
 
