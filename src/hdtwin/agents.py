@@ -222,11 +222,11 @@ def _g3(v: float) -> str:
 def format_population_entry(entry: PopulationEntry) -> str:
     names = [c.target for c in entry.spec.components]
     dims = ", ".join(f"{n} val loss: {_g3(d)}" for n, d in zip(names, entry.delta))
-    scalars = {k: float(v) for k, v in entry.params.scalars.items()}
     return (
         f"Val Loss: {_g3(entry.upsilon)} (Where the val loss per dimension is {dims})"
         f" Iteration: {entry.generation}\n"
-        f"###\n```\n{entry.canonical_text}```\noptimized_parameters = {scalars!r}\n###"
+        f"###\n```\n{entry.canonical_text}```\n"
+        f"optimized_parameters = {dict(entry.params.scalars)!r}\n###"
     )
 
 

@@ -125,20 +125,11 @@ def sindy_fit(dataset: Dataset, cfg: SindyConfig | None = None) -> SindyResult:
     var_names = schema.state_names + schema.action_names
     monos = _monomials(var_names, cfg.degree)
 
-    xs, us, ds = [], [], []
-    for tr in dataset.trajectories:
-        if len(tr) < 2:
-            continue
-        ds.append(finite_difference_derivatives(tr))
-        xs.append(tr.states[:-1])
-        us.append(tr.actions[:-1])
-    if not xs:
-        raise ValueError("dataset has no transitions")
-    states = np.vstack(xs)
-    actions = np.vstack(us)
-    derivs = np.vstack(ds)
-    values = {n: states[:, i] for i, n in enumerate(schema.state_names)}
-    values.update({n: actions[:, i] for i, n in enumerate(schema.action_names)})
+    batch = dataset.transitions()  # the states and actions at every step k
+    derivs = np.vstack([finite_difference_derivatives(tr) for tr in dataset.trajectories
+                        if len(tr) >= 2])
+    values = {n: batch.x[:, i] for i, n in enumerate(schema.state_names)}
+    values.update({n: batch.u[:, i] for i, n in enumerate(schema.action_names)})
     theta = _library_matrix(values, monos)
     cond = float(np.linalg.cond(theta))
 

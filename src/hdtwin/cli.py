@@ -9,6 +9,7 @@ error, 3 run failure, 4 transport failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import sys
@@ -17,14 +18,13 @@ from pathlib import Path
 
 from hdtwin.agents import DecodingConfig, HttpClient, ScriptedClient, TransportError
 from hdtwin.baselines import BASELINE_IDS, SindyConfig
-from hdtwin.dsl import DslError, parse_model_spec
+from hdtwin.dsl import DslError, canonicalize, parse_model_spec
 from hdtwin.engine import (
     EvaluationFault,
     init_params,
     load_params,
     load_saved_dataset,
     save_dataset,
-    save_params,
 )
 from hdtwin.optim import OptimConfig, fit
 from hdtwin.orchestrator import (
@@ -34,6 +34,7 @@ from hdtwin.orchestrator import (
     evaluate_test_metrics,
     load_result,
     run_experiment,
+    write_model_dir,
 )
 from hdtwin.systems import BUILTIN_IDS, GenConfig, builtin_system, generate_dataset
 
@@ -170,12 +171,6 @@ def cmd_fit(args) -> int:
                  _optim_from_args(args))
     if result.faulted and not (result.val_loss < float("inf")):
         raise RunFailure("fit faulted before any finite epoch", [])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    from hdtwin.dsl import canonicalize
-
-    (out / "best-model.hdt").write_text(canonicalize(spec).text)
-    save_params(result.params, out / "best-params.json")
     doc = {
         "command": "fit",
         "val_upsilon": result.val_loss,
@@ -186,9 +181,7 @@ def cmd_fit(args) -> int:
     if (data_dir / "test").exists():
         metrics = evaluate_test_metrics(spec, result.params, load_saved_dataset(data_dir / "test"))
         doc.update({"test_upsilon": metrics.upsilon, "test_rollout_mse": metrics.rollout})
-    with open(out / "result.json", "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_model_dir(args.out, canonicalize(spec).text, result.params, doc)
     _metrics_line(doc)
     return EXIT_OK
 
@@ -321,10 +314,8 @@ def cmd_report(args) -> int:
     values = [v for _, _, v in rows]
     mean, half = confidence_interval(values)
     if args.out:
-        import csv as _csv
-
         with open(args.out, "w", newline="") as fh:
-            w = _csv.writer(fh)
+            w = csv.writer(fh)
             w.writerow(["run", "metric", "value"])
             for row in rows:
                 w.writerow(row)

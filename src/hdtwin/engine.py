@@ -36,14 +36,22 @@ partial batch and the validation split), so repeated passes reuse the
 same memory instead of allocating and faulting in fresh arrays.  The
 workspace is private scratch: no array an evaluator returns is a view of
 it.  The backward pass allocates its adjoints as before.
+
+Parameters and gradients are ParamVectors, one flat float64 array each.
+The gradient takes the parameters' layout: the backward pass writes each
+network layer's gradients into its views and sums each scalar's over its
+occurrences; one finiteness check covers it, naming the first bad entry.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import itertools
 import json
+import math
 import zlib
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -80,29 +88,66 @@ class EvaluationFault(Exception):
         super().__init__(message)
 
 
-@dataclass
-class ParamVector:
-    """Named scalar parameters plus per-network layer weights."""
+class _Scalars(Mapping):
+    """The write-through name -> float view of a ParamVector's scalars."""
 
-    scalars: dict[str, float] = field(default_factory=dict)
-    weights: dict[str, list[Layer]] = field(default_factory=dict)
+    def __init__(self, values: np.ndarray, index: dict[str, int]):
+        self._values, self._index = values, index
+
+    def __getitem__(self, name: str) -> float:
+        return float(self._values[self._index[name]])
+
+    def __setitem__(self, name: str, value: float):
+        self._values[self._index[name]] = value
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+
+class ParamVector:
+    """Named scalars and per-network layer weights in one float64 array,
+    `values`: the scalars in the order given, then each network's layers,
+    each weight matrix before its bias.  `scalars` is a write-through
+    mapping over `values` with fixed keys (reads give floats, and
+    `p.scalars[name] *= k` writes `values`); `weights` maps each network
+    to a tuple of (w, b) views into `values`.  Never rebind `values`.
+    """
+
+    def __init__(self, scalars: Mapping[str, float] | None = None,
+                 weights: Mapping[str, Sequence[Layer]] | None = None):
+        scalars, weights = scalars or {}, weights or {}
+        self._index = {name: i for i, name in enumerate(scalars)}  # the layout
+        self._shapes = {name: tuple((np.shape(w), np.shape(b)) for w, b in layers)
+                        for name, layers in weights.items()}
+        self._bind(np.concatenate([np.array(list(scalars.values()), dtype=float)] + [
+            np.ravel(a) for layers in weights.values() for layer in layers for a in layer
+        ], dtype=float))
+
+    def _bind(self, values: np.ndarray) -> "ParamVector":
+        """Point scalars and weights at values, an array in this layout."""
+        self.values = values
+        self.scalars = _Scalars(values, self._index)
+        sizes = [math.prod(s) for layers in self._shapes.values() for layer in layers
+                 for s in layer]
+        views = iter(np.split(values[len(self._index):], np.cumsum(sizes)[:-1]))
+        self.weights = {name: tuple(tuple(next(views).reshape(s) for s in layer)
+                                    for layer in layers) for name, layers in self._shapes.items()}
+        return self
 
     def copy(self) -> "ParamVector":
-        return ParamVector(
-            dict(self.scalars),
-            {k: [(w.copy(), b.copy()) for w, b in layers] for k, layers in self.weights.items()},
-        )
+        return copy.copy(self)._bind(self.values.copy())
 
     def zeros_like(self) -> "ParamVector":
-        return ParamVector(
-            {k: 0.0 for k in self.scalars},
-            {k: [(np.zeros_like(w), np.zeros_like(b)) for w, b in layers]
-             for k, layers in self.weights.items()},
-        )
+        return copy.copy(self)._bind(np.zeros_like(self.values))
 
-
-# Gradients mirror the parameter layout entry for entry.
-Gradients = ParamVector
+    def owner(self, i: int) -> str:
+        """The name of the scalar or network that holds values[i]."""
+        sizes = [1] * len(self._index) + [sum(a.size for layer in layers for a in layer)
+                                          for layers in self.weights.values()]
+        return [*self._index, *self.weights][int(np.searchsorted(np.cumsum(sizes), i, "right"))]
 
 
 @dataclass
@@ -211,7 +256,7 @@ def _act_grad(name: str, z: np.ndarray) -> np.ndarray:
     return 1.0 - th * th
 
 
-def _mlp_forward(decl: MlpDecl, layers: list[Layer], z0: np.ndarray, buffers):
+def _mlp_forward(decl: MlpDecl, layers, z0: np.ndarray, buffers):
     """The network's output for inputs z0, computed in buffers: one
     (pre-activation, activation) pair per layer, the last activation None."""
     caches = []
@@ -224,17 +269,16 @@ def _mlp_forward(decl: MlpDecl, layers: list[Layer], z0: np.ndarray, buffers):
     return a, caches
 
 
-def _mlp_backward(decl: MlpDecl, layers: list[Layer], caches, g_out: np.ndarray) -> list[Layer]:
-    grads: list[Layer] = []
+def _mlp_backward(decl: MlpDecl, layers, caches, g_out: np.ndarray, grads):
+    """Write each layer's weight and bias gradient into its views in grads."""
     d_a = g_out
     for li in reversed(range(len(layers))):
         a_prev, pre = caches[li]
         dz = d_a if li == len(layers) - 1 else d_a * _act_grad(decl.activation, pre)
-        grads.append((a_prev.T @ dz, dz.sum(axis=0)))
+        np.matmul(a_prev.T, dz, out=grads[li][0])
+        dz.sum(axis=0, out=grads[li][1])
         if li:  # the network inputs need no adjoint
             d_a = dz @ layers[li][0].T
-    grads.reverse()
-    return grads
 
 
 def _int_exponent(e: Expr) -> int | None:
@@ -474,20 +518,20 @@ class Evaluator:
     # -- parameter bookkeeping
 
     def check_params(self, params: ParamVector):
+        """Compare params' layout with the spec; extra scalars are allowed."""
         for p in self.spec.params:
             if p.name not in params.scalars:
                 raise ValueError(f"parameter vector is missing {p.name!r}")
         for decl in self.spec.mlps:
-            layers = params.weights.get(decl.name)
             dims = decl.layer_dims()
-            if layers is None or len(layers) != len(dims) - 1:
+            want = [((i, o), (o,)) for i, o in zip(dims, dims[1:])]
+            got = params._shapes.get(decl.name, ())
+            if len(got) != len(want):
                 raise ValueError(f"parameter vector has wrong layer count for {decl.name!r}")
-            for li, (w, b) in enumerate(layers):
-                if w.shape != (dims[li], dims[li + 1]) or b.shape != (dims[li + 1],):
-                    raise ValueError(
-                        f"{decl.name!r} layer {li} has shape {w.shape}/{b.shape},"
-                        f" expected {(dims[li], dims[li + 1])}/{(dims[li + 1],)}"
-                    )
+            for li, (g, w) in enumerate(zip(got, want)):
+                if g != w:
+                    raise ValueError(f"{decl.name!r} layer {li} has shape {g[0]}/{g[1]},"
+                                     f" expected {w[0]}/{w[1]}")
 
     # -- forward
 
@@ -531,15 +575,13 @@ class Evaluator:
     def derivative(self, params: ParamVector, state, action, time: float) -> np.ndarray:
         x = np.asarray(state, dtype=float).reshape(1, -1)
         u = np.asarray(action, dtype=float).reshape(1, -1)
-        f = self.derivatives(params, x, u, np.array([float(time)]))
-        for j in range(f.shape[1]):
-            if not np.isfinite(f[0, j]):
-                raise EvaluationFault(
-                    f"non-finite derivative for component {j}"
-                    f" ({self.spec.components[j].target})",
-                    component=j,
-                )
-        return f[0]
+        f = self.derivatives(params, x, u, np.array([float(time)]))[0]
+        finite = np.isfinite(f)
+        if not finite.all():
+            j = int(np.argmin(finite))
+            raise EvaluationFault(f"non-finite derivative for component {j}"
+                                  f" ({self.spec.components[j].target})", component=j)
+        return f
 
     def loss_and_grad(self, params: ParamVector, batch: TransitionBatch, dt: float):
         """Batch one-step MSE and its exact reverse-mode gradient."""
@@ -574,19 +616,18 @@ class Evaluator:
                 adj[to_a] = rule_a(g, va, vb, k)
             if to_b is not None:
                 adj[to_b] = rule_b(g, va, vb, k)
-        grads = Gradients({p.name: 0.0 for p in self.spec.params}, {
-            name: _mlp_backward(decl, params.weights[name], mlp_caches[name], out_adj[name])
-            for name, decl in self._mlps.items()
-        })
+        grads = params.zeros_like()
+        for name, decl in self._mlps.items():
+            _mlp_backward(decl, params.weights[name], mlp_caches[name], out_adj[name],
+                          grads.weights[name])
         for i, name in enumerate(tape.occurrences, start=tape.n_values):
             grads.scalars[name] += float(adj[i].sum())
-        for name, g in grads.scalars.items():
-            if not np.isfinite(g):
-                raise EvaluationFault(f"non-finite gradient for parameter {name!r}", param=name)
-        for name, layers in grads.weights.items():
-            for w, b in layers:
-                if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                    raise EvaluationFault(f"non-finite gradient in network {name!r}", param=name)
+        finite = np.isfinite(grads.values)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            name = grads.owner(bad)
+            kind = "for parameter" if bad < len(grads.scalars) else "in network"
+            raise EvaluationFault(f"non-finite gradient {kind} {name!r}", param=name)
         return loss, grads
 
 
@@ -812,6 +853,8 @@ def save_dataset(ds: Dataset, out_dir: str | Path, seed: int | None = None,
     its ``repr`` and every line, the header included, ended by ``\\r\\n``
     (what ``csv.writer`` writes; no field ever needs quoting), so floats
     round-trip bit-exactly and same-seed exports are byte-identical.
+    Saving into a directory that holds a longer save deletes its
+    ``traj-*.csv`` files past the new count; no other file is touched.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -823,6 +866,11 @@ def save_dataset(ds: Dataset, out_dir: str | Path, seed: int | None = None,
         text = head + "".join([",".join(map(repr, row)) + "\r\n" for row in rows])
         with open(out / _TRAJ_FILE.format(i), "w", newline="") as fh:
             fh.write(text)
+    try:  # delete what an earlier, longer save left from here upward
+        for i in itertools.count(len(ds.trajectories)):
+            (out / _TRAJ_FILE.format(i)).unlink()
+    except FileNotFoundError:
+        pass
     manifest = {
         "schema": {
             "states": [[v.name, v.low, v.high] for v in sch.states],
@@ -836,9 +884,7 @@ def save_dataset(ds: Dataset, out_dir: str | Path, seed: int | None = None,
         "columns": header + ["(x_i/u_i follow the schema state/action order)"],
         "notes": notes or {},
     }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest, out / "manifest.json")
 
 
 def load_saved_dataset(in_dir: str | Path) -> Dataset:
@@ -875,27 +921,25 @@ def load_saved_dataset(in_dir: str | Path) -> Dataset:
     return Dataset(trajectories, schema, manifest["split"])
 
 
-def save_params(params: ParamVector, path: str | Path):
-    doc = {
-        "scalars": params.scalars,
-        "weights": {
-            name: [{"w": w.tolist(), "b": b.tolist()} for w, b in layers]
-            for name, layers in params.weights.items()
-        },
-    }
+def write_json(doc, path: str | Path):
+    """doc as indented JSON with sorted keys and a final newline."""
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
+def save_params(params: ParamVector, path: str | Path):
+    write_json({
+        "scalars": dict(params.scalars),
+        "weights": {
+            name: [{"w": w.tolist(), "b": b.tolist()} for w, b in layers]
+            for name, layers in params.weights.items()
+        },
+    }, path)
+
+
 def load_params(path: str | Path) -> ParamVector:
     with open(path) as fh:
         doc = json.load(fh)
-    return ParamVector(
-        {k: float(v) for k, v in doc["scalars"].items()},
-        {
-            name: [(np.array(layer["w"], dtype=float), np.array(layer["b"], dtype=float))
-                   for layer in layers]
-            for name, layers in doc["weights"].items()
-        },
-    )
+    return ParamVector(doc["scalars"], {name: [(layer["w"], layer["b"]) for layer in layers]
+                                        for name, layers in doc["weights"].items()})

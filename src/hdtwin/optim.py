@@ -7,6 +7,10 @@ before the first update so the returned snapshot is never worse than the
 initial parameters.  An epoch counts as an improvement only when the
 validation loss drops by more than 1e-12, which keeps float noise from
 resetting the patience window.
+
+Parameters, gradients and Adam's moments m and v share one flat layout
+(engine.ParamVector): each mini-batch makes one adam_update call over the
+whole array and writes it back in place, so the weight views stay valid.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from hdtwin.engine import (
     Dataset,
     EvaluationFault,
     Evaluator,
-    Gradients,
     ParamVector,
     per_component_mse,
 )
@@ -74,31 +77,6 @@ def adam_update(param, grad, m, v, step: int, cfg: OptimConfig):
     return param, m, v
 
 
-class _AdamState:
-    def __init__(self, params: ParamVector):
-        self.m = params.zeros_like()
-        self.v = params.zeros_like()
-        self.step = 0
-
-    def apply(self, params: ParamVector, grads: Gradients, cfg: OptimConfig):
-        self.step += 1
-        for name in params.scalars:
-            params.scalars[name], self.m.scalars[name], self.v.scalars[name] = adam_update(
-                params.scalars[name], grads.scalars[name],
-                self.m.scalars[name], self.v.scalars[name], self.step, cfg,
-            )
-        for name, layers in params.weights.items():
-            for li, (w, b) in enumerate(layers):
-                g_w, g_b = grads.weights[name][li]
-                m_w, m_b = self.m.weights[name][li]
-                v_w, v_b = self.v.weights[name][li]
-                w, m_w, v_w = adam_update(w, g_w, m_w, v_w, self.step, cfg)
-                b, m_b, v_b = adam_update(b, g_b, m_b, v_b, self.step, cfg)
-                layers[li] = (w, b)
-                self.m.weights[name][li] = (m_w, m_b)
-                self.v.weights[name][li] = (v_w, v_b)
-
-
 def fit(spec: ModelSpec, init: ParamVector, train: Dataset, val: Dataset,
         cfg: OptimConfig | None = None) -> FitResult:
     """Fit a spec's parameters to training data, returning the snapshot
@@ -124,7 +102,8 @@ def fit(spec: ModelSpec, init: ParamVector, train: Dataset, val: Dataset,
     batch_all = train.transitions()
     dt = train.schema.dt
     rng = np.random.default_rng(cfg.seed)
-    adam = _AdamState(params)
+    m, v = np.zeros_like(params.values), np.zeros_like(params.values)
+    step = 0
 
     try:
         best_delta, best_val = per_component_mse(spec, params, val, evaluator=ev)
@@ -148,7 +127,9 @@ def fit(spec: ModelSpec, init: ParamVector, train: Dataset, val: Dataset,
                 batch = shuffled.rows(lo, lo + cfg.batch_size)
                 loss, grads = ev.loss_and_grad(params, batch, dt)
                 epoch_losses.append(loss)
-                adam.apply(params, grads, cfg)
+                step += 1
+                params.values[...], m, v = adam_update(params.values, grads.values, m, v,
+                                                       step, cfg)
             delta, ups = per_component_mse(spec, params, val, evaluator=ev)
         except EvaluationFault as fault:
             log.warning("fit faulted at epoch %d: %s", epoch, fault)

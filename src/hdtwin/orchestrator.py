@@ -52,6 +52,7 @@ from hdtwin.engine import (
     rollout_mse,
     save_params,
     squared_residuals,
+    write_json,
 )
 from hdtwin.optim import FitResult, OptimConfig, fit
 from hdtwin.systems import GenConfig, SystemDef, builtin_system, generate_dataset, system_description
@@ -331,7 +332,7 @@ def adapt_model(client, entry: PopulationEntry, instruction: str, schema: System
     )
     task = _ADAPT_TEMPLATE.format(
         spec=canonicalize(inlined).text,
-        params={k: float(v) for k, v in entry.params.scalars.items()},
+        params=dict(entry.params.scalars),
         instruction=instruction.strip(),
     )
     return request_spec(client, [{"role": "user", "content": task}], schema, decoding,
@@ -436,7 +437,8 @@ def run_experiment(system_id: str, method: str, seeds: list[int], *,
                 metrics = evaluate_test_metrics(res.spec, sindy_params(res), datasets["test"])
                 outcome.metric = metrics.headline(cfg.test_metric)
                 if seed_dir:
-                    _write_model_dir(seed_dir, res.spec, sindy_params(res), metrics, cfg)
+                    write_model_dir(seed_dir, canonicalize(res.spec).text, sindy_params(res),
+                                    _metrics_doc(metrics, cfg.test_metric))
                     outcome.archive = str(seed_dir)
             elif method.startswith("baseline:"):
                 spec = builtin_baseline_spec(method.split(":", 1)[1], system.schema)
@@ -447,7 +449,8 @@ def run_experiment(system_id: str, method: str, seeds: list[int], *,
                 metrics = evaluate_test_metrics(spec, result.params, datasets["test"])
                 outcome.metric = metrics.headline(cfg.test_metric)
                 if seed_dir:
-                    _write_model_dir(seed_dir, spec, result.params, metrics, cfg)
+                    write_model_dir(seed_dir, canonicalize(spec).text, result.params,
+                                    _metrics_doc(metrics, cfg.test_metric))
                     outcome.archive = str(seed_dir)
         except (RunFailure, EvaluationFault, ValueError, KeyError) as err:
             log.warning("seed %d failed: %s", seed, err)
@@ -468,14 +471,10 @@ def run_experiment(system_id: str, method: str, seeds: list[int], *,
 # Archives
 
 
-def _json_dump(doc, path: Path):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _metrics_doc(metrics: TestMetrics) -> dict:
+def _metrics_doc(metrics: TestMetrics, headline: str) -> dict:
     return {
+        "headline_metric": headline,
+        "headline_value": metrics.headline(headline),
         "test_upsilon": metrics.upsilon,
         "test_delta": [float(v) for v in metrics.delta],
         "test_sum_mse": metrics.sum_mse,
@@ -494,7 +493,7 @@ def write_run_archive(out_dir, result: RunResult, system_id: str, method: str,
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _json_dump({
+    write_json({
         "system": system_id,
         "method": method,
         "seed": seed,
@@ -506,7 +505,7 @@ def write_run_archive(out_dir, result: RunResult, system_id: str, method: str,
     }, out / "run.manifest")
 
     (out / "transcript").mkdir(exist_ok=True)
-    _json_dump(result.transcript, out / "transcript" / "transcript.json")
+    write_json(result.transcript, out / "transcript" / "transcript.json")
 
     inserted = {r.generation: r for r in result.records if r.status == "inserted"}
     by_gen = {e.generation: e for e in result.population.entries}
@@ -518,7 +517,7 @@ def write_run_archive(out_dir, result: RunResult, system_id: str, method: str,
         gen_dir.mkdir(parents=True, exist_ok=True)
         (gen_dir / "model.hdt").write_text(entry.canonical_text)
         save_params(entry.params, gen_dir / "params.json")
-        _json_dump({
+        write_json({
             "generation": g,
             "upsilon": entry.upsilon,
             "delta": [float(v) for v in entry.delta],
@@ -554,27 +553,20 @@ def write_run_archive(out_dir, result: RunResult, system_id: str, method: str,
         "best_delta": [float(v) for v in best.delta],
         "best_fingerprint": best.fingerprint,
         "best_description": best.description,
-        "headline_metric": cfg.test_metric,
-        "headline_value": result.test.headline(cfg.test_metric),
     }
-    doc.update(_metrics_doc(result.test))
+    doc.update(_metrics_doc(result.test, cfg.test_metric))
     if result.transport_error is not None:
         doc["transport_error"] = result.transport_error
-    _json_dump(doc, out / "result.json")
-    (out / "best-model.hdt").write_text(best.canonical_text)
-    save_params(best.params, out / "best-params.json")
+    write_model_dir(out, best.canonical_text, best.params, doc)
 
 
-def _write_model_dir(out_dir, spec: ModelSpec, params: ParamVector,
-                     metrics: TestMetrics, cfg: EvolveConfig):
+def write_model_dir(out_dir, canonical_text: str, params: ParamVector, doc: dict):
+    """Write best-model.hdt, best-params.json and doc as result.json to out_dir."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "best-model.hdt").write_text(canonicalize(spec).text)
+    (out / "best-model.hdt").write_text(canonical_text)
     save_params(params, out / "best-params.json")
-    doc = {"headline_metric": cfg.test_metric,
-           "headline_value": metrics.headline(cfg.test_metric)}
-    doc.update(_metrics_doc(metrics))
-    _json_dump(doc, out / "result.json")
+    write_json(doc, out / "result.json")
 
 
 def write_summary(out_dir: Path, report: AggregateReport):

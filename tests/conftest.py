@@ -252,8 +252,8 @@ def random_params(rng: np.random.Generator, spec: ModelSpec) -> ParamVector:
     # zero biases sit exactly on the relu kink, where finite differences
     # straddle the non-differentiable point; jitter into generic position
     for layers in params.weights.values():
-        for li, (w, b) in enumerate(layers):
-            layers[li] = (w, b + rng.uniform(-0.3, 0.3, size=b.shape))
+        for _, b in layers:
+            b += rng.uniform(-0.3, 0.3, size=b.shape)  # in place: b is a view into values
     return params
 
 

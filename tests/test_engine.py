@@ -581,14 +581,42 @@ def test_load_saved_dataset_reads_exactly_the_manifest_count(tmp_path):
                    dt=1.0) for k in range(6)]
     d = tmp_path / "d"
     save_dataset(Dataset(trs, CANCER_SCHEMA), d)
-    # re-saving three trajectories leaves traj-00003..5 behind; they are stale
+    # re-saving three trajectories deletes the stale traj-00003..5
     save_dataset(Dataset(trs[3:], CANCER_SCHEMA), d)
+    assert sorted(p.name for p in d.iterdir()) == [
+        "manifest.json", "traj-00000.csv", "traj-00001.csv", "traj-00002.csv"]
     back = load_saved_dataset(d)
     assert len(back.trajectories) == 3
     assert [tr.states[0, 0] for tr in back.trajectories] == [40.0, 50.0, 60.0]
     (d / "traj-00001.csv").unlink()
     with pytest.raises(ValueError, match=r"traj-00001\.csv: missing; the manifest lists 3"):
         load_saved_dataset(d)
+
+
+def test_param_vector_is_one_array_with_write_through_views():
+    layers = mlp_init(MlpDecl("net", ("x",), (3,), "relu", 1), 5)
+    other = mlp_init(MlpDecl("other", ("x",), (2,), "tanh", 1), 0)
+    p = ParamVector({"b": 2.0, "a": -1.0}, {"net": layers, "other": other})
+    (w0, b0), (w1, b1) = layers
+    flat = [[2.0, -1.0], w0.ravel(), b0, w1.ravel(), b1] + [a.ravel() for l in other for a in l]
+    assert p.values.tobytes() == np.concatenate(flat).tobytes()
+    assert [p.owner(i) for i in range(p.values.size)] == ["b", "a"] + ["net"] * 10 + ["other"] * 7
+    assert list(p.scalars) == ["b", "a"] and type(p.scalars["a"]) is float
+    p.scalars["a"] *= 3.0
+    assert p.values[1] == -3.0
+    assert all(np.shares_memory(a, p.values) for l in p.weights["net"] for a in l)
+    p.weights["net"][1][1][0] = 7.0
+    assert p.values[11] == 7.0
+    q = p.copy()
+    q.scalars["b"] = 0.0
+    q.weights["net"][0][0][...] = 0.0
+    assert p.scalars["b"] == 2.0 and (p.weights["net"][0][0] == w0).all()
+    assert not np.shares_memory(p.values, q.values)
+    z = p.zeros_like()
+    assert list(z.scalars) == ["b", "a"] and z.values.shape == p.values.shape
+    assert not z.values.any()
+    with pytest.raises(KeyError):
+        p.scalars["new"] = 1.0
 
 
 def test_params_round_trip(tmp_path):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from hdtwin.dsl import SystemSchema, VarSpec, parse_model_spec
-from hdtwin.engine import Dataset, init_params, per_component_mse, rollout
+from hdtwin import optim
+from hdtwin.engine import (Dataset, init_params, load_params, per_component_mse, rollout,
+                           save_params)
 from hdtwin.optim import OptimConfig, adam_update, fit
 
 SCHEMA = SystemSchema(states=(VarSpec("x", -100.0, 100.0),), dt=1.0)
@@ -115,6 +117,28 @@ def test_fit_determinism():
     assert r1.params.scalars == r2.params.scalars
     for (w1, _), (w2, _) in zip(r1.params.weights["net"], r2.params.weights["net"]):
         assert (w1 == w2).all()
+
+
+def test_fit_one_adam_call_per_batch_in_any_layout_order(monkeypatch, tmp_path):
+    train = make_linear_dataset(-0.3, 10, 15, seed=6, split="train")  # 140 transitions
+    val = make_linear_dataset(-0.3, 5, 15, seed=7, split="val")
+    spec = parse_model_spec("param z = 0.1\nparam a = 0.2\n"
+                            "mlp net(x) hidden [4] act tanh outputs 1\n"
+                            "d(x)/dt = a * x + z + net[0]")
+    cfg = OptimConfig(batch_size=64, max_epochs=5, patience=5, seed=9)
+    calls = []
+    monkeypatch.setattr(optim, "adam_update", lambda *a: calls.append(1) or adam_update(*a))
+    direct = fit(spec, init_params(spec, seed=1), train, val, cfg)
+    assert len(calls) == direct.epochs_run * 3  # batches of 64, 64 and 12
+    # a loaded vector holds its scalars in sorted-name order, not the spec's
+    save_params(init_params(spec, seed=1), tmp_path / "p.json")
+    loaded = load_params(tmp_path / "p.json")
+    assert list(loaded.scalars) == ["a", "z"]
+    again = fit(spec, loaded, train, val, cfg)
+    assert again.val_curve == direct.val_curve
+    assert dict(again.params.scalars) == dict(direct.params.scalars)
+    for (w1, b1), (w2, b2) in zip(again.params.weights["net"], direct.params.weights["net"]):
+        assert w1.tobytes() == w2.tobytes() and b1.tobytes() == b2.tobytes()
 
 
 def test_fit_best_is_monotone_and_snapshot_consistent():
