@@ -45,6 +45,7 @@ occurrences; one finiteness check covers it, naming the first bad entry.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import csv
 import itertools
@@ -128,13 +129,14 @@ class ParamVector:
 
     def _bind(self, values: np.ndarray) -> "ParamVector":
         """Point scalars and weights at values, an array in this layout."""
-        self.values = values
-        self.scalars = _Scalars(values, self._index)
-        sizes = [math.prod(s) for layers in self._shapes.values() for layer in layers
-                 for s in layer]
-        views = iter(np.split(values[len(self._index):], np.cumsum(sizes)[:-1]))
-        self.weights = {name: tuple(tuple(next(views).reshape(s) for s in layer)
-                                    for layer in layers) for name, layers in self._shapes.items()}
+        self.values, self.scalars, self.weights = values, _Scalars(values, self._index), {}
+        at = len(self._index)
+        for name, layers in self._shapes.items():
+            views = []
+            for shape in itertools.chain.from_iterable(layers):
+                views.append(values[at:at + math.prod(shape)].reshape(shape))
+                at += views[-1].size
+            self.weights[name] = tuple(zip(views[::2], views[1::2]))
         return self
 
     def copy(self) -> "ParamVector":
@@ -621,7 +623,7 @@ class Evaluator:
             _mlp_backward(decl, params.weights[name], mlp_caches[name], out_adj[name],
                           grads.weights[name])
         for i, name in enumerate(tape.occurrences, start=tape.n_values):
-            grads.scalars[name] += float(adj[i].sum())
+            grads.values[grads._index[name]] += adj[i].sum()
         finite = np.isfinite(grads.values)
         if not finite.all():
             bad = int(np.argmin(finite))
@@ -866,11 +868,9 @@ def save_dataset(ds: Dataset, out_dir: str | Path, seed: int | None = None,
         text = head + "".join([",".join(map(repr, row)) + "\r\n" for row in rows])
         with open(out / _TRAJ_FILE.format(i), "w", newline="") as fh:
             fh.write(text)
-    try:  # delete what an earlier, longer save left from here upward
+    with contextlib.suppress(FileNotFoundError):  # what a longer earlier save left
         for i in itertools.count(len(ds.trajectories)):
             (out / _TRAJ_FILE.format(i)).unlink()
-    except FileNotFoundError:
-        pass
     manifest = {
         "schema": {
             "states": [[v.name, v.low, v.high] for v in sch.states],

@@ -432,20 +432,22 @@ def test_gradient_overflow_with_finite_loss_names_the_scalar():
 
 
 def test_gradient_overflow_with_finite_loss_names_the_network():
-    # net's hidden unit is 1e300 and its output weight 1e-300: the output is
-    # 1.0 and the loss ~1e20, but the output weight's gradient overflows
-    schema = SystemSchema(states=(VarSpec("x", 0, 10), VarSpec("y", 0, 10)))
+    # net's first weight scales the action 1e300 down to 1.0, so the loss is
+    # ~1e20, but that weight's gradient overflows; it is the first entry
+    # after the scalars, since params lists net before first
+    schema = SystemSchema(states=(VarSpec("x", 0, 10), VarSpec("y", 0, 10)),
+                          actions=(VarSpec("u", 0, 10),))
     spec = parse_model_spec(
         "param c = 0.0\n"
         "mlp first(x) hidden [2] act tanh outputs 1\n"
-        "mlp net(y) hidden [1] act relu outputs 1\n"
+        "mlp net(u) hidden [1] act relu outputs 1\n"
         "d(x)/dt = c + first[0]\n"
         "d(y)/dt = c + net[0]\n")
     params = ParamVector({"c": 0.0}, {
+        "net": [(np.array([[1e-300]]), np.zeros(1)), (np.array([[1.0]]), np.zeros(1))],
         "first": mlp_init(spec.mlps[0], 0),
-        "net": [(np.array([[1e300]]), np.zeros(1)), (np.array([[1e-300]]), np.zeros(1))],
     })
-    batch = TransitionBatch(np.array([[1.0, 1.0]]), np.zeros((1, 0)), np.zeros(1),
+    batch = TransitionBatch(np.array([[1.0, 1.0]]), np.array([[1e300]]), np.zeros(1),
                             np.array([[1.0, -1e10]]))
     with pytest.raises(EvaluationFault) as err:
         loss_gradient(spec, params, schema, batch, dt=1.0)

@@ -55,6 +55,26 @@ def test_adam_zero_gradient_is_identity():
     assert p == 1.5 and m == 0.0 and v == 0.0
 
 
+def test_adam_on_one_flat_array_matches_per_scalar_and_per_array_calls():
+    # fit updates the whole ParamVector.values at once; + - * / and sqrt are
+    # correctly rounded, so that must equal Python-float calls per scalar
+    # and separate calls per weight array, bit for bit
+    cfg = OptimConfig(lr=0.05)
+    rng = np.random.default_rng(3)
+    scalars, w = [0.3, -1.2], rng.normal(size=(3, 2))
+    flat = np.concatenate([scalars, w.ravel()])
+    m_s, v_s, m_w, v_w = [0.0, 0.0], [0.0, 0.0], np.zeros_like(w), np.zeros_like(w)
+    m, v = np.zeros_like(flat), np.zeros_like(flat)
+    for step in range(1, 201):
+        g = rng.normal(size=flat.size) * 10.0 ** rng.integers(-30, 10, size=flat.size)
+        flat, m, v = adam_update(flat, g, m, v, step, cfg)
+        for i in range(2):
+            scalars[i], m_s[i], v_s[i] = adam_update(scalars[i], float(g[i]), m_s[i], v_s[i],
+                                                     step, cfg)
+        w, m_w, v_w = adam_update(w, g[2:].reshape(w.shape), m_w, v_w, step, cfg)
+    assert flat.tobytes() == np.concatenate([scalars, w.ravel()]).tobytes()
+
+
 def test_adam_elementwise_on_arrays():
     cfg = OptimConfig(lr=0.1)
     w = np.array([[0.0, 1.0]])
