@@ -258,7 +258,7 @@ def _act_grad(name: str, z: np.ndarray) -> np.ndarray:
     return 1.0 - th * th
 
 
-def _mlp_forward(decl: MlpDecl, layers, z0: np.ndarray, buffers):
+def _mlp_forward(decl: MlpDecl, layers: Sequence[Layer], z0: np.ndarray, buffers):
     """The network's output for inputs z0, computed in buffers: one
     (pre-activation, activation) pair per layer, the last activation None."""
     caches = []
@@ -271,7 +271,7 @@ def _mlp_forward(decl: MlpDecl, layers, z0: np.ndarray, buffers):
     return a, caches
 
 
-def _mlp_backward(decl: MlpDecl, layers, caches, g_out: np.ndarray, grads):
+def _mlp_backward(decl: MlpDecl, layers: Sequence[Layer], caches, g_out: np.ndarray, grads):
     """Write each layer's weight and bias gradient into its views in grads."""
     d_a = g_out
     for li in reversed(range(len(layers))):
