@@ -17,9 +17,19 @@ import numpy as np
 import pytest
 
 import replay_fixtures
+from conftest import random_params
 from hdtwin.agents import ScriptedClient
 from hdtwin.dsl import parse_model_spec
-from hdtwin.engine import Dataset, init_params, rollout, rollout_mse, save_dataset, save_params
+from hdtwin.engine import (
+    Dataset,
+    Evaluator,
+    TransitionBatch,
+    init_params,
+    rollout,
+    rollout_mse,
+    save_dataset,
+    save_params,
+)
 from hdtwin.optim import OptimConfig, fit
 from hdtwin.orchestrator import EvolveConfig, evolve, make_modeling_context, write_run_archive
 from hdtwin.systems import (
@@ -29,6 +39,7 @@ from hdtwin.systems import (
     generate_dataset,
     load_csv_dataset,
 )
+from test_engine import WS_SCHEMA, WS_SPECS
 
 CANCER_FAMILY = tuple(s for s in BUILTIN_IDS
                       if s.startswith("cancer") or s.startswith("synthetic-"))
@@ -93,6 +104,40 @@ FIT_PARAMS_SHA = "ec6940759182e94232b5e649d3d50e28de0793cb10626bb540c08b90ff05e7
 # sha256 of the write_run_archive tree of the scripted six-generation evolve
 # on cancer-chemo-radio GenConfig(n=5, seed=3), 10 fixed epochs per fit
 EVOLVE_ARCHIVE_SHA = "45f68c02bf24cbc43d266c242b9233689cfa19d2511e55a383a91963faf685f6"
+
+# The backward pass: test_engine's WS_SPECS plus a spec with sqrt, log,
+# sigmoid, tanh, exp and a real power with a parameter exponent, each
+# reached through a parameter of its own, evaluated by one evaluator at
+# M = 1, 7, 1000 and 6000 rows.  The first rows put the denominators c * y
+# (c = 1.0) and x - a at and around the guard.
+BITS_SPEC = """
+param a = 0.7
+param b = 1.5
+param c = 1.0
+param d = 0.8
+param e = 0.6
+param f = 0.9
+param g = 1.5
+param h = 1.2
+d(x)/dt = sqrt(a * x) + log(b * y) - sigmoid(d * u) * x + tanh(e * y) / (c * y)
+d(y)/dt = exp(-f * x) * y + (0.1 * t) ^ g - (h * x) ^ 2.5
+"""
+BITS_ROWS = (1, 7, 1000, 6000)
+GUARD_ROWS = np.array([0.0, -0.0, 5e-9, -5e-9, 1e-8, -1e-8])
+# per spec: sha256 over the row counts of repr(loss) + grads.values bytes,
+# and of the derivatives bytes
+BACKWARD_SHA = {
+    0: ("03c8d61aba0be5e275efe1b9525f560f4481df57e189fcebb2f720fa69757de4",  # relu hybrid
+        "b116b6f5ed2a9a2cb4077c55f3913369b83094cf739b5609de9b033bea93a273"),
+    1: ("27f5d1486cf91579ca3879934968d89c67ff766e5e77a2a4813a908392a302c6",  # leaky_relu hybrid
+        "318c1de64f0b28e5d933d745de31369f59d518874fed47051b8cd253ad0d8d24"),
+    2: ("5d07f643de715eb31e7af19cdfbf893243947ee48c579e0e418738d5af4d8976",  # tanh hybrid
+        "ab03fd971a42ef6315327b62d5e38d14c18c20691bf691f1e95d8cdb107417ae"),
+    3: ("0f2c271ef20d19b52178a2a7a4ec27c45c5848a3d34b7d5f0fa17bf92857d1d5",  # sigmoid, pow, div and exp
+        "c43b4b438da1a7478b79ac05f6364a826c46a18181bdb00da4d1d5fc475a4ac2"),
+    4: ("1dc546befc580302f54a7def1d18390dffdd99d5e43e6a3052ec949533340ec0",  # BITS_SPEC
+        "577093e6c94c4e3211f2695fda157e25497da286fbc76b035c8050da6440f3f5"),
+}
 
 
 def tree_sha256(root: Path) -> str:
@@ -199,3 +244,28 @@ def test_evolve_archive_pin(tmp_path):
     assert [r.status for r in result.records] == ["inserted"] * 6
     write_run_archive(tmp_path, result, "cancer-chemo-radio", "evolve", 0, cfg)
     assert tree_sha256(tmp_path) == EVOLVE_ARCHIVE_SHA
+
+
+def backward_hashes(text: str, seed: int) -> tuple[str, str]:
+    spec = parse_model_spec(text)
+    rng = np.random.default_rng(seed)
+    params = init_params(spec) if text == BITS_SPEC else random_params(rng, spec)
+    ev = Evaluator(spec, WS_SCHEMA)
+    grad_sha, deriv_sha = hashlib.sha256(), hashlib.sha256()
+    for m in BITS_ROWS:
+        batch = TransitionBatch(
+            rng.uniform(-2.0, 3.0, (m, 2)), rng.uniform(0.0, 5.0, (m, 1)),
+            rng.uniform(0.0, 60.0, m), rng.uniform(-2.0, 3.0, (m, 2)))
+        k = min(m, len(GUARD_ROWS))
+        batch.x[:k, 0] = params.scalars["a"] + GUARD_ROWS[:k]
+        batch.x[:k, 1] = GUARD_ROWS[:k]
+        deriv_sha.update(ev.derivatives(params, batch.x, batch.u, batch.t).tobytes())
+        loss, grads = ev.loss_and_grad(params, batch, 0.5)
+        grad_sha.update(repr(loss).encode() + grads.values.tobytes())
+    return grad_sha.hexdigest(), deriv_sha.hexdigest()
+
+
+@pytest.mark.parametrize("i", range(len(WS_SPECS) + 1))
+def test_backward_pin(i):
+    text = [*WS_SPECS, BITS_SPEC][i]
+    assert backward_hashes(text, seed=i) == BACKWARD_SHA[i]
