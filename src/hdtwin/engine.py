@@ -35,12 +35,24 @@ lifetime (a fit sees at most three row counts: the batch, the last
 partial batch and the validation split), so repeated passes reuse the
 same memory instead of allocating and faulting in fresh arrays.  The
 workspace is private scratch: no array an evaluator returns is a view of
-it.  The backward pass allocates its adjoints as before.
+it.
+
+The backward pass does no work the forward pass already did.  A backward
+rule gets the node's own value with its operands, so exp, sqrt, sigmoid,
+tanh and a real power's exponent rule read the value instead of
+recomputing it with the same kernel.  The residual, and then the loss's
+adjoint of the derivatives, is computed in place in the derivative
+array.  In a network, each hidden layer's activation gradient scales the
+fresh adjoint dz @ W.T in place: relu and leaky_relu by a factor built
+from pre > 0, tanh by 1 - th * th with th the stored activation.
 
 Parameters and gradients are ParamVectors, one flat float64 array each.
 The gradient takes the parameters' layout: the backward pass writes each
-network layer's gradients into its views and sums each scalar's over its
-occurrences; one finiteness check covers it, naming the first bad entry.
+network layer's gradients into its views.  The adjoints of every scalar
+occurrence are copied into the rows of one block and summed in one call,
+each row as a 1-D sum would be, and the totals are added into the
+scalars from 0.0 in left-to-right occurrence order.  One finiteness
+check covers the gradient, naming the first bad entry.
 """
 
 from __future__ import annotations
@@ -249,13 +261,16 @@ def _act(name: str, z: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.tanh(z, out=out)
 
 
-def _act_grad(name: str, z: np.ndarray) -> np.ndarray:
+def _act_backward(name: str, d_a: np.ndarray, pre: np.ndarray, act: np.ndarray):
+    """Scale d_a in place by the activation's derivative at pre; act is
+    the activation the forward pass stored for pre.  leaky_relu's factor
+    is exactly 1.0 or 0.1, as 0.9 + 0.1 == 1.0 in float64."""
     if name == "relu":
-        return (z > 0.0).astype(float)
-    if name == "leaky_relu":
-        return np.where(z > 0.0, 1.0, 0.1)
-    th = np.tanh(z)
-    return 1.0 - th * th
+        np.multiply(d_a, pre > 0.0, out=d_a)
+    elif name == "leaky_relu":
+        d_a *= (pre > 0.0) * 0.9 + 0.1
+    else:
+        d_a *= 1.0 - act * act
 
 
 def _mlp_forward(decl: MlpDecl, layers: Sequence[Layer], z0: np.ndarray, buffers):
@@ -273,14 +288,15 @@ def _mlp_forward(decl: MlpDecl, layers: Sequence[Layer], z0: np.ndarray, buffers
 
 def _mlp_backward(decl: MlpDecl, layers: Sequence[Layer], caches, g_out: np.ndarray, grads):
     """Write each layer's weight and bias gradient into its views in grads."""
-    d_a = g_out
+    dz = g_out
     for li in reversed(range(len(layers))):
         a_prev, pre = caches[li]
-        dz = d_a if li == len(layers) - 1 else d_a * _act_grad(decl.activation, pre)
+        if li < len(layers) - 1:  # dz is the fresh d_a of this hidden layer
+            _act_backward(decl.activation, dz, pre, caches[li + 1][0])
         np.matmul(a_prev.T, dz, out=grads[li][0])
         dz.sum(axis=0, out=grads[li][1])
         if li:  # the network inputs need no adjoint
-            d_a = dz @ layers[li][0].T
+            dz = dz @ layers[li][0].T
 
 
 def _int_exponent(e: Expr) -> int | None:
@@ -300,23 +316,25 @@ def _tape_op(e: Expr) -> str:
 # The op table.  A forward rule maps the operand values a, b (a unary op
 # ignores b), the node's constant k and its output row `out` to the node's
 # value; `out` is None for a scalar node, which then returns a new scalar.
-# A backward rule maps the node's adjoint g, with the same a, b, k, to the
-# adjoint of one operand.  k is the exponent of "pow_int" (pow with an
-# integer constant exponent), the logistic function of "sigmoid", and None
-# otherwise.  The guarded domains are nodes of their own: "clamp"
-# (max(a, 1e-8)) feeds log, sqrt and pow's base, "guard" feeds the
-# denominator of div.
+# A backward rule maps the node's adjoint g, with the same a, b, k and the
+# node's own value y, to the adjoint of one operand; exp, sqrt, sigmoid,
+# tanh and pow read y where they would recompute it with the same kernel.
+# k is the exponent of "pow_int" (pow with an integer constant exponent),
+# the logistic function of "sigmoid", and None otherwise.  The guarded
+# domains are nodes of their own: "clamp" (max(a, 1e-8)) feeds log, sqrt
+# and pow's base, "guard" feeds the denominator of div.
 
 
 def _guard_div(a, b, k, out):
     """a where |a| >= 1e-8, else 1e-8 where a >= 0 and -1e-8 where a < 0
-    or a is nan."""
-    keep = np.abs(a) >= GUARD_EPS
-    fill = np.where(a >= 0.0, GUARD_EPS, -GUARD_EPS)
+    or a is nan.  A row with no such entry is copied as it is."""
     if out is None:
-        return np.where(keep, a, fill)
-    np.copyto(out, fill)
-    np.copyto(out, a, where=keep)
+        return np.where(np.abs(a) >= GUARD_EPS, a, np.where(a >= 0.0, GUARD_EPS, -GUARD_EPS))
+    if np.abs(a, out=out).min(initial=np.inf) >= GUARD_EPS:  # the min of a nan is nan
+        np.copyto(out, a)
+        return out
+    np.copyto(out, np.where(a >= 0.0, GUARD_EPS, -GUARD_EPS))
+    np.copyto(out, a, where=np.abs(a) >= GUARD_EPS)
     return out
 
 
@@ -335,45 +353,40 @@ def _power(a, b, k, out):
     return out
 
 
-def _sigmoid_grad(g, a, b, k):
-    s = k(a)
-    return g * s * (1.0 - s)
-
-
-def _tanh_grad(g, a, b, k):
-    th = np.tanh(a)
-    return g * (1.0 - th * th)
-
-
-def _pow_int_grad(g, a, b, k):
+def _pow_int_grad(g, a, b, k, y):
     return np.zeros_like(g) if k == 0 else g * k * a ** (k - 1)
 
 
 _OPS = {  # op: (forward, backward to a, backward to b)
     "clamp": (lambda a, b, k, out: np.maximum(a, GUARD_EPS, out=out),
-              lambda g, a, b, k: g * (a > GUARD_EPS), None),
-    "guard": (_guard_div, lambda g, a, b, k: g * (np.abs(a) >= GUARD_EPS), None),
-    "neg": (lambda a, b, k, out: np.negative(a, out=out), lambda g, a, b, k: -g, None),
-    "log": (lambda a, b, k, out: np.log(a, out=out), lambda g, a, b, k: g / a, None),
-    "exp": (lambda a, b, k, out: np.exp(a, out=out), lambda g, a, b, k: g * np.exp(a), None),
-    "sin": (lambda a, b, k, out: np.sin(a, out=out), lambda g, a, b, k: g * np.cos(a), None),
-    "cos": (lambda a, b, k, out: np.cos(a, out=out), lambda g, a, b, k: -g * np.sin(a), None),
+              lambda g, a, b, k, y: g * (a > GUARD_EPS), None),
+    "guard": (_guard_div, lambda g, a, b, k, y: g * (np.abs(a) >= GUARD_EPS), None),
+    "neg": (lambda a, b, k, out: np.negative(a, out=out), lambda g, a, b, k, y: -g, None),
+    "log": (lambda a, b, k, out: np.log(a, out=out), lambda g, a, b, k, y: g / a, None),
+    "exp": (lambda a, b, k, out: np.exp(a, out=out), lambda g, a, b, k, y: g * y, None),
+    "sin": (lambda a, b, k, out: np.sin(a, out=out),
+            lambda g, a, b, k, y: g * np.cos(a), None),
+    "cos": (lambda a, b, k, out: np.cos(a, out=out),
+            lambda g, a, b, k, y: -g * np.sin(a), None),
     "sqrt": (lambda a, b, k, out: np.sqrt(a, out=out),
-             lambda g, a, b, k: g / (2.0 * np.sqrt(a)), None),
-    "abs": (lambda a, b, k, out: np.abs(a, out=out), lambda g, a, b, k: g * np.sign(a), None),
-    "sigmoid": (lambda a, b, k, out: k(a, out=out), _sigmoid_grad, None),
-    "tanh": (lambda a, b, k, out: np.tanh(a, out=out), _tanh_grad, None),
+             lambda g, a, b, k, y: g / (2.0 * y), None),
+    "abs": (lambda a, b, k, out: np.abs(a, out=out),
+            lambda g, a, b, k, y: g * np.sign(a), None),
+    "sigmoid": (lambda a, b, k, out: k(a, out=out),
+                lambda g, a, b, k, y: g * y * (1.0 - y), None),
+    "tanh": (lambda a, b, k, out: np.tanh(a, out=out),
+             lambda g, a, b, k, y: g * (1.0 - y * y), None),
     "add": (lambda a, b, k, out: np.add(a, b, out=out),
-            lambda g, a, b, k: g, lambda g, a, b, k: g),
+            lambda g, a, b, k, y: g, lambda g, a, b, k, y: g),
     "sub": (lambda a, b, k, out: np.subtract(a, b, out=out),
-            lambda g, a, b, k: g, lambda g, a, b, k: -g),
+            lambda g, a, b, k, y: g, lambda g, a, b, k, y: -g),
     "mul": (lambda a, b, k, out: np.multiply(a, b, out=out),
-            lambda g, a, b, k: g * b, lambda g, a, b, k: g * a),
-    "div": (lambda a, b, k, out: np.divide(a, b, out=out), lambda g, a, b, k: g / b,
-            lambda g, a, b, k: g * (-a / (b * b))),
+            lambda g, a, b, k, y: g * b, lambda g, a, b, k, y: g * a),
+    "div": (lambda a, b, k, out: np.divide(a, b, out=out), lambda g, a, b, k, y: g / b,
+            lambda g, a, b, k, y: g * (-a / (b * b))),
     "pow_int": (_power, _pow_int_grad, None),
-    "pow": (_power, lambda g, a, b, k: g * b * a ** (b - 1.0),
-            lambda g, a, b, k: g * (a ** b) * np.log(a)),
+    "pow": (_power, lambda g, a, b, k, y: g * b * a ** (b - 1.0),
+            lambda g, a, b, k, y: g * y * np.log(a)),
 }
 
 # the guard node each op puts on its operands
@@ -485,7 +498,10 @@ class Evaluator:
     workspace kept per row count (see the module docstring), so an
     evaluator is not safe to share across threads; nothing in hdtwin
     shares one.  Returned derivatives and gradients never alias the
-    workspace; only the cache of derivatives(with_cache=True) does.
+    workspace; only the cache of derivatives(with_cache=True) does.  A
+    gradient is new memory unless loss_and_grad is given out=, a
+    ParamVector in the parameters' layout: the gradient is then out
+    itself, overwritten by each call that is given it.
     """
 
     def __init__(self, spec: ModelSpec, schema: SystemSchema):
@@ -585,27 +601,42 @@ class Evaluator:
                                   f" ({self.spec.components[j].target})", component=j)
         return f
 
-    def loss_and_grad(self, params: ParamVector, batch: TransitionBatch, dt: float):
-        """Batch one-step MSE and its exact reverse-mode gradient."""
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-            return self._loss_and_grad(params, batch, dt)
+    def loss_and_grad(self, params: ParamVector, batch: TransitionBatch, dt: float,
+                      out: ParamVector | None = None):
+        """Batch one-step MSE and its exact reverse-mode gradient.
 
-    def _loss_and_grad(self, params: ParamVector, batch: TransitionBatch, dt: float):
+        The gradient is a new ParamVector in params' layout, or out if
+        given: a ParamVector in that layout, which is zeroed, filled and
+        returned.  After an EvaluationFault out holds no gradient.
+        """
+        if out is not None and (out._index != params._index or out._shapes != params._shapes):
+            raise ValueError("out has another layout than params")
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+            return self._loss_and_grad(params, batch, dt, out)
+
+    def _loss_and_grad(self, params: ParamVector, batch: TransitionBatch, dt: float,
+                       out: ParamVector | None):
         f, (vals, mlp_out, mlp_caches) = self.derivatives(
             params, batch.x, batch.u, batch.t, with_cache=True
         )
         m_rows = len(batch)
-        resid = (batch.x + f * dt) - batch.y
-        loss = float(np.sum(resid * resid)) / m_rows
+        f *= dt  # f becomes the residual (x + f dt) - y, as in squared_residuals
+        f += batch.x
+        f -= batch.y
+        sq = f * f
+        loss = float(np.sum(sq)) / m_rows
         if not np.isfinite(loss):
-            bad = int(np.argmax(~np.isfinite(resid).all(axis=0)))
+            sums = np.sum(sq, axis=0)  # the first non-finite sum, else the largest
+            finite = np.isfinite(sums)
+            bad = int(np.argmax(sums) if finite.all() else np.argmin(finite))
             raise EvaluationFault(
                 f"non-finite loss (component {self.spec.components[bad].target})", component=bad
             )
-        g_f = (2.0 * dt / m_rows) * resid
+        f *= 2.0 * dt / m_rows
+        g_f = f  # the loss's adjoint of each derivative
         tape = self._tape
         adj = [None] * (tape.n_values + len(tape.occurrences))
-        out_adj = {name: np.zeros_like(out) for name, out in mlp_out.items()}
+        out_adj = {name: np.zeros_like(net_out) for name, net_out in mlp_out.items()}
         for j, comp in enumerate(self.spec.components):
             if tape.seeds[j] is not None:
                 adj[tape.seeds[j]] = g_f[:, j]
@@ -613,17 +644,22 @@ class Evaluator:
                 name, idx = comp.residual
                 out_adj[name][:, idx] += g_f[:, j]
         for slot, a, b, k, rule_a, to_a, rule_b, to_b in tape.backward:
-            g, va, vb = adj[slot], vals[a], vals[b]
+            g, va, vb, y = adj[slot], vals[a], vals[b], vals[slot]
             if to_a is not None:
-                adj[to_a] = rule_a(g, va, vb, k)
+                adj[to_a] = rule_a(g, va, vb, k, y)
             if to_b is not None:
-                adj[to_b] = rule_b(g, va, vb, k)
-        grads = params.zeros_like()
+                adj[to_b] = rule_b(g, va, vb, k, y)
+        if out is None:
+            grads = params.zeros_like()
+        else:
+            grads = out
+            grads.values.fill(0.0)
         for name, decl in self._mlps.items():
             _mlp_backward(decl, params.weights[name], mlp_caches[name], out_adj[name],
                           grads.weights[name])
-        for i, name in enumerate(tape.occurrences, start=tape.n_values):
-            grads.values[grads._index[name]] += adj[i].sum()
+        if tape.occurrences:  # one row per occurrence, each summed as a 1-D array would be
+            totals = np.array(adj[tape.n_values:]).sum(axis=1)
+            np.add.at(grads.values, [grads._index[name] for name in tape.occurrences], totals)
         finite = np.isfinite(grads.values)
         if not finite.all():
             bad = int(np.argmin(finite))

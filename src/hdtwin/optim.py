@@ -11,6 +11,7 @@ resetting the patience window.
 Parameters, gradients and Adam's moments m and v share one flat layout
 (engine.ParamVector): each mini-batch makes one adam_update call over the
 whole array and writes it back in place, so the weight views stay valid.
+Every mini-batch's gradient is written into one buffer that fit owns.
 """
 
 from __future__ import annotations
@@ -103,6 +104,7 @@ def fit(spec: ModelSpec, init: ParamVector, train: Dataset, val: Dataset,
     dt = train.schema.dt
     rng = np.random.default_rng(cfg.seed)
     m, v = np.zeros_like(params.values), np.zeros_like(params.values)
+    grads = params.zeros_like()
     step = 0
 
     try:
@@ -125,7 +127,7 @@ def fit(spec: ModelSpec, init: ParamVector, train: Dataset, val: Dataset,
         try:
             for lo in range(0, n, cfg.batch_size):
                 batch = shuffled.rows(lo, lo + cfg.batch_size)
-                loss, grads = ev.loss_and_grad(params, batch, dt)
+                loss, _ = ev.loss_and_grad(params, batch, dt, out=grads)
                 epoch_losses.append(loss)
                 step += 1
                 params.values[...], m, v = adam_update(params.values, grads.values, m, v,

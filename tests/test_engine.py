@@ -14,6 +14,7 @@ from conftest import (
     random_schema,
     random_spec,
 )
+from hdtwin import engine
 from hdtwin.dsl import MlpDecl, SystemSchema, VarSpec, parse_model_spec
 from hdtwin.engine import (
     Dataset,
@@ -212,6 +213,101 @@ def test_fault_does_not_spoil_the_next_call(text):
     loss_fresh, grads_fresh = Evaluator(spec, WS_SCHEMA).loss_and_grad(params, batch, 0.5)
     assert repr(loss) == repr(loss_fresh)
     assert _same_grads(grads, grads_fresh)
+
+
+@pytest.mark.parametrize("text", WS_SPECS)
+def test_loss_and_grad_into_a_buffer(text):
+    spec, params, batch = _ws_case(text, 50, seed=4)
+    ev = Evaluator(spec, WS_SCHEMA)
+    buf = params.zeros_like()
+    buf.values[:] = np.nan
+    loss, grads = ev.loss_and_grad(params, batch, 0.5, out=buf)
+    loss_fresh, grads_fresh = Evaluator(spec, WS_SCHEMA).loss_and_grad(params, batch, 0.5)
+    assert grads is buf
+    assert repr(loss) == repr(loss_fresh)
+    assert grads.values.tobytes() == grads_fresh.values.tobytes()
+    _, other = ev.loss_and_grad(params, _ws_case(text, 50, seed=5)[2], 0.5, out=buf)
+    assert other is buf and buf.values.tobytes() != grads_fresh.values.tobytes()
+
+
+def test_loss_and_grad_refuses_a_buffer_in_another_layout():
+    spec, params, batch = _ws_case(WS_SPECS[0], 5, seed=4)
+    other = ParamVector({"a": 0.0, "b": 0.0}, dict(params.weights))
+    with pytest.raises(ValueError, match="another layout"):
+        Evaluator(spec, WS_SCHEMA).loss_and_grad(params, batch, 0.5, out=other)
+
+
+def test_loss_overflow_names_the_component_that_overflowed():
+    # every residual is finite, but y's square overflows
+    spec = parse_model_spec("param a = 0.3\nd(x)/dt = a * x\nd(y)/dt = a * y")
+    rows = np.array([[0.1, 1e200]])
+    batch = TransitionBatch(rows, np.zeros((1, 1)), np.zeros(1), rows.copy())
+    with pytest.raises(EvaluationFault) as err:
+        Evaluator(spec, WS_SCHEMA).loss_and_grad(init_params(spec), batch, 0.5)
+    assert err.value.component == 1
+    assert str(err.value) == "non-finite loss (component y)"
+
+
+def test_loss_overflow_of_finite_sums_names_the_largest():
+    # each component's sum of squares is finite, their total is not
+    spec = parse_model_spec("param a = 0.0\nd(x)/dt = a * x\nd(y)/dt = a * y")
+    batch = TransitionBatch(np.zeros((1, 2)), np.zeros((1, 1)), np.zeros(1),
+                            np.array([[-1.2e154, -1.3e154]]))
+    with pytest.raises(EvaluationFault) as err:
+        Evaluator(spec, WS_SCHEMA).loss_and_grad(init_params(spec), batch, 0.5)
+    assert err.value.component == 1
+
+
+# ---------------------------------------------------------------------------
+# the backward kernels, bit for bit against the formulas they replaced
+
+GUARD_INPUTS = [0.0, -0.0, 5e-9, -5e-9, 1e-8, -1e-8, float(np.nextafter(1e-8, 0.0)),
+                float("nan"), float("inf"), float("-inf"), 3.0]
+
+
+def _old_guard_div(a):
+    keep = np.abs(a) >= 1e-8
+    fill = np.where(a >= 0.0, 1e-8, -1e-8)
+    return np.where(keep, a, fill)
+
+
+@pytest.mark.parametrize("value", GUARD_INPUTS)
+def test_guard_div_matches_the_old_formula(value):
+    want = _old_guard_div(np.float64(value))
+    got = engine._guard_div(np.float64(value), None, None, None)  # a scalar node
+    assert type(got) is type(want) and got.tobytes() == want.tobytes()
+    for row in (np.array([value]), np.array([3.0, value, -2.0]), np.full(9, value)):
+        out = np.full(len(row), 7.0)
+        assert engine._guard_div(row, None, None, out) is out
+        assert out.tobytes() == _old_guard_div(row).tobytes()
+
+
+def test_guard_div_row_of_large_values_and_infinities():
+    row = np.array([3.0, -1e-8, 1e-8, np.inf, -np.inf, -2.5, 1e300])
+    out = np.empty_like(row)
+    engine._guard_div(row, None, None, out)
+    assert out.tobytes() == _old_guard_div(row).tobytes() == row.tobytes()
+
+
+OLD_ACT_GRAD = {
+    "relu": lambda d, z: d * (z > 0).astype(float),
+    "leaky_relu": lambda d, z: d * np.where(z > 0, 1.0, 0.1),
+    "tanh": lambda d, z: d * (1 - np.tanh(z) ** 2),
+}
+
+
+@pytest.mark.parametrize("act", sorted(OLD_ACT_GRAD))
+def test_activation_backward_matches_the_old_formula(act):
+    rng = np.random.default_rng(6)
+    special = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e300, -1e300, 20.0, -20.0,
+               np.inf, -np.inf, np.nan]
+    pre = np.concatenate([special, rng.normal(0.0, 3.0, 400)]).reshape(-1, 7)
+    d = np.concatenate([rng.normal(size=pre.size - 4), [0.0, -0.0, 1e300, -1e-300]])
+    d = rng.permutation(d).reshape(pre.shape)
+    want = OLD_ACT_GRAD[act](d, pre)
+    stored = engine._act(act, pre, np.empty_like(pre))  # what the forward pass keeps
+    engine._act_backward(act, d, pre, stored)
+    assert d.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

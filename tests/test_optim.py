@@ -5,8 +5,8 @@ import pytest
 
 from hdtwin.dsl import SystemSchema, VarSpec, parse_model_spec
 from hdtwin import optim
-from hdtwin.engine import (Dataset, init_params, load_params, per_component_mse, rollout,
-                           save_params)
+from hdtwin.engine import (Dataset, Evaluator, init_params, load_params, per_component_mse,
+                           rollout, save_params)
 from hdtwin.optim import OptimConfig, adam_update, fit
 
 SCHEMA = SystemSchema(states=(VarSpec("x", -100.0, 100.0),), dt=1.0)
@@ -159,6 +159,27 @@ def test_fit_one_adam_call_per_batch_in_any_layout_order(monkeypatch, tmp_path):
     assert dict(again.params.scalars) == dict(direct.params.scalars)
     for (w1, b1), (w2, b2) in zip(again.params.weights["net"], direct.params.weights["net"]):
         assert w1.tobytes() == w2.tobytes() and b1.tobytes() == b2.tobytes()
+
+
+def test_fit_writes_every_gradient_into_one_buffer(monkeypatch):
+    train = make_linear_dataset(-0.3, 10, 15, seed=6, split="train")  # 140 transitions
+    val = make_linear_dataset(-0.3, 5, 15, seed=7, split="val")
+    spec = parse_model_spec(
+        "param a = 0.1\nmlp net(x) hidden [4] act tanh outputs 1\nd(x)/dt = a * x + net[0]"
+    )
+    cfg = OptimConfig(batch_size=64, max_epochs=4, patience=4, seed=9)
+    buffers = []
+    loss_and_grad = Evaluator.loss_and_grad
+
+    def spy(self, params, batch, dt, out=None):
+        buffers.append(out)
+        return loss_and_grad(self, params, batch, dt, out=out)
+
+    monkeypatch.setattr(Evaluator, "loss_and_grad", spy)
+    result = fit(spec, init_params(spec, seed=1), train, val, cfg)
+    assert len(buffers) == result.epochs_run * 3
+    assert buffers[0] is not None and all(b is buffers[0] for b in buffers)
+    assert not np.shares_memory(buffers[0].values, result.params.values)
 
 
 def test_fit_best_is_monotone_and_snapshot_consistent():
