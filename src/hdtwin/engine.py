@@ -291,7 +291,7 @@ def _mlp_backward(decl: MlpDecl, layers: Sequence[Layer], caches, g_out: np.ndar
     dz = g_out
     for li in reversed(range(len(layers))):
         a_prev, pre = caches[li]
-        if li < len(layers) - 1:  # dz is the fresh d_a of this hidden layer
+        if li < len(layers) - 1:  # a hidden layer: dz is its d_a, new from the layer above
             _act_backward(decl.activation, dz, pre, caches[li + 1][0])
         np.matmul(a_prev.T, dz, out=grads[li][0])
         dz.sum(axis=0, out=grads[li][1])
@@ -649,11 +649,8 @@ class Evaluator:
                 adj[to_a] = rule_a(g, va, vb, k, y)
             if to_b is not None:
                 adj[to_b] = rule_b(g, va, vb, k, y)
-        if out is None:
-            grads = params.zeros_like()
-        else:
-            grads = out
-            grads.values.fill(0.0)
+        grads = params.zeros_like() if out is None else out
+        grads.values.fill(0.0)
         for name, decl in self._mlps.items():
             _mlp_backward(decl, params.weights[name], mlp_caches[name], out_adj[name],
                           grads.weights[name])
