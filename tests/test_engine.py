@@ -262,7 +262,7 @@ def test_loss_overflow_of_finite_sums_names_the_largest():
 # the backward kernels, bit for bit against the formulas they replaced
 
 GUARD_INPUTS = [0.0, -0.0, 5e-9, -5e-9, 1e-8, -1e-8, float(np.nextafter(1e-8, 0.0)),
-                float("nan"), float("inf"), float("-inf"), 3.0]
+                float("nan"), float("inf"), float("-inf"), 3.0, -1e300]
 
 
 def _old_guard_div(a):
@@ -280,13 +280,6 @@ def test_guard_div_matches_the_old_formula(value):
         out = np.full(len(row), 7.0)
         assert engine._guard_div(row, None, None, out) is out
         assert out.tobytes() == _old_guard_div(row).tobytes()
-
-
-def test_guard_div_row_of_large_values_and_infinities():
-    row = np.array([3.0, -1e-8, 1e-8, np.inf, -np.inf, -2.5, 1e300])
-    out = np.empty_like(row)
-    engine._guard_div(row, None, None, out)
-    assert out.tobytes() == _old_guard_div(row).tobytes() == row.tobytes()
 
 
 OLD_ACT_GRAD = {
