@@ -22,7 +22,6 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-import requests
 
 from hdtwin.dsl import DslError, ModelSpec, SystemSchema, parse_model_spec, validate
 from hdtwin.engine import ParamVector
@@ -113,6 +112,14 @@ class DecodingConfig:
     def __post_init__(self):
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
+        if self.max_tokens < 1:
+            raise ValueError("max_tokens must be >= 1")
+        if self.timeout <= 0:
+            raise ValueError("timeout must be > 0")
+        if self.retries < 0:
+            raise ValueError("retries must be >= 0")
+        if self.retry_wait < 0:
+            raise ValueError("retry_wait must be >= 0")
 
 
 def population_insert(pop: Population, entry: PopulationEntry) -> Population:
@@ -310,6 +317,7 @@ class HttpClient:
         self.transcript: list[dict] = []
 
     def complete(self, messages: list[dict], cfg: DecodingConfig) -> str:
+        import requests  # imported here: offline runs never pay for the HTTP and TLS stack
         payload = {
             "model": cfg.model,
             "messages": messages,

@@ -217,16 +217,22 @@ def _load_run_config(path: str) -> dict:
     return doc
 
 
-def _build_sub_config(cls, doc: dict, section: str):
+def _build_sub_config(cls, doc: dict, section: str, other_keys: frozenset = frozenset()):
+    """Build `cls` from `doc[section]`; `other_keys` are the section's keys
+    that belong to something else and are skipped, not rejected."""
     body = doc.get(section, {})
     fields = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(body) - fields
+    unknown = set(body) - fields - other_keys
     if unknown:
         raise ConfigError(f"unknown {section} config keys: {', '.join(sorted(unknown))}")
     try:
-        return cls(**body)
+        return cls(**{k: v for k, v in body.items() if k in fields})
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad {section} config: {err}")
+
+
+# the client section's keys that pick the transport; the rest are DecodingConfig fields
+CLIENT_TRANSPORT_KEYS = frozenset({"mode", "path", "base_url"})
 
 
 def _client_factory_from_config(doc: dict):
@@ -253,9 +259,8 @@ def cmd_evolve(args) -> int:
         evolve_cfg = dataclasses.replace(
             evolve_cfg, optim=_build_sub_config(OptimConfig, doc, "optim"))
     if "client" in doc:
-        decode_body = {k: v for k, v in doc["client"].items()
-                       if k in {f.name for f in dataclasses.fields(DecodingConfig)}}
-        evolve_cfg = dataclasses.replace(evolve_cfg, decoding=DecodingConfig(**decode_body))
+        evolve_cfg = dataclasses.replace(evolve_cfg, decoding=_build_sub_config(
+            DecodingConfig, doc, "client", CLIENT_TRANSPORT_KEYS))
     gen_cfg = _build_sub_config(GenConfig, doc, "gen")
     sindy_cfg = _build_sub_config(SindyConfig, doc, "sindy")
     factory = None

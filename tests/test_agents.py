@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
+import requests
 
 import replay_fixtures
 from hdtwin.agents import (
@@ -368,3 +370,34 @@ def test_http_client_malformed_body_is_transport_error(stub_server):
     with pytest.raises(TransportError, match="malformed"):
         client.complete([{"role": "user", "content": "hi"}],
                         DecodingConfig(retries=0, retry_wait=0.0))
+
+
+def test_http_client_connection_failure_retries_then_raises(monkeypatch):
+    with socket.socket() as sock:       # a local port that nothing listens on
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    calls = []
+    real_post = requests.post
+
+    def counting_post(*args, **kwargs):
+        calls.append(args[0])
+        return real_post(*args, **kwargs)
+
+    monkeypatch.setattr(requests, "post", counting_post)
+    client = HttpClient(f"http://127.0.0.1:{port}", api_key="k")
+    with pytest.raises(TransportError, match="request failed"):
+        client.complete([{"role": "user", "content": "hi"}],
+                        DecodingConfig(retries=2, retry_wait=0.0, timeout=5.0))
+    assert len(calls) == 3
+    assert client.transcript == []
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("retries", -1, "retries must be >= 0"),
+    ("retry_wait", -0.5, "retry_wait must be >= 0"),
+    ("timeout", 0.0, "timeout must be > 0"),
+    ("max_tokens", 0, "max_tokens must be >= 1"),
+])
+def test_decoding_config_rejects_out_of_range_fields(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        DecodingConfig(**{field: value})

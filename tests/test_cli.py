@@ -118,6 +118,18 @@ def test_evolve_config_errors(tmp_path):
     assert dispatch(["evolve", "--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("client, message", [
+    ({"temprature": 0.2}, "unknown client config keys: temprature"),
+    ({"retries": -1}, "bad client config: retries must be >= 0"),
+])
+def test_evolve_client_config_errors(tmp_path, capsys, client, message):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"system": "cancer-chemo-radio", "method": "evolve",
+                               "seeds": [0], "client": {"mode": "replay", **client}}))
+    assert dispatch(["evolve", "--config", str(cfg)]) == EXIT_CONFIG
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_evolve_replay_exhaustion_is_transport_failure(tmp_path):
     replay = tmp_path / "replies.json"
     save_replay(replay_fixtures.evolution_replies()[:1], replay)  # far too short

@@ -1,0 +1,37 @@
+"""Importing the package loads neither the HTTP stack nor scipy.
+
+Both are imported where they are used (`HttpClient.complete`, the
+engine's sigmoid kernel, the orchestrator's confidence interval), so the
+offline commands and replayed runs start without them.  A fresh
+interpreter is needed because the test session itself may have loaded
+them already.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PACKAGE_MODULES = ("hdtwin", "hdtwin.cli", "hdtwin.orchestrator", "hdtwin.systems",
+                   "hdtwin.baselines")
+LAZY_MODULES = ("requests", "urllib3", "ssl", "scipy")
+
+
+def test_importing_the_package_loads_no_http_stack_and_no_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    code = (
+        "import importlib, sys\n"
+        f"for name in {PACKAGE_MODULES!r}:\n"
+        "    importlib.import_module(name)\n"
+        f"print(','.join(m for m in {LAZY_MODULES!r} if m in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "", f"loaded at import: {proc.stdout.strip()}"
