@@ -104,6 +104,29 @@ def test_parse_errors_carry_location():
         parse_model_spec("mlp net(x) hidden [4] act relu outputs 1\nd(x)/dt = x - net[0]")
 
 
+@pytest.mark.parametrize("line, col, message", [
+    ("mlp net(x) hiden [4] act relu outputs 1", 12, "expected 'hidden', found 'hiden'"),
+    ("mlp net(x) [4] act relu outputs 1", 12, "expected 'hidden', found '['"),
+    ("mlp net(x)", 11, "expected 'hidden', found end of line"),
+    ("mlp net(x) hidden [4] activation relu outputs 1", 23,
+     "expected 'act', found 'activation'"),
+    ("mlp net(x) hidden [4] = relu outputs 1", 23, "expected 'act', found '='"),
+    ("mlp net(x) hidden [4]", 22, "expected 'act', found end of line"),
+    ("mlp net(x) hidden [4] act relu output 1", 32, "expected 'outputs', found 'output'"),
+    ("mlp net(x) hidden [4] act relu , 1", 32, "expected 'outputs', found ','"),
+    ("mlp net(x) hidden [4] act relu", 31, "expected 'outputs', found end of line"),
+    ("mlp net(x) hidden [4] act relu 2 1", 32, "expected 'outputs', found '2'"),
+    ("d(x)/dx = 1", 6, "expected 'dt', found 'dx'"),
+    ("d(x)/(dt) = 1", 6, "expected 'dt', found '('"),
+    ("d(x)/", 6, "expected 'dt', found end of line"),
+])
+def test_parse_keyword_errors_exact(line, col, message):
+    with pytest.raises(ParseError) as err:
+        parse_model_spec("param a = 1.0\n" + line)
+    assert (err.value.line, err.value.col) == (2, col)
+    assert str(err.value) == f"line 2, col {col} in {line!r}: {message}"
+
+
 def test_parse_comments_and_precedence():
     spec = parse_model_spec("d(x)/dt = 1 + 2 * x ^ 2.0  # quadratic\n")
     e = spec.components[0].expr

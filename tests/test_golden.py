@@ -31,7 +31,13 @@ from hdtwin.engine import (
     save_params,
 )
 from hdtwin.optim import OptimConfig, fit
-from hdtwin.orchestrator import EvolveConfig, evolve, make_modeling_context, write_run_archive
+from hdtwin.orchestrator import (
+    EvolveConfig,
+    evolve,
+    make_modeling_context,
+    run_experiment,
+    write_run_archive,
+)
 from hdtwin.systems import (
     BUILTIN_IDS,
     GenConfig,
@@ -104,6 +110,20 @@ FIT_PARAMS_SHA = "ec6940759182e94232b5e649d3d50e28de0793cb10626bb540c08b90ff05e7
 # sha256 of the write_run_archive tree of the scripted six-generation evolve
 # on cancer-chemo-radio GenConfig(n=5, seed=3), 10 fixed epochs per fit
 EVOLVE_ARCHIVE_SHA = "45f68c02bf24cbc43d266c242b9233689cfa19d2511e55a383a91963faf685f6"
+
+# sha256 of the run_experiment output tree, seeds 0 and 1, GenConfig(n=5,
+# seed=3), one generation with 10 fixed epochs; the agent methods get the
+# first replay fixture reply
+EXPERIMENT_SHA = {
+    ("cancer-chemo-radio", "zero-shot"):
+        "982cea8344bb2ad4374db5bae2edee0604a88ef3d9344ee9d97e1458f79060ec",
+    ("cancer-chemo-radio", "zero-optim"):
+        "8029717f6c45a0d95afa100528b2e3ce32c2f25992aace62a2ed8fcec654ab50",
+    ("lv2", "sindy"):
+        "36f0b51e816f336f3fee39087a5aac22e8c01108380cd0883688b8861e5a1640",
+    ("lv2", "baseline:lv2"):
+        "b45d748dab8f2e9d0045b4a1ff707310c9fab0591e917aeb2409a116d2547ad4",
+}
 
 # The backward pass: test_engine's WS_SPECS plus a spec with sqrt, log,
 # sigmoid, tanh, exp and a real power with a parameter exponent, each
@@ -269,3 +289,17 @@ def backward_hashes(text: str, seed: int) -> tuple[str, str]:
 def test_backward_pin(i):
     text = [*WS_SPECS, BITS_SPEC][i]
     assert backward_hashes(text, seed=i) == BACKWARD_SHA[i]
+
+
+def run_experiment_tree(system_id: str, method: str, out: Path) -> str:
+    cfg = EvolveConfig(generations=1, seed=0,
+                       optim=OptimConfig(batch_size=200, max_epochs=10, patience=10, seed=0))
+    reply = replay_fixtures.evolution_replies()[0]
+    run_experiment(system_id, method, [0, 1], evolve_cfg=cfg, gen_cfg=GenConfig(n=5, seed=3),
+                   client_factory=lambda seed: ScriptedClient([reply]), out_dir=out)
+    return tree_sha256(out)
+
+
+@pytest.mark.parametrize("system_id, method", sorted(EXPERIMENT_SHA))
+def test_run_experiment_pin(system_id, method, tmp_path):
+    assert run_experiment_tree(system_id, method, tmp_path) == EXPERIMENT_SHA[system_id, method]
