@@ -349,7 +349,7 @@ class HttpClient:
                 continue
             self.transcript.append({"request": messages, "reply": text})
             return text
-        raise last if last is not None else TransportError("no attempts made")
+        raise last
 
 
 class ScriptedClient:

@@ -40,13 +40,10 @@ class SindyConfig:
     degree: int = 2
     alpha: float = 0.5        # ridge strength inside each least-squares solve
     threshold: float = 0.02   # coefficients below this are zeroed (1e-5 for the epidemic data)
-    fd_order: int = 1         # forward first-order differences
 
     def __post_init__(self):
         if self.degree < 1 or self.alpha < 0 or self.threshold < 0:
             raise ValueError("degree >= 1, alpha >= 0, threshold >= 0 required")
-        if self.fd_order != 1:
-            raise ValueError("only first-order finite differences are supported")
 
 
 @dataclass

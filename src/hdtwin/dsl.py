@@ -375,9 +375,7 @@ def _parse_mlp_line(p: _LineParser) -> MlpDecl:
         p.next()
         inputs.append(p.expect_ident("an input name").text)
     p.expect(")")
-    kw = p.expect_ident("'hidden'")
-    if kw.text != "hidden":
-        raise p.error(f"expected 'hidden', found {kw.text!r}", kw)
+    p.expect("hidden")
     p.expect("[")
     hidden: list[int] = []
     if p.peek().text != "]":
@@ -386,13 +384,9 @@ def _parse_mlp_line(p: _LineParser) -> MlpDecl:
             p.next()
             hidden.append(p.expect_int("a layer width"))
     p.expect("]")
-    kw = p.expect_ident("'act'")
-    if kw.text != "act":
-        raise p.error(f"expected 'act', found {kw.text!r}", kw)
+    p.expect("act")
     act = p.expect_ident("an activation name").text
-    kw = p.expect_ident("'outputs'")
-    if kw.text != "outputs":
-        raise p.error(f"expected 'outputs', found {kw.text!r}", kw)
+    p.expect("outputs")
     outputs = p.expect_int("the output count")
     p.require_end()
     return MlpDecl(name, tuple(inputs), tuple(hidden), act, outputs)
@@ -404,9 +398,7 @@ def _parse_component_line(p: _LineParser) -> tuple[str, Expr]:
     target = p.expect_ident("a state variable name").text
     p.expect(")")
     p.expect("/")
-    kw = p.expect_ident("'dt'")
-    if kw.text != "dt":
-        raise p.error(f"expected 'dt', found {kw.text!r}", kw)
+    p.expect("dt")
     p.expect("=")
     if p.at_end():
         raise p.error("missing derivative expression")

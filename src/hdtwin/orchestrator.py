@@ -2,8 +2,9 @@
 
 evolve() iterates propose -> fit -> evaluate -> insert -> critique for a
 fixed number of generations, keeps the top-K population, and evaluates
-the best-by-validation candidate once on the test split.  zero_shot and
-zero_optim are the single-proposal ablations.  run_experiment repeats a
+the best-by-validation candidate once on the test split.  zero_optim is
+evolve cut to one generation; zero_shot, the one unfitted path, scores the
+first proposal with its suggested inits.  run_experiment repeats a
 method over seeds (regenerating the datasets per seed) and aggregates the
 test metric as mean with a 95% Student-t half-width.
 
@@ -143,9 +144,13 @@ def make_modeling_context(system: SystemDef, generations: int,
 def evaluate_test_metrics(spec: ModelSpec, params: ParamVector, test: Dataset) -> TestMetrics:
     """Test scores from one compiled evaluator and one one-step forward
     pass; delta and upsilon reduce the squared residuals as
-    per_component_mse does, sum_mse as one_step_mse does."""
+    per_component_mse does, sum_mse as one_step_mse does.  A forward pass
+    that faults scores inf, as rollout_mse scores an exploding rollout."""
     ev = Evaluator(spec, test.schema)
-    sq = squared_residuals(spec, params, test, evaluator=ev)
+    try:
+        sq = squared_residuals(spec, params, test, evaluator=ev)
+    except EvaluationFault:
+        sq = np.full((1, len(spec.components)), np.inf)
     delta = np.mean(sq, axis=0)
     return TestMetrics(
         upsilon=float(np.mean(delta)),
@@ -244,56 +249,39 @@ def evolve(ctx: ModelingContext, system: SystemDef, datasets: dict[str, Dataset]
 
     best = pop.best()
     if best is None:
-        raise RunFailure("no generation produced a usable candidate",
-                         list(getattr(client, "transcript", [])))
+        raise RunFailure("no generation produced a usable candidate", list(client.transcript))
     t0 = time.perf_counter()
     test_metrics = evaluate_test_metrics(best.spec, best.params, test)
     stages["evaluate"] += time.perf_counter() - t0
-    return RunResult(best, pop, best_curve, records, test_metrics,
-                     list(getattr(client, "transcript", [])), fit_results, stages,
-                     transport_error)
-
-
-def _single_proposal(ctx, system, datasets, cfg, client, optimize: bool) -> RunResult:
-    train, val, test = datasets["train"], datasets["val"], datasets["test"]
-    try:
-        spec, description = propose(client, ctx, system.schema, Population(capacity=cfg.capacity),
-                                    None, 1, cfg.decoding)
-    except ProposalFailure as err:
-        raise RunFailure(f"proposal failed: {err}", list(getattr(client, "transcript", [])))
-    params = init_params(spec, seed=_mix_seed(cfg.seed, 1))
-    fit_results: dict[int, FitResult] = {}
-    if optimize:
-        result = fit(spec, params, train, val, cfg.optim)
-        fit_results[1] = result
-        if result.faulted or not np.isfinite(result.val_loss):
-            raise RunFailure("fit faulted", list(getattr(client, "transcript", [])))
-        params, delta, ups = result.params, result.component_losses, result.val_loss
-    else:
-        try:
-            delta, ups = per_component_mse(spec, params, val)
-        except EvaluationFault as fault:
-            raise RunFailure(f"evaluation faulted: {fault}",
-                             list(getattr(client, "transcript", [])))
-    canon = canonicalize(spec)
-    entry = PopulationEntry(spec, canon.text, canon.fingerprint, params,
-                            np.asarray(delta), float(ups), 1, description)
-    pop = record_generation(population_insert(Population(capacity=cfg.capacity), entry), 1)
-    record = GenerationRecord(1, "inserted", entry.upsilon, entry.upsilon,
-                              entry.fingerprint, description)
-    test_metrics = evaluate_test_metrics(spec, params, test)
-    return RunResult(entry, pop, [entry.upsilon], [record], test_metrics,
-                     list(getattr(client, "transcript", [])), fit_results, {})
+    return RunResult(best, pop, best_curve, records, test_metrics, list(client.transcript),
+                     fit_results, stages, transport_error)
 
 
 def zero_shot(ctx, system, datasets, cfg: EvolveConfig, client) -> RunResult:
     """Evaluate the first valid proposal with its suggested inits, unfitted."""
-    return _single_proposal(ctx, system, datasets, cfg, client, optimize=False)
+    try:
+        spec, description = propose(client, ctx, system.schema, Population(capacity=cfg.capacity),
+                                    None, 1, cfg.decoding)
+    except ProposalFailure as err:
+        raise RunFailure(f"proposal failed: {err}", list(client.transcript))
+    params = init_params(spec, seed=_mix_seed(cfg.seed, 1))
+    try:
+        delta, ups = per_component_mse(spec, params, datasets["val"])
+    except EvaluationFault as fault:
+        raise RunFailure(f"evaluation faulted: {fault}", list(client.transcript))
+    canon = canonicalize(spec)
+    entry = PopulationEntry(spec, canon.text, canon.fingerprint, params, delta, ups, 1,
+                            description)
+    pop = record_generation(population_insert(Population(capacity=cfg.capacity), entry), 1)
+    record = GenerationRecord(1, "inserted", ups, ups, entry.fingerprint, description)
+    return RunResult(entry, pop, [ups], [record],
+                     evaluate_test_metrics(spec, params, datasets["test"]),
+                     list(client.transcript))
 
 
 def zero_optim(ctx, system, datasets, cfg: EvolveConfig, client) -> RunResult:
-    """zero_shot plus one parameter fit."""
-    return _single_proposal(ctx, system, datasets, cfg, client, optimize=True)
+    """zero_shot plus one parameter fit: a one-generation evolve."""
+    return evolve(ctx, system, datasets, dataclasses.replace(cfg, generations=1), client)
 
 
 def scale_param(entry: PopulationEntry, name: str, factor: float) -> PopulationEntry:
@@ -432,24 +420,21 @@ def run_experiment(system_id: str, method: str, seeds: list[int], *,
                 if seed_dir:
                     write_run_archive(seed_dir, result, system_id, method, seed, cfg)
                     outcome.archive = str(seed_dir)
-            elif method == "sindy":
-                res = sindy_fit(datasets["train"], sindy_cfg)
-                metrics = evaluate_test_metrics(res.spec, sindy_params(res), datasets["test"])
+            else:  # sindy or baseline:<id>, scored through one tail
+                if method == "sindy":
+                    res = sindy_fit(datasets["train"], sindy_cfg)
+                    spec, params = res.spec, sindy_params(res)
+                else:
+                    spec = builtin_baseline_spec(method.split(":", 1)[1], system.schema)
+                    fitted = fit(spec, init_params(spec, seed=seed),
+                                 datasets["train"], datasets["val"], cfg.optim)
+                    if fitted.faulted:
+                        raise RunFailure("baseline fit faulted", [])
+                    params = fitted.params
+                metrics = evaluate_test_metrics(spec, params, datasets["test"])
                 outcome.metric = metrics.headline(cfg.test_metric)
                 if seed_dir:
-                    write_model_dir(seed_dir, canonicalize(res.spec).text, sindy_params(res),
-                                    _metrics_doc(metrics, cfg.test_metric))
-                    outcome.archive = str(seed_dir)
-            elif method.startswith("baseline:"):
-                spec = builtin_baseline_spec(method.split(":", 1)[1], system.schema)
-                result = fit(spec, init_params(spec, seed=seed),
-                             datasets["train"], datasets["val"], cfg.optim)
-                if result.faulted:
-                    raise RunFailure("baseline fit faulted", [])
-                metrics = evaluate_test_metrics(spec, result.params, datasets["test"])
-                outcome.metric = metrics.headline(cfg.test_metric)
-                if seed_dir:
-                    write_model_dir(seed_dir, canonicalize(spec).text, result.params,
+                    write_model_dir(seed_dir, canonicalize(spec).text, params,
                                     _metrics_doc(metrics, cfg.test_metric))
                     outcome.archive = str(seed_dir)
         except (RunFailure, EvaluationFault, ValueError, KeyError) as err:

@@ -10,8 +10,15 @@ import pytest
 import replay_fixtures
 from hdtwin.agents import save_replay
 from hdtwin.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUN, EXIT_TRANSPORT, build_parser, dispatch
-from hdtwin.dsl import canonicalize
-from hdtwin.engine import load_saved_dataset, one_step_mse, per_component_mse, load_params
+from hdtwin.dsl import canonicalize, parse_model_spec
+from hdtwin.engine import (
+    init_params,
+    load_params,
+    load_saved_dataset,
+    one_step_mse,
+    per_component_mse,
+    save_params,
+)
 from hdtwin.systems import builtin_system
 
 
@@ -78,6 +85,20 @@ def test_fit_and_eval_round_trip(small_data, tmp_path, capsys):
         one_step_mse(spec, params, load_saved_dataset(small_data / "test")), abs=1e-12)
 
 
+def test_eval_reports_inf_when_the_test_pass_overflows(tmp_path, capsys):
+    data = tmp_path / "ood"
+    assert dispatch(["gen-data", "--system", "cancer", "--seed", "0", "--n", "4", "--ood",
+                     "--out", str(data)]) == EXIT_OK
+    spec = parse_model_spec("param p = 0.0008\nd(tumor_volume)/dt = exp(p * tumor_volume ^ 2.0)")
+    (tmp_path / "model.hdt").write_text(canonicalize(spec).text)
+    save_params(init_params(spec), tmp_path / "params.json")
+    code = dispatch(["eval", "--spec", str(tmp_path / "model.hdt"),
+                     "--params", str(tmp_path / "params.json"), "--data", str(data / "test")])
+    assert code == EXIT_OK
+    doc = last_metrics(capsys)
+    assert doc["upsilon"] == doc["sum_mse"] == doc["rollout_mse"] == float("inf")
+
+
 def test_evolve_with_replay_config(tmp_path, capsys):
     replay = tmp_path / "replies.json"
     save_replay(replay_fixtures.evolution_replies(), replay)
@@ -116,6 +137,14 @@ def test_evolve_config_errors(tmp_path):
                                "bogus_key": 1}))
     assert dispatch(["evolve", "--config", str(cfg)]) == EXIT_CONFIG
     assert dispatch(["evolve", "--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG
+
+
+def test_sindy_fd_order_is_an_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "sindy.json"
+    cfg.write_text(json.dumps({"system": "lv2", "method": "sindy", "seeds": [0],
+                               "sindy": {"fd_order": 1}}))
+    assert dispatch(["evolve", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "unknown sindy config keys: fd_order" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("client, message", [

@@ -198,6 +198,14 @@ def test_zero_shot_true_structure_true_values(cancer_datasets):
     assert result.test.rollout <= 1e-12
 
 
+def test_zero_optim_failure_reads_like_evolve(cancer_datasets):
+    system, datasets = cancer_datasets
+    ctx = make_modeling_context(system, 1, n_trajectories=6)
+    with pytest.raises(RunFailure, match="no generation produced a usable candidate") as err:
+        zero_optim(ctx, system, datasets, small_cfg(3), ScriptedClient(["junk"] * 8))
+    assert len(err.value.transcript) == FAST_DECODING.retries + 1  # one generation only
+
+
 def test_zero_optim_no_worse_than_zero_shot(cancer_datasets):
     system, datasets = cancer_datasets
     reply = replay_fixtures.evolution_replies()[0]
@@ -333,6 +341,22 @@ def test_run_experiment_keeps_seeds_before_a_transport_failure(tmp_path):
     assert report.mean == first.metric
     rows = (tmp_path / "summary.csv").read_text().splitlines()
     assert rows[1].startswith("0,") and rows[2].startswith("1,,transport failure")
+
+
+def test_run_experiment_archives_a_seed_whose_test_pass_faults(tmp_path):
+    # finite on validation, but the derivative overflows on the larger
+    # test-split volumes: the seed is archived with metric inf, not lost
+    reply = make_reply("param p = 0.0008\nd(tumor_volume)/dt = exp(p * tumor_volume ^ 2.0)",
+                       "super-exponential growth")
+    report = run_experiment("cancer", "zero-shot", [0], gen_cfg=GenConfig(n=4, ood=True),
+                            client_factory=lambda seed: ScriptedClient([reply]),
+                            out_dir=tmp_path)
+    (outcome,) = report.outcomes
+    assert outcome.error is None and outcome.metric == float("inf")
+    result = json.loads((tmp_path / "seed-0000" / "result.json").read_text())
+    assert np.isfinite(result["best_upsilon"])
+    assert result["test_upsilon"] == result["test_sum_mse"] == float("inf")
+    assert result["test_delta"] == [float("inf")]
 
 
 def test_run_experiment_validates_method():
