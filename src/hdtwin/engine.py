@@ -53,6 +53,13 @@ occurrence are copied into the rows of one block and summed in one call,
 each row as a 1-D sum would be, and the totals are added into the
 scalars from 0.0 in left-to-right occurrence order.  One finiteness
 check covers the gradient, naming the first bad entry.
+
+A bias gradient and the per-component means sum the columns of an
+(M, w) array with _column_sums.  numpy's sum(axis=0) adds such an array
+one row at a time; einsum("ij->j") adds its rows in the same order, so
+gives the same bits, without the per-row loop.  A single column is
+contiguous, so sum(axis=0) adds it pairwise, and an array that is not
+C-contiguous is walked in another order: both keep sum(axis=0).
 """
 
 from __future__ import annotations
@@ -273,6 +280,14 @@ def _act_backward(name: str, d_a: np.ndarray, pre: np.ndarray, act: np.ndarray):
         d_a *= 1.0 - act * act
 
 
+def _column_sums(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Each column's sum of the 2-D array a, its rows added in order: the
+    bits of a.sum(axis=0), which numpy computes one row at a time."""
+    if a.shape[1] >= 2 and a.flags.c_contiguous:
+        return np.einsum("ij->j", a, out=out)
+    return a.sum(axis=0, out=out)
+
+
 def _mlp_forward(decl: MlpDecl, layers: Sequence[Layer], z0: np.ndarray, buffers):
     """The network's output for inputs z0, computed in buffers: one
     (pre-activation, activation) pair per layer, the last activation None."""
@@ -294,7 +309,7 @@ def _mlp_backward(decl: MlpDecl, layers: Sequence[Layer], caches, g_out: np.ndar
         if li < len(layers) - 1:  # a hidden layer: dz is its d_a, new from the layer above
             _act_backward(decl.activation, dz, pre, caches[li + 1][0])
         np.matmul(a_prev.T, dz, out=grads[li][0])
-        dz.sum(axis=0, out=grads[li][1])
+        _column_sums(dz, out=grads[li][1])
         if li:  # the network inputs need no adjoint
             dz = dz @ layers[li][0].T
 
@@ -777,7 +792,8 @@ def per_component_mse(spec: ModelSpec, params: ParamVector, dataset: Dataset,
                       evaluator: Evaluator | None = None):
     """Per-dimension one-step MSE delta and its mean upsilon.
     `evaluator`, if given, must be compiled for spec and dataset.schema."""
-    delta = np.mean(squared_residuals(spec, params, dataset, evaluator), axis=0)
+    sq = squared_residuals(spec, params, dataset, evaluator)
+    delta = _column_sums(sq) / sq.shape[0]  # the bits of np.mean(sq, axis=0)
     return delta, float(np.mean(delta))
 
 

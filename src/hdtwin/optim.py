@@ -17,6 +17,7 @@ Every mini-batch's gradient is written into one buffer that fit owns.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +56,15 @@ class OptimConfig:
             raise ValueError("all optimizer settings must be positive")
         if self.patience > self.max_epochs:
             raise ValueError("patience cannot exceed max_epochs")
+        # Adam is undefined outside these ranges: its steps go non-finite,
+        # and a fit would report that as a fault of the model
+        if not math.isfinite(self.lr):
+            raise ValueError(f"lr must be finite (got {self.lr})")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1) (got {getattr(self, name)})")
+        if not self.eps > 0.0:
+            raise ValueError(f"eps must be positive (got {self.eps})")
 
 
 @dataclass

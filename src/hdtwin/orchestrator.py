@@ -48,6 +48,7 @@ from hdtwin.engine import (
     EvaluationFault,
     Evaluator,
     ParamVector,
+    _column_sums,
     init_params,
     per_component_mse,
     rollout_mse,
@@ -151,7 +152,7 @@ def evaluate_test_metrics(spec: ModelSpec, params: ParamVector, test: Dataset) -
         sq = squared_residuals(spec, params, test, evaluator=ev)
     except EvaluationFault:
         sq = np.full((1, len(spec.components)), np.inf)
-    delta = np.mean(sq, axis=0)
+    delta = _column_sums(sq) / sq.shape[0]
     return TestMetrics(
         upsilon=float(np.mean(delta)),
         delta=delta,
@@ -405,6 +406,8 @@ def run_experiment(system_id: str, method: str, seeds: list[int], *,
                 optim=dataclasses.replace(evolve_cfg.optim, seed=seed),
             )
             if method in agent_methods:
+                if method != "evolve":  # one proposal: the prompt and manifest say so
+                    cfg = dataclasses.replace(cfg, generations=1)
                 client = client_factory(seed)
                 ctx = make_modeling_context(system, cfg.generations, gen_cfg.n)
                 runner = {"evolve": evolve, "zero-shot": zero_shot,

@@ -142,6 +142,14 @@ def test_evolve_config_errors(tmp_path):
     assert dispatch(["evolve", "--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG
 
 
+def test_evolve_rejects_impossible_adam_settings(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"system": "cancer-chemo-radio", "method": "evolve",
+                               "seeds": [0], "optim": {"beta1": 1.0}}))
+    assert dispatch(["evolve", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "error: bad optim config: beta1 must be in [0, 1)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("client, message", [
     ({"temprature": 0.2}, "unknown client config keys: temprature"),
     ({"retries": -1}, "bad client config: retries must be >= 0"),

@@ -303,6 +303,50 @@ def test_activation_backward_matches_the_old_formula(act):
     assert d.tobytes() == want.tobytes()
 
 
+def _column_sum_inputs(rng, m, width):
+    """A (m, width) array with rows scaled across 1e-3..1e3, and copies of
+    it with a column of -0.0, a nan, and an inf and -inf."""
+    a = rng.normal(size=(m, width)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(m, 1))
+    zero, nan, inf = a.copy(), a.copy(), a.copy()
+    zero[:, -1] = -0.0
+    nan[m // 2, 0] = np.nan
+    inf[0, width // 2] = np.inf
+    inf[-1, -1] = -np.inf
+    return [a, zero, nan, inf]
+
+
+@pytest.mark.parametrize("width", [*range(1, 21), 64])
+def test_column_sums_have_the_bits_of_numpy_sum_and_mean(width):
+    """The bias gradient and the per-component means rest on this: a numpy
+    whose einsum adds rows in another order fails here, not in a pin."""
+    rng = np.random.default_rng(width)
+    cases = [(m, a) for m in (1, 2, 7, 999, 1000, 6000)
+             for a in _column_sum_inputs(rng, m, width)]
+    with np.errstate(invalid="ignore"):  # inf + -inf
+        for m, a in cases:
+            got = engine._column_sums(a)
+            assert got.tobytes() == a.sum(axis=0).tobytes(), (m, width)
+            assert (got / m).tobytes() == np.mean(a, axis=0).tobytes(), (m, width)
+            block = np.full(width + 2, 7.0)  # out= a view, as a bias gradient is
+            engine._column_sums(a, out=block[1:-1])
+            assert block[1:-1].tobytes() == got.tobytes() and block[0] == block[-1] == 7.0
+
+
+def test_column_sums_fall_back_off_the_c_contiguous_path(monkeypatch):
+    """One column, an F-ordered array and a strided view take sum(axis=0):
+    einsum's loop would give other bits for them."""
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(999, 6)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(999, 1))
+    cases = [a[:, :1].copy(), np.asfortranarray(a), a[:, ::2]]
+    want = [c.sum(axis=0).tobytes() for c in cases]
+
+    def no_einsum(*args, **kwargs):
+        raise AssertionError("einsum called")
+
+    monkeypatch.setattr(np, "einsum", no_einsum)
+    assert [engine._column_sums(c).tobytes() for c in cases] == want
+
+
 # ---------------------------------------------------------------------------
 # rollout
 

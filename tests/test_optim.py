@@ -232,3 +232,20 @@ def test_optim_config_validation():
         OptimConfig(lr=0.0)
     with pytest.raises(ValueError):
         OptimConfig(patience=50, max_epochs=10)
+
+
+@pytest.mark.parametrize("setting, message", [
+    ({"beta1": 1.0}, "beta1 must be in"),
+    ({"beta1": -0.1}, "beta1 must be in"),
+    ({"beta2": 1.0}, "beta2 must be in"),
+    ({"beta2": float("nan")}, "beta2 must be in"),
+    ({"eps": 0.0}, "eps must be positive"),
+    ({"eps": -1e-8}, "eps must be positive"),
+    ({"lr": float("nan")}, "lr must be finite"),
+    ({"lr": float("inf")}, "lr must be finite"),
+])
+def test_optim_config_rejects_impossible_adam_settings(setting, message):
+    """Each of these made every fit fault at epoch 1 with a non-finite
+    derivative, blamed on the model."""
+    with pytest.raises(ValueError, match=message):
+        OptimConfig(**setting)

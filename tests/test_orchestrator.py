@@ -359,6 +359,25 @@ def test_run_experiment_archives_a_seed_whose_test_pass_faults(tmp_path):
     assert result["test_delta"] == [float("inf")]
 
 
+@pytest.mark.parametrize("method", ["zero-shot", "zero-optim"])
+def test_run_experiment_ablations_prompt_and_record_one_generation(method, tmp_path):
+    # EvolveConfig's default is 20 generations; each ablation makes one proposal
+    clients = []
+
+    def factory(seed):
+        clients.append(ScriptedClient(replay_fixtures.evolution_replies()[:1]))
+        return clients[-1]
+
+    report = run_experiment("cancer-chemo-radio", method, [0], gen_cfg=GenConfig(n=4),
+                            evolve_cfg=EvolveConfig(), client_factory=factory,
+                            out_dir=tmp_path)
+    assert report.outcomes[0].error is None
+    request = json.dumps(clients[0].transcript[0]["request"])
+    assert "called 1 times" in request and "called 20 times" not in request
+    manifest = json.loads((tmp_path / "seed-0000" / "run.manifest").read_text())
+    assert manifest["generations"] == 1
+
+
 def test_run_experiment_validates_method():
     with pytest.raises(ValueError, match="unknown method"):
         run_experiment("lv2", "transformer", [0])
