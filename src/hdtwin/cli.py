@@ -163,12 +163,12 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    cfg = _optim_from_args(args)
     spec = parse_model_spec(Path(args.spec).read_text())
     data_dir = Path(args.data)
     train = load_saved_dataset(data_dir / "train")
     val = load_saved_dataset(data_dir / "val")
-    result = fit(spec, init_params(spec, seed=args.mlp_seed), train, val,
-                 _optim_from_args(args))
+    result = fit(spec, init_params(spec, seed=args.mlp_seed), train, val, cfg)
     if result.faulted and not (result.val_loss < float("inf")):
         raise RunFailure("fit faulted before any finite epoch", [])
     doc = {

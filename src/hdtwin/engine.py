@@ -26,16 +26,27 @@ left-to-right leaf order, component by component.  One op table
 
 A node is row-varying when time, a state or an action occurs in its
 subtree.  Nodes built only from parameters and constants stay numpy or
-Python scalars; each row-varying node owns one row of a (nodes, M)
-float64 block, and its forward rule writes there through a ufunc `out=`.
-The block, with the input, pre-activation and activation arrays of each
-network layer, forms the evaluator's workspace for M rows.  It is built
-the first time the evaluator sees M rows and kept for the evaluator's
-lifetime (a fit sees at most three row counts: the batch, the last
-partial batch and the validation split), so repeated passes reuse the
-same memory instead of allocating and faulting in fresh arrays.  The
-workspace is private scratch: no array an evaluator returns is a view of
-it.
+Python scalars; a row-varying node's forward rule writes its value into
+a row of a (rows, M) float64 block through a ufunc `out=`.  The tape
+numbers these rows twice.  loss_and_grad's backward pass reads every
+node's value again, so there each row-varying node owns a row.  A pass
+without a backward (validation, squared_residuals, the Euler rollouts
+and data generation) reads a node's value once, when its parent is
+computed, as the tape is tree-shaped; only a component root is read at
+the end.  So the second numbering reuses a row once its one reader is on
+the tape, and never gives a node its own operand's row (guard writes its
+row before it copies its operand there).  The scripted evolution's hybrid
+tumor models need 37 rows with a backward and 4 without.  A network has
+one (M, width) array per layer: a hidden layer's activation overwrites
+its pre-activation in place, and each layer's input is all the backward
+pass reads.  The block, the network inputs and the layer arrays form the
+evaluator's workspace for M rows and one pass kind.  It is built the
+first time the evaluator sees that pair and kept for the evaluator's
+lifetime (a fit sees at most three: the batch and the last partial batch
+with a backward, the validation split without), so repeated passes
+reuse the same memory instead of allocating and faulting in fresh
+arrays.  The workspace is private scratch: no array an evaluator returns
+is a view of it.
 
 The backward pass does no work the forward pass already did.  A backward
 rule gets the node's own value with its operands, so exp, sqrt, sigmoid,
@@ -43,8 +54,9 @@ tanh and a real power's exponent rule read the value instead of
 recomputing it with the same kernel.  The residual, and then the loss's
 adjoint of the derivatives, is computed in place in the derivative
 array.  In a network, each hidden layer's activation gradient scales the
-fresh adjoint dz @ W.T in place: relu and leaky_relu by a factor built
-from pre > 0, tanh by 1 - th * th with th the stored activation.
+fresh adjoint dz @ W.T in place, from the stored activation act alone:
+relu and leaky_relu by a factor built from act > 0, which holds exactly
+where pre > 0 does, tanh by 1 - act * act.
 
 Parameters and gradients are ParamVectors, one flat float64 array each.
 The gradient takes the parameters' layout: the backward pass writes each
@@ -260,22 +272,24 @@ class TransitionBatch:
 
 
 def _act(name: str, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The activation of z, written into out, which may be z itself."""
     if name == "relu":
         return np.maximum(z, 0.0, out=out)
     if name == "leaky_relu":  # max(z, 0.1 z) is z where z > 0, else 0.1 z
-        np.multiply(z, 0.1, out=out)
-        return np.maximum(z, out, out=out)
+        return np.maximum(z, z * 0.1, out=out)
     return np.tanh(z, out=out)
 
 
-def _act_backward(name: str, d_a: np.ndarray, pre: np.ndarray, act: np.ndarray):
-    """Scale d_a in place by the activation's derivative at pre; act is
-    the activation the forward pass stored for pre.  leaky_relu's factor
-    is exactly 1.0 or 0.1, as 0.9 + 0.1 == 1.0 in float64."""
+def _act_backward(name: str, d_a: np.ndarray, act: np.ndarray):
+    """Scale d_a in place by the activation's derivative, given only the
+    activation act the forward pass stored.  act > 0 exactly where the
+    pre-activation is > 0 (nan, +-0, +-inf and an underflow of 0.1 z to
+    -0.0 included).  leaky_relu's factor is exactly 1.0 or 0.1, as
+    0.9 + 0.1 == 1.0 in float64."""
     if name == "relu":
-        np.multiply(d_a, pre > 0.0, out=d_a)
+        np.multiply(d_a, act > 0.0, out=d_a)
     elif name == "leaky_relu":
-        d_a *= (pre > 0.0) * 0.9 + 0.1
+        d_a *= (act > 0.0) * 0.9 + 0.1
     else:
         d_a *= 1.0 - act * act
 
@@ -289,15 +303,16 @@ def _column_sums(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _mlp_forward(decl: MlpDecl, layers: Sequence[Layer], z0: np.ndarray, buffers):
-    """The network's output for inputs z0, computed in buffers: one
-    (pre-activation, activation) pair per layer, the last activation None."""
+    """The network's output for inputs z0, computed in buffers, one (M,
+    width) array per layer: a hidden layer's activation overwrites its
+    pre-activation there.  The caches are each layer's input."""
     caches = []
     a = z0
-    for (w, b), (pre, act) in zip(layers, buffers):
-        np.matmul(a, w, out=pre)
-        np.add(pre, b, out=pre)
-        caches.append((a, pre))
-        a = pre if act is None else _act(decl.activation, pre, act)
+    for li, ((w, b), out) in enumerate(zip(layers, buffers)):
+        np.matmul(a, w, out=out)
+        np.add(out, b, out=out)
+        caches.append(a)
+        a = out if li == len(layers) - 1 else _act(decl.activation, out, out)
     return a, caches
 
 
@@ -305,10 +320,9 @@ def _mlp_backward(decl: MlpDecl, layers: Sequence[Layer], caches, g_out: np.ndar
     """Write each layer's weight and bias gradient into its views in grads."""
     dz = g_out
     for li in reversed(range(len(layers))):
-        a_prev, pre = caches[li]
-        if li < len(layers) - 1:  # a hidden layer: dz is its d_a, new from the layer above
-            _act_backward(decl.activation, dz, pre, caches[li + 1][0])
-        np.matmul(a_prev.T, dz, out=grads[li][0])
+        if li < len(layers) - 1:  # a hidden layer: dz is its d_a, its activation the next input
+            _act_backward(decl.activation, dz, caches[li + 1])
+        np.matmul(caches[li].T, dz, out=grads[li][0])
         _column_sums(dz, out=grads[li][1])
         if li:  # the network inputs need no adjoint
             dz = dz @ layers[li][0].T
@@ -417,6 +431,7 @@ class _Tape(NamedTuple):
     consts: tuple[float, ...]  # one per constant leaf
     nodes: tuple               # (forward, a, b, k) per operator node
     rows: tuple                # each node's workspace row, None for a scalar node
+    shared_rows: tuple         # the same for a pass without a backward: rows are reused
     roots: tuple[int, ...]     # each component's value slot
     seeds: tuple               # each component's adjoint slot, None if inactive
     backward: tuple            # (slot, a, b, k, rule, to, rule, to) per active node, reversed
@@ -443,7 +458,10 @@ def _compile(spec: ModelSpec, schema: SystemSchema) -> _Tape:
     consts: list[float] = []
     nodes: list[tuple] = []
     rows: list[int | None] = []
+    shared_rows: list[int | None] = []
     varying = set(inputs.values())  # the row-varying value slots
+    unread: dict[int, int] = {}  # a row-varying node's slot -> its shared row, until read
+    free: list[int] = []         # shared rows whose one reader has been emitted
     backward: list[tuple] = []
     occurrences: list[str] = []
 
@@ -452,12 +470,16 @@ def _compile(spec: ModelSpec, schema: SystemSchema) -> _Tape:
         forward, rule_a, rule_b = _OPS[op]
         b = a if b is None else b
         slot = const_base + n_consts + len(nodes)
-        row = None
+        row = shared = None
         if a in varying or b in varying:
             row = len(varying) - len(inputs)
             varying.add(slot)
+            # a fresh row, never an operand's: _guard_div writes |a| to out, then copies a
+            shared = unread[slot] = free.pop() if free else len(unread)
+            free.extend(unread.pop(v) for v in dict.fromkeys((a, b)) if v in unread)
         nodes.append((forward, a, b, k))
         rows.append(row)
+        shared_rows.append(shared)
         if to_a is None and to_b is None:
             return slot, None
         backward.append((slot, a, b, k, rule_a, to_a, rule_b, to_b))
@@ -495,24 +517,25 @@ def _compile(spec: ModelSpec, schema: SystemSchema) -> _Tape:
     roots, seeds = zip(*(emit(comp.expr) for comp in spec.components))
     backward.reverse()
     mlp_inputs = {m.name: tuple(inputs[n] for n in m.inputs) for m in spec.mlps}
-    return _Tape(tuple(params), tuple(consts), tuple(nodes), tuple(rows), roots, seeds,
-                 tuple(backward), tuple(occurrences), n_values, mlp_inputs)
+    return _Tape(tuple(params), tuple(consts), tuple(nodes), tuple(rows), tuple(shared_rows),
+                 roots, seeds, tuple(backward), tuple(occurrences), n_values, mlp_inputs)
 
 
 class _Workspace(NamedTuple):
-    """An evaluator's scratch arrays for one row count M."""
+    """An evaluator's scratch arrays for one row count M and pass kind."""
 
-    outs: list   # each tape node's row of one (row-varying nodes, M) block, None if scalar
-    mlps: dict   # per network: its (M, inputs) input and per layer (pre, activation)
+    outs: list   # each tape node's row of one (rows, M) block, None if scalar
+    mlps: dict   # per network: its (M, inputs) input and one (M, width) array per layer
 
 
 class Evaluator:
     """A spec compiled against a schema for repeated batched evaluation.
 
     Results depend only on (params, data).  The forward pass writes into a
-    workspace kept per row count (see the module docstring), so an
-    evaluator is not safe to share across threads; nothing in hdtwin
-    shares one.  Returned derivatives and gradients never alias the
+    workspace kept per row count and pass kind: one row per tape node for
+    derivatives(with_cache=True), shared rows without it (see the module
+    docstring).  So an evaluator is not safe to share across threads;
+    nothing in hdtwin shares one.  Returned derivatives and gradients never alias the
     workspace; only the cache of derivatives(with_cache=True) does.  A
     gradient is new memory unless loss_and_grad is given out=, a
     ParamVector in the parameters' layout: the gradient is then out
@@ -529,22 +552,19 @@ class Evaluator:
         self.schema = schema
         self._mlps = {m.name: m for m in spec.mlps}
         self._tape = _compile(spec, schema)
-        self._workspaces: dict[int, _Workspace] = {}
+        self._workspaces: dict[tuple[int, bool], _Workspace] = {}
 
-    def _workspace(self, m_rows: int) -> _Workspace:
-        ws = self._workspaces.get(m_rows)
+    def _workspace(self, m_rows: int, with_cache: bool) -> _Workspace:
+        ws = self._workspaces.get((m_rows, with_cache))
         if ws is None:
-            rows = self._tape.rows
-            block = np.empty((sum(r is not None for r in rows), m_rows))
+            rows = self._tape.rows if with_cache else self._tape.shared_rows
+            block = np.empty((len(set(rows) - {None}), m_rows))
             mlps = {}
             for name, decl in self._mlps.items():
                 dims = decl.layer_dims()
-                last = len(dims) - 2
-                mlps[name] = (np.empty((m_rows, dims[0])), [
-                    (np.empty((m_rows, d)), None if li == last else np.empty((m_rows, d)))
-                    for li, d in enumerate(dims[1:])
-                ])
-            ws = self._workspaces[m_rows] = _Workspace(
+                mlps[name] = (np.empty((m_rows, dims[0])),
+                              [np.empty((m_rows, d)) for d in dims[1:]])
+            ws = self._workspaces[m_rows, with_cache] = _Workspace(
                 [None if r is None else block[r] for r in rows], mlps)
         return ws
 
@@ -584,7 +604,7 @@ class Evaluator:
         scalars = params.scalars
         vals = [t, *x.T, *u.T, *[scalars[n] for n in tape.params], *tape.consts]
         m_rows = x.shape[0]
-        ws = self._workspace(m_rows)
+        ws = self._workspace(m_rows, with_cache)
         mlp_out, mlp_caches = {}, {}
         for name, decl in self._mlps.items():
             z0, buffers = ws.mlps[name]

@@ -56,6 +56,8 @@ class OptimConfig:
             raise ValueError("all optimizer settings must be positive")
         if self.patience > self.max_epochs:
             raise ValueError("patience cannot exceed max_epochs")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0 (got {self.seed})")
         # Adam is undefined outside these ranges: its steps go non-finite,
         # and a fit would report that as a fault of the model
         if not math.isfinite(self.lr):

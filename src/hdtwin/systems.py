@@ -92,6 +92,8 @@ class GenConfig:
     def __post_init__(self):
         if self.n is not None and self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0 (got {self.seed})")
 
 
 # ---------------------------------------------------------------------------

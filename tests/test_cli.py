@@ -85,6 +85,16 @@ def test_fit_and_eval_round_trip(small_data, tmp_path, capsys):
         one_step_mse(spec, params, load_saved_dataset(small_data / "test")), abs=1e-12)
 
 
+def test_fit_rejects_a_negative_seed(small_data, tmp_path, capsys):
+    spec_path = tmp_path / "true.hdt"
+    spec_path.write_text(canonicalize(builtin_system("cancer-chemo-radio").spec).text)
+    code = dispatch(["fit", "--spec", str(spec_path), "--data", str(small_data),
+                     "--out", str(tmp_path / "fitrun"), "--seed", "-1"])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: seed must be >= 0 (got -1)\n"
+    assert not (tmp_path / "fitrun").exists()
+
+
 def test_eval_reports_inf_when_the_test_pass_overflows(tmp_path, capsys):
     data = tmp_path / "ood"
     assert dispatch(["gen-data", "--system", "cancer", "--seed", "0", "--n", "4", "--ood",

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import replay_fixtures
 from conftest import (
     finite_diff_gradients,
     flatten_gradients,
@@ -36,6 +38,7 @@ from hdtwin.engine import (
     save_dataset,
     save_params,
 )
+from hdtwin.systems import BUILTIN_IDS, builtin_system
 
 CANCER_SCHEMA = SystemSchema(
     states=(VarSpec("tumor_volume", 0.01433, 1170.861),
@@ -148,6 +151,21 @@ WS_SPECS = [WS_HYBRID.format(act=act) for act in ("relu", "leaky_relu", "tanh")]
     "d(x)/dt = sigmoid(a * x) - x ^ b + y / (x - a)\n"
     "d(y)/dt = (a * t) ^ 1.5 - exp(-b) * y * u\n",
 ]
+# sqrt, log, sigmoid, tanh, exp and a real power with a parameter
+# exponent, each reached through a parameter of its own
+BITS_SPEC = """
+param a = 0.7
+param b = 1.5
+param c = 1.0
+param d = 0.8
+param e = 0.6
+param f = 0.9
+param g = 1.5
+param h = 1.2
+d(x)/dt = sqrt(a * x) + log(b * y) - sigmoid(d * u) * x + tanh(e * y) / (c * y)
+d(y)/dt = exp(-f * x) * y + (0.1 * t) ^ g - (h * x) ^ 2.5
+"""
+GUARD_ROWS = np.array([0.0, -0.0, 5e-9, -5e-9, 1e-8, -1e-8])  # at and around the guards
 
 
 def _ws_case(text, m, seed):
@@ -200,6 +218,72 @@ def test_evaluator_results_share_no_memory(text):
     assert all(not np.shares_memory(a, b) for a in _arrays(g1) for b in _arrays(g2))
     assert f1.tobytes() == kept_f.tobytes() and row.tobytes() == kept_row.tobytes()
     assert all(a.tobytes() == k.tobytes() for a, k in zip(_arrays(g1), kept_g))
+
+
+def _two_pass_case(name):
+    """(spec, schema, params) of a replay spec, a built-in system or BITS_SPEC."""
+    if name.startswith("SPEC_"):
+        spec = parse_model_spec(getattr(replay_fixtures, name))
+        return spec, builtin_system("cancer-chemo-radio").schema, random_params(
+            np.random.default_rng(int(name[5:])), spec)
+    if name == "BITS_SPEC":
+        spec = parse_model_spec(BITS_SPEC)
+        return spec, WS_SCHEMA, init_params(spec)
+    system = builtin_system(name)
+    return system.spec, system.schema, system.true_params
+
+
+@pytest.mark.parametrize("name", [*(f"SPEC_{i}" for i in range(1, 7)), *BUILTIN_IDS,
+                                  "BITS_SPEC"])
+def test_passes_with_and_without_a_backward_give_the_same_bits(name):
+    """A pass without a backward reuses tape rows, one with it keeps a row
+    per node; both, in turn on one evaluator, give the same derivatives.
+    The first rows put every state at and around the guards."""
+    spec, schema, params = _two_pass_case(name)
+    ev = Evaluator(spec, schema)
+    rng = np.random.default_rng(len(name))
+    for m in (1, 7, 1000):
+        x = rng.uniform([v.low for v in schema.states], [v.high for v in schema.states],
+                        (m, schema.d_x))
+        u = rng.uniform([v.low for v in schema.actions], [v.high for v in schema.actions],
+                        (m, schema.d_u))
+        t = rng.uniform(0.0, 60.0, m)
+        x[:len(GUARD_ROWS)] = GUARD_ROWS[:m, None]
+        plain = ev.derivatives(params, x, u, t)
+        cached, _ = ev.derivatives(params, x, u, t, with_cache=True)
+        again = ev.derivatives(params, x, u, t)
+        assert plain.tobytes() == cached.tobytes() == again.tobytes(), m
+
+
+def test_validation_pass_allocates_only_its_compact_workspace():
+    """The first SPEC_5 validation pass at 6,000 rows on a fresh evaluator
+    allocates its workspace (the shared tape rows, the network input and
+    one buffer per layer), f and sq, and no more."""
+    schema = builtin_system("cancer-chemo-radio").schema
+    spec = parse_model_spec(replay_fixtures.SPEC_5)
+    params = random_params(np.random.default_rng(5), spec)
+    rng = np.random.default_rng(5)
+    val = Dataset([Trajectory(np.arange(61) * schema.dt,
+                              rng.uniform(0.0, 10.0, (61, schema.d_x)),
+                              rng.uniform(0.0, 2.0, (61, schema.d_u))) for _ in range(100)],
+                  schema, "val")
+    m = len(val.transitions())  # stacked before tracing
+    ev = Evaluator(spec, schema)
+    (decl,) = spec.mlps
+    dims = decl.layer_dims()
+    rows = len(set(ev._tape.shared_rows) - {None})
+    workspace = 8 * m * (rows + dims[0] + sum(dims[1:]))
+    f = sq = 8 * m * schema.d_x
+    tracemalloc.start()
+    try:
+        per_component_mse(spec, params, val, ev)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m == 6000 and rows <= 4
+    assert peak <= workspace + f + sq, (peak, workspace)
+    _, buffers = ev._workspaces[m, False].mlps[decl.name]
+    assert [b.shape for b in buffers] == [(m, d) for d in dims[1:]]
 
 
 @pytest.mark.parametrize("text", WS_SPECS)
@@ -297,9 +381,12 @@ def test_activation_backward_matches_the_old_formula(act):
     pre = np.concatenate([special, rng.normal(0.0, 3.0, 400)]).reshape(-1, 7)
     d = np.concatenate([rng.normal(size=pre.size - 4), [0.0, -0.0, 1e300, -1e-300]])
     d = rng.permutation(d).reshape(pre.shape)
-    want = OLD_ACT_GRAD[act](d, pre)
-    stored = engine._act(act, pre, np.empty_like(pre))  # what the forward pass keeps
-    engine._act_backward(act, d, pre, stored)
+    want = OLD_ACT_GRAD[act](d, pre)  # the oracle reads the pre-activation
+    apart = engine._act(act, pre, np.empty_like(pre))
+    stored = pre.copy()  # the forward pass writes the activation over pre
+    assert engine._act(act, stored, out=stored) is stored
+    assert stored.tobytes() == apart.tobytes()
+    engine._act_backward(act, d, stored)
     assert d.tobytes() == want.tobytes()
 
 

@@ -45,7 +45,7 @@ from hdtwin.systems import (
     generate_dataset,
     load_csv_dataset,
 )
-from test_engine import WS_SCHEMA, WS_SPECS
+from test_engine import BITS_SPEC, GUARD_ROWS, WS_SCHEMA, WS_SPECS
 
 CANCER_FAMILY = tuple(s for s in BUILTIN_IDS
                       if s.startswith("cancer") or s.startswith("synthetic-"))
@@ -125,25 +125,10 @@ EXPERIMENT_SHA = {
         "b45d748dab8f2e9d0045b4a1ff707310c9fab0591e917aeb2409a116d2547ad4",
 }
 
-# The backward pass: test_engine's WS_SPECS plus a spec with sqrt, log,
-# sigmoid, tanh, exp and a real power with a parameter exponent, each
-# reached through a parameter of its own, evaluated by one evaluator at
-# M = 1, 7, 1000 and 6000 rows.  The first rows put the denominators c * y
-# (c = 1.0) and x - a at and around the guard.
-BITS_SPEC = """
-param a = 0.7
-param b = 1.5
-param c = 1.0
-param d = 0.8
-param e = 0.6
-param f = 0.9
-param g = 1.5
-param h = 1.2
-d(x)/dt = sqrt(a * x) + log(b * y) - sigmoid(d * u) * x + tanh(e * y) / (c * y)
-d(y)/dt = exp(-f * x) * y + (0.1 * t) ^ g - (h * x) ^ 2.5
-"""
+# The backward pass: test_engine's WS_SPECS and BITS_SPEC, evaluated by
+# one evaluator at M = 1, 7, 1000 and 6000 rows.  The first rows put the
+# denominators c * y (c = 1.0) and x - a at and around the guard.
 BITS_ROWS = (1, 7, 1000, 6000)
-GUARD_ROWS = np.array([0.0, -0.0, 5e-9, -5e-9, 1e-8, -1e-8])
 # per spec: sha256 over the row counts of repr(loss) + grads.values bytes,
 # and of the derivatives bytes
 BACKWARD_SHA = {

@@ -232,6 +232,8 @@ def test_optim_config_validation():
         OptimConfig(lr=0.0)
     with pytest.raises(ValueError):
         OptimConfig(patience=50, max_epochs=10)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0 \(got -1\)$"):
+        OptimConfig(seed=-1)
 
 
 @pytest.mark.parametrize("setting, message", [

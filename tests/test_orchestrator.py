@@ -326,6 +326,15 @@ def test_run_experiment_records_per_seed_failures():
     assert report.mean is None
 
 
+def test_run_experiment_records_a_negative_seed_and_runs_the_next():
+    report = run_experiment("lv2", "sindy", [-1, 0], gen_cfg=GenConfig(n=4),
+                            evolve_cfg=small_cfg(1))
+    bad, good = report.outcomes
+    assert (bad.seed, bad.error, bad.metric) == (-1, "seed must be >= 0 (got -1)", None)
+    assert good.seed == 0 and good.error is None and np.isfinite(good.metric)
+    assert report.mean == good.metric
+
+
 def test_run_experiment_keeps_seeds_before_a_transport_failure(tmp_path):
     # one shared client with a single reply: seed 0 uses it, seed 1 finds
     # the replay exhausted; seed 0's outcome and the summary must survive

@@ -3,7 +3,8 @@
 Evaluation is total: on random specs, random parameters and inputs that
 reach every guarded branch (negative, zero and near-zero values), the
 engine either matches the naive scalar oracle of conftest or raises
-EvaluationFault; no other exception may escape.  The DSL's text forms
+EvaluationFault; no other exception may escape.  Its passes with and
+without a backward give the same derivative bits.  The DSL's text forms
 round-trip: format_expr output parses back to the same tree, and the
 canonical text of a spec is a fixed point of parse + canonicalize.
 population_insert keeps its invariants.  save_dataset writes the bytes
@@ -93,6 +94,10 @@ def test_evaluation_matches_oracle_or_faults(seed, values):
     batch = TransitionBatch(draw(ROWS, schema.d_x), draw(ROWS, schema.d_u), draw(ROWS),
                             draw(ROWS, schema.d_x))
     ev = Evaluator(spec, schema)
+    # the pass without a backward shares tape rows; the one with it does not
+    plain = ev.derivatives(params, batch.x, batch.u, batch.t)
+    cached, _ = ev.derivatives(params, batch.x, batch.u, batch.t, with_cache=True)
+    assert plain.tobytes() == cached.tobytes()
     for r in range(ROWS):
         try:
             got = ev.derivative(params, batch.x[r], batch.u[r], batch.t[r])

@@ -219,6 +219,12 @@ def test_intervention_mode_scales_test_split_only():
         assert not (a.states[day + 1:] == b.states[day + 1:]).all()
 
 
+def test_gen_config_rejects_a_negative_seed():
+    # numpy's own error for it named no option
+    with pytest.raises(ValueError, match=r"^seed must be >= 0 \(got -1\)$"):
+        GenConfig(seed=-1)
+
+
 def test_mode_validation():
     with pytest.raises(ValueError):
         generate_dataset(builtin_system("seir-covid"), GenConfig(ood=True))
