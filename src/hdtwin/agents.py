@@ -16,6 +16,7 @@ reproducible and testable offline.  Both record every request/reply pair.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import time
@@ -110,6 +111,9 @@ class DecodingConfig:
     retry_wait: float = 1.0
 
     def __post_init__(self):
+        for name in ("temperature", "timeout", "retry_wait"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite (got {getattr(self, name)})")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
         if self.max_tokens < 1:

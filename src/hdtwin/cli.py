@@ -58,7 +58,7 @@ def _optim_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--batch-size", type=int, default=d.batch_size,
                         help="transitions per mini-batch")
     parser.add_argument("--max-epochs", type=int, default=d.max_epochs,
-                        help="training epoch budget")
+                        help="training epoch budget; 0 only scores the initial parameters")
     parser.add_argument("--patience", type=int, default=d.patience,
                         help="epochs without validation improvement before stopping")
     parser.add_argument("--seed", type=int, default=d.seed, help="shuffling seed")
@@ -165,10 +165,11 @@ def cmd_gen_data(args) -> int:
 def cmd_fit(args) -> int:
     cfg = _optim_from_args(args)
     spec = parse_model_spec(Path(args.spec).read_text())
+    init = init_params(spec, seed=args.mlp_seed)
     data_dir = Path(args.data)
     train = load_saved_dataset(data_dir / "train")
     val = load_saved_dataset(data_dir / "val")
-    result = fit(spec, init_params(spec, seed=args.mlp_seed), train, val, cfg)
+    result = fit(spec, init, train, val, cfg)
     if result.faulted and not (result.val_loss < float("inf")):
         raise RunFailure("fit faulted before any finite epoch", [])
     doc = {

@@ -719,6 +719,8 @@ def mlp_init(decl: MlpDecl, seed: int) -> list[Layer]:
 
 def init_params(spec: ModelSpec, seed: int = 0) -> ParamVector:
     """Scalars from their declared inits, network weights from mlp_init."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0 (got {seed})")
     return ParamVector(
         {p.name: float(p.init) for p in spec.params},
         {m.name: mlp_init(m, seed) for m in spec.mlps},

@@ -4,9 +4,10 @@ early stopping on full-validation loss.
 The batching unit is the transition tuple (x, u, y); validation is
 evaluated on the complete validation set once per epoch, plus once
 before the first update so the returned snapshot is never worse than the
-initial parameters.  An epoch counts as an improvement only when the
-validation loss drops by more than 1e-12, which keeps float noise from
-resetting the patience window.
+initial parameters; with max_epochs = 0 that pass is the whole fit, which
+scores the initial parameters (the zero-shot ablation).  An epoch counts
+as an improvement only when the validation loss drops by more than
+1e-12, which keeps float noise from resetting the patience window.
 
 Parameters, gradients and Adam's moments m and v share one flat layout
 (engine.ParamVector): each mini-batch makes one adam_update call over the
@@ -52,9 +53,11 @@ class OptimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.lr, self.batch_size, self.max_epochs, self.patience) <= 0:
-            raise ValueError("all optimizer settings must be positive")
-        if self.patience > self.max_epochs:
+        if min(self.lr, self.batch_size, self.patience) <= 0:
+            raise ValueError("lr, batch_size and patience must be positive")
+        if self.max_epochs < 0:
+            raise ValueError(f"max_epochs must be >= 0 (got {self.max_epochs})")
+        if 0 < self.max_epochs < self.patience:
             raise ValueError("patience cannot exceed max_epochs")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0 (got {self.seed})")

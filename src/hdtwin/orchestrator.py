@@ -2,11 +2,11 @@
 
 evolve() iterates propose -> fit -> evaluate -> insert -> critique for a
 fixed number of generations, keeps the top-K population, and evaluates
-the best-by-validation candidate once on the test split.  zero_optim is
-evolve cut to one generation; zero_shot, the one unfitted path, scores the
-first proposal with its suggested inits.  run_experiment repeats a
-method over seeds (regenerating the datasets per seed) and aggregates the
-test metric as mean with a 95% Student-t half-width.
+the best-by-validation candidate once on the test split.  Both ablations
+are evolve cut to one generation: zero_optim fits its proposal, zero_shot
+fits it for zero epochs, which scores its suggested inits.  run_experiment
+repeats a method over seeds (regenerating the datasets per seed) and
+aggregates the test metric as mean with a 95% Student-t half-width.
 
 Each run can write a plain-text archive: the canonical spec, parameter
 table, metrics, and loss curves per inserted generation, the full
@@ -50,7 +50,6 @@ from hdtwin.engine import (
     ParamVector,
     _column_sums,
     init_params,
-    per_component_mse,
     rollout_mse,
     save_params,
     squared_residuals,
@@ -116,8 +115,8 @@ class RunResult:
     records: list[GenerationRecord]
     test: TestMetrics
     transcript: list[dict]
-    fit_results: dict[int, FitResult] = field(default_factory=dict)
-    stage_seconds: dict[str, float] = field(default_factory=dict)
+    fit_results: dict[int, FitResult]
+    stage_seconds: dict[str, float]
     # set when the LLM endpoint gave out: the run stopped early and keeps
     # only the generations finished before it
     transport_error: str | None = None
@@ -259,25 +258,11 @@ def evolve(ctx: ModelingContext, system: SystemDef, datasets: dict[str, Dataset]
 
 
 def zero_shot(ctx, system, datasets, cfg: EvolveConfig, client) -> RunResult:
-    """Evaluate the first valid proposal with its suggested inits, unfitted."""
-    try:
-        spec, description = propose(client, ctx, system.schema, Population(capacity=cfg.capacity),
-                                    None, 1, cfg.decoding)
-    except ProposalFailure as err:
-        raise RunFailure(f"proposal failed: {err}", list(client.transcript))
-    params = init_params(spec, seed=_mix_seed(cfg.seed, 1))
-    try:
-        delta, ups = per_component_mse(spec, params, datasets["val"])
-    except EvaluationFault as fault:
-        raise RunFailure(f"evaluation faulted: {fault}", list(client.transcript))
-    canon = canonicalize(spec)
-    entry = PopulationEntry(spec, canon.text, canon.fingerprint, params, delta, ups, 1,
-                            description)
-    pop = record_generation(population_insert(Population(capacity=cfg.capacity), entry), 1)
-    record = GenerationRecord(1, "inserted", ups, ups, entry.fingerprint, description)
-    return RunResult(entry, pop, [ups], [record],
-                     evaluate_test_metrics(spec, params, datasets["test"]),
-                     list(client.transcript))
+    """The first proposal scored with its suggested inits: a one-generation
+    evolve whose fit runs zero epochs."""
+    optim = dataclasses.replace(cfg.optim, max_epochs=0)
+    return evolve(ctx, system, datasets,
+                  dataclasses.replace(cfg, generations=1, optim=optim), client)
 
 
 def zero_optim(ctx, system, datasets, cfg: EvolveConfig, client) -> RunResult:
@@ -512,8 +497,8 @@ def write_run_archive(out_dir, result: RunResult, system_id: str, method: str,
             "fingerprint": entry.fingerprint,
             "description": entry.description,
         }, gen_dir / "metrics.json")
-        fit_result = result.fit_results.get(g)
-        if fit_result is not None:
+        fit_result = result.fit_results[g]
+        if fit_result.epochs_run:  # a zero-epoch fit (zero-shot) has no curve
             with open(gen_dir / "curves.csv", "w", newline="") as fh:
                 w = csv.writer(fh)
                 w.writerow(["epoch", "train_loss", "val_loss"])

@@ -397,6 +397,12 @@ def test_http_client_connection_failure_retries_then_raises(monkeypatch):
     ("retry_wait", -0.5, "retry_wait must be >= 0"),
     ("timeout", 0.0, "timeout must be > 0"),
     ("max_tokens", 0, "max_tokens must be >= 1"),
+    # a NaN retry_wait reached time.sleep, a NaN temperature was posted as
+    # the non-JSON token NaN, and an infinite timeout never timed out
+    ("retry_wait", float("nan"), r"retry_wait must be finite \(got nan\)"),
+    ("retry_wait", float("inf"), r"retry_wait must be finite \(got inf\)"),
+    ("temperature", float("nan"), r"temperature must be finite \(got nan\)"),
+    ("timeout", float("inf"), r"timeout must be finite \(got inf\)"),
 ])
 def test_decoding_config_rejects_out_of_range_fields(field, value, message):
     with pytest.raises(ValueError, match=message):

@@ -95,6 +95,32 @@ def test_fit_rejects_a_negative_seed(small_data, tmp_path, capsys):
     assert not (tmp_path / "fitrun").exists()
 
 
+def test_fit_rejects_a_negative_network_seed_before_loading_data(tmp_path, capsys):
+    spec_path = tmp_path / "scalar.hdt"
+    spec_path.write_text("param a = 0.5\nd(tumor_volume)/dt = a * tumor_volume\n")
+    code = dispatch(["fit", "--spec", str(spec_path), "--data", str(tmp_path / "missing"),
+                     "--out", str(tmp_path / "fitrun"), "--mlp-seed", "-1"])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: seed must be >= 0 (got -1)\n"
+    assert not (tmp_path / "fitrun").exists()
+
+
+def test_fit_zero_epochs_writes_the_initial_parameters(small_data, tmp_path, capsys):
+    spec_path = tmp_path / "true.hdt"
+    spec_path.write_text(canonicalize(builtin_system("cancer-chemo-radio").spec).text)
+    spec = parse_model_spec(spec_path.read_text())
+    out = tmp_path / "fitrun"
+    code = dispatch(["fit", "--spec", str(spec_path), "--data", str(small_data),
+                     "--out", str(out), "--max-epochs", "0"])
+    assert code == EXIT_OK
+    doc = last_metrics(capsys)
+    assert doc["epochs_run"] == 0 and doc["faulted"] is False
+    init = init_params(spec)
+    assert load_params(out / "best-params.json").values.tobytes() == init.values.tobytes()
+    delta, ups = per_component_mse(spec, init, load_saved_dataset(small_data / "val"))
+    assert doc["val_upsilon"] == ups
+
+
 def test_eval_reports_inf_when_the_test_pass_overflows(tmp_path, capsys):
     data = tmp_path / "ood"
     assert dispatch(["gen-data", "--system", "cancer", "--seed", "0", "--n", "4", "--ood",
@@ -163,6 +189,7 @@ def test_evolve_rejects_impossible_adam_settings(tmp_path, capsys):
 @pytest.mark.parametrize("client, message", [
     ({"temprature": 0.2}, "unknown client config keys: temprature"),
     ({"retries": -1}, "bad client config: retries must be >= 0"),
+    ({"retry_wait": float("nan")}, "bad client config: retry_wait must be finite (got nan)"),
 ])
 def test_evolve_client_config_errors(tmp_path, capsys, client, message):
     cfg = tmp_path / "run.json"

@@ -724,6 +724,16 @@ def test_mlp_init_deterministic():
     assert not (one[0][0] == other[0][0]).all()
 
 
+@pytest.mark.parametrize("text", [
+    "param a = 0.5\nd(x)/dt = a * x",
+    "mlp net(x) hidden [3] act tanh outputs 1\nd(x)/dt = net[0]",
+])
+def test_init_params_rejects_a_negative_seed(text):
+    # scalar-only specs draw nothing, but the seed is checked all the same
+    with pytest.raises(ValueError, match=r"^seed must be >= 0 \(got -1\)$"):
+        init_params(parse_model_spec(text), seed=-1)
+
+
 # ---------------------------------------------------------------------------
 # rollout_mse
 

@@ -113,6 +113,22 @@ def test_fit_perfect_params_early_stop_budget():
     assert result.val_loss <= 1e-24
 
 
+def test_fit_zero_epochs_scores_the_initial_parameters():
+    train = make_linear_dataset(-0.5, 10, 10, seed=2, split="train")
+    val = make_linear_dataset(-0.5, 5, 10, seed=3, split="val")
+    spec = parse_model_spec(
+        "param a = -0.2\nmlp net(x) hidden [4] act tanh outputs 1\nd(x)/dt = a * x + net[0]"
+    )
+    init = init_params(spec, seed=3)
+    result = fit(spec, init, train, val, OptimConfig(max_epochs=0))
+    assert result.params.values.tobytes() == init.values.tobytes()
+    assert result.params is not init
+    assert (result.epochs_run, result.train_curve, result.faulted) == (0, [], False)
+    delta, ups = per_component_mse(spec, init, val)
+    assert result.val_curve == [ups] and result.val_loss == ups
+    assert result.component_losses.tobytes() == delta.tobytes()
+
+
 def test_fit_guarded_division_by_zero_init():
     train = make_linear_dataset(-0.5, 10, 10, seed=4, split="train")
     val = make_linear_dataset(-0.5, 5, 10, seed=5, split="val")
@@ -234,6 +250,12 @@ def test_optim_config_validation():
         OptimConfig(patience=50, max_epochs=10)
     with pytest.raises(ValueError, match=r"^seed must be >= 0 \(got -1\)$"):
         OptimConfig(seed=-1)
+    with pytest.raises(ValueError, match=r"^max_epochs must be >= 0 \(got -1\)$"):
+        OptimConfig(max_epochs=-1)
+    with pytest.raises(ValueError, match="patience must be positive"):
+        OptimConfig(patience=0)
+    # zero epochs only scores the initial parameters; patience is moot
+    assert OptimConfig(max_epochs=0).max_epochs == 0
 
 
 @pytest.mark.parametrize("setting, message", [

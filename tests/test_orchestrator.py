@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -14,10 +15,11 @@ from hdtwin.agents import (
     make_reply,
 )
 from hdtwin.dsl import canonicalize
-from hdtwin.engine import Evaluator, one_step_mse, per_component_mse, rollout_mse
+from hdtwin.engine import Evaluator, init_params, one_step_mse, per_component_mse, rollout_mse
 from hdtwin.optim import OptimConfig
 from hdtwin.orchestrator import (
     EvolveConfig,
+    _mix_seed,
     RunFailure,
     confidence_interval,
     adapt_model,
@@ -198,12 +200,51 @@ def test_zero_shot_true_structure_true_values(cancer_datasets):
     assert result.test.rollout <= 1e-12
 
 
-def test_zero_optim_failure_reads_like_evolve(cancer_datasets):
+@pytest.mark.parametrize("ablation", [zero_shot, zero_optim])
+def test_ablation_failure_reads_like_evolve(cancer_datasets, ablation):
     system, datasets = cancer_datasets
     ctx = make_modeling_context(system, 1, n_trajectories=6)
-    with pytest.raises(RunFailure, match="no generation produced a usable candidate") as err:
-        zero_optim(ctx, system, datasets, small_cfg(3), ScriptedClient(["junk"] * 8))
+    with pytest.raises(RunFailure, match="^no generation produced a usable candidate$") as err:
+        ablation(ctx, system, datasets, small_cfg(3), ScriptedClient(["junk"] * 8))
     assert len(err.value.transcript) == FAST_DECODING.retries + 1  # one generation only
+
+
+def test_zero_shot_whose_initial_parameters_fault(cancer_datasets, tmp_path):
+    system, datasets = cancer_datasets
+    reply = make_reply("param p = 1000.0\nd(tumor_volume)/dt = exp(p * tumor_volume)\n"
+                       "d(chemotherapy_drug_concentration)/dt = -chemotherapy_drug_concentration",
+                       "explosive growth")
+    ctx = make_modeling_context(system, 1, n_trajectories=6)
+    with pytest.raises(RunFailure, match="^no generation produced a usable candidate$") as err:
+        zero_shot(ctx, system, datasets, small_cfg(1), ScriptedClient([reply]))
+    assert len(err.value.transcript) == 1
+    report = run_experiment("cancer-chemo-radio", "zero-shot", [0], gen_cfg=GenConfig(n=4),
+                            evolve_cfg=small_cfg(1),
+                            client_factory=lambda seed: ScriptedClient([reply]),
+                            out_dir=tmp_path)
+    (outcome,) = report.outcomes
+    assert outcome.error == "no generation produced a usable candidate"
+    assert outcome.metric is None and not outcome.transport_failure
+
+
+def test_zero_shot_is_a_zero_epoch_evolve(cancer_datasets):
+    system, datasets = cancer_datasets
+    reply = replay_fixtures.evolution_replies()[0]
+    ctx = make_modeling_context(system, 1, n_trajectories=6)
+    cfg = small_cfg(3)
+    shot = zero_shot(ctx, system, datasets, cfg, ScriptedClient([reply]))
+    zero_epochs = dataclasses.replace(cfg, generations=1,
+                                      optim=dataclasses.replace(cfg.optim, max_epochs=0))
+    explicit = evolve(ctx, system, datasets, zero_epochs, ScriptedClient([reply]))
+    assert shot.records == explicit.records
+    assert shot.transcript == explicit.transcript
+    assert np.float64(shot.best.upsilon).tobytes() == np.float64(explicit.best.upsilon).tobytes()
+    # the one fit ran no epoch: the entry holds the suggested inits and their score
+    assert shot.fit_results[1].epochs_run == 0
+    spec = shot.best.spec
+    inits = init_params(spec, seed=_mix_seed(cfg.seed, 1))
+    assert shot.best.params.values.tobytes() == inits.values.tobytes()
+    assert shot.best.upsilon == per_component_mse(spec, inits, datasets["val"])[1]
 
 
 def test_zero_optim_no_worse_than_zero_shot(cancer_datasets):
