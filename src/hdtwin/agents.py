@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from hdtwin.dsl import DslError, ModelSpec, SystemSchema, parse_model_spec, validate
-from hdtwin.engine import ParamVector
+from hdtwin.engine import ParamVector, require_integers
 from hdtwin.optim import PARAM_COUNT_CAP
 
 REPLY_FIELD_SPEC = "spec"
@@ -111,6 +111,7 @@ class DecodingConfig:
     retry_wait: float = 1.0
 
     def __post_init__(self):
+        require_integers(self, "max_tokens", "retries")
         for name in ("temperature", "timeout", "retry_wait"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite (got {getattr(self, name)})")

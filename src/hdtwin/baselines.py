@@ -22,7 +22,7 @@ from hdtwin.dsl import (
     SystemSchema,
     parse_model_spec,
 )
-from hdtwin.engine import Dataset, ParamVector, Trajectory
+from hdtwin.engine import Dataset, ParamVector, Trajectory, require_integers
 
 BASELINE_IDS = (
     "logistic-tumor",
@@ -42,6 +42,7 @@ class SindyConfig:
     threshold: float = 0.02   # coefficients below this are zeroed (1e-5 for the epidemic data)
 
     def __post_init__(self):
+        require_integers(self, "degree")
         if self.degree < 1 or self.alpha < 0 or self.threshold < 0:
             raise ValueError("degree >= 1, alpha >= 0, threshold >= 0 required")
 

@@ -20,7 +20,9 @@ from hdtwin.agents import DecodingConfig, HttpClient, ScriptedClient, TransportE
 from hdtwin.baselines import BASELINE_IDS, SindyConfig
 from hdtwin.dsl import DslError, canonicalize, parse_model_spec
 from hdtwin.engine import (
+    HEADLINE_METRICS,
     EvaluationFault,
+    evaluate_test_metrics,
     init_params,
     load_params,
     load_saved_dataset,
@@ -31,7 +33,6 @@ from hdtwin.orchestrator import (
     EvolveConfig,
     RunFailure,
     confidence_interval,
-    evaluate_test_metrics,
     load_result,
     run_experiment,
     write_model_dir,
@@ -121,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, nargs="+", default=[0], help="run seeds")
     p.add_argument("--n", type=int, default=None, help="trajectories per split")
     p.add_argument("--out", default=None, help="optional archive directory")
-    p.add_argument("--test-metric", choices=("one-step", "rollout"), default="one-step",
+    p.add_argument("--test-metric", choices=HEADLINE_METRICS, default=HEADLINE_METRICS[0],
                    help="headline test metric")
     p.add_argument("--degree", type=int, default=SindyConfig().degree,
                    help="sparse-regression polynomial degree")
@@ -181,7 +182,7 @@ def cmd_fit(args) -> int:
     }
     if (data_dir / "test").exists():
         metrics = evaluate_test_metrics(spec, result.params, load_saved_dataset(data_dir / "test"))
-        doc.update({"test_upsilon": metrics.upsilon, "test_rollout_mse": metrics.rollout})
+        doc.update(metrics.doc(HEADLINE_METRICS[0]))
     write_model_dir(args.out, canonicalize(spec).text, result.params, doc)
     _metrics_line(doc)
     return EXIT_OK
@@ -315,7 +316,9 @@ def cmd_report(args) -> int:
         if not (path / "result.json").exists():
             raise ConfigError(f"{run_dir} has no result.json")
         doc = load_result(path)
-        rows.append((str(path), doc.get("headline_metric", "one-step"),
+        if "headline_value" not in doc:
+            raise ConfigError(f"{path / 'result.json'} has no 'headline_value'")
+        rows.append((str(path), doc.get("headline_metric", HEADLINE_METRICS[0]),
                      float(doc["headline_value"])))
     values = [v for _, _, v in rows]
     mean, half = confidence_interval(values)

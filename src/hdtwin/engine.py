@@ -72,6 +72,12 @@ one row at a time; einsum("ij->j") adds its rows in the same order, so
 gives the same bits, without the per-row loop.  A single column is
 contiguous, so sum(axis=0) adds it pairwise, and an array that is not
 C-contiguous is walked in another order: both keep sum(axis=0).
+
+Test scoring is here too.  evaluate_test_metrics builds one evaluator and
+makes one one-step pass, reduced as per_component_mse and one_step_mse
+reduce theirs, plus the rollout MSE.  A faulting one-step pass scores
+inf, as an exploding rollout does.  TestMetrics.doc writes the test keys
+of every result.json; HEADLINE_METRICS names the headline choices.
 """
 
 from __future__ import annotations
@@ -82,6 +88,7 @@ import csv
 import itertools
 import json
 import math
+import numbers
 import zlib
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
@@ -118,6 +125,15 @@ class EvaluationFault(Exception):
         self.step = step
         self.param = param
         super().__init__(message)
+
+
+def require_integers(config, *names: str):
+    """Raise ValueError naming the first of config's fields `names` that
+    holds no integer: a float (2.0 too) or a bool.  numpy integers pass."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer (got {value!r})")
 
 
 class _Scalars(Mapping):
@@ -199,6 +215,8 @@ class Trajectory:
         self.actions = actions.reshape(-1, 1) if actions.ndim == 1 else actions
         if not (len(self.times) == len(self.states) == len(self.actions)):
             raise ValueError("times, states, actions must have equal length")
+        if not np.isfinite(self.times).all():  # nan would pass both checks below
+            raise ValueError("times must be finite")
         if len(self.times) >= 2:
             gaps = np.diff(self.times)
             if np.any(gaps <= 0):
@@ -803,18 +821,23 @@ def rollout(spec: ModelSpec, params: ParamVector, schema: SystemSchema, x0, acti
     return Trajectory(times, states[0], padded)
 
 
-def one_step_mse(spec: ModelSpec, params: ParamVector, dataset: Dataset,
-                 evaluator: Evaluator | None = None) -> float:
-    """Teacher-forced mean over transitions of ||(x + f dt) - y||^2.
-    `evaluator`, if given, must be compiled for spec and dataset.schema."""
-    return float(np.mean(np.sum(squared_residuals(spec, params, dataset, evaluator), axis=1)))
+def one_step_mse(spec: ModelSpec, params: ParamVector, dataset: Dataset) -> float:
+    """Teacher-forced mean over transitions of ||(x + f dt) - y||^2."""
+    return _mean_row_sum(squared_residuals(spec, params, dataset))
 
 
 def per_component_mse(spec: ModelSpec, params: ParamVector, dataset: Dataset,
                       evaluator: Evaluator | None = None):
     """Per-dimension one-step MSE delta and its mean upsilon.
     `evaluator`, if given, must be compiled for spec and dataset.schema."""
-    sq = squared_residuals(spec, params, dataset, evaluator)
+    return _component_means(squared_residuals(spec, params, dataset, evaluator))
+
+
+def _mean_row_sum(sq: np.ndarray) -> float:  # one_step_mse of the squared residuals sq
+    return float(np.mean(np.sum(sq, axis=1)))
+
+
+def _component_means(sq: np.ndarray) -> tuple[np.ndarray, float]:  # per_component_mse of sq
     delta = _column_sums(sq) / sq.shape[0]  # the bits of np.mean(sq, axis=0)
     return delta, float(np.mean(delta))
 
@@ -880,6 +903,40 @@ def rollout_mse(spec: ModelSpec, params: ParamVector, dataset: Dataset,
     return total / count
 
 
+HEADLINE_METRICS = ("one-step", "rollout")  # what a headline test score can be; the default first
+
+
+@dataclass
+class TestMetrics:
+    upsilon: float           # mean over components of the one-step MSE
+    delta: np.ndarray        # per-component one-step MSE
+    sum_mse: float           # summed-over-components one-step MSE
+    rollout: float           # full-trajectory MSE
+
+    def headline(self, name: str) -> float:  # upsilon for "one-step", rollout for "rollout"
+        return (self.upsilon, self.rollout)[HEADLINE_METRICS.index(name)]
+
+    def doc(self, headline: str) -> dict:
+        """The test keys of a result.json, `headline` naming the headline."""
+        return {"headline_metric": headline, "headline_value": self.headline(headline),
+                "test_upsilon": self.upsilon, "test_delta": [float(v) for v in self.delta],
+                "test_sum_mse": self.sum_mse, "test_rollout_mse": self.rollout}
+
+
+def evaluate_test_metrics(spec: ModelSpec, params: ParamVector, test: Dataset) -> TestMetrics:
+    """Test scores from one compiled evaluator and one one-step pass,
+    reduced as per_component_mse and one_step_mse reduce it.  A faulting
+    one-step pass scores inf, as an exploding rollout does in rollout_mse."""
+    ev = Evaluator(spec, test.schema)
+    try:
+        sq = squared_residuals(spec, params, test, evaluator=ev)
+    except EvaluationFault:
+        sq = np.full((1, len(spec.components)), np.inf)
+    delta, upsilon = _component_means(sq)
+    return TestMetrics(upsilon, delta, _mean_row_sum(sq),
+                       rollout_mse(spec, params, test, evaluator=ev))
+
+
 # ---------------------------------------------------------------------------
 # Dataset and parameter serialization
 
@@ -916,6 +973,15 @@ def read_csv_rows(path: Path, width: int) -> tuple[list[str], np.ndarray]:
                 raise ValueError(f"{path}: row {i}: {err}") from None
         raise
     return rows[0], data.reshape(len(body), width)
+
+
+def csv_trajectory(path: Path, rows: np.ndarray, d_x: int) -> Trajectory:
+    """The trajectory of rows ``t, x_1..x_dX, u_1..u_dU`` read from the CSV
+    file path; a ValueError for its times names the file."""
+    try:
+        return Trajectory(rows[:, 0], rows[:, 1:1 + d_x], rows[:, 1 + d_x:])
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def save_dataset(ds: Dataset, out_dir: str | Path, seed: int | None = None,
@@ -975,7 +1041,6 @@ def load_saved_dataset(in_dir: str | Path) -> Dataset:
         time_units=sch["time_units"],
         dt=sch["dt"],
     )
-    d_x = schema.d_x
     header = _csv_header(schema)
     n = manifest["n_trajectories"]
     trajectories = []
@@ -988,7 +1053,7 @@ def load_saved_dataset(in_dir: str | Path) -> Dataset:
         if names != header:
             raise ValueError(f"{path}: row 1 has header {','.join(names)},"
                              f" expected {','.join(header)}")
-        trajectories.append(Trajectory(body[:, 0], body[:, 1:1 + d_x], body[:, 1 + d_x:]))
+        trajectories.append(csv_trajectory(path, body, schema.d_x))
     return Dataset(trajectories, schema, manifest["split"])
 
 

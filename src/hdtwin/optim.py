@@ -30,6 +30,7 @@ from hdtwin.engine import (
     Evaluator,
     ParamVector,
     per_component_mse,
+    require_integers,
 )
 
 log = logging.getLogger(__name__)
@@ -53,6 +54,7 @@ class OptimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_integers(self, "batch_size", "max_epochs", "patience", "seed")
         if min(self.lr, self.batch_size, self.patience) <= 0:
             raise ValueError("lr, batch_size and patience must be positive")
         if self.max_epochs < 0:

@@ -1,12 +1,13 @@
 """End-to-end search runs.
 
 evolve() iterates propose -> fit -> evaluate -> insert -> critique for a
-fixed number of generations, keeps the top-K population, and evaluates
-the best-by-validation candidate once on the test split.  Both ablations
-are evolve cut to one generation: zero_optim fits its proposal, zero_shot
-fits it for zero epochs, which scores its suggested inits.  run_experiment
-repeats a method over seeds (regenerating the datasets per seed) and
-aggregates the test metric as mean with a 95% Student-t half-width.
+fixed number of generations, keeps the top-K population, and scores the
+best-by-validation candidate once on the test split with
+engine.evaluate_test_metrics.  Both ablations are evolve cut to one
+generation: zero_optim fits its proposal, zero_shot fits it for zero
+epochs, which scores its suggested inits.  run_experiment repeats a
+method over seeds (regenerating the datasets per seed) and aggregates
+the test metric as mean with a 95% Student-t half-width.
 
 Each run can write a plain-text archive: the canonical spec, parameter
 table, metrics, and loss curves per inserted generation, the full
@@ -44,15 +45,15 @@ from hdtwin.agents import (
 )
 from hdtwin.dsl import ModelSpec, SystemSchema, canonicalize, dsl_skeleton
 from hdtwin.engine import (
+    HEADLINE_METRICS,
     Dataset,
     EvaluationFault,
-    Evaluator,
     ParamVector,
-    _column_sums,
+    TestMetrics,
+    evaluate_test_metrics,
     init_params,
-    rollout_mse,
+    require_integers,
     save_params,
-    squared_residuals,
     write_json,
 )
 from hdtwin.optim import FitResult, OptimConfig, fit
@@ -76,13 +77,14 @@ class EvolveConfig:
     optim: OptimConfig = field(default_factory=OptimConfig)
     decoding: DecodingConfig = field(default_factory=DecodingConfig)
     seed: int = 0
-    test_metric: str = "one-step"  # headline metric; "rollout" also archived
+    test_metric: str = HEADLINE_METRICS[0]  # the headline; every test score is archived
 
     def __post_init__(self):
+        require_integers(self, "generations", "capacity", "seed")
         if self.generations < 1 or self.capacity < 1:
             raise ValueError("generations and capacity must be >= 1")
-        if self.test_metric not in ("one-step", "rollout"):
-            raise ValueError("test_metric is 'one-step' or 'rollout'")
+        if self.test_metric not in HEADLINE_METRICS:
+            raise ValueError(f"test_metric is {' or '.join(map(repr, HEADLINE_METRICS))}")
 
 
 @dataclass
@@ -94,17 +96,6 @@ class GenerationRecord:
     fingerprint: int | None = None
     description: str = ""
     error: str | None = None  # why a transport-failed generation ended the run
-
-
-@dataclass
-class TestMetrics:
-    upsilon: float           # mean over components of the one-step MSE
-    delta: np.ndarray        # per-component one-step MSE
-    sum_mse: float           # summed-over-components one-step MSE
-    rollout: float           # full-trajectory MSE
-
-    def headline(self, mode: str) -> float:
-        return self.rollout if mode == "rollout" else self.upsilon
 
 
 @dataclass
@@ -138,25 +129,6 @@ def make_modeling_context(system: SystemDef, generations: int,
         requirements=requirements,
         skeleton=dsl_skeleton(system.schema),
         generations=generations,
-    )
-
-
-def evaluate_test_metrics(spec: ModelSpec, params: ParamVector, test: Dataset) -> TestMetrics:
-    """Test scores from one compiled evaluator and one one-step forward
-    pass; delta and upsilon reduce the squared residuals as
-    per_component_mse does, sum_mse as one_step_mse does.  A forward pass
-    that faults scores inf, as rollout_mse scores an exploding rollout."""
-    ev = Evaluator(spec, test.schema)
-    try:
-        sq = squared_residuals(spec, params, test, evaluator=ev)
-    except EvaluationFault:
-        sq = np.full((1, len(spec.components)), np.inf)
-    delta = _column_sums(sq) / sq.shape[0]
-    return TestMetrics(
-        upsilon=float(np.mean(delta)),
-        delta=delta,
-        sum_mse=float(np.mean(np.sum(sq, axis=1))),
-        rollout=rollout_mse(spec, params, test, evaluator=ev),
     )
 
 
@@ -423,7 +395,7 @@ def run_experiment(system_id: str, method: str, seeds: list[int], *,
                 outcome.metric = metrics.headline(cfg.test_metric)
                 if seed_dir:
                     write_model_dir(seed_dir, canonicalize(spec).text, params,
-                                    _metrics_doc(metrics, cfg.test_metric))
+                                    metrics.doc(cfg.test_metric))
                     outcome.archive = str(seed_dir)
         except (RunFailure, EvaluationFault, ValueError, KeyError) as err:
             log.warning("seed %d failed: %s", seed, err)
@@ -442,17 +414,6 @@ def run_experiment(system_id: str, method: str, seeds: list[int], *,
 
 # ---------------------------------------------------------------------------
 # Archives
-
-
-def _metrics_doc(metrics: TestMetrics, headline: str) -> dict:
-    return {
-        "headline_metric": headline,
-        "headline_value": metrics.headline(headline),
-        "test_upsilon": metrics.upsilon,
-        "test_delta": [float(v) for v in metrics.delta],
-        "test_sum_mse": metrics.sum_mse,
-        "test_rollout_mse": metrics.rollout,
-    }
 
 
 def write_run_archive(out_dir, result: RunResult, system_id: str, method: str,
@@ -527,7 +488,7 @@ def write_run_archive(out_dir, result: RunResult, system_id: str, method: str,
         "best_fingerprint": best.fingerprint,
         "best_description": best.description,
     }
-    doc.update(_metrics_doc(result.test, cfg.test_metric))
+    doc.update(result.test.doc(cfg.test_metric))
     if result.transport_error is not None:
         doc["transport_error"] = result.transport_error
     write_model_dir(out, best.canonical_text, best.params, doc)

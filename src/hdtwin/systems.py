@@ -33,9 +33,11 @@ from hdtwin.engine import (
     Evaluator,
     ParamVector,
     Trajectory,
+    csv_trajectory,
     euler_rollout,
     init_params,
     read_csv_rows,
+    require_integers,
 )
 
 BUILTIN_IDS = (
@@ -90,6 +92,7 @@ class GenConfig:
     intervention_scale: float = 0.25
 
     def __post_init__(self):
+        require_integers(self, *(() if self.n is None else ("n",)), "seed")
         if self.n is not None and self.n < 1:
             raise ValueError("n must be >= 1")
         if self.seed < 0:
@@ -429,8 +432,7 @@ def load_csv_dataset(path: str | Path, schema: SystemSchema,
     as for the 92-row hare-lynx and 102-row plankton files).
     """
     path = Path(path)
-    width = 1 + schema.d_x + schema.d_u
-    _, data = read_csv_rows(path, width)
+    _, data = read_csv_rows(path, 1 + schema.d_x + schema.d_u)
     times = data[:, 0]
     if np.any(np.diff(times) <= 0):
         raise ValueError(f"{path}: time column is not strictly increasing")
@@ -448,12 +450,7 @@ def load_csv_dataset(path: str | Path, schema: SystemSchema,
     bounds = [0, n_train, n_train + n_val, n_train + n_val + n_test]
     out = {}
     for split, lo, hi in zip(("train", "val", "test"), bounds, bounds[1:]):
-        chunk = data[lo:hi]
-        out[split] = Dataset(
-            [Trajectory(chunk[:, 0], chunk[:, 1:1 + schema.d_x],
-                        chunk[:, 1 + schema.d_x:width])],
-            schema, split,
-        )
+        out[split] = Dataset([csv_trajectory(path, data[lo:hi], schema.d_x)], schema, split)
     return out
 
 

@@ -162,7 +162,7 @@ def test_evolve_with_replay_config(tmp_path, capsys):
     assert (out / "summary.csv").exists()
 
 
-def test_evolve_config_errors(tmp_path):
+def test_evolve_config_errors(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"system": "cancer", "method": "evolve", "seeds": [0],
                                "client": {"mode": "replay", "path": "/nonexistent"}}))
@@ -175,6 +175,12 @@ def test_evolve_config_errors(tmp_path):
     cfg.write_text(json.dumps({"system": "lv2", "method": "sindy", "seeds": [0],
                                "sindy": {"fd_order": 1}}))  # a removed key
     assert dispatch(["evolve", "--config", str(cfg)]) == EXIT_CONFIG
+    cfg.write_text(json.dumps({"system": "lv2", "method": "baseline:lv2", "seeds": [0],
+                               "optim": {"max_epochs": 2.5, "patience": 2}}))
+    capsys.readouterr()
+    assert dispatch(["evolve", "--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: bad optim config: max_epochs must be an integer (got 2.5)\n")
     assert dispatch(["evolve", "--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG
 
 
@@ -290,6 +296,29 @@ def test_report_aggregates_archives(tmp_path, capsys):
     assert doc["half_width_95"] == pytest.approx(2.484, abs=1e-3)
     assert "half_width_95" in out_csv.read_text()
     assert dispatch(["report", "--runs", str(tmp_path / "nope")]) == EXIT_CONFIG
+    (tmp_path / "run1" / "result.json").write_text(json.dumps({"val_upsilon": 1.0}))
+    capsys.readouterr()
+    assert dispatch(["report", "--runs", str(tmp_path / "run0"),
+                     str(tmp_path / "run1")]) == EXIT_CONFIG
+    result = tmp_path / "run1" / "result.json"
+    assert capsys.readouterr().err == f"error: {result} has no 'headline_value'\n"
+
+
+def test_report_reads_a_fit_run(small_data, tmp_path, capsys):
+    spec_path = tmp_path / "true.hdt"
+    spec_path.write_text(canonicalize(builtin_system("cancer-chemo-radio").spec).text)
+    out = tmp_path / "fitrun"
+    assert dispatch(["fit", "--spec", str(spec_path), "--data", str(small_data),
+                     "--out", str(out), "--max-epochs", "0"]) == EXIT_OK
+    fit_doc = last_metrics(capsys)
+    result = json.loads((out / "result.json").read_text())
+    test_keys = {"headline_metric", "headline_value", "test_upsilon", "test_delta",
+                 "test_sum_mse", "test_rollout_mse"}
+    assert test_keys <= set(result) and test_keys <= set(fit_doc)
+    assert result["headline_metric"] == "one-step"
+    assert result["headline_value"] == result["test_upsilon"] == fit_doc["test_upsilon"]
+    assert dispatch(["report", "--runs", str(out)]) == EXIT_OK
+    assert last_metrics(capsys)["mean"] == result["headline_value"]
 
 
 def test_unknown_subcommand_is_config_error(capsys):

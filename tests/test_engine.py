@@ -17,6 +17,8 @@ from conftest import (
     random_spec,
 )
 from hdtwin import engine
+from hdtwin.agents import DecodingConfig
+from hdtwin.baselines import SindyConfig
 from hdtwin.dsl import MlpDecl, SystemSchema, VarSpec, parse_model_spec
 from hdtwin.engine import (
     Dataset,
@@ -38,7 +40,9 @@ from hdtwin.engine import (
     save_dataset,
     save_params,
 )
-from hdtwin.systems import BUILTIN_IDS, builtin_system
+from hdtwin.optim import OptimConfig
+from hdtwin.orchestrator import EvolveConfig
+from hdtwin.systems import BUILTIN_IDS, GenConfig, builtin_system
 
 CANCER_SCHEMA = SystemSchema(
     states=(VarSpec("tumor_volume", 0.01433, 1170.861),
@@ -734,6 +738,22 @@ def test_init_params_rejects_a_negative_seed(text):
         init_params(parse_model_spec(text), seed=-1)
 
 
+@pytest.mark.parametrize("cls, name, good", [
+    (OptimConfig, "batch_size", 4), (OptimConfig, "max_epochs", 30),
+    (OptimConfig, "patience", 5), (OptimConfig, "seed", 3),
+    (EvolveConfig, "generations", 2), (EvolveConfig, "capacity", 2), (EvolveConfig, "seed", 1),
+    (GenConfig, "n", 3), (GenConfig, "seed", 1),
+    (DecodingConfig, "max_tokens", 10), (DecodingConfig, "retries", 1),
+    (SindyConfig, "degree", 2),
+])
+def test_config_integer_fields_reject_floats_and_bools(cls, name, good):
+    # a float here used to construct and then fail in range() or rng.integers
+    for bad in (2.5, float(good), True):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer \(got {bad!r}\)$"):
+            cls(**{name: bad})
+    assert getattr(cls(**{name: np.int64(good)}), name) == good
+
+
 # ---------------------------------------------------------------------------
 # rollout_mse
 
@@ -804,6 +824,28 @@ def test_load_saved_dataset_checks_csv_against_manifest(tmp_path):
     path.write_text("\n".join(["t,x_1,x_2,u_2,u_1"] + lines[1:]) + "\n")
     with pytest.raises(ValueError, match=r"traj-00001\.csv: row 1 has header t,x_1,x_2,u_2,u_1,"
                                          r" expected t,x_1,x_2,u_1,u_2"):
+        load_saved_dataset(tmp_path / "d")
+
+
+@pytest.mark.parametrize("times", [[0.0, math.nan, 2.0], [0.0, math.inf], [-math.inf, 0.0]])
+def test_trajectory_rejects_non_finite_times(times):
+    # every comparison with nan is false: nan passed the ordering and spacing checks
+    with pytest.raises(ValueError, match=r"^times must be finite$"):
+        Trajectory(times, np.zeros(len(times)), np.zeros((len(times), 0)))
+
+
+@pytest.mark.parametrize("bad_time, message", [
+    ("nan", "times must be finite"), ("0.5", "times must be strictly increasing")])
+def test_load_saved_dataset_names_the_file_whose_times_are_rejected(tmp_path, bad_time,
+                                                                   message):
+    spec, params = cancer_model()
+    tr = rollout(spec, params, CANCER_SCHEMA, [100.0, 0.0], np.zeros((5, 2)), dt=1.0)
+    save_dataset(Dataset([tr, tr], CANCER_SCHEMA), tmp_path / "d")
+    path = tmp_path / "d" / "traj-00001.csv"
+    lines = path.read_text().splitlines()
+    lines[3] = ",".join([bad_time] + lines[3].split(",")[1:])  # the row at t = 2
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"traj-00001\.csv: {message}$"):
         load_saved_dataset(tmp_path / "d")
 
 

@@ -1,14 +1,17 @@
-"""Importing the package loads neither the HTTP stack nor scipy.
+"""What the package's modules import.
 
-Both are imported where they are used (`HttpClient.complete`, the
-engine's sigmoid kernel, the orchestrator's confidence interval), so the
-offline commands and replayed runs start without them.  A fresh
-interpreter is needed because the test session itself may have loaded
-them already.
+Importing the package loads neither the HTTP stack nor scipy.  Both are
+imported where they are used (`HttpClient.complete`, the engine's
+sigmoid kernel, the orchestrator's confidence interval), so the offline
+commands and replayed runs start without them.  A fresh interpreter is
+needed because the test session itself may have loaded them already.
+
+No module reaches into another hdtwin module's private names.
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -35,3 +38,15 @@ def test_importing_the_package_loads_no_http_stack_and_no_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "", f"loaded at import: {proc.stdout.strip()}"
+
+
+
+def test_no_module_imports_a_private_name_of_another():
+    found = []
+    for path in sorted((ROOT / "src" / "hdtwin").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):  # function bodies included
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("hdtwin")):
+                found += [f"{path.name}: {node.module}.{alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+    assert found == []

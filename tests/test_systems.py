@@ -286,6 +286,16 @@ def test_load_csv_rejects_non_monotone_time(tmp_path):
         load_csv_dataset(path, LOAD_SCHEMA)
 
 
+def test_load_csv_names_the_file_when_a_time_is_not_finite(tmp_path):
+    path = tmp_path / "nan.csv"
+    _write_csv(path, 10)
+    lines = path.read_text().splitlines()
+    lines[5] = "nan" + lines[5][lines[5].index(","):]  # every comparison with nan is false
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"nan\.csv: times must be finite$"):
+        load_csv_dataset(path, LOAD_SCHEMA)
+
+
 def test_load_csv_rejects_malformed_row(tmp_path):
     path = tmp_path / "bad2.csv"
     with open(path, "w") as fh:
