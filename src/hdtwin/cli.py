@@ -171,14 +171,13 @@ def cmd_fit(args) -> int:
     train = load_saved_dataset(data_dir / "train")
     val = load_saved_dataset(data_dir / "val")
     result = fit(spec, init, train, val, cfg)
-    if result.faulted and not (result.val_loss < float("inf")):
-        raise RunFailure("fit faulted before any finite epoch", [])
+    if not result.usable:
+        raise RunFailure("fit faulted or its validation loss is not finite", [])
     doc = {
         "command": "fit",
         "val_upsilon": result.val_loss,
         "val_delta": [float(v) for v in result.component_losses],
         "epochs_run": result.epochs_run,
-        "faulted": result.faulted,
     }
     if (data_dir / "test").exists():
         metrics = evaluate_test_metrics(spec, result.params, load_saved_dataset(data_dir / "test"))
@@ -197,9 +196,7 @@ def cmd_eval(args) -> int:
     for name, value in zip((c.target for c in spec.components), metrics.delta):
         print(f"delta[{name}]: {float(value)!r}")
     print(f"rollout mse: {metrics.rollout!r}")
-    _metrics_line({"command": "eval", "upsilon": metrics.upsilon,
-                   "delta": [float(v) for v in metrics.delta],
-                   "sum_mse": metrics.sum_mse, "rollout_mse": metrics.rollout})
+    _metrics_line({"command": "eval", **metrics.doc(HEADLINE_METRICS[0])})
     return EXIT_OK
 
 
@@ -320,6 +317,10 @@ def cmd_report(args) -> int:
             raise ConfigError(f"{path / 'result.json'} has no 'headline_value'")
         rows.append((str(path), doc.get("headline_metric", HEADLINE_METRICS[0]),
                      float(doc["headline_value"])))
+    first_run = {kind: run for run, kind, _ in reversed(rows)}  # of each headline kind
+    if len(first_run) > 1:
+        raise ConfigError("runs mix headline metrics: " + ", ".join(
+            f"{kind} ({first_run[kind]})" for kind in sorted(first_run)))
     values = [v for _, _, v in rows]
     mean, half = confidence_interval(values)
     if args.out:

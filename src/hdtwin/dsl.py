@@ -713,10 +713,6 @@ def canonicalize(spec: ModelSpec) -> CanonicalForm:
     return CanonicalForm(text, int.from_bytes(digest, "big"))
 
 
-def fingerprint(spec: ModelSpec) -> int:
-    return canonicalize(spec).fingerprint
-
-
 def dsl_skeleton(schema: SystemSchema) -> str:
     """The fill-in scaffold handed to a model-writing agent."""
     inputs = ", ".join(schema.state_names + schema.action_names) or TIME_SYMBOL

@@ -6,7 +6,8 @@ Guarded domains keep every expression total: log/sqrt clamp their
 argument to >= 1e-8, division clamps |denominator| >= 1e-8 preserving
 sign, and pow with a non-integer exponent clamps its base to >= 1e-8.
 Anything that still produces a non-finite value raises EvaluationFault,
-which callers treat as a model fault rather than a crash.
+a model fault rather than a crash; a non-finite derivative blames the
+component of its first non-finite entry in row order (and rollout step).
 
 An Evaluator compiles its spec once into a flat tape (Griewank & Walther,
 *Evaluating Derivatives*, 2008).  The tape lists the operator nodes of
@@ -647,12 +648,18 @@ class Evaluator:
         x = np.asarray(state, dtype=float).reshape(1, -1)
         u = np.asarray(action, dtype=float).reshape(1, -1)
         f = self.derivatives(params, x, u, np.array([float(time)]))[0]
-        finite = np.isfinite(f)
-        if not finite.all():
-            j = int(np.argmin(finite))
-            raise EvaluationFault(f"non-finite derivative for component {j}"
-                                  f" ({self.spec.components[j].target})", component=j)
+        self._require_finite(f)
         return f
+
+    def _require_finite(self, f: np.ndarray, step: int | None = None):
+        """The one blame rule: raise EvaluationFault for the component of the
+        first non-finite entry of f (rows by component) in row order."""
+        if np.isfinite(f).all():
+            return
+        j = int(np.argmin(np.isfinite(f).reshape(-1))) % f.shape[-1]
+        at = "" if step is None else f" at step {step}"
+        raise EvaluationFault(f"non-finite derivative{at} (component"
+                              f" {self.spec.components[j].target})", component=j, step=step)
 
     def loss_and_grad(self, params: ParamVector, batch: TransitionBatch, dt: float,
                       out: ParamVector | None = None):
@@ -784,14 +791,7 @@ def euler_rollout(ev: Evaluator, x0, times: np.ndarray, dt: float, inputs):
             params, u = inputs(k, x)
             actions[:, k] = u
             f = ev.derivatives(params, x, u, by_step[k])
-            bad = ~np.isfinite(f)
-            if bad.any():
-                j = int(np.argmax(bad[np.argmax(bad.any(axis=1))]))
-                target = ev.spec.components[j].target
-                raise EvaluationFault(
-                    f"non-finite derivative at step {k} (component {target})",
-                    component=j, step=k,
-                )
+            ev._require_finite(f, step=k)
             x = x + f * dt
             states[:, k + 1] = x
     actions[:, steps] = inputs(steps, x)[1]
@@ -850,11 +850,7 @@ def squared_residuals(spec: ModelSpec, params: ParamVector, dataset: Dataset,
     ev = _checked_evaluator(spec, params, dataset.schema, evaluator)
     batch = dataset.transitions()
     f = ev.derivatives(params, batch.x, batch.u, batch.t)
-    if not np.isfinite(f).all():
-        bad = int(np.argmax(~np.isfinite(f).all(axis=0)))
-        raise EvaluationFault(
-            f"non-finite derivative (component {spec.components[bad].target})", component=bad
-        )
+    ev._require_finite(f)
     f *= dataset.schema.dt
     f += batch.x
     f -= batch.y

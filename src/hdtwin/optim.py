@@ -8,6 +8,7 @@ initial parameters; with max_epochs = 0 that pass is the whole fit, which
 scores the initial parameters (the zero-shot ablation).  An epoch counts
 as an improvement only when the validation loss drops by more than
 1e-12, which keeps float noise from resetting the patience window.
+FitResult.usable is the one rule for using a fit: no fault, finite loss.
 
 Parameters, gradients and Adam's moments m and v share one flat layout
 (engine.ParamVector): each mini-batch makes one adam_update call over the
@@ -84,6 +85,11 @@ class FitResult:
     val_curve: list[float] = field(default_factory=list)  # [epoch 0, epoch 1, ...]
     faulted: bool = False
 
+    @property
+    def usable(self) -> bool:
+        """The one rule for every caller of fit: no fault, finite val_loss."""
+        return not self.faulted and math.isfinite(self.val_loss)
+
 
 def adam_update(param, grad, m, v, step: int, cfg: OptimConfig):
     """One bias-corrected Adam update; works on scalars and arrays alike."""
@@ -104,8 +110,8 @@ def fit(spec: ModelSpec, init: ParamVector, train: Dataset, val: Dataset,
     every validation pass.  Each epoch gathers the shuffled training rows
     once and takes its mini-batches as contiguous slices of them.
 
-    A non-finite loss or gradient anywhere sets the fault flag and returns
-    the best snapshot seen so far (validation loss +inf if none).
+    A non-finite loss or gradient sets the fault flag and returns the best
+    snapshot so far (validation loss +inf if none), which is not usable.
     """
     cfg = cfg or OptimConfig()
     n_params = spec.param_count()

@@ -149,8 +149,9 @@ def evolve(ctx: ModelingContext, system: SystemDef, datasets: dict[str, Dataset]
            cfg: EvolveConfig, client, human_feedback_dir=None) -> RunResult:
     """Run the full propose/fit/evaluate/insert/critique loop.
 
-    Failed proposals and faulted fits consume their generation without an
-    insertion.  The best-by-validation entry is evaluated once on test.
+    Failed proposals and unusable fits (FitResult.usable) consume their
+    generation without an insertion.  The best-by-validation entry is
+    evaluated once on test.
     A TransportError while proposing ends the run at that generation: the
     finished generations are kept and the result carries the error in
     `transport_error` (the error is raised if no generation finished).
@@ -192,7 +193,7 @@ def evolve(ctx: ModelingContext, system: SystemDef, datasets: dict[str, Dataset]
                          train, val, cfg.optim)
             stages["fit"] += time.perf_counter() - t0
             fit_results[g] = result
-            if result.faulted or not np.isfinite(result.val_loss):
+            if not result.usable:
                 log.warning("generation %d: fit faulted", g)
                 records.append(GenerationRecord(g, "fit-faulted", description=description))
             else:
@@ -388,7 +389,7 @@ def run_experiment(system_id: str, method: str, seeds: list[int], *,
                     spec = builtin_baseline_spec(method.split(":", 1)[1], system.schema)
                     fitted = fit(spec, init_params(spec, seed=seed),
                                  datasets["train"], datasets["val"], cfg.optim)
-                    if fitted.faulted:
+                    if not fitted.usable:
                         raise RunFailure("baseline fit faulted", [])
                     params = fitted.params
                 metrics = evaluate_test_metrics(spec, params, datasets["test"])

@@ -1,6 +1,7 @@
 """Shared helpers: an independent naive interpreter used as the oracle
-for loss values and finite-difference gradients, plus random generators
-for specs, parameters, and transition batches.
+for loss values and finite-difference gradients, random generators
+for specs, parameters, and transition batches, and stand-ins for fits
+that no caller may use.
 
 The naive interpreter deliberately shares no code with the engine: it is
 scalar, recursive, pure-Python math so that engine results can be checked
@@ -23,6 +24,7 @@ from hdtwin.dsl import (
     VarSpec,
 )
 from hdtwin.engine import ParamVector, TransitionBatch, mlp_init
+from hdtwin.optim import FitResult
 
 GUARD = 1e-8
 
@@ -264,3 +266,19 @@ def random_batch(rng: np.random.Generator, schema: SystemSchema, m: int) -> Tran
         t=rng.uniform(0.0, 3.0, size=m),
         y=rng.uniform(0.3, 2.0, size=(m, schema.d_x)),
     )
+
+
+# ---------------------------------------------------------------------------
+# Unusable fits
+
+UNUSABLE_FITS = ("faulted-after-a-finite-epoch", "infinite-validation-loss")
+
+
+def unusable_fit(kind: str):
+    """A stand-in for optim.fit returning an unusable FitResult of `kind`."""
+    def fake_fit(spec, init, train, val, cfg=None):
+        d_x = train.schema.d_x
+        if kind == "faulted-after-a-finite-epoch":
+            return FitResult(init, 0.5, np.full(d_x, 0.5), 2, [1.0], [1.0, 0.5], faulted=True)
+        return FitResult(init, math.inf, np.full(d_x, math.inf), 1, [1.0], [math.inf] * 2)
+    return fake_fit

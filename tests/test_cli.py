@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import replay_fixtures
+from conftest import UNUSABLE_FITS, unusable_fit
+from hdtwin import cli
 from hdtwin.agents import save_replay
 from hdtwin.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUN, EXIT_TRANSPORT, build_parser, dispatch
 from hdtwin.dsl import canonicalize, parse_model_spec
@@ -79,10 +81,26 @@ def test_fit_and_eval_round_trip(small_data, tmp_path, capsys):
     spec = system.spec
     params = load_params(out / "best-params.json")
     delta, ups = per_component_mse(spec, params, load_saved_dataset(small_data / "test"))
-    assert doc["upsilon"] == pytest.approx(ups, abs=1e-12)
-    assert doc["delta"] == pytest.approx(list(delta), abs=1e-12)
-    assert doc["sum_mse"] == pytest.approx(
+    assert doc["command"] == "eval"
+    assert (doc["headline_metric"], doc["headline_value"]) == ("one-step", doc["test_upsilon"])
+    assert doc["test_upsilon"] == pytest.approx(ups, abs=1e-12)
+    assert doc["test_delta"] == pytest.approx(list(delta), abs=1e-12)
+    assert doc["test_sum_mse"] == pytest.approx(
         one_step_mse(spec, params, load_saved_dataset(small_data / "test")), abs=1e-12)
+    assert np.isfinite(doc["test_rollout_mse"])
+
+
+@pytest.mark.parametrize("kind", UNUSABLE_FITS)
+def test_fit_refuses_an_unusable_fit(small_data, tmp_path, capsys, monkeypatch, kind):
+    monkeypatch.setattr(cli, "fit", unusable_fit(kind))
+    spec_path = tmp_path / "true.hdt"
+    spec_path.write_text(canonicalize(builtin_system("cancer-chemo-radio").spec).text)
+    code = dispatch(["fit", "--spec", str(spec_path), "--data", str(small_data),
+                     "--out", str(tmp_path / "fitrun")])
+    assert code == EXIT_RUN
+    assert capsys.readouterr().err == (
+        "run failed: fit faulted or its validation loss is not finite\n")
+    assert not (tmp_path / "fitrun").exists()
 
 
 def test_fit_rejects_a_negative_seed(small_data, tmp_path, capsys):
@@ -114,7 +132,7 @@ def test_fit_zero_epochs_writes_the_initial_parameters(small_data, tmp_path, cap
                      "--out", str(out), "--max-epochs", "0"])
     assert code == EXIT_OK
     doc = last_metrics(capsys)
-    assert doc["epochs_run"] == 0 and doc["faulted"] is False
+    assert doc["epochs_run"] == 0 and "faulted" not in doc
     init = init_params(spec)
     assert load_params(out / "best-params.json").values.tobytes() == init.values.tobytes()
     delta, ups = per_component_mse(spec, init, load_saved_dataset(small_data / "val"))
@@ -132,7 +150,7 @@ def test_eval_reports_inf_when_the_test_pass_overflows(tmp_path, capsys):
                      "--params", str(tmp_path / "params.json"), "--data", str(data / "test")])
     assert code == EXIT_OK
     doc = last_metrics(capsys)
-    assert doc["upsilon"] == doc["sum_mse"] == doc["rollout_mse"] == float("inf")
+    assert doc["test_upsilon"] == doc["test_sum_mse"] == doc["test_rollout_mse"] == float("inf")
 
 
 def test_evolve_with_replay_config(tmp_path, capsys):
@@ -302,6 +320,25 @@ def test_report_aggregates_archives(tmp_path, capsys):
                      str(tmp_path / "run1")]) == EXIT_CONFIG
     result = tmp_path / "run1" / "result.json"
     assert capsys.readouterr().err == f"error: {result} has no 'headline_value'\n"
+
+
+def test_report_refuses_runs_of_mixed_headline_metrics(tmp_path, capsys):
+    runs = {}
+    for name, doc in [("step", {"headline_metric": "one-step", "headline_value": 1.0}),
+                      ("roll", {"headline_metric": "rollout", "headline_value": 3.0}),
+                      ("old", {"headline_value": 2.0})]:  # no kind reads as one-step
+        runs[name] = tmp_path / name
+        runs[name].mkdir()
+        (runs[name] / "result.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert dispatch(["report", "--runs", str(runs["step"]), str(runs["roll"])]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: runs mix headline metrics: one-step ({runs['step']}), rollout ({runs['roll']})\n")
+    assert dispatch(["report", "--runs", str(runs["old"]), str(runs["roll"])]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: runs mix headline metrics: one-step ({runs['old']}), rollout ({runs['roll']})\n")
+    assert dispatch(["report", "--runs", str(runs["step"]), str(runs["old"])]) == EXIT_OK
+    assert last_metrics(capsys)["mean"] == 1.5
 
 
 def test_report_reads_a_fit_run(small_data, tmp_path, capsys):

@@ -476,6 +476,34 @@ def test_rollout_fault_reports_step():
     assert err.value.component == 0
 
 
+BLAME_SCHEMA = SystemSchema(states=(VarSpec("x", 0, 10), VarSpec("y", 0, 10)))
+BLAME_SPEC = parse_model_spec("d(x)/dt = exp(x)\nd(y)/dt = exp(y)")
+
+
+def _blame_one_step():
+    # row 0 overflows y only, row 1 overflows x only: x is the first
+    # column with a bad row, y holds the first bad entry in row order
+    rows = np.array([[1.0, 1000.0], [1000.0, 1.0], [0.0, 0.0]])
+    one_step_mse(BLAME_SPEC, init_params(BLAME_SPEC),
+                 Dataset([Trajectory(np.arange(3.0), rows, np.zeros((3, 0)))], BLAME_SCHEMA))
+
+
+@pytest.mark.parametrize("run, step", [
+    (lambda: eval_derivative(BLAME_SPEC, init_params(BLAME_SPEC), [1.0, 1000.0], [], 0.0,
+                             BLAME_SCHEMA), None),
+    (_blame_one_step, None),
+    # y = 700, ~1e304, then exp overflows at step 1; x stays finite until step 3
+    (lambda: rollout(BLAME_SPEC, init_params(BLAME_SPEC), BLAME_SCHEMA, [1.0, 700.0],
+                     np.zeros((5, 0)), dt=1.0), 1),
+], ids=["eval_derivative", "squared_residuals", "rollout"])
+def test_a_non_finite_derivative_blames_the_first_bad_entry_in_row_order(run, step):
+    with pytest.raises(EvaluationFault) as err:
+        run()
+    assert (err.value.component, err.value.step) == (1, step)
+    at = "" if step is None else f" at step {step}"
+    assert str(err.value) == f"non-finite derivative{at} (component y)"
+
+
 # ---------------------------------------------------------------------------
 # losses
 

@@ -3,11 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import UNUSABLE_FITS, unusable_fit
 from hdtwin.dsl import SystemSchema, VarSpec, parse_model_spec
 from hdtwin import optim
 from hdtwin.engine import (Dataset, Evaluator, init_params, load_params, per_component_mse,
                            rollout, save_params)
-from hdtwin.optim import OptimConfig, adam_update, fit
+from hdtwin.optim import FitResult, OptimConfig, adam_update, fit
 
 SCHEMA = SystemSchema(states=(VarSpec("x", -100.0, 100.0),), dt=1.0)
 
@@ -232,6 +233,14 @@ def test_fit_faulted_model_flags_and_returns():
                  OptimConfig(batch_size=50, max_epochs=10, patience=10, seed=0))
     assert result.faulted
     assert result.val_loss == float("inf") or np.isfinite(result.val_loss)
+
+
+@pytest.mark.parametrize("kind", UNUSABLE_FITS)
+def test_a_fit_is_usable_only_unfaulted_with_a_finite_validation_loss(kind):
+    spec = parse_model_spec("param a = 0.5\nd(x)/dt = a * x")
+    train = make_linear_dataset(-0.5, 2, 3, seed=12, split="train")
+    assert not unusable_fit(kind)(spec, init_params(spec), train, train).usable
+    assert FitResult(init_params(spec), 0.5, np.full(1, 0.5), 2).usable
 
 
 def test_fit_rejects_over_cap_specs():

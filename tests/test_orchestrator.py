@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import replay_fixtures
+from conftest import UNUSABLE_FITS, unusable_fit
+from hdtwin import orchestrator
 from hdtwin.agents import (
     DecodingConfig,
     ProposalFailure,
@@ -16,7 +18,7 @@ from hdtwin.agents import (
 )
 from hdtwin.dsl import canonicalize
 from hdtwin.engine import Evaluator, init_params, one_step_mse, per_component_mse, rollout_mse
-from hdtwin.optim import OptimConfig
+from hdtwin.optim import OptimConfig, fit
 from hdtwin.orchestrator import (
     EvolveConfig,
     _mix_seed,
@@ -129,6 +131,27 @@ def test_evolve_fit_fault_consumes_generation(cancer_datasets):
     good = replay_fixtures.evolution_replies()[0]
     result = evolve(ctx, system, datasets, small_cfg(2), ScriptedClient([exploding, good]))
     assert [r.status for r in result.records] == ["fit-faulted", "inserted"]
+
+
+@pytest.mark.parametrize("kind", UNUSABLE_FITS)
+def test_evolve_and_baselines_refuse_an_unusable_fit(cancer_datasets, monkeypatch, kind):
+    fits = []
+
+    def first_fit_unusable(*args):
+        fits.append(args)
+        return (unusable_fit(kind) if len(fits) == 1 else fit)(*args)
+
+    monkeypatch.setattr(orchestrator, "fit", first_fit_unusable)
+    system, datasets = cancer_datasets
+    ctx = make_modeling_context(system, 2, n_trajectories=6)
+    good = replay_fixtures.evolution_replies()[0]
+    result = evolve(ctx, system, datasets, small_cfg(2), ScriptedClient([good, good]))
+    assert [r.status for r in result.records] == ["fit-faulted", "inserted"]
+    monkeypatch.setattr(orchestrator, "fit", unusable_fit(kind))
+    report = run_experiment("lv2", "baseline:lv2", [0], gen_cfg=GenConfig(n=4),
+                            evolve_cfg=small_cfg(1))
+    (outcome,) = report.outcomes
+    assert (outcome.error, outcome.metric) == ("baseline fit faulted", None)
 
 
 def test_evolve_all_failures_is_run_failure(cancer_datasets):
