@@ -28,7 +28,6 @@ from hdtwin.engine import (
     ParamVector,
     Trajectory,
     TransitionBatch,
-    eval_derivative,
     init_params,
     loss_gradient,
     mlp_init,
@@ -58,7 +57,6 @@ __all__ = [
     "Violation",
     "adam_update",
     "canonicalize",
-    "eval_derivative",
     "fit",
     "init_params",
     "loss_gradient",

@@ -16,6 +16,7 @@ reproducible and testable offline.  Both record every request/reply pair.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import os
 import re
@@ -27,6 +28,8 @@ import numpy as np
 from hdtwin.dsl import DslError, ModelSpec, SystemSchema, parse_model_spec, validate
 from hdtwin.engine import ParamVector, require_integers
 from hdtwin.optim import PARAM_COUNT_CAP
+
+log = logging.getLogger(__name__)
 
 REPLY_FIELD_SPEC = "spec"
 REPLY_FIELD_DESCRIPTION = "description"
@@ -98,7 +101,6 @@ class Population:
 class Feedback:
     text: str
     generation: int
-    warning: bool = False
 
 
 @dataclass
@@ -162,9 +164,6 @@ When replying only provide a single RFC8259 compliant JSON object following this
 
 DEFAULT_OBJECTIVE = """* The parameters of the model will be optimized to an observed training dataset with the given simulator.
 * The observed training dataset has very few samples, and the model must be able to generalize to unseen data."""
-
-DEFAULT_REQUIREMENTS = """* The specification generated should achieve the lowest possible validation loss, of 1e-6 or less.
-* The specification generated should be interpretable, and fit the dataset as accurately as possible."""
 
 _USEFUL_TO_KNOW = """* You are a specification evolving machine, and you will be called {generations} times to generate a specification, and improve it to achieve the lowest possible validation loss.
 * The model defines the state differential and will be used with an ODE solver to fit the observed training dataset.
@@ -361,7 +360,7 @@ class ScriptedClient:
     """Replays canned replies in order; raises ReplayExhausted when empty."""
 
     def __init__(self, replies: list[str]):
-        self._replies = list(replies)
+        self.replies = tuple(replies)
         self._cursor = 0
         self.transcript: list[dict] = []
 
@@ -370,20 +369,25 @@ class ScriptedClient:
         """Load a replay file: a JSON list of reply strings, or a recorded
         transcript (list of {"request": ..., "reply": ...} objects)."""
         with open(path) as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as err:
+                raise ValueError(f"{path}: replay file is not JSON ({err})")
         if not isinstance(doc, list):
             raise ValueError(f"{path}: replay file must be a JSON list")
-        replies = [item["reply"] if isinstance(item, dict) else item for item in doc]
-        if not all(isinstance(r, str) for r in replies):
-            raise ValueError(f"{path}: replay entries must be strings or objects with a 'reply'")
+        replies = [item.get("reply") if isinstance(item, dict) else item for item in doc]
+        bad = [i for i, r in enumerate(replies) if not isinstance(r, str)]
+        if bad:
+            raise ValueError(f"{path}: replay entry {bad[0]} is neither a string"
+                             " nor an object with a string 'reply'")
         return cls(replies)
 
     def complete(self, messages: list[dict], cfg: DecodingConfig) -> str:
-        if self._cursor >= len(self._replies):
+        if self._cursor >= len(self.replies):
             raise ReplayExhausted(
-                f"replay exhausted after {len(self._replies)} replies"
+                f"replay exhausted after {len(self.replies)} replies"
             )
-        reply = self._replies[self._cursor]
+        reply = self.replies[self._cursor]
         self._cursor += 1
         self.transcript.append({"request": messages, "reply": reply})
         return reply
@@ -437,10 +441,14 @@ def check_proposal(spec_text: str, schema: SystemSchema) -> tuple[ModelSpec | No
     return (spec if not problems else None), problems
 
 
-def request_spec(client, convo: list[dict], schema: SystemSchema, decoding: DecodingConfig,
-                 reply_again: str) -> tuple[ModelSpec, str]:
+_REPLY_AGAIN = ('Reply again with a single JSON object carrying the corrected'
+                ' "spec" and "description" fields.')
+
+
+def request_spec(client, convo: list[dict], schema: SystemSchema,
+                 decoding: DecodingConfig) -> tuple[ModelSpec, str]:
     """Send `convo` until a reply carries a valid spec, at most 1 + retries
-    times, answering each unusable reply with its problems and `reply_again`."""
+    times, answering each unusable reply with its problems."""
     problems: list[str] = []
     for _ in range(decoding.retries + 1):
         reply = client.complete(convo, decoding)
@@ -456,7 +464,7 @@ def request_spec(client, convo: list[dict], schema: SystemSchema, decoding: Deco
         convo = convo + [
             {"role": "assistant", "content": reply},
             {"role": "user", "content": "Your previous reply could not be used:\n"
-                + "\n".join(f"* {p}" for p in problems) + "\n" + reply_again},
+                + "\n".join(f"* {p}" for p in problems) + "\n" + _REPLY_AGAIN},
         ]
     raise ProposalFailure(problems)
 
@@ -467,22 +475,23 @@ def propose(client, ctx: ModelingContext, schema: SystemSchema, population: Popu
     """Ask the modeling agent for a spec, re-prompting with the violation
     messages on invalid replies; at most 1 + retries requests."""
     messages = render_modeling_prompt(ctx, population, feedback, generation)
-    return request_spec(client, list(messages), schema, decoding,
-                        'Reply again with a single JSON object carrying the corrected'
-                        ' "spec" and "description" fields.')
+    return request_spec(client, list(messages), schema, decoding)
 
 
 def critique(client, requirements: str, population: Population, next_generation: int,
              generations: int, decoding: DecodingConfig) -> Feedback:
-    """Ask the evaluation agent for improvement feedback (free-form text)."""
+    """Ask the evaluation agent for improvement feedback (free-form text); a
+    lost critique (transport error or empty reply) is logged and gives empty feedback."""
     messages = render_reflection_prompt(requirements, population, next_generation, generations)
     try:
-        text = client.complete(messages, decoding)
-    except TransportError:
-        return Feedback("", next_generation, warning=True)
-    if not text.strip():
-        return Feedback("", next_generation, warning=True)
-    return Feedback(text, next_generation)
+        text, cause = client.complete(messages, decoding), "empty reply"
+    except TransportError as err:
+        text, cause = "", str(err)
+    if text.strip():
+        return Feedback(text, next_generation)
+    log.warning("generation %d: critique lost (%s), proposing without feedback",
+                next_generation, cause)
+    return Feedback("", next_generation)
 
 
 def make_reply(spec_text: str, description: str) -> str:

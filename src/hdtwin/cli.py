@@ -239,9 +239,13 @@ def _client_factory_from_config(doc: dict):
     mode = client_doc.get("mode", "replay")
     if mode == "replay":
         path = client_doc.get("path")
-        if not path or not Path(path).exists():
-            raise ConfigError(f"replay client needs an existing 'path' (got {path!r})")
-        return lambda seed: ScriptedClient.from_file(path)
+        if not path:
+            raise ConfigError("replay client needs a 'path'")
+        try:  # read and checked once; every seed replays the same replies afresh
+            replies = ScriptedClient.from_file(path).replies
+        except (OSError, ValueError) as err:
+            raise ConfigError(f"bad replay file: {err}")
+        return lambda seed: ScriptedClient(replies)
     if mode == "http":
         base_url = client_doc.get("base_url")
         if not base_url:

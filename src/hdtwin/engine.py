@@ -768,11 +768,6 @@ def _checked_evaluator(spec: ModelSpec, params: ParamVector, schema: SystemSchem
     return evaluator
 
 
-def eval_derivative(spec: ModelSpec, params: ParamVector, state, action, time: float,
-                    schema: SystemSchema) -> np.ndarray:
-    return _checked_evaluator(spec, params, schema).derivative(params, state, action, time)
-
-
 def euler_rollout(ev: Evaluator, x0, times: np.ndarray, dt: float, inputs):
     """The one explicit-Euler loop (rollout, rollout_mse, data generation);
     steps N trajectories together.  x0 (N, d_x); times (N, T+1), each row a

@@ -13,7 +13,7 @@ Each run can write a plain-text archive: the canonical spec, parameter
 table, metrics, and loss curves per inserted generation, the full
 request/reply transcript (replayable through ScriptedClient), and a
 per-generation report.  Archives contain no wall-clock data, so two runs
-with the same seed and replay file are byte-identical.
+with the same seed and replay file are byte-identical on one BLAS kernel.
 """
 
 from __future__ import annotations
@@ -41,9 +41,8 @@ from hdtwin.agents import (
     population_insert,
     propose,
     record_generation,
-    request_spec,
 )
-from hdtwin.dsl import ModelSpec, SystemSchema, canonicalize, dsl_skeleton
+from hdtwin.dsl import canonicalize, dsl_skeleton
 from hdtwin.engine import (
     HEADLINE_METRICS,
     Dataset,
@@ -136,17 +135,8 @@ def _mix_seed(seed: int, generation: int) -> int:
     return (seed * 1_000_003 + generation) % (2 ** 31)
 
 
-def _read_human_feedback(directory, generation: int) -> str | None:
-    if directory is None:
-        return None
-    path = Path(directory) / f"gen-{generation:03d}.txt"
-    if path.exists():
-        return path.read_text().strip()
-    return None
-
-
 def evolve(ctx: ModelingContext, system: SystemDef, datasets: dict[str, Dataset],
-           cfg: EvolveConfig, client, human_feedback_dir=None) -> RunResult:
+           cfg: EvolveConfig, client) -> RunResult:
     """Run the full propose/fit/evaluate/insert/critique loop.
 
     Failed proposals and unusable fits (FitResult.usable) consume their
@@ -166,14 +156,10 @@ def evolve(ctx: ModelingContext, system: SystemDef, datasets: dict[str, Dataset]
     transport_error = None
 
     for g in range(1, cfg.generations + 1):
-        human = _read_human_feedback(human_feedback_dir, g)
-        fb = feedback
-        if human:
-            merged = (feedback.text + "\n" + human) if feedback and feedback.text else human
-            fb = Feedback(merged, generation=g - 1)
         t0 = time.perf_counter()
         try:
-            spec, description = propose(client, ctx, system.schema, pop, fb, g, cfg.decoding)
+            spec, description = propose(client, ctx, system.schema, pop, feedback, g,
+                                        cfg.decoding)
         except ProposalFailure as err:
             stages["propose"] += time.perf_counter() - t0
             log.warning("generation %d: proposal failed (%s)", g, err)
@@ -241,49 +227,6 @@ def zero_shot(ctx, system, datasets, cfg: EvolveConfig, client) -> RunResult:
 def zero_optim(ctx, system, datasets, cfg: EvolveConfig, client) -> RunResult:
     """zero_shot plus one parameter fit: a one-generation evolve."""
     return evolve(ctx, system, datasets, dataclasses.replace(cfg, generations=1), client)
-
-
-def scale_param(entry: PopulationEntry, name: str, factor: float) -> PopulationEntry:
-    """A copy of a fitted candidate with one scalar parameter scaled; its
-    validation metrics are cleared pending re-evaluation."""
-    if name not in entry.params.scalars:
-        if name in entry.params.weights:
-            raise KeyError(f"{name!r} is a network, only scalar parameters can be scaled")
-        raise KeyError(f"unknown parameter {name!r}")
-    params = entry.params.copy()
-    params.scalars[name] *= factor
-    return dataclasses.replace(entry, params=params, delta=None, upsilon=None)
-
-
-_ADAPT_TEMPLATE = """You previously discovered and fitted the following model specification:```
-{spec}
-```
-optimized_parameters = {params!r}
-
-{instruction}
-
-Modify the specification accordingly. Keep the same derivative line structure. Reply with a single RFC8259 compliant JSON object following this format without deviation:
-{{"spec": "the complete modified specification text", "description": "a concise description of the change"}}"""
-
-
-def adapt_model(client, entry: PopulationEntry, instruction: str, schema: SystemSchema,
-                decoding: DecodingConfig) -> tuple[ModelSpec, str]:
-    """Ask the modeling agent to adapt a fitted model to a described change
-    (an intervention); the caller re-evaluates the returned spec."""
-    inlined = dataclasses.replace(
-        entry.spec,
-        params=tuple(
-            dataclasses.replace(p, init=float(entry.params.scalars[p.name]))
-            for p in entry.spec.params
-        ),
-    )
-    task = _ADAPT_TEMPLATE.format(
-        spec=canonicalize(inlined).text,
-        params=dict(entry.params.scalars),
-        instruction=instruction.strip(),
-    )
-    return request_spec(client, [{"role": "user", "content": task}], schema, decoding,
-                        "Reply again with a single corrected JSON object.")
 
 
 # ---------------------------------------------------------------------------

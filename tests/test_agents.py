@@ -263,19 +263,28 @@ def test_critique_returns_text_byte_for_byte():
     pop = population_insert(Population(), make_entry(0.5))
     fb = critique(ScriptedClient([text]), "* reqs", pop, 2, 6, FAST)
     assert fb.text == text
-    assert not fb.warning
 
 
-def test_critique_empty_reply_flags_warning():
+def lost_critique_warnings(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records
+            if r.name == "hdtwin.agents" and r.levelname == "WARNING"]
+
+
+def test_critique_empty_reply_flags_warning(caplog):
     pop = population_insert(Population(), make_entry(0.5))
     fb = critique(ScriptedClient([""]), "* reqs", pop, 2, 6, FAST)
-    assert fb.warning and fb.text == ""
+    assert fb == Feedback("", 2)
+    assert lost_critique_warnings(caplog) == [
+        "generation 2: critique lost (empty reply), proposing without feedback"]
 
 
-def test_critique_transport_failure_flags_warning():
+def test_critique_transport_failure_flags_warning(caplog):
     pop = population_insert(Population(), make_entry(0.5))
     fb = critique(ScriptedClient([]), "* reqs", pop, 2, 6, FAST)
-    assert fb.warning
+    assert fb == Feedback("", 2)
+    assert lost_critique_warnings(caplog) == [
+        "generation 2: critique lost (replay exhausted after 0 replies),"
+        " proposing without feedback"]
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +307,22 @@ def test_scripted_client_file_round_trip(tmp_path):
     with open(tmp_path / "t.json", "w") as fh:
         json.dump([{"request": [], "reply": "three"}], fh)
     assert ScriptedClient.from_file(tmp_path / "t.json").complete([], FAST) == "three"
+
+
+@pytest.mark.parametrize("body, message", [
+    ("[\"one\",", "replay file is not JSON"),
+    ('{"not": "a list"}', "replay file must be a JSON list"),
+    ('["one", {"request": 1}]', "replay entry 1 is neither a string nor an object with a"
+                                " string 'reply'"),
+    ('[{"reply": 2}]', "replay entry 0 is neither"),
+    ("[null]", "replay entry 0 is neither"),
+])
+def test_scripted_client_file_errors_name_the_file_and_entry(tmp_path, body, message):
+    path = tmp_path / "r.json"
+    path.write_text(body)
+    with pytest.raises(ValueError) as err:
+        ScriptedClient.from_file(path)
+    assert str(err.value).startswith(f"{path}: {message}")
 
 
 class _StubHandler(BaseHTTPRequestHandler):

@@ -223,6 +223,27 @@ def test_evolve_client_config_errors(tmp_path, capsys, client, message):
     assert f"error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body, message", [
+    (None, "No such file or directory"),
+    ('[{"reply": "ok"}', "replay file is not JSON"),
+    ('{"not": "a list"}', "replay file must be a JSON list"),
+    ('[{"request": 1}]', "replay entry 0 is neither a string nor an object with a string"
+                         " 'reply'"),
+])
+def test_evolve_rejects_a_bad_replay_file_at_launch(tmp_path, capsys, body, message):
+    replay = tmp_path / "replies.json"
+    if body is not None:
+        replay.write_text(body)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"system": "cancer-chemo-radio", "method": "evolve",
+                               "seeds": [0, 1], "out": str(tmp_path / "run"),
+                               "client": {"mode": "replay", "path": str(replay)}}))
+    assert dispatch(["evolve", "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad replay file: ") and str(replay) in err and message in err
+    assert not (tmp_path / "run").exists()  # no seed started
+
+
 def test_evolve_replay_exhaustion_is_transport_failure(tmp_path):
     replay = tmp_path / "replies.json"
     save_replay(replay_fixtures.evolution_replies()[:1], replay)  # far too short

@@ -27,7 +27,6 @@ from hdtwin.engine import (
     ParamVector,
     Trajectory,
     TransitionBatch,
-    eval_derivative,
     init_params,
     load_params,
     load_saved_dataset,
@@ -70,12 +69,12 @@ def cancer_model():
 
 
 # ---------------------------------------------------------------------------
-# eval_derivative
+# Evaluator.derivative: one row
 
 
 def test_tumor_growth_derivative_matches_hand_value():
     spec, params = cancer_model()
-    f = eval_derivative(spec, params, [100.0, 0.0], [0.0, 0.0], 0.0, CANCER_SCHEMA)
+    f = Evaluator(spec, CANCER_SCHEMA).derivative(params, [100.0, 0.0], [0.0, 0.0], 0.0)
     expected = 7.00e-5 * math.log(30.0 / 100.0) * 100.0  # ~= -8.428e-3
     assert f[0] == pytest.approx(expected, rel=1e-12)
     assert f[0] == pytest.approx(-8.428e-3, rel=1e-3)
@@ -83,7 +82,7 @@ def test_tumor_growth_derivative_matches_hand_value():
 
 def test_full_treatment_derivative_matches_hand_value():
     spec, params = cancer_model()
-    f = eval_derivative(spec, params, [100.0, 2.0], [0.0, 2.0], 0.0, CANCER_SCHEMA)
+    f = Evaluator(spec, CANCER_SCHEMA).derivative(params, [100.0, 2.0], [0.0, 2.0], 0.0)
     expected = (7.00e-5 * math.log(30.0 / 100.0) - 0.028 * 2.0
                 - (0.0398 * 2.0 + 0.00398 * 4.0)) * 100.0  # ~= -15.2
     assert f[0] == pytest.approx(expected, rel=1e-12)
@@ -91,7 +90,7 @@ def test_full_treatment_derivative_matches_hand_value():
 
 def test_chemo_decay_derivative():
     spec, params = cancer_model()
-    f = eval_derivative(spec, params, [100.0, 10.0], [0.0, 0.0], 0.0, CANCER_SCHEMA)
+    f = Evaluator(spec, CANCER_SCHEMA).derivative(params, [100.0, 10.0], [0.0, 0.0], 0.0)
     assert f[1] == pytest.approx(-5.0, abs=1e-12)
 
 
@@ -102,14 +101,14 @@ def test_lotka_volterra_extinction_fixed_point():
         "d(prey)/dt = a * prey - b * prey * pred\n"
         "d(pred)/dt = d_ * prey * pred - c * pred\n"
     )
-    f = eval_derivative(spec, init_params(spec), [0.0, 0.0], [], 0.0, schema)
+    f = Evaluator(spec, schema).derivative(init_params(spec), [0.0, 0.0], [], 0.0)
     assert f[0] == 0.0 and f[1] == 0.0
 
 
 def test_eval_purity_bit_identical():
     spec, params = cancer_model()
-    a = eval_derivative(spec, params, [123.4, 3.2], [5.0, 2.0], 7.0, CANCER_SCHEMA)
-    b = eval_derivative(spec, params, [123.4, 3.2], [5.0, 2.0], 7.0, CANCER_SCHEMA)
+    a = Evaluator(spec, CANCER_SCHEMA).derivative(params, [123.4, 3.2], [5.0, 2.0], 7.0)
+    b = Evaluator(spec, CANCER_SCHEMA).derivative(params, [123.4, 3.2], [5.0, 2.0], 7.0)
     assert (a == b).all()
 
 
@@ -117,17 +116,17 @@ def test_non_finite_fault_carries_component():
     schema = SystemSchema(states=(VarSpec("x", 0, 10),))
     spec = parse_model_spec("d(x)/dt = exp(x)")
     with pytest.raises(EvaluationFault) as err:
-        eval_derivative(spec, init_params(spec), [1e6], [], 0.0, schema)
+        Evaluator(spec, schema).derivative(init_params(spec), [1e6], [], 0.0)
     assert err.value.component == 0
 
 
 def test_guarded_division_is_total():
     schema = SystemSchema(states=(VarSpec("x", 0, 10),))
     spec = parse_model_spec("param a = 0.0\nd(x)/dt = x / a")
-    f = eval_derivative(spec, init_params(spec), [2.0], [], 0.0, schema)
+    f = Evaluator(spec, schema).derivative(init_params(spec), [2.0], [], 0.0)
     assert f[0] == pytest.approx(2.0 / 1e-8)
     spec2 = parse_model_spec("d(x)/dt = log(x - 5.0)")
-    f2 = eval_derivative(spec2, init_params(spec2), [2.0], [], 0.0, schema)
+    f2 = Evaluator(spec2, schema).derivative(init_params(spec2), [2.0], [], 0.0)
     assert f2[0] == pytest.approx(math.log(1e-8))
 
 
@@ -136,7 +135,7 @@ def test_scalar_power_overflow_is_a_fault():
     schema = SystemSchema(states=(VarSpec("x", 0, 10),))
     spec = parse_model_spec("param p = 1e200\nd(x)/dt = p ^ 2 * x")
     with pytest.raises(EvaluationFault):
-        eval_derivative(spec, init_params(spec), [1.0], [], 0.0, schema)
+        Evaluator(spec, schema).derivative(init_params(spec), [1.0], [], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -489,13 +488,13 @@ def _blame_one_step():
 
 
 @pytest.mark.parametrize("run, step", [
-    (lambda: eval_derivative(BLAME_SPEC, init_params(BLAME_SPEC), [1.0, 1000.0], [], 0.0,
-                             BLAME_SCHEMA), None),
+    (lambda: Evaluator(BLAME_SPEC, BLAME_SCHEMA).derivative(
+        init_params(BLAME_SPEC), [1.0, 1000.0], [], 0.0), None),
     (_blame_one_step, None),
     # y = 700, ~1e304, then exp overflows at step 1; x stays finite until step 3
     (lambda: rollout(BLAME_SPEC, init_params(BLAME_SPEC), BLAME_SCHEMA, [1.0, 700.0],
                      np.zeros((5, 0)), dt=1.0), 1),
-], ids=["eval_derivative", "squared_residuals", "rollout"])
+], ids=["derivative", "squared_residuals", "rollout"])
 def test_a_non_finite_derivative_blames_the_first_bad_entry_in_row_order(run, step):
     with pytest.raises(EvaluationFault) as err:
         run()

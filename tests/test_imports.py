@@ -6,16 +6,20 @@ sigmoid kernel, the orchestrator's confidence interval), so the offline
 commands and replayed runs start without them.  A fresh interpreter is
 needed because the test session itself may have loaded them already.
 
-No module reaches into another hdtwin module's private names.
+No module reaches into another hdtwin module's private names, and every
+public name of the package has a user outside the tests.
 """
 
 from __future__ import annotations
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import hdtwin
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -50,3 +54,27 @@ def test_no_module_imports_a_private_name_of_another():
                 found += [f"{path.name}: {node.module}.{alias.name}" for alias in node.names
                           if alias.name.startswith("_")]
     assert found == []
+
+
+def referenced_names(path: Path) -> set[str]:
+    """The names a module loads, reads as an attribute or imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_exported_name_is_used_outside_the_tests_or_documented():
+    users = [p for p in sorted((ROOT / "src" / "hdtwin").glob("*.py"))
+             if p.name != "__init__.py"]
+    users += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    used = set().union(*map(referenced_names, users))
+    readme = (ROOT / "README.md").read_text()
+    unused = [name for name in hdtwin.__all__
+              if name not in used and not re.search(rf"\b{name}\b", readme)]
+    assert unused == []

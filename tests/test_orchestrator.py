@@ -11,7 +11,6 @@ from conftest import UNUSABLE_FITS, unusable_fit
 from hdtwin import orchestrator
 from hdtwin.agents import (
     DecodingConfig,
-    ProposalFailure,
     ReplayExhausted,
     ScriptedClient,
     make_reply,
@@ -24,12 +23,10 @@ from hdtwin.orchestrator import (
     _mix_seed,
     RunFailure,
     confidence_interval,
-    adapt_model,
     evaluate_test_metrics,
     evolve,
     make_modeling_context,
     run_experiment,
-    scale_param,
     write_run_archive,
     zero_optim,
     zero_shot,
@@ -199,17 +196,6 @@ def test_evolve_g1_equals_zero_optim(cancer_datasets):
     assert via_evolve.test.upsilon == via_ablation.test.upsilon
 
 
-def test_human_feedback_file_is_appended(cancer_datasets, tmp_path):
-    system, datasets = cancer_datasets
-    ctx = make_modeling_context(system, 2, n_trajectories=6)
-    (tmp_path / "gen-002.txt").write_text("Prefer a logistic growth term.")
-    replies = replay_fixtures.evolution_replies()[:3]
-    client = ScriptedClient(replies)
-    evolve(ctx, system, datasets, small_cfg(2), client, human_feedback_dir=tmp_path)
-    gen2_prompt = client.transcript[2]["request"][-1]["content"]
-    assert "Prefer a logistic growth term." in gen2_prompt
-
-
 # ---------------------------------------------------------------------------
 # ablations
 
@@ -278,82 +264,6 @@ def test_zero_optim_no_worse_than_zero_shot(cancer_datasets):
     optim = zero_optim(ctx, system, datasets, small_cfg(1), ScriptedClient([reply]))
     assert optim.best.upsilon <= shot.best.upsilon
     assert np.isfinite(shot.best.upsilon)
-
-
-# ---------------------------------------------------------------------------
-# scale_param / adapt_model
-
-
-def _fitted_seir_entry():
-    system = builtin_system("seir-covid")
-    datasets = generate_dataset(system, GenConfig(n=4, seed=1))
-    reply = make_reply(canonicalize(system.spec).text, "epidemic compartments")
-    ctx = make_modeling_context(system, 1, n_trajectories=4)
-    result = zero_optim(ctx, system, datasets, small_cfg(1), ScriptedClient([reply]))
-    return system, result.best
-
-
-def test_scale_param_identity_and_errors():
-    system, entry = _fitted_seir_entry()
-    same = scale_param(entry, "beta", 1.0)
-    assert same.params.scalars == entry.params.scalars
-    assert same.upsilon is None and same.delta is None
-    scaled = scale_param(entry, "beta", 0.25)
-    assert scaled.params.scalars["beta"] == pytest.approx(0.25 * entry.params.scalars["beta"])
-    assert entry.params.scalars["beta"] != scaled.params.scalars["beta"]
-    with pytest.raises(KeyError):
-        scale_param(entry, "nope", 0.5)
-
-
-def test_scale_param_rejects_network_names(cancer_datasets):
-    system, datasets = cancer_datasets
-    result = run_fixture_evolution(system, datasets)
-    hybrid = next(e for e in result.population.entries if e.spec.mlps)
-    with pytest.raises(KeyError, match="network"):
-        scale_param(hybrid, "residual_mlp", 0.5)
-
-
-def test_adapt_model_scripted_scaling():
-    system, entry = _fitted_seir_entry()
-    beta_fit = entry.params.scalars["beta"]
-    adapted_text = canonicalize(entry.spec).text.replace(
-        f"param beta = {repr(float(beta_fit))}", "param beta = {:.17g}".format(0.25 * beta_fit)
-    )
-    # build the reply from the inlined-parameter spec with beta scaled
-    import dataclasses as dc
-    inlined = dc.replace(
-        entry.spec,
-        params=tuple(dc.replace(p, init=float(entry.params.scalars[p.name]))
-                     for p in entry.spec.params),
-    )
-    scaled = dc.replace(
-        inlined,
-        params=tuple(dc.replace(p, init=0.25 * p.init if p.name == "beta" else p.init)
-                     for p in inlined.params),
-    )
-    client = ScriptedClient([make_reply(canonicalize(scaled).text, "scaled transmission")])
-    spec, _ = adapt_model(client, entry, "A lockdown reduces transmission by 75%"
-                          " from day 19 on.", system.schema, FAST_DECODING)
-    got_beta = next(p.init for p in spec.params if p.name == "beta")
-    assert got_beta == pytest.approx(0.25 * beta_fit, rel=1e-12)
-    # structure unchanged -> same fingerprint
-    assert canonicalize(spec).fingerprint == entry.fingerprint
-    # the prompt inlined the fitted parameters
-    sent = client.transcript[0]["request"][0]["content"]
-    assert repr(float(beta_fit)) in sent
-
-
-def test_adapt_model_invalid_replies_fail():
-    system, entry = _fitted_seir_entry()
-    client = ScriptedClient(["junk"] * 8)
-    with pytest.raises(ProposalFailure):
-        adapt_model(client, entry, "change it", system.schema, FAST_DECODING)
-    assert len(client.transcript) == FAST_DECODING.retries + 1
-    assert client.transcript[1]["request"][-1]["content"] == (
-        "Your previous reply could not be used:\n"
-        "* reply carries no JSON object\n"
-        "Reply again with a single corrected JSON object."
-    )
 
 
 # ---------------------------------------------------------------------------

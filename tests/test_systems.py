@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hdtwin.dsl import SystemSchema, VarSpec, validate
-from hdtwin.engine import Evaluator, eval_derivative, read_csv_rows, rollout, save_dataset
+from hdtwin.engine import Evaluator, read_csv_rows, rollout, save_dataset
 from hdtwin.systems import (
     BUILTIN_IDS,
     CancerPolicyParams,
@@ -38,8 +38,8 @@ def test_unknown_system_id():
 
 def test_cancer_chemo_radio_derivative_hand_value():
     system = builtin_system("cancer-chemo-radio")
-    f = eval_derivative(system.spec, system.true_params, [100.0, 2.0], [0.0, 2.0], 0.0,
-                        system.schema)
+    f = Evaluator(system.spec, system.schema).derivative(system.true_params, [100.0, 2.0],
+                                                         [0.0, 2.0], 0.0)
     expected = (7.00e-5 * math.log(30.0 / 100.0) - 0.028 * 2.0
                 - (0.0398 * 2.0 + 0.00398 * 2.0 ** 2)) * 100.0
     assert f[0] == pytest.approx(expected, rel=1e-12)
@@ -48,19 +48,19 @@ def test_cancer_chemo_radio_derivative_hand_value():
 
 def test_seir_disease_free_equilibrium():
     system = builtin_system("seir-covid")
-    f = eval_derivative(system.spec, system.true_params, [1.0, 0.0, 0.0, 0.0], [], 0.0,
-                        system.schema)
+    f = Evaluator(system.spec, system.schema).derivative(system.true_params,
+                                                         [1.0, 0.0, 0.0, 0.0], [], 0.0)
     assert (f == 0.0).all()
 
 
 def test_synthetic_variants_differ_from_base():
     base = builtin_system("cancer-chemo-radio")
     state, action = [200.0, 3.0], [5.0, 2.0]
-    f0 = eval_derivative(base.spec, base.true_params, state, action, 10.0, base.schema)
+    f0 = Evaluator(base.spec, base.schema).derivative(base.true_params, state, action, 10.0)
     for k in range(1, 6):
         variant = builtin_system(f"synthetic-{k}")
-        f = eval_derivative(variant.spec, variant.true_params, state, action, 10.0,
-                            variant.schema)
+        f = Evaluator(variant.spec, variant.schema).derivative(variant.true_params, state,
+                                                               action, 10.0)
         assert f[0] != f0[0], f"synthetic-{k} matches the base tumor dynamics"
         assert f[1] == f0[1]
 
