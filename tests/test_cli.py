@@ -343,6 +343,29 @@ def test_report_aggregates_archives(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {result} has no 'headline_value'\n"
 
 
+def test_report_out_csv_exact_text(tmp_path):
+    runs = []
+    for k, value in enumerate([1.0, 2, 3.0]):  # an integer headline reads as a float
+        runs.append(tmp_path / f"run{k}")
+        runs[-1].mkdir()
+        (runs[-1] / "result.json").write_text(json.dumps(
+            {"headline_metric": "rollout", "headline_value": value}))
+    out_csv = tmp_path / "report.csv"
+    assert dispatch(["report", "--runs", *map(str, runs), "--out", str(out_csv)]) == EXIT_OK
+    assert out_csv.read_bytes().decode() == (
+        "run,metric,value\r\n"
+        f"{runs[0]},rollout,1.0\r\n"
+        f"{runs[1]},rollout,2.0\r\n"
+        f"{runs[2]},rollout,3.0\r\n"
+        "\r\n"
+        "mean,,2.0\r\n"
+        "half_width_95,,2.4841377117503303\r\n")
+    (runs[0] / "result.json").write_text(json.dumps({"headline_value": 0.1}))
+    assert dispatch(["report", "--runs", str(runs[0]), "--out", str(out_csv)]) == EXIT_OK
+    assert out_csv.read_bytes().decode() == (
+        f"run,metric,value\r\n{runs[0]},one-step,0.1\r\n\r\nmean,,0.1\r\nhalf_width_95,,\r\n")
+
+
 def test_report_refuses_runs_of_mixed_headline_metrics(tmp_path, capsys):
     runs = {}
     for name, doc in [("step", {"headline_metric": "one-step", "headline_value": 1.0}),
