@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from hdtwin.dsl import DslError, ModelSpec, SystemSchema, parse_model_spec, validate
-from hdtwin.engine import ParamVector, require_integers
+from hdtwin.engine import ParamVector, read_json, require_integers
 from hdtwin.optim import PARAM_COUNT_CAP
 
 log = logging.getLogger(__name__)
@@ -368,11 +368,7 @@ class ScriptedClient:
     def from_file(cls, path) -> "ScriptedClient":
         """Load a replay file: a JSON list of reply strings, or a recorded
         transcript (list of {"request": ..., "reply": ...} objects)."""
-        with open(path) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as err:
-                raise ValueError(f"{path}: replay file is not JSON ({err})")
+        doc = read_json(path)
         if not isinstance(doc, list):
             raise ValueError(f"{path}: replay file must be a JSON list")
         replies = [item.get("reply") if isinstance(item, dict) else item for item in doc]
@@ -391,12 +387,6 @@ class ScriptedClient:
         self._cursor += 1
         self.transcript.append({"request": messages, "reply": reply})
         return reply
-
-
-def save_replay(replies: list[str], path):
-    with open(path, "w") as fh:
-        json.dump(replies, fh, indent=2)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ error, 3 run failure, 4 transport failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -26,14 +25,16 @@ from hdtwin.engine import (
     init_params,
     load_params,
     load_saved_dataset,
+    read_json,
     save_dataset,
+    write_table,
 )
 from hdtwin.optim import OptimConfig, fit
 from hdtwin.orchestrator import (
+    AGENT_METHODS,
     EvolveConfig,
     RunFailure,
     confidence_interval,
-    load_result,
     run_experiment,
     write_model_dir,
 )
@@ -201,18 +202,18 @@ def cmd_eval(args) -> int:
 
 
 def _load_run_config(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
-        raise ConfigError(f"cannot read config {path}: {err}")
+    doc = read_json(path, "system", "method", "seeds")
     known = {"system", "method", "seeds", "out", "client", "evolve", "optim", "gen", "sindy"}
     unknown = set(doc) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    for key in ("system", "method", "seeds"):
-        if key not in doc:
-            raise ConfigError(f"config is missing {key!r}")
+    for key in ("system", "method", "out"):
+        if key in doc and not isinstance(doc[key], str):
+            raise ConfigError(f"config {key!r} must be a string")
+    seeds = doc["seeds"]
+    if not (isinstance(seeds, list) and seeds and all(
+            isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds)):
+        raise ConfigError("config 'seeds' must be a non-empty list of non-negative integers")
     return doc
 
 
@@ -220,6 +221,8 @@ def _build_sub_config(cls, doc: dict, section: str, other_keys: frozenset = froz
     """Build `cls` from `doc[section]`; `other_keys` are the section's keys
     that belong to something else and are skipped, not rejected."""
     body = doc.get(section, {})
+    if not isinstance(body, dict):
+        raise ConfigError(f"config {section!r} must be an object")
     fields = {f.name for f in dataclasses.fields(cls)}
     unknown = set(body) - fields - other_keys
     if unknown:
@@ -239,8 +242,8 @@ def _client_factory_from_config(doc: dict):
     mode = client_doc.get("mode", "replay")
     if mode == "replay":
         path = client_doc.get("path")
-        if not path:
-            raise ConfigError("replay client needs a 'path'")
+        if not path or not isinstance(path, str):
+            raise ConfigError("replay client needs a 'path' string")
         try:  # read and checked once; every seed replays the same replies afresh
             replies = ScriptedClient.from_file(path).replies
         except (OSError, ValueError) as err:
@@ -248,8 +251,8 @@ def _client_factory_from_config(doc: dict):
         return lambda seed: ScriptedClient(replies)
     if mode == "http":
         base_url = client_doc.get("base_url")
-        if not base_url:
-            raise ConfigError("http client needs 'base_url'")
+        if not base_url or not isinstance(base_url, str):
+            raise ConfigError("http client needs a 'base_url' string")
         return lambda seed: HttpClient(base_url)
     raise ConfigError(f"unknown client mode {mode!r} (use replay or http)")
 
@@ -266,17 +269,10 @@ def cmd_evolve(args) -> int:
             DecodingConfig, doc, "client", CLIENT_TRANSPORT_KEYS))
     gen_cfg = _build_sub_config(GenConfig, doc, "gen")
     sindy_cfg = _build_sub_config(SindyConfig, doc, "sindy")
-    factory = None
-    if method in ("evolve", "zero-shot", "zero-optim"):
-        factory = _client_factory_from_config(doc)
-    try:
-        report = run_experiment(
-            doc["system"], method, list(doc["seeds"]), evolve_cfg=evolve_cfg,
-            gen_cfg=gen_cfg, sindy_cfg=sindy_cfg, client_factory=factory,
-            out_dir=doc.get("out"),
-        )
-    except (ValueError, KeyError) as err:
-        raise ConfigError(str(err))
+    factory = _client_factory_from_config(doc) if method in AGENT_METHODS else None
+    report = run_experiment(doc["system"], method, doc["seeds"], evolve_cfg=evolve_cfg,
+                            gen_cfg=gen_cfg, sindy_cfg=sindy_cfg, client_factory=factory,
+                            out_dir=doc.get("out"))
     return _finish_experiment(report)
 
 
@@ -313,14 +309,13 @@ def _finish_experiment(report) -> int:
 def cmd_report(args) -> int:
     rows = []
     for run_dir in args.runs:
-        path = Path(run_dir)
-        if not (path / "result.json").exists():
-            raise ConfigError(f"{run_dir} has no result.json")
-        doc = load_result(path)
-        if "headline_value" not in doc:
-            raise ConfigError(f"{path / 'result.json'} has no 'headline_value'")
-        rows.append((str(path), doc.get("headline_metric", HEADLINE_METRICS[0]),
-                     float(doc["headline_value"])))
+        path = Path(run_dir) / "result.json"
+        doc = read_json(path, "headline_value")
+        try:
+            value = float(doc["headline_value"])
+        except (TypeError, ValueError):
+            raise ConfigError(f"{path} has a 'headline_value' that is not a number") from None
+        rows.append([str(path.parent), doc.get("headline_metric", HEADLINE_METRICS[0]), value])
     first_run = {kind: run for run, kind, _ in reversed(rows)}  # of each headline kind
     if len(first_run) > 1:
         raise ConfigError("runs mix headline metrics: " + ", ".join(
@@ -328,14 +323,8 @@ def cmd_report(args) -> int:
     values = [v for _, _, v in rows]
     mean, half = confidence_interval(values)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["run", "metric", "value"])
-            for row in rows:
-                w.writerow(row)
-            w.writerow([])
-            w.writerow(["mean", "", repr(mean)])
-            w.writerow(["half_width_95", "", "" if half is None else repr(half)])
+        write_table([["run", "metric", "value"], *rows, [],
+                     ["mean", None, mean], ["half_width_95", None, half]], args.out)
     _metrics_line({"command": "report", "runs": len(rows), "mean": mean,
                    "half_width_95": half})
     return EXIT_OK
@@ -359,7 +348,7 @@ def dispatch(argv=None) -> int:
         return EXIT_CONFIG if err.code else EXIT_OK
     try:
         return COMMANDS[args.command](args)
-    except (ConfigError, FileNotFoundError, KeyError, DslError) as err:
+    except (ConfigError, OSError, KeyError, ValueError, DslError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (RunFailure, EvaluationFault) as err:
@@ -368,9 +357,6 @@ def dispatch(argv=None) -> int:
     except TransportError as err:
         print(f"transport failure: {err}", file=sys.stderr)
         return EXIT_TRANSPORT
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 def main():

@@ -79,6 +79,9 @@ makes one one-step pass, reduced as per_component_mse and one_step_mse
 reduce theirs, plus the rollout MSE.  A faulting one-step pass scores
 inf, as an exploding rollout does.  TestMetrics.doc writes the test keys
 of every result.json; HEADLINE_METRICS names the headline choices.
+
+Every JSON file is read by read_json and written by write_json, and every
+CSV table by write_table; dataset CSVs keep save_dataset's one-pass writer.
 """
 
 from __future__ import annotations
@@ -981,7 +984,7 @@ def save_dataset(ds: Dataset, out_dir: str | Path, seed: int | None = None,
 
     Each row is ``t, x_1..x_dX, u_1..u_dU`` with every float written as
     its ``repr`` and every line, the header included, ended by ``\\r\\n``
-    (what ``csv.writer`` writes; no field ever needs quoting), so floats
+    (what ``write_table`` writes; no field ever needs quoting), so floats
     round-trip bit-exactly and same-seed exports are byte-identical.
     Saving into a directory that holds a longer save deletes its
     ``traj-*.csv`` files past the new count; no other file is touched.
@@ -1020,11 +1023,11 @@ def load_saved_dataset(in_dir: str | Path) -> Dataset:
 
     Reads exactly the manifest's ``n_trajectories`` files,
     ``traj-00000.csv`` upward; other files in the directory are ignored.
-    A missing file, or a CSV whose header or row width does not match
-    the manifest schema, raises ValueError."""
+    A manifest that is not JSON or lacks a key, a missing file, or a CSV
+    whose header or row width does not match the manifest schema, raises
+    ValueError."""
     src = Path(in_dir)
-    with open(src / "manifest.json") as fh:
-        manifest = json.load(fh)
+    manifest = read_json(src / "manifest.json", "schema", "n_trajectories", "split")
     sch = manifest["schema"]
     schema = SystemSchema(
         states=tuple(VarSpec(n, lo, hi) for n, lo, hi in sch["states"]),
@@ -1048,11 +1051,34 @@ def load_saved_dataset(in_dir: str | Path) -> Dataset:
     return Dataset(trajectories, schema, manifest["split"])
 
 
+def read_json(path: str | Path, *keys: str):
+    """The JSON document at path; with keys, an object holding each of them.
+    Raises ValueError naming the file when it is not JSON or lacks a key."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{path} is not JSON ({err})") from None
+    for key in keys:
+        if not isinstance(doc, dict) or key not in doc:
+            raise ValueError(f"{path} has no {key!r}")
+    return doc
+
+
 def write_json(doc, path: str | Path):
     """doc as indented JSON with sorted keys and a final newline."""
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_table(rows, path: str | Path):
+    """rows as CSV with \\r\\n line ends: every float (numpy's too) as its
+    repr, any other cell as csv writes it (None as an empty cell)."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(
+            [[repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
+             for row in rows])
 
 
 def save_params(params: ParamVector, path: str | Path):
@@ -1066,7 +1092,6 @@ def save_params(params: ParamVector, path: str | Path):
 
 
 def load_params(path: str | Path) -> ParamVector:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path, "scalars", "weights")
     return ParamVector(doc["scalars"], {name: [(layer["w"], layer["b"]) for layer in layers]
                                         for name, layers in doc["weights"].items()})

@@ -18,9 +18,7 @@ with the same seed and replay file are byte-identical on one BLAS kernel.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import json
 import logging
 import time
 from dataclasses import dataclass, field
@@ -54,6 +52,7 @@ from hdtwin.engine import (
     require_integers,
     save_params,
     write_json,
+    write_table,
 )
 from hdtwin.optim import FitResult, OptimConfig, fit
 from hdtwin.systems import GenConfig, SystemDef, builtin_system, generate_dataset, system_description
@@ -229,6 +228,10 @@ def zero_optim(ctx, system, datasets, cfg: EvolveConfig, client) -> RunResult:
     return evolve(ctx, system, datasets, dataclasses.replace(cfg, generations=1), client)
 
 
+# the methods an LLM client drives, each a runner with evolve's signature
+AGENT_METHODS = {"evolve": evolve, "zero-shot": zero_shot, "zero-optim": zero_optim}
+
+
 # ---------------------------------------------------------------------------
 # Multi-seed experiments
 
@@ -286,10 +289,9 @@ def run_experiment(system_id: str, method: str, seeds: list[int], *,
 
     if not seeds:
         raise ValueError("need at least one seed")
-    agent_methods = ("evolve", "zero-shot", "zero-optim")
-    if method not in agent_methods + ("sindy",) and not method.startswith("baseline:"):
+    if method not in (*AGENT_METHODS, "sindy") and not method.startswith("baseline:"):
         raise ValueError(f"unknown method {method!r}")
-    if method in agent_methods and client_factory is None:
+    if method in AGENT_METHODS and client_factory is None:
         raise ValueError(f"method {method!r} needs an LLM client")
     evolve_cfg = evolve_cfg or EvolveConfig()
     gen_cfg = gen_cfg or GenConfig()
@@ -306,14 +308,12 @@ def run_experiment(system_id: str, method: str, seeds: list[int], *,
                 evolve_cfg, seed=seed,
                 optim=dataclasses.replace(evolve_cfg.optim, seed=seed),
             )
-            if method in agent_methods:
+            if method in AGENT_METHODS:
                 if method != "evolve":  # one proposal: the prompt and manifest say so
                     cfg = dataclasses.replace(cfg, generations=1)
                 client = client_factory(seed)
                 ctx = make_modeling_context(system, cfg.generations, gen_cfg.n)
-                runner = {"evolve": evolve, "zero-shot": zero_shot,
-                          "zero-optim": zero_optim}[method]
-                result = runner(ctx, system, datasets, cfg, client)
+                result = AGENT_METHODS[method](ctx, system, datasets, cfg, client)
                 if result.transport_error is None:
                     outcome.metric = result.test.headline(cfg.test_metric)
                 else:  # a partial run: archived, but not aggregated
@@ -404,25 +404,14 @@ def write_run_archive(out_dir, result: RunResult, system_id: str, method: str,
         }, gen_dir / "metrics.json")
         fit_result = result.fit_results[g]
         if fit_result.epochs_run:  # a zero-epoch fit (zero-shot) has no curve
-            with open(gen_dir / "curves.csv", "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["epoch", "train_loss", "val_loss"])
-                w.writerow([0, "", repr(fit_result.val_curve[0])])
-                for i, train_loss in enumerate(fit_result.train_curve, start=1):
-                    w.writerow([i, repr(train_loss), repr(fit_result.val_curve[i])])
+            curve = enumerate(zip([None, *fit_result.train_curve], fit_result.val_curve))
+            write_table([["epoch", "train_loss", "val_loss"],
+                         *([i, train, val] for i, (train, val) in curve)], gen_dir / "curves.csv")
 
-    with open(out / "report.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["generation", "status", "upsilon", "best_upsilon",
-                    "fingerprint", "description"])
-        for r in result.records:
-            w.writerow([
-                r.generation, r.status,
-                "" if r.upsilon is None else repr(r.upsilon),
-                "" if r.best_upsilon is None else repr(r.best_upsilon),
-                "" if r.fingerprint is None else r.fingerprint,
-                r.error or r.description,
-            ])
+    write_table([["generation", "status", "upsilon", "best_upsilon", "fingerprint", "description"],
+                 *([r.generation, r.status, r.upsilon, r.best_upsilon, r.fingerprint,
+                    r.error or r.description] for r in result.records)],
+                out / "report.csv")
 
     best = result.best
     doc = {
@@ -449,17 +438,9 @@ def write_model_dir(out_dir, canonical_text: str, params: ParamVector, doc: dict
 
 def write_summary(out_dir: Path, report: AggregateReport):
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "summary.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["seed", "metric", "error"])
-        for o in report.outcomes:
-            w.writerow([o.seed, "" if o.metric is None else repr(o.metric), o.error or ""])
-        w.writerow([])
-        w.writerow(["mean", "" if report.mean is None else repr(report.mean), ""])
-        w.writerow(["half_width_95",
-                    "" if report.half_width is None else repr(report.half_width), ""])
-
-
-def load_result(run_dir) -> dict:
-    with open(Path(run_dir) / "result.json") as fh:
-        return json.load(fh)
+    write_table([["seed", "metric", "error"],
+                 *([o.seed, o.metric, o.error] for o in report.outcomes),
+                 [],
+                 ["mean", report.mean, None],
+                 ["half_width_95", report.half_width, None]],
+                out_dir / "summary.csv")

@@ -29,10 +29,9 @@ from hdtwin.agents import (
     record_generation,
     render_modeling_prompt,
     render_reflection_prompt,
-    save_replay,
 )
 from hdtwin.dsl import canonicalize, dsl_skeleton, parse_model_spec
-from hdtwin.engine import ParamVector, init_params
+from hdtwin.engine import ParamVector, init_params, write_json
 from hdtwin.systems import builtin_system, system_description
 
 CANCER = builtin_system("cancer-chemo-radio")
@@ -300,7 +299,7 @@ def test_scripted_client_exhaustion():
 
 
 def test_scripted_client_file_round_trip(tmp_path):
-    save_replay(["one", "two"], tmp_path / "r.json")
+    write_json(["one", "two"], tmp_path / "r.json")
     client = ScriptedClient.from_file(tmp_path / "r.json")
     assert client.complete([], FAST) == "one"
     # transcript-shaped files load too
@@ -309,8 +308,15 @@ def test_scripted_client_file_round_trip(tmp_path):
     assert ScriptedClient.from_file(tmp_path / "t.json").complete([], FAST) == "three"
 
 
+def test_scripted_client_file_that_is_not_json_names_the_file(tmp_path):
+    path = tmp_path / "r.json"
+    path.write_text("[\"one\",")
+    with pytest.raises(ValueError) as err:
+        ScriptedClient.from_file(path)
+    assert str(err.value).startswith(f"{path} is not JSON (")
+
+
 @pytest.mark.parametrize("body, message", [
-    ("[\"one\",", "replay file is not JSON"),
     ('{"not": "a list"}', "replay file must be a JSON list"),
     ('["one", {"request": 1}]', "replay entry 1 is neither a string nor an object with a"
                                 " string 'reply'"),

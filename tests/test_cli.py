@@ -10,7 +10,6 @@ import pytest
 import replay_fixtures
 from conftest import UNUSABLE_FITS, unusable_fit
 from hdtwin import cli
-from hdtwin.agents import save_replay
 from hdtwin.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUN, EXIT_TRANSPORT, build_parser, dispatch
 from hdtwin.dsl import canonicalize, parse_model_spec
 from hdtwin.engine import (
@@ -20,6 +19,7 @@ from hdtwin.engine import (
     one_step_mse,
     per_component_mse,
     save_params,
+    write_json,
 )
 from hdtwin.systems import builtin_system
 
@@ -155,7 +155,7 @@ def test_eval_reports_inf_when_the_test_pass_overflows(tmp_path, capsys):
 
 def test_evolve_with_replay_config(tmp_path, capsys):
     replay = tmp_path / "replies.json"
-    save_replay(replay_fixtures.evolution_replies(), replay)
+    write_json(replay_fixtures.evolution_replies(), replay)
     out = tmp_path / "run"
     config = {
         "system": "cancer-chemo-radio",
@@ -202,6 +202,35 @@ def test_evolve_config_errors(tmp_path, capsys):
     assert dispatch(["evolve", "--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"seeds": 3}, "config 'seeds' must be a non-empty list of non-negative integers"),
+    ({"seeds": []}, "config 'seeds' must be a non-empty list of non-negative integers"),
+    ({"seeds": ["a"]}, "config 'seeds' must be a non-empty list of non-negative integers"),
+    ({"seeds": [True]}, "config 'seeds' must be a non-empty list of non-negative integers"),
+    ({"seeds": [0, -1]}, "config 'seeds' must be a non-empty list of non-negative integers"),
+    ({"system": 5}, "config 'system' must be a string"),
+    ({"method": ["evolve"]}, "config 'method' must be a string"),
+    ({"out": 5}, "config 'out' must be a string"),
+    ({"evolve": [1]}, "config 'evolve' must be an object"),
+    ({"client": "replay"}, "config 'client' must be an object"),
+    ({"gen": None}, "config 'gen' must be an object"),
+])
+def test_evolve_rejects_a_run_config_of_the_wrong_shape(tmp_path, capsys, config, message):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"system": "cancer-chemo-radio", "method": "evolve",
+                               "seeds": [0], "out": str(tmp_path / "run"), **config}))
+    assert dispatch(["evolve", "--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_evolve_rejects_a_run_config_that_is_not_an_object(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps([{"system": "cancer-chemo-radio"}]))
+    assert dispatch(["evolve", "--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {cfg} has no 'system'\n"
+
+
 def test_evolve_rejects_impossible_adam_settings(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"system": "cancer-chemo-radio", "method": "evolve",
@@ -214,6 +243,8 @@ def test_evolve_rejects_impossible_adam_settings(tmp_path, capsys):
     ({"temprature": 0.2}, "unknown client config keys: temprature"),
     ({"retries": -1}, "bad client config: retries must be >= 0"),
     ({"retry_wait": float("nan")}, "bad client config: retry_wait must be finite (got nan)"),
+    ({"path": ["a"]}, "replay client needs a 'path' string"),
+    ({"mode": "http", "base_url": 5}, "http client needs a 'base_url' string"),
 ])
 def test_evolve_client_config_errors(tmp_path, capsys, client, message):
     cfg = tmp_path / "run.json"
@@ -225,7 +256,7 @@ def test_evolve_client_config_errors(tmp_path, capsys, client, message):
 
 @pytest.mark.parametrize("body, message", [
     (None, "No such file or directory"),
-    ('[{"reply": "ok"}', "replay file is not JSON"),
+    ('[{"reply": "ok"}', "is not JSON"),
     ('{"not": "a list"}', "replay file must be a JSON list"),
     ('[{"request": 1}]', "replay entry 0 is neither a string nor an object with a string"
                          " 'reply'"),
@@ -246,7 +277,7 @@ def test_evolve_rejects_a_bad_replay_file_at_launch(tmp_path, capsys, body, mess
 
 def test_evolve_replay_exhaustion_is_transport_failure(tmp_path):
     replay = tmp_path / "replies.json"
-    save_replay(replay_fixtures.evolution_replies()[:1], replay)  # far too short
+    write_json(replay_fixtures.evolution_replies()[:1], replay)  # far too short
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
         "system": "cancer-chemo-radio", "method": "evolve", "seeds": [0],
@@ -260,7 +291,7 @@ def test_evolve_replay_exhaustion_is_transport_failure(tmp_path):
 
 def test_evolve_transport_failure_keeps_the_finished_generations(tmp_path):
     replay = tmp_path / "replies.json"
-    save_replay(replay_fixtures.evolution_replies()[:3], replay)  # two generations
+    write_json(replay_fixtures.evolution_replies()[:3], replay)  # two generations
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
         "system": "cancer-chemo-radio", "method": "evolve", "seeds": [0],
@@ -282,7 +313,7 @@ def test_transport_failure_still_writes_summary(tmp_path):
     # every seed runs out of replies: each is recorded, the summary is
     # written, and the exit code still reports the transport failure
     replay = tmp_path / "replies.json"
-    save_replay(replay_fixtures.evolution_replies()[:1], replay)
+    write_json(replay_fixtures.evolution_replies()[:1], replay)
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
         "system": "cancer-chemo-radio", "method": "evolve", "seeds": [0, 1],
@@ -400,6 +431,59 @@ def test_report_reads_a_fit_run(small_data, tmp_path, capsys):
     assert result["headline_value"] == result["test_upsilon"] == fit_doc["test_upsilon"]
     assert dispatch(["report", "--runs", str(out)]) == EXIT_OK
     assert last_metrics(capsys)["mean"] == result["headline_value"]
+
+
+@pytest.mark.parametrize("value", [None, "fast"])
+def test_report_rejects_a_headline_value_that_is_not_a_number(tmp_path, capsys, value):
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps({"headline_metric": "one-step", "headline_value": value}))
+    assert dispatch(["report", "--runs", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: {result} has a 'headline_value' that is not a number\n")
+
+
+SCALAR_SPEC = "param a = 0.5\nd(tumor_volume)/dt = a * tumor_volume\n"
+
+
+@pytest.mark.parametrize("fault", ["not-json", "missing-key"])
+@pytest.mark.parametrize("name, missing_key_doc, message", [
+    ("params", {"scalars": {}}, " has no 'weights'"),
+    ("manifest", {"split": "test"}, " has no 'schema'"),
+    ("result", {"headline_metric": "one-step"}, " has no 'headline_value'"),
+    ("config", {"system": "cancer", "seeds": [0]}, " has no 'method'"),
+    ("replay", [{"request": 1}], ": replay entry 0 is neither"),
+])
+def test_a_malformed_input_file_is_a_config_error_naming_the_file(
+        tmp_path, capsys, name, missing_key_doc, message, fault):
+    spec, data, run = tmp_path / "model.hdt", tmp_path / "data", tmp_path / "run"
+    spec.write_text(SCALAR_SPEC)
+    data.mkdir()
+    run.mkdir()
+    paths = {"params": tmp_path / "params.json", "manifest": data / "manifest.json",
+             "result": run / "result.json", "config": tmp_path / "run.json",
+             "replay": tmp_path / "replies.json"}
+    save_params(init_params(parse_model_spec(SCALAR_SPEC)), paths["params"])
+    write_json(["unused"], paths["replay"])
+    write_json({"system": "cancer", "method": "evolve", "seeds": [0],
+                "client": {"mode": "replay", "path": str(paths["replay"])}}, paths["config"])
+    argv = {"params": ["eval", "--spec", spec, "--params", paths["params"], "--data", data],
+            "result": ["report", "--runs", run], "config": ["evolve", "--config", paths["config"]]}
+    argv["manifest"], argv["replay"] = argv["params"], argv["config"]
+    path = paths[name]
+    if fault == "not-json":
+        path.write_text('{"scalars": ')
+        message = " is not JSON ("
+    else:
+        write_json(missing_key_doc, path)
+    assert dispatch(list(map(str, argv[name]))) == EXIT_CONFIG
+    assert f"{path}{message}" in capsys.readouterr().err
+
+
+def test_a_directory_given_as_a_file_is_a_config_error(tmp_path, capsys):
+    assert dispatch(["eval", "--spec", str(tmp_path), "--params", str(tmp_path / "p.json"),
+                     "--data", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
 
 
 def test_unknown_subcommand_is_config_error(capsys):

@@ -7,7 +7,9 @@ commands and replayed runs start without them.  A fresh interpreter is
 needed because the test session itself may have loaded them already.
 
 No module reaches into another hdtwin module's private names, and every
-public name of the package has a user outside the tests.
+public name of the package has a user outside the tests.  Only `engine`
+reads and writes JSON files and CSV tables (read_json, write_json,
+write_table), so no second writer of a format grows back.
 """
 
 from __future__ import annotations
@@ -78,3 +80,16 @@ def test_every_exported_name_is_used_outside_the_tests_or_documented():
     unused = [name for name in hdtwin.__all__
               if name not in used and not re.search(rf"\b{name}\b", readme)]
     assert unused == []
+
+
+def test_only_the_engine_reads_or_writes_json_files_and_csv_tables():
+    found = []
+    for path in sorted((ROOT / "src" / "hdtwin").glob("*.py")):
+        if path.name == "engine.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and (node.value.id, node.attr) in
+                    {("json", "load"), ("json", "dump"), ("csv", "writer")}):
+                found.append(f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}")
+    assert found == []
