@@ -27,7 +27,7 @@ import pytest
 import replay_fixtures
 from conftest import random_params
 from hdtwin.agents import ScriptedClient
-from hdtwin.dsl import parse_model_spec
+from hdtwin.dsl import canonicalize, parse_model_spec
 from hdtwin.engine import (
     Dataset,
     Evaluator,
@@ -52,6 +52,7 @@ from hdtwin.systems import (
     builtin_system,
     generate_dataset,
     load_csv_dataset,
+    system_description,
 )
 from test_engine import BITS_SPEC, GUARD_ROWS, WS_SCHEMA, WS_SPECS
 
@@ -112,6 +113,21 @@ OOD_SHA = {
 
 # seir-covid with intervention=True
 INTERVENTION_SHA = "7434b8c8bab9720f16219cfa9a9363be925229084bce4aca9d2e24716320ab57"
+
+# sha256 of everything a built-in system defines: see catalogue_sha256
+CATALOGUE_SHA = {
+    "cancer": "c189114b1f15c52db489e0769dfa2240888f183539463b89c77e3c9e3f5056e2",
+    "cancer-chemo": "16b034b76c47ff5caf64186c1121f3a9390dee1ed3832cc80e81eee67b395c96",
+    "cancer-chemo-radio": "ff9dca7bb90dbf4a7a86d8acd3fc598e4054f8aaac232cf4b2e0bc419fa416c4",
+    "seir-covid": "d8a6ab1f51d7e003fa59b0d9dcb5269fac61a4d3bd9a493981548e4be73cb87a",
+    "lv2": "1dbc7b6543f27918c3fcc3eb696def70206a8ef645ad55d5fe5f1b2c566c78b4",
+    "lv3-plankton": "81c8605d4c3678a1c135416b6983b68e1ba47a6edadea29bce32a322cf5c3db8",
+    "synthetic-1": "90d2a5f292ae3905f16d5faf5e38c1bc9a8d94e29fda664e92e19b08ed2cc235",
+    "synthetic-2": "2c9907db00e1c586dea0b313d70c45987849b605bbf11ac6e663d05337f091c1",
+    "synthetic-3": "9f1a580e9f67497e758048803e4eae421dbfaeac5484faa6f76fef41c3a8c06a",
+    "synthetic-4": "c0c157809cde4ca5290549d09e0c8f8fb18cf8319a52216e3b3bc73f8783aef2",
+    "synthetic-5": "a3cac98bd5007e53916caf73fe18ac42ba0852f5e2c49c92f84925f94b4371b2",
+}
 
 # repr of rollout_mse under perturbed parameters
 ROLLOUT_MSE_GENERATED = {
@@ -192,6 +208,18 @@ def dataset_sha256(sys_id: str, cfg: GenConfig, out: Path) -> str:
     return tree_sha256(out)
 
 
+def catalogue_sha256(sys_id: str) -> str:
+    """One hash over a built-in system's spec (its canonical text and its
+    declaration order), schema, sizes, family, title, notes, policy, true
+    parameters and the two prompt texts built from them."""
+    system = builtin_system(sys_id)
+    fields = (canonicalize(system.spec).text, system.spec, system.schema, system.horizon,
+              system.default_n, system.family, system.title, system.var_notes,
+              system.policy, system.true_params.values.tolist(),
+              system_description(system), make_modeling_context(system, 20).requirements)
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
 def perturbed(system):
     params = system.true_params.copy()
     for name in params.scalars:
@@ -217,6 +245,11 @@ def t0_rollout():
     actions = np.column_stack([5.0 * (rng.random(40) < 0.5), 2.0 * (rng.random(40) < 0.5)])
     return rollout(system.spec, system.true_params, system.schema, [640.0, 1.5], actions,
                    dt=0.5, t0=19.0)
+
+
+@pytest.mark.parametrize("sys_id", BUILTIN_IDS)
+def test_catalogue_pin(sys_id):
+    assert catalogue_sha256(sys_id) == CATALOGUE_SHA[sys_id]
 
 
 @pytest.mark.parametrize("sys_id", BUILTIN_IDS)
