@@ -5,8 +5,8 @@ squares over a degree-2 monomial library recovers exactly the terms of
 the true equations; everything else is pruned to zero.
 """
 
-from hdtwin.baselines import sindy_fit, sindy_params
-from hdtwin.engine import one_step_mse
+from hdtwin.baselines import sindy_fit
+from hdtwin.engine import init_params, one_step_mse
 from hdtwin.systems import GenConfig, builtin_system, generate_dataset
 
 system = builtin_system("lv2")
@@ -26,5 +26,5 @@ for j, state in enumerate(system.schema.state_names):
     print(f"  d({state})/dt = {' '.join(terms)}")
 
 print("\ntrue dynamics: 1.1 h - 0.4 h l  /  0.1 h l - 0.4 l")
-mse = one_step_mse(result.spec, sindy_params(result), data["test"])
+mse = one_step_mse(result.spec, init_params(result.spec), data["test"])
 print(f"held-out test MSE of the emitted spec: {mse:.3e}")

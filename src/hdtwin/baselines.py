@@ -22,17 +22,7 @@ from hdtwin.dsl import (
     SystemSchema,
     parse_model_spec,
 )
-from hdtwin.engine import Dataset, ParamVector, Trajectory, require_integers
-
-BASELINE_IDS = (
-    "logistic-tumor",
-    "logistic-tumor-chemo",
-    "logistic-tumor-chemo-radio",
-    "lv2",
-    "lv3",
-    "seir",
-    "mlp-twin",
-)
+from hdtwin.engine import Dataset, Trajectory, require_integers
 
 
 @dataclass
@@ -164,11 +154,6 @@ def sindy_fit(dataset: Dataset, cfg: SindyConfig | None = None) -> SindyResult:
                        cond, total_iters)
 
 
-def sindy_params(result: SindyResult) -> ParamVector:
-    """The fitted coefficients as a ready-to-evaluate parameter vector."""
-    return ParamVector({p.name: p.init for p in result.spec.params}, {})
-
-
 # ---------------------------------------------------------------------------
 # Domain-specific mechanistic baselines
 
@@ -228,6 +213,8 @@ d(infected)/dt = sigma * exposed - (gamma + delta) * infected
 d(recovered)/dt = gamma * infected - delta * infected
 """,
 }
+
+BASELINE_IDS = (*_BASELINE_TEXT, "mlp-twin")
 
 
 def builtin_baseline_spec(baseline_id: str, schema: SystemSchema | None = None) -> ModelSpec:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -63,12 +64,11 @@ def _optim_flags(parser: argparse.ArgumentParser):
                         help="training epoch budget; 0 only scores the initial parameters")
     parser.add_argument("--patience", type=int, default=d.patience,
                         help="epochs without validation improvement before stopping")
-    parser.add_argument("--seed", type=int, default=d.seed, help="shuffling seed")
 
 
 def _optim_from_args(args) -> OptimConfig:
     return OptimConfig(lr=args.lr, batch_size=args.batch_size, max_epochs=args.max_epochs,
-                       patience=args.patience, seed=args.seed)
+                       patience=args.patience)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,45 +78,44 @@ def build_parser() -> argparse.ArgumentParser:
                     " evolutionary search, baselines, evaluation, and reports.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    fmt = argparse.ArgumentDefaultsHelpFormatter
+    # no abbreviations: a flag that is a prefix of another (--seed of --seeds) never aliases it
+    add = functools.partial(sub.add_parser, allow_abbrev=False,
+                            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    g = GenConfig()
 
-    p = sub.add_parser("gen-data", formatter_class=fmt,
-                       help="generate train/val/test datasets for a built-in system")
+    p = add("gen-data", help="generate train/val/test datasets for a built-in system")
     p.add_argument("--system", required=True, choices=BUILTIN_IDS)
-    p.add_argument("--seed", type=int, default=0, help="generation seed")
+    p.add_argument("--seed", type=int, default=g.seed, help="generation seed")
     p.add_argument("--n", type=int, default=None,
                    help="trajectories per split (default: the system's own)")
     p.add_argument("--ood", action="store_true",
                    help="disjoint train/test initial-volume supports at dt = 1/24")
     p.add_argument("--intervention", action="store_true",
                    help="scale the transmission rate on the test split")
-    p.add_argument("--intervention-day", type=float, default=19.0,
+    p.add_argument("--intervention-day", type=float, default=g.intervention_day,
                    help="day the transmission change takes effect")
-    p.add_argument("--intervention-scale", type=float, default=0.25,
+    p.add_argument("--intervention-scale", type=float, default=g.intervention_scale,
                    help="multiplier applied to the transmission rate")
     p.add_argument("--out", required=True, help="output directory")
 
-    p = sub.add_parser("fit", formatter_class=fmt,
-                       help="fit one spec file to a generated dataset directory")
+    p = add("fit", help="fit one spec file to a generated dataset directory")
     p.add_argument("--spec", required=True, help="path to a .hdt model spec")
     p.add_argument("--data", required=True,
                    help="dataset directory holding train/ val/ (and optionally test/)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--mlp-seed", type=int, default=0, help="network weight init seed")
     _optim_flags(p)
+    p.add_argument("--seed", type=int, default=OptimConfig().seed, help="shuffling seed")
 
-    p = sub.add_parser("eval", formatter_class=fmt,
-                       help="evaluate a spec + parameter table on a dataset directory")
+    p = add("eval", help="evaluate a spec + parameter table on a dataset directory")
     p.add_argument("--spec", required=True, help="path to a .hdt model spec")
     p.add_argument("--params", required=True, help="params.json as written by fit")
     p.add_argument("--data", required=True, help="one dataset split directory")
 
-    p = sub.add_parser("evolve", formatter_class=fmt,
-                       help="run an evolution (or ablation) experiment from a config file")
+    p = add("evolve", help="run an evolution (or ablation) experiment from a config file")
     p.add_argument("--config", required=True, help="JSON run-config file")
 
-    p = sub.add_parser("baseline", formatter_class=fmt,
-                       help="run a non-agentic baseline over seeds")
+    p = add("baseline", help="run a non-agentic baseline over seeds")
     p.add_argument("--id", required=True, dest="baseline_id",
                    help=f"sindy or one of: {', '.join(BASELINE_IDS)}")
     p.add_argument("--system", required=True, choices=BUILTIN_IDS)
@@ -133,8 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sparse-regression pruning threshold")
     _optim_flags(p)
 
-    p = sub.add_parser("report", formatter_class=fmt,
-                       help="aggregate run archives into one summary")
+    p = add("report", help="aggregate run archives into one summary")
     p.add_argument("--runs", nargs="+", required=True, help="run archive directories")
     p.add_argument("--out", default=None, help="optional CSV to write")
 
@@ -165,7 +163,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    cfg = _optim_from_args(args)
+    cfg = dataclasses.replace(_optim_from_args(args), seed=args.seed)
     spec = parse_model_spec(Path(args.spec).read_text())
     init = init_params(spec, seed=args.mlp_seed)
     data_dir = Path(args.data)
@@ -214,6 +212,9 @@ def _load_run_config(path: str) -> dict:
     if not (isinstance(seeds, list) and seeds and all(
             isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds)):
         raise ConfigError("config 'seeds' must be a non-empty list of non-negative integers")
+    for section in ("evolve", "optim", "gen"):  # run_experiment sets these from each seed
+        if isinstance(doc.get(section), dict) and "seed" in doc[section]:
+            raise ConfigError(f"config {section!r} cannot set 'seed': 'seeds' sets every seed")
     return doc
 
 

@@ -1027,16 +1027,22 @@ def load_saved_dataset(in_dir: str | Path) -> Dataset:
     whose header or row width does not match the manifest schema, raises
     ValueError."""
     src = Path(in_dir)
-    manifest = read_json(src / "manifest.json", "schema", "n_trajectories", "split")
+    manifest = read_json(src / "manifest.json", "schema.states", "schema.actions",
+                         "schema.time_units", "schema.dt", "n_trajectories", "split")
     sch = manifest["schema"]
-    schema = SystemSchema(
-        states=tuple(VarSpec(n, lo, hi) for n, lo, hi in sch["states"]),
-        actions=tuple(VarSpec(n, lo, hi) for n, lo, hi in sch["actions"]),
-        time_units=sch["time_units"],
-        dt=sch["dt"],
-    )
+    try:
+        schema = SystemSchema(
+            states=tuple(VarSpec(n, lo, hi) for n, lo, hi in sch["states"]),
+            actions=tuple(VarSpec(n, lo, hi) for n, lo, hi in sch["actions"]),
+            time_units=sch["time_units"],
+            dt=sch["dt"],
+        )
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{src / 'manifest.json'}: bad 'schema' ({err})") from None
     header = _csv_header(schema)
     n = manifest["n_trajectories"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"{src / 'manifest.json'}: 'n_trajectories' is not a count")
     trajectories = []
     for i in range(n):
         path = src / _TRAJ_FILE.format(i)
@@ -1052,16 +1058,20 @@ def load_saved_dataset(in_dir: str | Path) -> Dataset:
 
 
 def read_json(path: str | Path, *keys: str):
-    """The JSON document at path; with keys, an object holding each of them.
-    Raises ValueError naming the file when it is not JSON or lacks a key."""
+    """The JSON document at path; with keys, an object holding each of them,
+    where "a.b" is key b of the object at key a.  Raises ValueError naming
+    the file when it is not JSON or lacks a key."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as err:
             raise ValueError(f"{path} is not JSON ({err})") from None
     for key in keys:
-        if not isinstance(doc, dict) or key not in doc:
-            raise ValueError(f"{path} has no {key!r}")
+        node, parts = doc, key.split(".")
+        for i, part in enumerate(parts):
+            if not isinstance(node, dict) or part not in node:
+                raise ValueError(f"{path} has no {'.'.join(parts[:i + 1])!r}")
+            node = node[part]
     return doc
 
 
@@ -1091,7 +1101,29 @@ def save_params(params: ParamVector, path: str | Path):
     }, path)
 
 
+def _floats(value, ndim: int) -> np.ndarray:
+    """value as a float array of ndim dimensions; ValueError unless it is a
+    number or a rectangular list of numbers (bools and strings are not)."""
+    a = np.array(value)  # ragged lists raise ValueError
+    if a.ndim != ndim or a.dtype.kind not in "iuf":
+        raise ValueError(value)
+    return a.astype(float)
+
+
 def load_params(path: str | Path) -> ParamVector:
+    """A save_params file.  Anything but an object of numbers under
+    `scalars` and an object of lists of {"w": matrix, "b": vector} layers
+    under `weights` raises ValueError naming the file and the key."""
     doc = read_json(path, "scalars", "weights")
-    return ParamVector(doc["scalars"], {name: [(layer["w"], layer["b"]) for layer in layers]
-                                        for name, layers in doc["weights"].items()})
+    key = "scalars"
+    try:
+        scalars = {name: float(_floats(v, 0)) for name, v in doc[key].items()}
+        key, weights = "weights", {}
+        for name, layers in doc[key].items():
+            key = f"weights.{name}"
+            weights[name] = [(_floats(layer["w"], 2), _floats(layer["b"], 1))
+                             for layer in layers]
+    except (AttributeError, KeyError, TypeError, ValueError):
+        raise ValueError(f"{path}: {key!r} is not what save_params writes (scalars: numbers;"
+                         ' weights: lists of {"w": matrix, "b": vector} layers)') from None
+    return ParamVector(scalars, weights)

@@ -114,10 +114,9 @@ class RunResult:
 def make_modeling_context(system: SystemDef, generations: int,
                           n_trajectories: int | None = None) -> ModelingContext:
     """Assemble the structured prompt for one of the built-in systems."""
-    target = "1e-10" if system.family == "seir" else "1e-6"
     requirements = (
         f"* The specification generated should achieve the lowest possible validation loss,"
-        f" of {target} or less.\n"
+        f" of {system.target_loss} or less.\n"
         "* The specification generated should be interpretable, and fit the dataset as"
         " accurately as possible."
     )
@@ -285,7 +284,7 @@ def run_experiment(system_id: str, method: str, seeds: list[int], *,
     An evolve run cut short by a transport failure still writes its
     archive of the finished generations, but its metric is not aggregated.
     """
-    from hdtwin.baselines import SindyConfig, builtin_baseline_spec, sindy_fit, sindy_params
+    from hdtwin.baselines import SindyConfig, builtin_baseline_spec, sindy_fit
 
     if not seeds:
         raise ValueError("need at least one seed")
@@ -327,7 +326,7 @@ def run_experiment(system_id: str, method: str, seeds: list[int], *,
             else:  # sindy or baseline:<id>, scored through one tail
                 if method == "sindy":
                     res = sindy_fit(datasets["train"], sindy_cfg)
-                    spec, params = res.spec, sindy_params(res)
+                    spec, params = res.spec, init_params(res.spec)
                 else:
                     spec = builtin_baseline_spec(method.split(":", 1)[1], system.schema)
                     fitted = fit(spec, init_params(spec, seed=seed),

@@ -40,21 +40,6 @@ from hdtwin.engine import (
     require_integers,
 )
 
-BUILTIN_IDS = (
-    "cancer",
-    "cancer-chemo",
-    "cancer-chemo-radio",
-    "seir-covid",
-    "lv2",
-    "lv3-plankton",
-    "synthetic-1",
-    "synthetic-2",
-    "synthetic-3",
-    "synthetic-4",
-    "synthetic-5",
-)
-
-
 @dataclass(frozen=True)
 class CancerPolicyParams:
     """Dose-assignment policy: treatment probability rises with tumor size."""
@@ -80,6 +65,7 @@ class SystemDef:
     title: str
     var_notes: dict[str, str]
     policy: CancerPolicyParams | None = None
+    target_loss: str = "1e-6"    # the validation loss the requirements prompt asks for
 
 
 @dataclass
@@ -106,11 +92,29 @@ _TUMOR_RANGE = VarSpec("tumor_volume", 0.01433, 1170.861)
 _CONC_RANGE = VarSpec("chemotherapy_drug_concentration", 0.0, 9.9975)
 _CHEMO_DOSE = VarSpec("chemotherapy_dosage", 0.0, 5.0)
 _RADIO_DOSE = VarSpec("radiotherapy_dosage", 0.0, 2.0)
+_TREATED_SCHEMA = SystemSchema(states=(_TUMOR_RANGE, _CONC_RANGE),
+                               actions=(_CHEMO_DOSE, _RADIO_DOSE), time_units="days", dt=1.0)
 
 _CANCER_PARAMS = """
 param rho = 7e-05
 param kcap = 30.0
 """
+# alpha_r / beta_r = 10 by construction
+_TREATED_PARAMS = (_CANCER_PARAMS + "param beta_c = 0.028\n"
+                   "param alpha_r = 0.0398\nparam beta_r = 0.00398\n")
+_DRUG_LINE = ("d(chemotherapy_drug_concentration)/dt = chemotherapy_dosage"
+              " - 0.5 * chemotherapy_drug_concentration\n")
+
+
+def _treated(params: str = "", extra: str = "", log_arg: str = "tumor_volume") -> str:
+    """The chemo-and-radio tumor spec: its parameters, plus `params`, and a
+    tumor line with `extra` added inside the growth bracket."""
+    tumor = (f"d(tumor_volume)/dt = (rho * log(kcap / {log_arg})"
+             " - beta_c * chemotherapy_drug_concentration"
+             f" - (alpha_r * radiotherapy_dosage + beta_r * radiotherapy_dosage ^ 2.0){extra})"
+             " * tumor_volume\n")
+    return _TREATED_PARAMS + params + tumor + _DRUG_LINE
+
 
 _CANCER_NOTES = {
     "tumor_volume": "Volume of the tumor with units cm^3",
@@ -124,99 +128,38 @@ _CANCER_TITLE = ("Prediction of Treatment Response for Combined Chemo and Radiat
                  " Therapy for Non-Small Cell Lung Cancer Patients Using a"
                  " Bio-Mathematical Model")
 
-_SEIR_NOTES = {
-    "susceptible": "Ratio of the population that is susceptible to the virus.",
-    "exposed": "Ratio of the population that is exposed to the virus, not yet infectious.",
-    "infected": "Ratio of the population that is actively carrying and transmitting the virus.",
-    "recovered": "Ratio of the population that have recovered from the virus,"
-                 " including those who are deceased.",
-}
+# what every tumor system shares; the treated ones also share the schema
+_CANCER = dict(horizon=60, default_n=1000, family="cancer", title=_CANCER_TITLE,
+               var_notes=_CANCER_NOTES)
+_TREATED = dict(_CANCER, schema=_TREATED_SCHEMA, policy=CancerPolicyParams())
 
-_LV2_NOTES = {
-    "hare_population": "Annual count of hare pelts, a proxy for the hare population size,"
-                       " in tens of thousands.",
-    "lynx_population": "Annual count of lynx pelts, a proxy for the lynx population size,"
-                       " in tens of thousands.",
-}
-
-_LV3_NOTES = {
-    "prey_population": "Total count of algae, serving as the primary prey",
-    "intermediate_population": "Total count of flagellates, acting as intermediate"
-                               " predators and prey",
-    "top_predators_population": "Total count of rotifers, representing top predators",
-}
-
-
-def _cancer_bracket(extra: str = "") -> str:
-    core = ("rho * log(kcap / tumor_volume)"
-            " - beta_c * chemotherapy_drug_concentration"
-            " - (alpha_r * radiotherapy_dosage + beta_r * radiotherapy_dosage ^ 2.0)")
-    return f"({core}{extra}) * tumor_volume"
-
-
-def _cancer_system(sys_id: str) -> SystemDef:
-    if sys_id == "cancer":
-        schema = SystemSchema(states=(_TUMOR_RANGE,), actions=(), time_units="days", dt=1.0)
-        text = _CANCER_PARAMS + (
-            "d(tumor_volume)/dt = rho * log(kcap / tumor_volume) * tumor_volume\n"
-        )
-        policy = None
-    elif sys_id == "cancer-chemo":
-        schema = SystemSchema(states=(_TUMOR_RANGE, _CONC_RANGE), actions=(_CHEMO_DOSE,),
-                              time_units="days", dt=1.0)
-        text = _CANCER_PARAMS + "param beta_c = 0.028\n" + (
-            "d(tumor_volume)/dt = (rho * log(kcap / tumor_volume)"
-            " - beta_c * chemotherapy_drug_concentration) * tumor_volume\n"
-            "d(chemotherapy_drug_concentration)/dt = chemotherapy_dosage"
-            " - 0.5 * chemotherapy_drug_concentration\n"
-        )
-        policy = CancerPolicyParams()
-    else:
-        schema = SystemSchema(states=(_TUMOR_RANGE, _CONC_RANGE),
-                              actions=(_CHEMO_DOSE, _RADIO_DOSE), time_units="days", dt=1.0)
-        extra = {
-            "cancer-chemo-radio": "",
-            "synthetic-1": " + gamma_s * sin(omega_s * t)",
-            "synthetic-2": " - delta_s * 10.0",
-            "synthetic-4": " + eps_s * cos(phi_s * t)",
-            "synthetic-5": " - theta_s * chemotherapy_drug_concentration * radiotherapy_dosage",
-        }
-        decl = {
-            "synthetic-1": "param gamma_s = 0.02\nparam omega_s = 0.3\n",
-            "synthetic-2": "param delta_s = 0.005\n",
-            "synthetic-3": "",
-            "synthetic-4": "param eps_s = 0.02\nparam phi_s = 0.3\n",
-            "synthetic-5": "param theta_s = 0.01\n",
-        }.get(sys_id, "")
-        # alpha_r / beta_r = 10 by construction
-        head = _CANCER_PARAMS + "param beta_c = 0.028\nparam alpha_r = 0.0398\nparam beta_r = 0.00398\n" + decl
-        if sys_id == "synthetic-3":
-            tumor = ("d(tumor_volume)/dt = (rho * log(kcap / (tumor_volume + 10.0))"
-                     " - beta_c * chemotherapy_drug_concentration"
-                     " - (alpha_r * radiotherapy_dosage + beta_r * radiotherapy_dosage ^ 2.0))"
-                     " * tumor_volume\n")
-        else:
-            tumor = f"d(tumor_volume)/dt = {_cancer_bracket(extra[sys_id])}\n"
-        text = head + tumor + (
-            "d(chemotherapy_drug_concentration)/dt = chemotherapy_dosage"
-            " - 0.5 * chemotherapy_drug_concentration\n"
-        )
-        policy = CancerPolicyParams()
-    spec = parse_model_spec(text)
-    return SystemDef(
-        id=sys_id, schema=schema, spec=spec, true_params=init_params(spec),
-        horizon=60, default_n=1000, family="cancer", title=_CANCER_TITLE,
-        var_notes=_CANCER_NOTES, policy=policy,
-    )
-
-
-def _seir_system() -> SystemDef:
-    schema = SystemSchema(
-        states=tuple(VarSpec(n, 0.0, 1.0)
-                     for n in ("susceptible", "exposed", "infected", "recovered")),
-        actions=(), time_units="days", dt=1.0,
-    )
-    text = """
+# Every built-in system, by id: its spec text and the SystemDef fields
+# besides id, spec and true_params.  Specs are parsed only when built.
+_SYSTEMS = {
+    "cancer": dict(
+        _CANCER,
+        schema=SystemSchema(states=(_TUMOR_RANGE,), actions=(), time_units="days", dt=1.0),
+        text=_CANCER_PARAMS
+        + "d(tumor_volume)/dt = rho * log(kcap / tumor_volume) * tumor_volume\n",
+    ),
+    "cancer-chemo": dict(
+        _CANCER,
+        schema=SystemSchema(states=(_TUMOR_RANGE, _CONC_RANGE), actions=(_CHEMO_DOSE,),
+                            time_units="days", dt=1.0),
+        policy=CancerPolicyParams(),
+        text=_CANCER_PARAMS + "param beta_c = 0.028\n"
+        + "d(tumor_volume)/dt = (rho * log(kcap / tumor_volume)"
+          " - beta_c * chemotherapy_drug_concentration) * tumor_volume\n"
+        + _DRUG_LINE,
+    ),
+    "cancer-chemo-radio": dict(_TREATED, text=_treated()),
+    "seir-covid": dict(
+        schema=SystemSchema(
+            states=tuple(VarSpec(n, 0.0, 1.0)
+                         for n in ("susceptible", "exposed", "infected", "recovered")),
+            actions=(), time_units="days", dt=1.0,
+        ),
+        text="""
 param beta = 0.3
 param sigma = 0.2
 param gamma = 0.1
@@ -224,47 +167,51 @@ d(susceptible)/dt = -beta * susceptible * infected
 d(exposed)/dt = beta * susceptible * infected - sigma * exposed
 d(infected)/dt = sigma * exposed - gamma * infected
 d(recovered)/dt = gamma * infected
-"""
-    spec = parse_model_spec(text)
-    return SystemDef(
-        id="seir-covid", schema=schema, spec=spec, true_params=init_params(spec),
+""",
         horizon=60, default_n=24, family="seir",
         title="Prediction model of COVID-19 Epidemic Dynamics",
-        var_notes=_SEIR_NOTES,
-    )
-
-
-def _lv2_system() -> SystemDef:
-    schema = SystemSchema(
-        states=(VarSpec("hare_population", 0.0, 30.0), VarSpec("lynx_population", 0.0, 15.0)),
-        actions=(), time_units="years", dt=0.05,
-    )
-    text = """
+        var_notes={
+            "susceptible": "Ratio of the population that is susceptible to the virus.",
+            "exposed": "Ratio of the population that is exposed to the virus, not yet infectious.",
+            "infected":
+                "Ratio of the population that is actively carrying and transmitting the virus.",
+            "recovered": "Ratio of the population that have recovered from the virus,"
+                         " including those who are deceased.",
+        },
+        target_loss="1e-10",
+    ),
+    "lv2": dict(
+        schema=SystemSchema(
+            states=(VarSpec("hare_population", 0.0, 30.0),
+                    VarSpec("lynx_population", 0.0, 15.0)),
+            actions=(), time_units="years", dt=0.05,
+        ),
+        text="""
 param alpha = 1.1
 param beta = 0.4
 param gamma = 0.4
 param delta = 0.1
 d(hare_population)/dt = alpha * hare_population - beta * hare_population * lynx_population
 d(lynx_population)/dt = delta * hare_population * lynx_population - gamma * lynx_population
-"""
-    spec = parse_model_spec(text)
-    return SystemDef(
-        id="lv2", schema=schema, spec=spec, true_params=init_params(spec),
+""",
         horizon=160, default_n=20, family="lv",
         title="Modeling Di-Trophic Prey-Predator Dynamics in a Two-Species"
               " Ecological System",
-        var_notes=_LV2_NOTES,
-    )
-
-
-def _lv3_system() -> SystemDef:
-    schema = SystemSchema(
-        states=(VarSpec("prey_population", 0.0, 5.0),
-                VarSpec("intermediate_population", 0.0, 5.0),
-                VarSpec("top_predators_population", 0.0, 5.0)),
-        actions=(), time_units="days", dt=0.05,
-    )
-    text = """
+        var_notes={
+            "hare_population": "Annual count of hare pelts, a proxy for the hare"
+                               " population size, in tens of thousands.",
+            "lynx_population": "Annual count of lynx pelts, a proxy for the lynx"
+                               " population size, in tens of thousands.",
+        },
+    ),
+    "lv3-plankton": dict(
+        schema=SystemSchema(
+            states=(VarSpec("prey_population", 0.0, 5.0),
+                    VarSpec("intermediate_population", 0.0, 5.0),
+                    VarSpec("top_predators_population", 0.0, 5.0)),
+            actions=(), time_units="days", dt=0.05,
+        ),
+        text="""
 param alpha = 0.8
 param beta = 0.9
 param delta = 0.5
@@ -275,30 +222,38 @@ param nu = 0.3
 d(prey_population)/dt = prey_population * (alpha - beta * intermediate_population - delta * top_predators_population)
 d(intermediate_population)/dt = intermediate_population * (epsilon * prey_population - gamma)
 d(top_predators_population)/dt = top_predators_population * (nu * prey_population - mu)
-"""
-    spec = parse_model_spec(text)
-    return SystemDef(
-        id="lv3-plankton", schema=schema, spec=spec, true_params=init_params(spec),
+""",
         horizon=60, default_n=20, family="lv",
         title="Modeling Artificial Tri-Trophic Prey-Predator Oscillations in a"
               " Simplified Ecological System",
-        var_notes=_LV3_NOTES,
-    )
+        var_notes={
+            "prey_population": "Total count of algae, serving as the primary prey",
+            "intermediate_population": "Total count of flagellates, acting as intermediate"
+                                       " predators and prey",
+            "top_predators_population": "Total count of rotifers, representing top predators",
+        },
+    ),
+    "synthetic-1": dict(_TREATED, text=_treated("param gamma_s = 0.02\nparam omega_s = 0.3\n",
+                                                " + gamma_s * sin(omega_s * t)")),
+    "synthetic-2": dict(_TREATED, text=_treated("param delta_s = 0.005\n", " - delta_s * 10.0")),
+    "synthetic-3": dict(_TREATED, text=_treated(log_arg="(tumor_volume + 10.0)")),
+    "synthetic-4": dict(_TREATED, text=_treated("param eps_s = 0.02\nparam phi_s = 0.3\n",
+                                                " + eps_s * cos(phi_s * t)")),
+    "synthetic-5": dict(_TREATED, text=_treated(
+        "param theta_s = 0.01\n",
+        " - theta_s * chemotherapy_drug_concentration * radiotherapy_dosage")),
+}
+
+BUILTIN_IDS = tuple(_SYSTEMS)
 
 
 def builtin_system(sys_id: str) -> SystemDef:
     """Fully parameterized definition for one of the built-in systems."""
-    if sys_id in ("cancer", "cancer-chemo", "cancer-chemo-radio") or sys_id.startswith("synthetic-"):
-        if sys_id not in BUILTIN_IDS:
-            raise KeyError(f"unknown system {sys_id!r}")
-        return _cancer_system(sys_id)
-    if sys_id == "seir-covid":
-        return _seir_system()
-    if sys_id == "lv2":
-        return _lv2_system()
-    if sys_id == "lv3-plankton":
-        return _lv3_system()
-    raise KeyError(f"unknown system {sys_id!r}; available: {', '.join(BUILTIN_IDS)}")
+    if sys_id not in _SYSTEMS:
+        raise KeyError(f"unknown system {sys_id!r}; available: {', '.join(BUILTIN_IDS)}")
+    fields = dict(_SYSTEMS[sys_id])
+    spec = parse_model_spec(fields.pop("text"))
+    return SystemDef(id=sys_id, spec=spec, true_params=init_params(spec), **fields)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from conftest import (
     random_spec,
 )
 from hdtwin.agents import Population, ScriptedClient
-from hdtwin.baselines import builtin_baseline_spec, sindy_fit, sindy_params
+from hdtwin.baselines import builtin_baseline_spec, sindy_fit
 from hdtwin.dsl import parse_model_spec
 from hdtwin.engine import (
     EvaluationFault,
@@ -168,7 +168,7 @@ def test_criterion_04a_sindy_cancer_window(lung_cancer_data):
     """
     started = time.perf_counter()
     res = sindy_fit(lung_cancer_data["train"])
-    params = sindy_params(res)
+    params = init_params(res.spec)
     one_step = one_step_mse(res.spec, params, lung_cancer_data["test"])
     trajectory = rollout_mse(res.spec, params, lung_cancer_data["test"])
     elapsed = time.perf_counter() - started

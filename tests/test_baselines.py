@@ -8,7 +8,6 @@ from hdtwin.baselines import (
     builtin_baseline_spec,
     finite_difference_derivatives,
     sindy_fit,
-    sindy_params,
 )
 from hdtwin.dsl import parse_model_spec, validate
 from hdtwin.engine import Dataset, Trajectory, init_params, one_step_mse, rollout
@@ -74,7 +73,7 @@ def test_sindy_recovers_linear_decay():
     assert coef[names.index("1")] == 0.0
     assert coef[names.index("x*x")] == 0.0
     # the emitted spec evaluates through the shared engine
-    mse = one_step_mse(res.spec, sindy_params(res), _linear_decay_dataset())
+    mse = one_step_mse(res.spec, init_params(res.spec), _linear_decay_dataset())
     assert mse < 1e-12
 
 
@@ -151,7 +150,7 @@ def test_sindy_library_includes_actions():
                 + 5.0 * res.coefficients[1, idx["chemotherapy_dosage*chemotherapy_dosage"]])
     assert combined == pytest.approx(1.0, abs=1e-3)
     # and the fitted model reproduces the concentration dynamics
-    delta_mse = one_step_mse(res.spec, sindy_params(res), data["test"])
+    delta_mse = one_step_mse(res.spec, init_params(res.spec), data["test"])
     assert np.isfinite(delta_mse)
 
 

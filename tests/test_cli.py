@@ -214,6 +214,9 @@ def test_evolve_config_errors(tmp_path, capsys):
     ({"evolve": [1]}, "config 'evolve' must be an object"),
     ({"client": "replay"}, "config 'client' must be an object"),
     ({"gen": None}, "config 'gen' must be an object"),
+    ({"gen": {"seed": 99}}, "config 'gen' cannot set 'seed': 'seeds' sets every seed"),
+    ({"optim": {"seed": 7}}, "config 'optim' cannot set 'seed': 'seeds' sets every seed"),
+    ({"evolve": {"seed": 3}}, "config 'evolve' cannot set 'seed': 'seeds' sets every seed"),
 ])
 def test_evolve_rejects_a_run_config_of_the_wrong_shape(tmp_path, capsys, config, message):
     cfg = tmp_path / "run.json"
@@ -345,6 +348,15 @@ def test_baseline_mechanistic_subcommand(tmp_path, capsys):
     assert np.isfinite(last_metrics(capsys)["mean"])
 
 
+def test_baseline_has_no_seed_flag_the_run_seeds_set_every_seed(tmp_path, capsys):
+    # flags are never abbreviated, so --seed is not read as --seeds
+    code = dispatch(["baseline", "--id", "lv2", "--system", "lv2", "--seeds", "0",
+                     "--seed", "5", "--out", str(tmp_path / "b")])
+    assert code == EXIT_CONFIG
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
 def test_baseline_run_failure_exit_code(tmp_path):
     code = dispatch(["baseline", "--id", "not-real", "--system", "lv2", "--seeds", "0",
                      "--n", "2", "--max-epochs", "5", "--patience", "5"])
@@ -452,6 +464,15 @@ SCALAR_SPEC = "param a = 0.5\nd(tumor_volume)/dt = a * tumor_volume\n"
     ("result", {"headline_metric": "one-step"}, " has no 'headline_value'"),
     ("config", {"system": "cancer", "seeds": [0]}, " has no 'method'"),
     ("replay", [{"request": 1}], ": replay entry 0 is neither"),
+    ("params", {"scalars": [1], "weights": {}}, ": 'scalars' is not what save_params writes"),
+    ("params", {"scalars": {"a": "x"}, "weights": {}}, ": 'scalars' is not what save_params"),
+    ("params", {"scalars": {"a": 0.5}, "weights": {"net": [{"w": 1}]}},
+     ": 'weights.net' is not what save_params writes"),
+    ("manifest", {"schema": {}, "n_trajectories": 1, "split": "x"}, " has no 'schema.states'"),
+    ("manifest", {"schema": {"states": 5, "actions": [], "time_units": "days", "dt": 1.0},
+                  "n_trajectories": 1, "split": "x"}, ": bad 'schema' ("),
+    ("manifest", {"schema": {"states": [["x", 0, 1]], "actions": [], "time_units": "days",
+                             "dt": 1.0}, "n_trajectories": "x", "split": "x"}, ": 'n_trajectories' is not a count"),
 ])
 def test_a_malformed_input_file_is_a_config_error_naming_the_file(
         tmp_path, capsys, name, missing_key_doc, message, fault):

@@ -32,8 +32,11 @@ def test_all_builtin_specs_validate():
 
 
 def test_unknown_system_id():
-    with pytest.raises(KeyError):
-        builtin_system("lorenz")
+    for sys_id in ("lorenz", "synthetic-6"):
+        with pytest.raises(KeyError) as err:
+            builtin_system(sys_id)
+        assert err.value.args[0] == (f"unknown system {sys_id!r};"
+                                     f" available: {', '.join(BUILTIN_IDS)}")
 
 
 def test_cancer_chemo_radio_derivative_hand_value():
