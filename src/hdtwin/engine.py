@@ -37,17 +37,25 @@ computed, as the tape is tree-shaped; only a component root is read at
 the end.  So the second numbering reuses a row once its one reader is on
 the tape, and never gives a node its own operand's row (guard writes its
 row before it copies its operand there).  The scripted evolution's hybrid
-tumor models need 37 rows with a backward and 4 without.  A network has
-one (M, width) array per layer: a hidden layer's activation overwrites
-its pre-activation in place, and each layer's input is all the backward
-pass reads.  The block, the network inputs and the layer arrays form the
-evaluator's workspace for M rows and one pass kind.  It is built the
-first time the evaluator sees that pair and kept for the evaluator's
-lifetime (a fit sees at most three: the batch and the last partial batch
-with a backward, the validation split without), so repeated passes
-reuse the same memory instead of allocating and faulting in fresh
-arrays.  The workspace is private scratch: no array an evaluator returns
-is a view of it.
+tumor models need 37 rows with a backward and 4 without.  With a
+backward, a network has one (M, width) array per layer: a hidden layer's
+activation overwrites its pre-activation in place, and each layer's
+input is all the backward pass reads.  Without one, a network has two
+buffers: layer i writes the one that layer i - 1 did not, and the network
+input and the last layer's output are contiguous prefixes of them.  Each
+network keeps its own pair, as every network's output is read after all
+of them have run.  The block and the network arrays form the evaluator's
+workspace for M rows and one pass kind.
+
+Every workspace of an evaluator is a set of views of its one flat
+float64 pool, which is sized for the largest workspace built so far.  A
+fit's mini-batch passes with their backward, its last partial batch, its
+validation passes and the rollouts thus share one block of memory, and
+repeated passes reuse it instead of allocating and faulting in fresh
+arrays.  A workspace is built the first time the evaluator sees its row
+count and pass kind and kept until the pool has to grow; a growth drops
+every cached workspace, and each is rebuilt on its next call.  The pool
+is private scratch: no array an evaluator returns is a view of it.
 
 The backward pass does no work the forward pass already did.  A backward
 rule gets the node's own value with its operands, so exp, sqrt, sigmoid,
@@ -57,7 +65,8 @@ adjoint of the derivatives, is computed in place in the derivative
 array.  In a network, each hidden layer's activation gradient scales the
 fresh adjoint dz @ W.T in place, from the stored activation act alone:
 relu and leaky_relu by a factor built from act > 0, which holds exactly
-where pre > 0 does, tanh by 1 - act * act.
+where pre > 0 does, tanh by 1 - act * act.  The tape is tree-shaped, so
+each adjoint has one reader, and it is dropped once that rule has read it.
 
 Parameters and gradients are ParamVectors, one flat float64 array each.
 The gradient takes the parameters' layout: the backward pass writes each
@@ -280,10 +289,6 @@ class TransitionBatch:
         """The rows idx, in that order, copied into new arrays."""
         return TransitionBatch(self.x.take(idx, axis=0), self.u.take(idx, axis=0),
                                self.t.take(idx), self.y.take(idx, axis=0))
-
-    def rows(self, lo: int, hi: int) -> "TransitionBatch":
-        """Rows lo..hi-1 as views, without copying."""
-        return TransitionBatch(self.x[lo:hi], self.u[lo:hi], self.t[lo:hi], self.y[lo:hi])
 
     def __len__(self) -> int:
         return len(self.t)
@@ -544,21 +549,24 @@ def _compile(spec: ModelSpec, schema: SystemSchema) -> _Tape:
 
 
 class _Workspace(NamedTuple):
-    """An evaluator's scratch arrays for one row count M and pass kind."""
+    """An evaluator's scratch arrays for one row count M and pass kind,
+    all views of its pool."""
 
     outs: list   # each tape node's row of one (rows, M) block, None if scalar
-    mlps: dict   # per network: its (M, inputs) input and one (M, width) array per layer
+    mlps: dict   # per network: its (M, inputs) input and one (M, width) output per layer
 
 
 class Evaluator:
     """A spec compiled against a schema for repeated batched evaluation.
 
-    Results depend only on (params, data).  The forward pass writes into a
-    workspace kept per row count and pass kind: one row per tape node for
-    derivatives(with_cache=True), shared rows without it (see the module
-    docstring).  So an evaluator is not safe to share across threads;
-    nothing in hdtwin shares one.  Returned derivatives and gradients never alias the
-    workspace; only the cache of derivatives(with_cache=True) does.  A
+    Results depend only on (params, data).  The forward pass writes into
+    the workspace for its row count and pass kind, views of the
+    evaluator's one scratch pool: one row per tape node and one array per
+    network layer for derivatives(with_cache=True), shared rows and two
+    buffers per network without it (see the module docstring).  So an
+    evaluator is not safe to share across threads; nothing in hdtwin
+    shares one.  Returned derivatives and gradients never alias the pool;
+    only the cache of derivatives(with_cache=True) does.  A
     gradient is new memory unless loss_and_grad is given out=, a
     ParamVector in the parameters' layout: the gradient is then out
     itself, overwritten by each call that is given it.
@@ -574,20 +582,39 @@ class Evaluator:
         self.schema = schema
         self._mlps = {m.name: m for m in spec.mlps}
         self._tape = _compile(spec, schema)
+        self._pool = np.empty(0)
         self._workspaces: dict[tuple[int, bool], _Workspace] = {}
 
     def _workspace(self, m_rows: int, with_cache: bool) -> _Workspace:
         ws = self._workspaces.get((m_rows, with_cache))
-        if ws is None:
-            rows = self._tape.rows if with_cache else self._tape.shared_rows
-            block = np.empty((len(set(rows) - {None}), m_rows))
-            mlps = {}
-            for name, decl in self._mlps.items():
-                dims = decl.layer_dims()
-                mlps[name] = (np.empty((m_rows, dims[0])),
-                              [np.empty((m_rows, d)) for d in dims[1:]])
-            ws = self._workspaces[m_rows, with_cache] = _Workspace(
-                [None if r is None else block[r] for r in rows], mlps)
+        if ws is not None:
+            return ws
+        rows = self._tape.rows if with_cache else self._tape.shared_rows
+        # the widths of the workspace's flat buffers: the tape block's rows,
+        # then per network one buffer per layer input and output with a
+        # backward, else two that the layers write in turn; homes holds
+        # each network array's buffer
+        homes, widths = [], [len(set(rows) - {None})]
+        for decl in self._mlps.values():
+            dims = decl.layer_dims()
+            homes.append([len(widths) + (i if with_cache else i % 2) for i in range(len(dims))])
+            widths += dims if with_cache else [max(dims[::2]), max(dims[1::2])]
+        # whole 64-byte lines, so that every buffer starts as aligned as the pool
+        sizes = [-(-w * m_rows // 8) * 8 for w in widths]
+        if sum(sizes) > self._pool.size:
+            self._workspaces.clear()  # their views would keep the old pool alive
+            self._pool = np.empty(0)  # freed before the larger pool is allocated
+            self._pool = np.empty(sum(sizes))
+        starts = itertools.accumulate(sizes, initial=0)
+        bufs = [self._pool[lo:lo + w * m_rows] for lo, w in zip(starts, widths)]
+        block = bufs[0].reshape(widths[0], m_rows)
+        mlps = {}
+        for (name, decl), home in zip(self._mlps.items(), homes):
+            z0, *outs = [bufs[h][:m_rows * d].reshape(m_rows, d)
+                         for h, d in zip(home, decl.layer_dims())]
+            mlps[name] = z0, outs
+        ws = self._workspaces[m_rows, with_cache] = _Workspace(
+            [None if r is None else block[r] for r in rows], mlps)
         return ws
 
     # -- parameter bookkeeping
@@ -708,6 +735,7 @@ class Evaluator:
                 out_adj[name][:, idx] += g_f[:, j]
         for slot, a, b, k, rule_a, to_a, rule_b, to_b in tape.backward:
             g, va, vb, y = adj[slot], vals[a], vals[b], vals[slot]
+            adj[slot] = None  # the tape is tree-shaped: this rule is the adjoint's one reader
             if to_a is not None:
                 adj[to_a] = rule_a(g, va, vb, k, y)
             if to_b is not None:

@@ -14,6 +14,9 @@ Parameters, gradients and Adam's moments m and v share one flat layout
 (engine.ParamVector): each mini-batch makes one adam_update call over the
 whole array and writes it back in place, so the weight views stay valid.
 Every mini-batch's gradient is written into one buffer that fit owns.
+Each epoch draws one permutation of the training rows and gathers each
+mini-batch's rows on its own, so no copy of the whole shuffled epoch is
+held.
 """
 
 from __future__ import annotations
@@ -107,8 +110,8 @@ def fit(spec: ModelSpec, init: ParamVector, train: Dataset, val: Dataset,
     with the best full-validation loss.
 
     The spec is compiled once: one Evaluator serves every mini-batch and
-    every validation pass.  Each epoch gathers the shuffled training rows
-    once and takes its mini-batches as contiguous slices of them.
+    every validation pass.  Each epoch draws one permutation of the
+    training rows and gathers each mini-batch's slice of it.
 
     A non-finite loss or gradient sets the fault flag and returns the best
     snapshot so far (validation loss +inf if none), which is not usable.
@@ -145,11 +148,11 @@ def fit(spec: ModelSpec, init: ParamVector, train: Dataset, val: Dataset,
 
     n = len(batch_all)
     for epoch in range(1, cfg.max_epochs + 1):
-        shuffled = batch_all.take(rng.permutation(n))
+        order = rng.permutation(n)
         epoch_losses = []
         try:
             for lo in range(0, n, cfg.batch_size):
-                batch = shuffled.rows(lo, lo + cfg.batch_size)
+                batch = batch_all.take(order[lo:lo + cfg.batch_size])
                 loss, _ = ev.loss_and_grad(params, batch, dt, out=grads)
                 epoch_losses.append(loss)
                 step += 1

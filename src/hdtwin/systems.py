@@ -384,16 +384,24 @@ def load_csv_dataset(path: str | Path, schema: SystemSchema,
     u_1..u_dU`` with one row per time step.  `splits` is either three
     fractions (rows are divided floor-then-remainder, nothing dropped) or
     three absolute row counts (trailing rows beyond their sum are dropped,
-    as for the 92-row hare-lynx and 102-row plankton files).
+    as for the 92-row hare-lynx and 102-row plankton files).  A negative
+    entry, a fraction above 1, or train plus val fractions above 1 raise
+    ValueError naming the file.
     """
     path = Path(path)
+    counts = all(isinstance(s, int) for s in splits)
+    if not all(s >= 0 for s in splits):  # nan is not >= 0 either
+        raise ValueError(f"{path}: split sizes {splits} must not be negative")
+    if not counts and (max(splits) > 1 or splits[0] + splits[1] > 1):
+        raise ValueError(f"{path}: split fractions {splits} must each be at most 1,"
+                         " and train plus val too")
     _, data = read_csv_rows(path, 1 + schema.d_x + schema.d_u)
     times = data[:, 0]
     if np.any(np.diff(times) <= 0):
         raise ValueError(f"{path}: time column is not strictly increasing")
 
     n = len(data)
-    if all(isinstance(s, int) for s in splits):
+    if counts:
         n_train, n_val, n_test = splits
         if n_train + n_val + n_test > n:
             raise ValueError(f"{path}: split sizes {splits} exceed {n} rows")

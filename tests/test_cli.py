@@ -457,8 +457,10 @@ def test_report_rejects_a_headline_value_that_is_not_a_number(tmp_path, capsys, 
 SCALAR_SPEC = "param a = 0.5\nd(tumor_volume)/dt = a * tumor_volume\n"
 
 
-@pytest.mark.parametrize("fault", ["not-json", "missing-key"])
-@pytest.mark.parametrize("name, missing_key_doc, message", [
+@pytest.mark.parametrize("name, doc, message", [
+    # doc None: the file is not JSON
+    *((name, None, " is not JSON (") for name in ("params", "manifest", "result", "config",
+                                                   "replay")),
     ("params", {"scalars": {}}, " has no 'weights'"),
     ("manifest", {"split": "test"}, " has no 'schema'"),
     ("result", {"headline_metric": "one-step"}, " has no 'headline_value'"),
@@ -475,7 +477,7 @@ SCALAR_SPEC = "param a = 0.5\nd(tumor_volume)/dt = a * tumor_volume\n"
                              "dt": 1.0}, "n_trajectories": "x", "split": "x"}, ": 'n_trajectories' is not a count"),
 ])
 def test_a_malformed_input_file_is_a_config_error_naming_the_file(
-        tmp_path, capsys, name, missing_key_doc, message, fault):
+        tmp_path, capsys, name, doc, message):
     spec, data, run = tmp_path / "model.hdt", tmp_path / "data", tmp_path / "run"
     spec.write_text(SCALAR_SPEC)
     data.mkdir()
@@ -491,11 +493,10 @@ def test_a_malformed_input_file_is_a_config_error_naming_the_file(
             "result": ["report", "--runs", run], "config": ["evolve", "--config", paths["config"]]}
     argv["manifest"], argv["replay"] = argv["params"], argv["config"]
     path = paths[name]
-    if fault == "not-json":
+    if doc is None:
         path.write_text('{"scalars": ')
-        message = " is not JSON ("
     else:
-        write_json(missing_key_doc, path)
+        write_json(doc, path)
     assert dispatch(list(map(str, argv[name]))) == EXIT_CONFIG
     assert f"{path}{message}" in capsys.readouterr().err
 

@@ -39,7 +39,7 @@ from hdtwin.engine import (
     save_dataset,
     save_params,
 )
-from hdtwin.optim import OptimConfig
+from hdtwin.optim import OptimConfig, fit
 from hdtwin.orchestrator import EvolveConfig
 from hdtwin.systems import BUILTIN_IDS, GenConfig, builtin_system
 
@@ -187,17 +187,24 @@ def _same_grads(g1, g2) -> bool:
 
 @pytest.mark.parametrize("text", WS_SPECS)
 def test_reused_evaluator_matches_fresh_across_row_counts(text):
+    """Passes with and without a backward on one evaluator, each with a
+    fresh evaluator's bits.  First a mixed order: a small pass with a
+    backward, a larger one without (the pool grows and drops the cached
+    views), the small pass again and an odd partial batch."""
     spec = parse_model_spec(text)
     shared = Evaluator(spec, WS_SCHEMA)
-    for i, m in enumerate((1, 7, 1000, 6000, 1000)):
+    passes = [(100, True), (3000, False), (100, True), (37, True), (37, False)]
+    passes += [(m, backward) for m in (1, 7, 1000, 6000, 1000) for backward in (False, True)]
+    for i, (m, backward) in enumerate(passes):
         _, params, batch = _ws_case(text, m, seed=i)
         fresh = Evaluator(spec, WS_SCHEMA)
-        f = shared.derivatives(params, batch.x, batch.u, batch.t)
-        assert f.tobytes() == fresh.derivatives(params, batch.x, batch.u, batch.t).tobytes()
-        loss, grads = shared.loss_and_grad(params, batch, 0.5)
-        loss_fresh, grads_fresh = fresh.loss_and_grad(params, batch, 0.5)
-        assert repr(loss) == repr(loss_fresh)
-        assert _same_grads(grads, grads_fresh)
+        if backward:
+            loss, grads = shared.loss_and_grad(params, batch, 0.5)
+            loss_fresh, grads_fresh = fresh.loss_and_grad(params, batch, 0.5)
+            assert repr(loss) == repr(loss_fresh) and _same_grads(grads, grads_fresh), i
+        else:
+            f = shared.derivatives(params, batch.x, batch.u, batch.t)
+            assert f.tobytes() == fresh.derivatives(params, batch.x, batch.u, batch.t).tobytes(), i
 
 
 def _arrays(grads):
@@ -258,25 +265,33 @@ def test_passes_with_and_without_a_backward_give_the_same_bits(name):
         assert plain.tobytes() == cached.tobytes() == again.tobytes(), m
 
 
+def _chemo_radio_split(n_trajectories: int, split: str, seed: int) -> Dataset:
+    """Random cancer-chemo-radio trajectories of 61 rows, their transitions
+    stacked before any tracing starts."""
+    schema = builtin_system("cancer-chemo-radio").schema
+    rng = np.random.default_rng(seed)
+    ds = Dataset([Trajectory(np.arange(61) * schema.dt,
+                             rng.uniform(0.0, 10.0, (61, schema.d_x)),
+                             rng.uniform(0.0, 2.0, (61, schema.d_u)))
+                  for _ in range(n_trajectories)], schema, split)
+    ds.transitions()
+    return ds
+
+
 def test_validation_pass_allocates_only_its_compact_workspace():
     """The first SPEC_5 validation pass at 6,000 rows on a fresh evaluator
-    allocates its workspace (the shared tape rows, the network input and
-    one buffer per layer), f and sq, and no more."""
-    schema = builtin_system("cancer-chemo-radio").schema
+    allocates its pool (the shared tape rows and the network's two
+    buffers), f and sq, and no more."""
     spec = parse_model_spec(replay_fixtures.SPEC_5)
     params = random_params(np.random.default_rng(5), spec)
-    rng = np.random.default_rng(5)
-    val = Dataset([Trajectory(np.arange(61) * schema.dt,
-                              rng.uniform(0.0, 10.0, (61, schema.d_x)),
-                              rng.uniform(0.0, 2.0, (61, schema.d_u))) for _ in range(100)],
-                  schema, "val")
-    m = len(val.transitions())  # stacked before tracing
-    ev = Evaluator(spec, schema)
+    val = _chemo_radio_split(100, "val", seed=5)
+    m = len(val.transitions())
+    ev = Evaluator(spec, val.schema)
     (decl,) = spec.mlps
     dims = decl.layer_dims()
     rows = len(set(ev._tape.shared_rows) - {None})
-    workspace = 8 * m * (rows + dims[0] + sum(dims[1:]))
-    f = sq = 8 * m * schema.d_x
+    workspace = 8 * m * (rows + max(dims[::2]) + max(dims[1::2]))
+    f = sq = 8 * m * val.schema.d_x
     tracemalloc.start()
     try:
         per_component_mse(spec, params, val, ev)
@@ -285,8 +300,41 @@ def test_validation_pass_allocates_only_its_compact_workspace():
         tracemalloc.stop()
     assert m == 6000 and rows <= 4
     assert peak <= workspace + f + sq, (peak, workspace)
-    _, buffers = ev._workspaces[m, False].mlps[decl.name]
+    z0, buffers = ev._workspaces[m, False].mlps[decl.name]
     assert [b.shape for b in buffers] == [(m, d) for d in dims[1:]]
+    # layer i writes the buffer layer i - 1 did not write
+    assert np.shares_memory(z0, buffers[1]) and np.shares_memory(buffers[0], buffers[2])
+    assert not np.shares_memory(z0, buffers[0]) and not np.shares_memory(buffers[1], buffers[2])
+
+
+def test_a_fit_holds_its_pool_and_one_batch_but_no_epoch_copy():
+    """At its peak a SPEC_5 fit on 6,000 training rows holds its
+    evaluator's pool, one gathered mini-batch with its gradient pass, the
+    epoch's row order and a few small objects, but no copy of the whole
+    shuffled epoch (six batches)."""
+    spec = parse_model_spec(replay_fixtures.SPEC_5)
+    params = random_params(np.random.default_rng(5), spec)
+    train, val = _chemo_radio_split(100, "train", seed=6), _chemo_radio_split(100, "val", seed=7)
+    rows = train.transitions()
+    n, dt = len(rows), train.schema.dt
+    cfg = OptimConfig(batch_size=1000, max_epochs=2, patience=2)
+    ev = Evaluator(spec, train.schema)  # the fit's own evaluator, laid out the same
+    per_component_mse(spec, params, val, ev)
+    ev.loss_and_grad(params, rows.take(np.arange(cfg.batch_size)), dt)
+    tracemalloc.start()
+    try:
+        ev.loss_and_grad(params, rows.take(np.arange(cfg.batch_size)), dt)
+        _, one_batch = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        fit(spec, params, train, val, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    order = 8 * n  # the epoch's permutation
+    small = 64 * 1024  # the fit's compiled tape, parameter-sized arrays and curves
+    epoch_copy = 8 * n * (2 * rows.x.shape[1] + rows.u.shape[1] + 1)
+    assert n == 6000 and epoch_copy > 2 * (order + small)
+    assert peak <= ev._pool.nbytes + one_batch + order + small, (peak, ev._pool.nbytes)
 
 
 @pytest.mark.parametrize("text", WS_SPECS)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -280,6 +281,21 @@ def test_load_csv_hare_lynx_defaults(tmp_path):
     _write_csv(path, 92)
     parts = load_csv_dataset(path, LOAD_SCHEMA, (63, 14, 14))
     assert [len(parts[s].trajectories[0]) for s in ("train", "val", "test")] == [63, 14, 14]
+
+
+@pytest.mark.parametrize("splits, message", [
+    ((14, -2, 3), "must not be negative"),  # val would be empty and rows 12-13 in test too
+    ((0.7, -0.1, 0.4), "must not be negative"),
+    ((0.7, float("nan"), 0.15), "must not be negative"),
+    ((0.7, 0.5, 0.15), "must each be at most 1"),  # test would be empty
+    ((14, 0.2, 3), "must each be at most 1"),  # counts with a fraction among them
+    ((0.7, 0.15, 1.5), "must each be at most 1"),
+])
+def test_load_csv_rejects_splits_that_are_no_partition(tmp_path, splits, message):
+    path = tmp_path / "twenty.csv"
+    _write_csv(path, 20)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: split .*{message}"):
+        load_csv_dataset(path, LOAD_SCHEMA, splits)
 
 
 def test_load_csv_rejects_non_monotone_time(tmp_path):
