@@ -307,10 +307,12 @@ def render_reflection_prompt(requirements: str, population: Population,
 class HttpClient:
     """Chat-completion client for an OpenAI-style HTTP endpoint.
 
-    Retries timeouts, connection errors, and non-success statuses up to
-    cfg.retries times, then raises TransportError.  Safe for concurrent
-    use by independent runs (each run should own its own instance so the
-    transcript stays per-run).
+    Posts through urllib.request.  Retries timeouts, connection errors,
+    malformed reply bodies and the statuses in RETRY_STATUSES up to
+    cfg.retries times, then raises TransportError; any other status than
+    200 raises it at once.  Safe for concurrent use by independent runs
+    (each run should own its own instance so the transcript stays
+    per-run).
     """
 
     RETRY_STATUSES = (408, 409, 429, 500, 502, 503, 504)
@@ -321,13 +323,17 @@ class HttpClient:
         self.transcript: list[dict] = []
 
     def complete(self, messages: list[dict], cfg: DecodingConfig) -> str:
-        import requests  # imported here: offline runs never pay for the HTTP and TLS stack
+        # imported here: offline runs never pay for the HTTP and TLS stack
+        import http.client
+        import urllib.error
+        import urllib.request
         payload = {
             "model": cfg.model,
             "messages": messages,
             "temperature": cfg.temperature,
             "max_tokens": cfg.max_tokens,
         }
+        body = json.dumps(payload).encode()
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
@@ -335,19 +341,24 @@ class HttpClient:
         for attempt in range(cfg.retries + 1):
             if attempt and cfg.retry_wait:
                 time.sleep(cfg.retry_wait)
+            request = urllib.request.Request(f"{self.base_url}/chat/completions", data=body,
+                                             headers=headers, method="POST")
             try:
-                resp = requests.post(f"{self.base_url}/chat/completions", json=payload,
-                                     headers=headers, timeout=cfg.timeout)
-            except requests.RequestException as err:
+                with urllib.request.urlopen(request, timeout=cfg.timeout) as resp:
+                    status, reply = resp.status, resp.read()
+            except urllib.error.HTTPError as err:  # urllib raises on a status outside 2xx
+                err.close()
+                status, reply = err.code, b""
+            except (OSError, http.client.HTTPException) as err:  # URLError, timeouts
                 last = TransportError(f"request failed: {err}")
                 continue
-            if resp.status_code != 200:
-                last = TransportError(f"endpoint returned HTTP {resp.status_code}")
-                if resp.status_code in self.RETRY_STATUSES:
+            if status != 200:
+                last = TransportError(f"endpoint returned HTTP {status}")
+                if status in self.RETRY_STATUSES:
                     continue
                 raise last
             try:
-                text = resp.json()["choices"][0]["message"]["content"]
+                text = json.loads(reply)["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError) as err:
                 last = TransportError(f"malformed reply body: {err}")
                 continue

@@ -8,6 +8,9 @@ sign, and pow with a non-integer exponent clamps its base to >= 1e-8.
 Anything that still produces a non-finite value raises EvaluationFault,
 a model fault rather than a crash; a non-finite derivative blames the
 component of its first non-finite entry in row order (and rollout step).
+The logistic function, of the "sigmoid" op and of the cancer dosing
+policy, is sigmoid(z) = 1 / (1 + exp(-z)) with numpy's exp; so, like exp
+and log, its last bit follows the SIMD level numpy dispatches to.
 
 An Evaluator compiles its spec once into a flat tape (Griewank & Walther,
 *Evaluating Derivatives*, 2008).  The tape lists the operator nodes of
@@ -369,16 +372,28 @@ def _tape_op(e: Expr) -> str:
     return e.op
 
 
+def sigmoid(z, out=None):
+    """The logistic function 1 / (1 + exp(-z)), elementwise.  Given out, an
+    array that is not z, it is computed in place there (negate, exp, add
+    1.0, divide), with the same bits as the expression."""
+    if out is None:
+        return 1.0 / (1.0 + np.exp(-z))
+    np.negative(z, out=out)
+    np.exp(out, out=out)
+    np.add(out, 1.0, out=out)
+    return np.divide(1.0, out, out=out)
+
+
 # The op table.  A forward rule maps the operand values a, b (a unary op
 # ignores b), the node's constant k and its output row `out` to the node's
 # value; `out` is None for a scalar node, which then returns a new scalar.
 # A backward rule maps the node's adjoint g, with the same a, b, k and the
 # node's own value y, to the adjoint of one operand; exp, sqrt, sigmoid,
 # tanh and pow read y where they would recompute it with the same kernel.
-# k is the exponent of "pow_int" (pow with an integer constant exponent),
-# the logistic function of "sigmoid", and None otherwise.  The guarded
-# domains are nodes of their own: "clamp" (max(a, 1e-8)) feeds log, sqrt
-# and pow's base, "guard" feeds the denominator of div.
+# k is the exponent of "pow_int" (pow with an integer constant exponent)
+# and None otherwise.  The guarded domains are nodes of their own: "clamp"
+# (max(a, 1e-8)) feeds log, sqrt and pow's base, "guard" feeds the
+# denominator of div.
 
 
 def _guard_div(a, b, k, out):
@@ -428,7 +443,7 @@ _OPS = {  # op: (forward, backward to a, backward to b)
              lambda g, a, b, k, y: g / (2.0 * y), None),
     "abs": (lambda a, b, k, out: np.abs(a, out=out),
             lambda g, a, b, k, y: g * np.sign(a), None),
-    "sigmoid": (lambda a, b, k, out: k(a, out=out),
+    "sigmoid": (lambda a, b, k, out: sigmoid(a, out=out),
                 lambda g, a, b, k, y: g * y * (1.0 - y), None),
     "tanh": (lambda a, b, k, out: np.tanh(a, out=out),
              lambda g, a, b, k, y: g * (1.0 - y * y), None),
@@ -531,11 +546,7 @@ def _compile(spec: ModelSpec, schema: SystemSchema) -> _Tape:
         if guard_a:
             a = node(guard_a, *a)
         if e.kind == "unary":
-            k = None
-            if op == "sigmoid":
-                from scipy.special import expit
-                k = expit
-            return node(op, *a, k=k)
+            return node(op, *a)
         b = emit(e.args[1])
         if guard_b:
             b = node(guard_b, *b)

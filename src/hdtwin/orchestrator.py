@@ -13,7 +13,8 @@ Each run can write a plain-text archive: the canonical spec, parameter
 table, metrics, and loss curves per inserted generation, the full
 request/reply transcript (replayable through ScriptedClient), and a
 per-generation report.  Archives contain no wall-clock data, so two runs
-with the same seed and replay file are byte-identical on one BLAS kernel.
+with the same seed and replay file are byte-identical on one numeric
+platform (OpenBLAS kernel and numpy SIMD level).
 """
 
 from __future__ import annotations
@@ -235,6 +236,38 @@ AGENT_METHODS = {"evolve": evolve, "zero-shot": zero_shot, "zero-optim": zero_op
 # Multi-seed experiments
 
 
+# the repr of scipy 1.17.1's stats.t.ppf(0.975, df) for df = 1..30
+_T_975 = (
+    12.706204736174694, 4.302652729749462, 3.1824463052837078, 2.7764451051977934,
+    2.5705818356363146, 2.4469118511449786, 2.364624251592784, 2.306004135204166,
+    2.262157162798205, 2.228138851986274, 2.200985160091639, 2.1788128296672284,
+    2.1603686564627913, 2.144786687917804, 2.131449545559776, 2.1199052992212546,
+    2.1098155778333156, 2.1009220402410382, 2.0930240544083087, 2.085963447265864,
+    2.0796138447276795, 2.0738730679040254, 2.0686576104190486, 2.0638985616280245,
+    2.0595385527532972, 2.0555294386428735, 2.0518305164802846, 2.0484071417952454,
+    2.045229642132703, 2.0422724563012378,
+)
+
+
+def t_quantile_975(df: int) -> float:
+    """The 0.975 quantile of Student's t with df >= 1 degrees of freedom.
+
+    Up to df 30 it is read from a table of scipy's values, bit for bit.
+    Above, it is the Cornish-Fisher expansion in the normal quantile z
+    through df**-4 (Abramowitz & Stegun 26.7.5), within 1.3e-8 relative
+    of scipy at df 31 and closer as df grows.
+    """
+    if df <= len(_T_975):
+        return _T_975[df - 1]
+    z = 1.959963984540054  # the normal distribution's 0.975 quantile
+    x2 = z * z
+    g = (z * (x2 + 1.0) / 4.0,
+         z * ((5.0 * x2 + 16.0) * x2 + 3.0) / 96.0,
+         z * (((3.0 * x2 + 19.0) * x2 + 17.0) * x2 - 15.0) / 384.0,
+         z * ((((79.0 * x2 + 776.0) * x2 + 1482.0) * x2 - 1920.0) * x2 - 945.0) / 92160.0)
+    return z + sum(gk / df ** k for k, gk in enumerate(g, start=1))
+
+
 def confidence_interval(values: list[float]) -> tuple[float, float | None]:
     """Mean and 95% two-sided Student-t half-width over seed outcomes;
     the half-width is None for a single value."""
@@ -242,11 +275,8 @@ def confidence_interval(values: list[float]) -> tuple[float, float | None]:
     mean = float(arr.mean())
     if len(arr) < 2:
         return mean, None
-    from scipy import stats  # imported here: it costs most of a second
-
     sem = float(arr.std(ddof=1)) / np.sqrt(len(arr))
-    half = float(stats.t.ppf(0.975, len(arr) - 1) * sem)
-    return mean, half
+    return mean, float(t_quantile_975(len(arr) - 1) * sem)
 
 
 @dataclass

@@ -38,6 +38,7 @@ from hdtwin.engine import (
     init_params,
     read_csv_rows,
     require_integers,
+    sigmoid,
 )
 
 @dataclass(frozen=True)
@@ -268,8 +269,8 @@ def volume_to_diameter(volume):
 def cancer_dose_probabilities(volume, policy: CancerPolicyParams):
     """(p_chemo, p_radio) for a tumor volume; elementwise on arrays."""
     d_bar = volume_to_diameter(volume)
-    p_c = _sigmoid(policy.gamma_c / policy.d_max * (d_bar - policy.theta_c))
-    p_r = _sigmoid(policy.gamma_r / policy.d_max * (d_bar - policy.theta_r))
+    p_c = sigmoid(policy.gamma_c / policy.d_max * (d_bar - policy.theta_c))
+    p_r = sigmoid(policy.gamma_r / policy.d_max * (d_bar - policy.theta_r))
     return p_c, p_r
 
 
@@ -280,10 +281,6 @@ def sample_cancer_actions(volume: float, policy: CancerPolicyParams,
     chemo = policy.chemo_quantum if rng.random() < p_c else 0.0
     radio = policy.radio_quantum if rng.random() < p_r else 0.0
     return chemo, radio
-
-
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +382,9 @@ def load_csv_dataset(path: str | Path, schema: SystemSchema,
     fractions (rows are divided floor-then-remainder, nothing dropped) or
     three absolute row counts (trailing rows beyond their sum are dropped,
     as for the 92-row hare-lynx and 102-row plankton files).  A negative
-    entry, a fraction above 1, or train plus val fractions above 1 raise
-    ValueError naming the file.
+    entry, a fraction above 1, train plus val fractions above 1, or a
+    split of fewer than 2 rows (no transition) raise ValueError naming the
+    file.
     """
     path = Path(path)
     counts = all(isinstance(s, int) for s in splits)
@@ -413,6 +411,9 @@ def load_csv_dataset(path: str | Path, schema: SystemSchema,
     bounds = [0, n_train, n_train + n_val, n_train + n_val + n_test]
     out = {}
     for split, lo, hi in zip(("train", "val", "test"), bounds, bounds[1:]):
+        if hi - lo < 2:
+            raise ValueError(f"{path}: split {split} of {splits} has {hi - lo} of the {n} rows;"
+                             " each split needs at least 2 for a transition")
         out[split] = Dataset([csv_trajectory(path, data[lo:hi], schema.d_x)], schema, split)
     return out
 

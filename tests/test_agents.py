@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import contextlib
 import json
 import socket
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import time
+import urllib.request
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
-import requests
 
 import replay_fixtures
 from hdtwin.agents import (
@@ -334,10 +336,12 @@ def test_scripted_client_file_errors_name_the_file_and_entry(tmp_path, body, mes
 class _StubHandler(BaseHTTPRequestHandler):
     responses: list = []
     bodies: list = []
+    headers_seen: list = []
 
     def do_POST(self):
         n = int(self.headers["Content-Length"])
         _StubHandler.bodies.append(json.loads(self.rfile.read(n)))
+        _StubHandler.headers_seen.append(dict(self.headers))
         status, payload = _StubHandler.responses.pop(0)
         body = json.dumps(payload).encode()
         self.send_response(status)
@@ -350,15 +354,64 @@ class _StubHandler(BaseHTTPRequestHandler):
         pass
 
 
+class _SlowHandler(BaseHTTPRequestHandler):
+    """Answers 200 with a good reply, but only after a pause: before the
+    status line, or after the headers, in the middle of the body."""
+    pause = 1.0
+    in_body = False
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        body = json.dumps(_ok_reply("late")[1]).encode()
+        try:
+            if not self.in_body:
+                time.sleep(self.pause)
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            if self.in_body:
+                time.sleep(self.pause)
+            self.wfile.write(body)
+        except OSError:  # the client gave up and closed the connection
+            pass
+
+    def log_message(self, *args):
+        pass
+
+
+@contextlib.contextmanager
+def serving(handler):
+    """The URL of a local server for handler, one thread per request."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    # shutdown() waits out one poll interval, 0.5 s by default
+    threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 @pytest.fixture
 def stub_server():
-    server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
     _StubHandler.responses = []
     _StubHandler.bodies = []
-    yield f"http://127.0.0.1:{server.server_port}"
-    server.shutdown()
+    _StubHandler.headers_seen = []
+    with serving(_StubHandler) as url:
+        yield url
+
+
+def count_urlopen(monkeypatch) -> list:
+    """Count HttpClient's attempts: each one opens one URL."""
+    calls = []
+    real_urlopen = urllib.request.urlopen
+
+    def counting_urlopen(request, *args, **kwargs):
+        calls.append(request.full_url)
+        return real_urlopen(request, *args, **kwargs)
+
+    monkeypatch.setattr(urllib.request, "urlopen", counting_urlopen)
+    return calls
 
 
 def _ok_reply(text):
@@ -374,6 +427,8 @@ def test_http_client_posts_decoding_config(stub_server, monkeypatch):
     assert out == "hello"
     body = _StubHandler.bodies[0]
     assert body["temperature"] == 0.7
+    assert _StubHandler.headers_seen[0]["Authorization"] == "Bearer secret-key"
+    assert _StubHandler.headers_seen[0]["Content-Type"] == "application/json"
     assert body["messages"][0]["content"] == "hi"
     assert client.transcript[0]["reply"] == "hello"
 
@@ -407,19 +462,25 @@ def test_http_client_connection_failure_retries_then_raises(monkeypatch):
     with socket.socket() as sock:       # a local port that nothing listens on
         sock.bind(("127.0.0.1", 0))
         port = sock.getsockname()[1]
-    calls = []
-    real_post = requests.post
-
-    def counting_post(*args, **kwargs):
-        calls.append(args[0])
-        return real_post(*args, **kwargs)
-
-    monkeypatch.setattr(requests, "post", counting_post)
+    calls = count_urlopen(monkeypatch)
     client = HttpClient(f"http://127.0.0.1:{port}", api_key="k")
     with pytest.raises(TransportError, match="request failed"):
         client.complete([{"role": "user", "content": "hi"}],
                         DecodingConfig(retries=2, retry_wait=0.0, timeout=5.0))
     assert len(calls) == 3
+    assert client.transcript == []
+
+
+@pytest.mark.parametrize("in_body", [False, True])
+def test_http_client_timeout_retries_then_raises(monkeypatch, in_body):
+    monkeypatch.setattr(_SlowHandler, "in_body", in_body)
+    calls = count_urlopen(monkeypatch)
+    with serving(_SlowHandler) as url:
+        client = HttpClient(url, api_key="k")
+        with pytest.raises(TransportError, match="^request failed: .*timed out"):
+            client.complete([{"role": "user", "content": "hi"}],
+                            DecodingConfig(retries=1, retry_wait=0.0, timeout=0.2))
+    assert len(calls) == 2
     assert client.transcript == []
 
 

@@ -417,6 +417,24 @@ def test_guard_div_matches_the_old_formula(value):
         assert out.tobytes() == _old_guard_div(row).tobytes()
 
 
+@pytest.mark.parametrize("m", [1, 7, 1000])
+def test_sigmoid_node_has_the_bits_of_the_expression(m):
+    """The node computes 1 / (1 + exp(-x)) in place in its row; here the row
+    is a view that starts 8 bytes into its block."""
+    rng = np.random.default_rng(m)
+    special = [800.0, -800.0, 40.0, -40.0, 0.0, -0.0, np.nan, np.inf, -np.inf]
+    values = np.concatenate([special, rng.normal(0.0, 5.0, 1000)])
+    forward = engine._OPS["sigmoid"][0]
+    with np.errstate(over="ignore"):
+        for lo in range(0, len(values) - m + 1, m):
+            x = values[lo:lo + m]
+            want = 1.0 / (1.0 + np.exp(-x))
+            out = np.full((2, m + 1), 7.0)[1, 1:]
+            assert forward(x, None, None, out) is out
+            assert out.tobytes() == want.tobytes()
+            assert engine.sigmoid(x).tobytes() == want.tobytes()
+
+
 OLD_ACT_GRAD = {
     "relu": lambda d, z: d * (z > 0).astype(float),
     "leaky_relu": lambda d, z: d * np.where(z > 0, 1.0, 0.1),

@@ -11,14 +11,20 @@ Six pins run matrix products through OpenBLAS: the network specs'
 backward pins, the fit, the evolve archive and the lv2 sparse
 regression (through lstsq).  numpy's OpenBLAS picks a CPU kernel at run
 time, and another kernel rounds some products differently in the last
-bits, so these six hold only on the platform below.  When one fails, its
-message names that platform and the running one.
+bits.  numpy likewise picks the SIMD kernels of exp and log (and so of
+the sigmoid) when it starts, and another level moves their last bit,
+which moves the fit, the evolve archive and backward pins 3 and 4.  So
+these pins hold only on the platform below.  When one fails, its message
+names that platform, the running one and the parts that differ.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -56,29 +62,44 @@ from hdtwin.systems import (
 )
 from test_engine import BITS_SPEC, GUARD_ROWS, WS_SCHEMA, WS_SPECS
 
-# where every pin below was checked to hold
-PINNED_ON = "numpy 2.4.6, OpenBLAS 0.3.31.188.0, core SkylakeX"
+# where every pin below was checked to hold: numpy's version, the version
+# and run-time core of the OpenBLAS bundled with it, and numpy's enabled
+# SIMD dispatch targets
+PINNED_ON = {"numpy": "2.4.6", "OpenBLAS": "0.3.31.188.0", "core": "SkylakeX",
+             "SIMD": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
 PINNED_AT = "1ed99e4831c5416eea9b0845b835eec36cbc0bf5"  # git sha
+PARTS = {"numpy": "the numpy version", "OpenBLAS": "the OpenBLAS version",
+         "core": "the BLAS core", "SIMD": "the SIMD targets"}
 
 
-def blas_platform() -> str:
-    """numpy's version, and the version and run-time core of the OpenBLAS
-    bundled with it, read the way PINNED_ON was."""
+def running_platform() -> dict[str, str]:
+    """This process's platform, read the way PINNED_ON was."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath
+    simd = " ".join(t for t in _multiarray_umath.__cpu_dispatch__
+                    if _multiarray_umath.__cpu_features__.get(t))
+    here = {"numpy": np.__version__, "OpenBLAS": "none", "core": "none", "SIMD": simd}
     libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*"))
-    if not libs:
-        return f"numpy {np.__version__}, no bundled scipy-openblas found"
-    lib = ctypes.CDLL(str(libs[0]))  # already loaded by numpy: the same instance
-    config, core = lib.scipy_openblas_get_config64_, lib.scipy_openblas_get_corename64_
-    config.argtypes = core.argtypes = []
-    config.restype = core.restype = ctypes.c_char_p
-    version = config().decode().split()[1]  # "OpenBLAS <version> <build options>"
-    return f"numpy {np.__version__}, OpenBLAS {version}, core {core().decode()}"
+    if libs:
+        lib = ctypes.CDLL(str(libs[0]))  # already loaded by numpy: the same instance
+        config, core = lib.scipy_openblas_get_config64_, lib.scipy_openblas_get_corename64_
+        config.argtypes = core.argtypes = []
+        config.restype = core.restype = ctypes.c_char_p
+        here["OpenBLAS"] = config().decode().split()[1]  # "OpenBLAS <version> <options>"
+        here["core"] = core().decode()
+    return here
 
 
 def platforms() -> str:
-    """The failure message of a pin that touches BLAS."""
-    return (f"pinned on {PINNED_ON} at {PINNED_AT}; this run is on {blas_platform()}."
-            " A different BLAS core can move the last bits.")
+    """The failure message of a platform-sensitive pin."""
+    here = running_platform()
+    differ = [PARTS[k] for k in PINNED_ON if here[k] != PINNED_ON[k]]
+    cause = (" and ".join(differ) + " differ, which can move the last bits."
+             if differ else "the platform is the same, so the code moved the bits.")
+    pinned, running = (", ".join(f"{k} {v}" for k, v in p.items()) for p in (PINNED_ON, here))
+    return f"pinned on {pinned} at {PINNED_AT}; this run is on {running}: {cause}"
 
 
 CANCER_FAMILY = tuple(s for s in BUILTIN_IDS
@@ -188,10 +209,12 @@ BACKWARD_SHA = {
     2: ("5d07f643de715eb31e7af19cdfbf893243947ee48c579e0e418738d5af4d8976",  # tanh hybrid
         "ab03fd971a42ef6315327b62d5e38d14c18c20691bf691f1e95d8cdb107417ae"),
     3: ("0f2c271ef20d19b52178a2a7a4ec27c45c5848a3d34b7d5f0fa17bf92857d1d5",  # sigmoid, pow, div and exp
-        "c43b4b438da1a7478b79ac05f6364a826c46a18181bdb00da4d1d5fc475a4ac2"),
-    4: ("1dc546befc580302f54a7def1d18390dffdd99d5e43e6a3052ec949533340ec0",  # BITS_SPEC
-        "577093e6c94c4e3211f2695fda157e25497da286fbc76b035c8050da6440f3f5"),
+        "012468a19f5308f939b7e5c281d07460c8dd0ff79f7bae7e79c0448a8db736fd"),
+    4: ("83a4ae7312825d33f9d0b9b2fc05b4b70dec650a20cd7fc76fd52bf93e541fc7",  # BITS_SPEC
+        "8b3d355e3a5af76670e9e4e95a99ac3ca0fd0b65f871a42795903b90562e57ee"),
 }
+# 3 and 4 were taken again, the commit after ab88aa8, when the sigmoid
+# moved from scipy's expit to engine.sigmoid; CHANGES.md gives the drift
 
 
 def tree_sha256(root: Path) -> str:
@@ -341,6 +364,19 @@ def backward_hashes(text: str, seed: int) -> tuple[str, str]:
 def test_backward_pin(i):
     text = [*WS_SPECS, BITS_SPEC][i]
     assert backward_hashes(text, seed=i) == BACKWARD_SHA[i], platforms()
+
+
+def test_backward_pin_failure_names_the_simd_difference():
+    """Pin 4 in a child process without numpy's AVX-512 kernels fails, and
+    its message blames the SIMD targets."""
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).parent.parent / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           f"{__file__}::test_backward_pin[4]"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "the SIMD targets" in proc.stdout, proc.stdout
 
 
 def run_experiment_tree(system_id: str, method: str, out: Path) -> str:

@@ -1,10 +1,11 @@
 """What the package's modules import.
 
-Importing the package loads neither the HTTP stack nor scipy.  Both are
-imported where they are used (`HttpClient.complete`, the engine's
-sigmoid kernel, the orchestrator's confidence interval), so the offline
-commands and replayed runs start without them.  A fresh interpreter is
-needed because the test session itself may have loaded them already.
+numpy is the only third-party package the modules import: no module
+imports scipy or requests, not even inside a function.  Importing the
+package does not load the HTTP stack either.  `HttpClient.complete`
+imports `urllib.request` on its first request, so the offline commands
+and replayed runs start without it.  A fresh interpreter is needed
+because the test session itself may have loaded it already.
 
 No module reaches into another hdtwin module's private names, and every
 public name of the package has a user outside the tests.  Only `engine`
@@ -27,10 +28,26 @@ ROOT = Path(__file__).resolve().parent.parent
 
 PACKAGE_MODULES = ("hdtwin", "hdtwin.cli", "hdtwin.orchestrator", "hdtwin.systems",
                    "hdtwin.baselines")
-LAZY_MODULES = ("requests", "urllib3", "ssl", "scipy")
+LAZY_MODULES = ("urllib.request", "http.client", "ssl")
+DROPPED_PACKAGES = ("scipy", "requests")
 
 
-def test_importing_the_package_loads_no_http_stack_and_no_scipy():
+def test_no_module_imports_scipy_or_requests():
+    found = []
+    for path in sorted((ROOT / "src" / "hdtwin").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):  # function bodies included
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.split(".")[0] in DROPPED_PACKAGES]
+    assert found == []
+
+
+def test_importing_the_package_loads_no_http_stack():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)

@@ -27,6 +27,7 @@ from hdtwin.orchestrator import (
     evolve,
     make_modeling_context,
     run_experiment,
+    t_quantile_975,
     write_run_archive,
     zero_optim,
     zero_shot,
@@ -275,6 +276,22 @@ def test_confidence_interval_t_oracle():
     assert mean == 2.0
     assert half == pytest.approx(4.302652729911275 / np.sqrt(3), abs=1e-9)
     assert half == pytest.approx(2.484, abs=1e-3)
+
+
+# scipy 1.17.1's stats.t.ppf(0.975, df) at degrees of freedom past the table
+T_975_SCIPY = {31: 2.039513446396408, 50: 2.008559112100761, 100: 1.9839715185235518,
+               1000: 1.9623390808264083}
+
+
+def test_t_quantile_table_and_expansion():
+    assert repr(t_quantile_975(1)) == "12.706204736174694"  # scipy's bits, as recorded
+    assert repr(t_quantile_975(2)) == "4.302652729749462"
+    for df, want in T_975_SCIPY.items():
+        assert abs(t_quantile_975(df) - want) <= 2e-8 * want, df
+    # it decreases with df, across the table's df 30 / expansion's df 31 edge too
+    quantiles = [t_quantile_975(df) for df in range(1, 200)]
+    assert all(a > b for a, b in zip(quantiles, quantiles[1:]))
+    assert t_quantile_975(30) > t_quantile_975(31)
 
 
 def test_confidence_interval_edge_cases():

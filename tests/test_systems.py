@@ -257,14 +257,14 @@ LOAD_SCHEMA = SystemSchema(
 
 
 def test_load_csv_fraction_rule(tmp_path):
-    path = tmp_path / "ten.csv"
-    _write_csv(path, 10)
+    path = tmp_path / "thirty.csv"
+    _write_csv(path, 30)
     parts = load_csv_dataset(path, LOAD_SCHEMA, (0.7, 0.15, 0.15))
     sizes = [len(parts[s].trajectories[0]) for s in ("train", "val", "test")]
-    assert sizes == [7, 1, 2]
+    assert sizes == [21, 4, 5]  # val's 4.5 rows floored, test takes the remainder
     # chronological: train covers the earliest block
     assert parts["train"].trajectories[0].times[0] == 0.0
-    assert parts["test"].trajectories[0].times[-1] == 9.0
+    assert parts["test"].trajectories[0].times[-1] == 29.0
 
 
 def test_load_csv_absolute_counts_drop_trailing(tmp_path):
@@ -290,6 +290,10 @@ def test_load_csv_hare_lynx_defaults(tmp_path):
     ((0.7, 0.5, 0.15), "must each be at most 1"),  # test would be empty
     ((14, 0.2, 3), "must each be at most 1"),  # counts with a fraction among them
     ((0.7, 0.15, 1.5), "must each be at most 1"),
+    # each leaves a split without a transition
+    ((0.5, 0.5, 0.0), "test of .* has 0 of the 20 rows"),
+    ((0.95, 0.05, 0.0), "val of .* has 1 of the 20 rows"),
+    ((18, 1, 1), "val of .* has 1 of the 20 rows"),
 ])
 def test_load_csv_rejects_splits_that_are_no_partition(tmp_path, splits, message):
     path = tmp_path / "twenty.csv"
@@ -329,8 +333,10 @@ def test_load_csv_rejects_malformed_row(tmp_path):
 
 def test_csv_reader_line_ends_quoting_and_errors(tmp_path):
     path = tmp_path / "lines.csv"
-    rows = ["t,x_1,x_2", "0.0,1.0,2.0", "1.0,3.0,4.5", "2.0,-0.0,1e-320"]
-    want = np.array([[0.0, 1.0, 2.0], [1.0, 3.0, 4.5], [2.0, -0.0, 1e-320]])
+    rows = ["t,x_1,x_2", "0.0,1.0,2.0", "1.0,3.0,4.5", "2.0,-0.0,1e-320",
+            "3.0,5e-324,-7.25", "4.0,1e300,0.1", "5.0,-2.5,3.0"]
+    want = np.array([[0.0, 1.0, 2.0], [1.0, 3.0, 4.5], [2.0, -0.0, 1e-320],
+                     [3.0, 5e-324, -7.25], [4.0, 1e300, 0.1], [5.0, -2.5, 3.0]])
     # LF, CRLF, no final newline, a quoted header
     texts = ("\n".join(rows) + "\n", "\r\n".join(rows) + "\r\n", "\n".join(rows),
              '"t",x_1,"x_2"\n' + "\n".join(rows[1:]) + "\n")
@@ -339,7 +345,7 @@ def test_csv_reader_line_ends_quoting_and_errors(tmp_path):
         header, data = read_csv_rows(path, 3)
         assert header == ["t", "x_1", "x_2"]
         assert data.tobytes() == want.tobytes()
-        parts = load_csv_dataset(path, LOAD_SCHEMA, (1, 1, 1))
+        parts = load_csv_dataset(path, LOAD_SCHEMA, (2, 2, 2))
         got = np.vstack([parts[s].trajectories[0].states for s in ("train", "val", "test")])
         assert got.tobytes() == want[:, 1:].tobytes()
     path.write_text("t,x_1,x_2\n0.0,1.0,2.0\n\n2.0,1.0,2.0\n")
