@@ -27,7 +27,6 @@ import numpy as np
 
 from hdtwin.dsl import DslError, ModelSpec, SystemSchema, parse_model_spec, validate
 from hdtwin.engine import ParamVector, read_json, require_integers
-from hdtwin.optim import PARAM_COUNT_CAP
 
 log = logging.getLogger(__name__)
 
@@ -97,12 +96,6 @@ class Population:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class Feedback:
-    text: str
-    generation: int
-
-
 @dataclass
 class DecodingConfig:
     model: str = "gpt-4-1106-preview"
@@ -130,8 +123,9 @@ class DecodingConfig:
 
 
 def population_insert(pop: Population, entry: PopulationEntry) -> Population:
-    """Insert unless the structural fingerprint is already present, keep
-    ascending validation-loss order, truncate to capacity."""
+    """Insert unless the structural fingerprint is already present (then
+    `pop` itself is returned), keep ascending validation-loss order,
+    truncate to capacity."""
     if not np.isfinite(entry.upsilon):
         raise ValueError("faulted candidates (non-finite loss) are never inserted")
     if any(e.fingerprint == entry.fingerprint for e in pop.entries):
@@ -255,8 +249,9 @@ def _history_block(population: Population) -> str:
 
 
 def render_modeling_prompt(ctx: ModelingContext, population: Population,
-                           feedback: Feedback | None, generation: int) -> list[dict]:
-    """System + user messages for the modeling agent at one generation."""
+                           feedback: str | None, generation: int) -> list[dict]:
+    """System + user messages for the modeling agent at one generation;
+    `feedback` is the evaluation agent's latest text."""
     if generation < 1:
         raise ValueError("generations are numbered from 1")
     task = _FIRST_TASK.format(
@@ -271,7 +266,7 @@ def render_modeling_prompt(ctx: ModelingContext, population: Population,
     if generation > 1 and len(population) > 0:
         task += "\n\n" + _REGENERATE.format(
             completions=_completions_block(population),
-            feedback=feedback.text if feedback and feedback.text else "(none)",
+            feedback=feedback or "(none)",
             generation=generation,
             generations=ctx.generations,
             skeleton=ctx.skeleton,
@@ -434,11 +429,6 @@ def check_proposal(spec_text: str, schema: SystemSchema) -> tuple[ModelSpec | No
     except DslError as err:
         return None, [f"parse error: {err}"]
     problems = [str(v) for v in validate(spec, schema)]
-    if not problems and spec.param_count() > PARAM_COUNT_CAP:
-        problems.append(
-            f"the specification has {spec.param_count()} optimizable parameters,"
-            f" more than the allowed {PARAM_COUNT_CAP}; use smaller networks"
-        )
     return (spec if not problems else None), problems
 
 
@@ -446,10 +436,13 @@ _REPLY_AGAIN = ('Reply again with a single JSON object carrying the corrected'
                 ' "spec" and "description" fields.')
 
 
-def request_spec(client, convo: list[dict], schema: SystemSchema,
-                 decoding: DecodingConfig) -> tuple[ModelSpec, str]:
-    """Send `convo` until a reply carries a valid spec, at most 1 + retries
-    times, answering each unusable reply with its problems."""
+def propose(client, ctx: ModelingContext, schema: SystemSchema, population: Population,
+            feedback: str | None, generation: int,
+            decoding: DecodingConfig) -> tuple[ModelSpec, str]:
+    """Ask the modeling agent for a spec until a reply carries a valid one,
+    at most 1 + retries requests, answering each unusable reply with its
+    problems."""
+    convo = render_modeling_prompt(ctx, population, feedback, generation)
     problems: list[str] = []
     for _ in range(decoding.retries + 1):
         reply = client.complete(convo, decoding)
@@ -470,17 +463,8 @@ def request_spec(client, convo: list[dict], schema: SystemSchema,
     raise ProposalFailure(problems)
 
 
-def propose(client, ctx: ModelingContext, schema: SystemSchema, population: Population,
-            feedback: Feedback | None, generation: int,
-            decoding: DecodingConfig) -> tuple[ModelSpec, str]:
-    """Ask the modeling agent for a spec, re-prompting with the violation
-    messages on invalid replies; at most 1 + retries requests."""
-    messages = render_modeling_prompt(ctx, population, feedback, generation)
-    return request_spec(client, list(messages), schema, decoding)
-
-
 def critique(client, requirements: str, population: Population, next_generation: int,
-             generations: int, decoding: DecodingConfig) -> Feedback:
+             generations: int, decoding: DecodingConfig) -> str:
     """Ask the evaluation agent for improvement feedback (free-form text); a
     lost critique (transport error or empty reply) is logged and gives empty feedback."""
     messages = render_reflection_prompt(requirements, population, next_generation, generations)
@@ -489,10 +473,10 @@ def critique(client, requirements: str, population: Population, next_generation:
     except TransportError as err:
         text, cause = "", str(err)
     if text.strip():
-        return Feedback(text, next_generation)
+        return text
     log.warning("generation %d: critique lost (%s), proposing without feedback",
                 next_generation, cause)
-    return Feedback("", next_generation)
+    return ""
 
 
 def make_reply(spec_text: str, description: str) -> str:

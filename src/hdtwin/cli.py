@@ -18,7 +18,7 @@ from pathlib import Path
 
 from hdtwin.agents import DecodingConfig, HttpClient, ScriptedClient, TransportError
 from hdtwin.baselines import BASELINE_IDS, SindyConfig
-from hdtwin.dsl import DslError, canonicalize, parse_model_spec
+from hdtwin.dsl import DslError, canonicalize, parse_model_spec, validate
 from hdtwin.engine import (
     HEADLINE_METRICS,
     EvaluationFault,
@@ -165,11 +165,15 @@ def cmd_gen_data(args) -> int:
 def cmd_fit(args) -> int:
     cfg = dataclasses.replace(_optim_from_args(args), seed=args.seed)
     spec = parse_model_spec(Path(args.spec).read_text())
-    init = init_params(spec, seed=args.mlp_seed)
+    if args.mlp_seed < 0:  # refused before any data is read
+        raise ConfigError(f"seed must be >= 0 (got {args.mlp_seed})")
     data_dir = Path(args.data)
     train = load_saved_dataset(data_dir / "train")
     val = load_saved_dataset(data_dir / "val")
-    result = fit(spec, init, train, val, cfg)
+    problems = validate(spec, train.schema)  # before init_params draws a weight
+    if problems:
+        raise ConfigError("spec is not valid for this schema: " + "; ".join(map(str, problems)))
+    result = fit(spec, init_params(spec, seed=args.mlp_seed), train, val, cfg)
     if not result.usable:
         raise RunFailure("fit faulted or its validation loss is not finite", [])
     doc = {
@@ -212,9 +216,13 @@ def _load_run_config(path: str) -> dict:
     if not (isinstance(seeds, list) and seeds and all(
             isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds)):
         raise ConfigError("config 'seeds' must be a non-empty list of non-negative integers")
-    for section in ("evolve", "optim", "gen"):  # run_experiment sets these from each seed
-        if isinstance(doc.get(section), dict) and "seed" in doc[section]:
-            raise ConfigError(f"config {section!r} cannot set 'seed': 'seeds' sets every seed")
+    by_seeds = "'seeds' sets every seed"  # run_experiment sets these from each seed
+    elsewhere = {("evolve", "seed"): by_seeds, ("optim", "seed"): by_seeds,
+                 ("gen", "seed"): by_seeds, ("evolve", "optim"): "use the 'optim' section",
+                 ("evolve", "decoding"): "use the 'client' section"}
+    for (section, key), instead in elsewhere.items():
+        if isinstance(doc.get(section), dict) and key in doc[section]:
+            raise ConfigError(f"config {section!r} cannot set {key!r}: {instead}")
     return doc
 
 
@@ -261,13 +269,10 @@ def _client_factory_from_config(doc: dict):
 def cmd_evolve(args) -> int:
     doc = _load_run_config(args.config)
     method = doc["method"]
-    evolve_cfg = _build_sub_config(EvolveConfig, doc, "evolve")
-    if "optim" in doc:
-        evolve_cfg = dataclasses.replace(
-            evolve_cfg, optim=_build_sub_config(OptimConfig, doc, "optim"))
-    if "client" in doc:
-        evolve_cfg = dataclasses.replace(evolve_cfg, decoding=_build_sub_config(
-            DecodingConfig, doc, "client", CLIENT_TRANSPORT_KEYS))
+    evolve_cfg = dataclasses.replace(
+        _build_sub_config(EvolveConfig, doc, "evolve"),
+        optim=_build_sub_config(OptimConfig, doc, "optim"),
+        decoding=_build_sub_config(DecodingConfig, doc, "client", CLIENT_TRANSPORT_KEYS))
     gen_cfg = _build_sub_config(GenConfig, doc, "gen")
     sindy_cfg = _build_sub_config(SindyConfig, doc, "sindy")
     factory = _client_factory_from_config(doc) if method in AGENT_METHODS else None

@@ -32,6 +32,10 @@ ACTIVATIONS = ("relu", "leaky_relu", "tanh")
 
 TIME_SYMBOL = "t"
 
+# a spec with more optimizable parameters than this is not valid; the cap
+# also bounds the memory that drawing its initial weights takes
+PARAM_COUNT_CAP = 100_000
+
 _OP_TOKEN = {"+": "add", "-": "sub", "*": "mul", "/": "div", "^": "pow"}
 _TOKEN_OF_OP = {v: k for k, v in _OP_TOKEN.items()}
 
@@ -499,8 +503,9 @@ def parse_model_spec(text: str) -> ModelSpec:
 def validate(spec: ModelSpec, schema: SystemSchema) -> list[Violation]:
     """Check every spec invariant against a schema.
 
-    Returns an empty list iff the spec is well-formed; messages are
-    phrased for relaying back to a model-writing agent verbatim.
+    Returns an empty list iff the spec is well-formed and has at most
+    PARAM_COUNT_CAP optimizable parameters; messages are phrased for
+    relaying back to a model-writing agent verbatim.
     """
     out: list[Violation] = []
     states = set(schema.state_names)
@@ -612,6 +617,10 @@ def validate(spec: ModelSpec, schema: SystemSchema) -> list[Violation]:
                         f"{name}[{idx}] is out of range for network {name!r} with {decl.outputs} output(s)",
                     )
                 )
+    if not out and spec.param_count() > PARAM_COUNT_CAP:  # counted on a sound spec only
+        out.append(Violation("param-cap", f"the specification has {spec.param_count()}"
+                             f" optimizable parameters, more than the allowed"
+                             f" {PARAM_COUNT_CAP}; use smaller networks"))
     return out
 
 
@@ -648,8 +657,6 @@ def format_expr(e: Expr) -> str:
         return e.name
     if e.kind == "time":
         return TIME_SYMBOL
-    if e.kind == _MLPREF:
-        return f"{e.name}[{int(e.value)}]"
     if e.kind == "unary":
         if e.op == "neg":
             inner = format_expr(e.args[0])

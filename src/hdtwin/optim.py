@@ -41,10 +41,6 @@ log = logging.getLogger(__name__)
 
 IMPROVEMENT_EPS = 1e-12
 
-# Specs above this optimizable-parameter count are refused before fitting;
-# the message is relayed to the proposing agent.
-PARAM_COUNT_CAP = 100_000
-
 
 @dataclass
 class OptimConfig:
@@ -110,19 +106,16 @@ def fit(spec: ModelSpec, init: ParamVector, train: Dataset, val: Dataset,
     with the best full-validation loss.
 
     The spec is compiled once: one Evaluator serves every mini-batch and
-    every validation pass.  Each epoch draws one permutation of the
-    training rows and gathers each mini-batch's slice of it.
+    every validation pass.  Building it validates the spec against the
+    training schema, so a spec that dsl.validate refuses (one over
+    dsl.PARAM_COUNT_CAP included) raises ValueError before any update.
+    Each epoch draws one permutation of the training rows and gathers
+    each mini-batch's slice of it.
 
     A non-finite loss or gradient sets the fault flag and returns the best
     snapshot so far (validation loss +inf if none), which is not usable.
     """
     cfg = cfg or OptimConfig()
-    n_params = spec.param_count()
-    if n_params > PARAM_COUNT_CAP:
-        raise ValueError(
-            f"spec has {n_params} optimizable parameters, more than the cap of"
-            f" {PARAM_COUNT_CAP}; reduce network sizes"
-        )
     ev = Evaluator(spec, train.schema)
     ev.check_params(init)
     params = init.copy()

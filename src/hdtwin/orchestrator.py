@@ -3,11 +3,13 @@
 evolve() iterates propose -> fit -> evaluate -> insert -> critique for a
 fixed number of generations, keeps the top-K population, and scores the
 best-by-validation candidate once on the test split with
-engine.evaluate_test_metrics.  Both ablations are evolve cut to one
-generation: zero_optim fits its proposal, zero_shot fits it for zero
-epochs, which scores its suggested inits.  run_experiment repeats a
-method over seeds (regenerating the datasets per seed) and aggregates
-the test metric as mean with a 95% Student-t half-width.
+engine.evaluate_test_metrics.  Its one per-generation state is a list
+of GenerationRecords; the best-so-far curve and a lost endpoint are read
+off it.  Both ablations are evolve cut to one generation: zero_optim
+fits its proposal, zero_shot fits it for zero epochs, which scores its
+suggested inits.  run_experiment repeats a method over seeds
+(regenerating the datasets per seed) and aggregates the test metric as
+mean with a 95% Student-t half-width.
 
 Each run can write a plain-text archive: the canonical spec, parameter
 table, metrics, and loss curves per inserted generation, the full
@@ -30,7 +32,6 @@ import numpy as np
 from hdtwin.agents import (
     DEFAULT_OBJECTIVE,
     DecodingConfig,
-    Feedback,
     ModelingContext,
     Population,
     PopulationEntry,
@@ -99,17 +100,29 @@ class GenerationRecord:
 
 @dataclass
 class RunResult:
-    best: PopulationEntry
+    """One run; `records` (one per generation run) is its only per-generation state."""
+
     population: Population
-    best_curve: list[float]
     records: list[GenerationRecord]
     test: TestMetrics
     transcript: list[dict]
     fit_results: dict[int, FitResult]
     stage_seconds: dict[str, float]
-    # set when the LLM endpoint gave out: the run stopped early and keeps
-    # only the generations finished before it
-    transport_error: str | None = None
+
+    @property
+    def best(self) -> PopulationEntry:
+        return self.population.best()
+
+    @property
+    def best_curve(self) -> list[float]:  # best loss after each finished generation
+        return [float("inf") if r.best_upsilon is None else r.best_upsilon
+                for r in self.records if r.status != "transport-failed"]
+
+    @property
+    def transport_error(self) -> str | None:  # set when the endpoint gave out mid-run
+        last = self.records[-1]
+        failed = last.status == "transport-failed"
+        return f"generation {last.generation}: {last.error}" if failed else None
 
 
 def make_modeling_context(system: SystemDef, generations: int,
@@ -142,17 +155,16 @@ def evolve(ctx: ModelingContext, system: SystemDef, datasets: dict[str, Dataset]
     generation without an insertion.  The best-by-validation entry is
     evaluated once on test.
     A TransportError while proposing ends the run at that generation: the
-    finished generations are kept and the result carries the error in
-    `transport_error` (the error is raised if no generation finished).
+    finished generations are kept and the run's last record is
+    transport-failed, which `RunResult.transport_error` reports (the
+    error is raised if no generation finished).
     """
     train, val, test = datasets["train"], datasets["val"], datasets["test"]
     pop = Population(capacity=cfg.capacity)
-    feedback: Feedback | None = None
+    feedback = ""
     records: list[GenerationRecord] = []
-    best_curve: list[float] = []
     fit_results: dict[int, FitResult] = {}
     stages = {"propose": 0.0, "fit": 0.0, "evaluate": 0.0, "critique": 0.0}
-    transport_error = None
 
     for g in range(1, cfg.generations + 1):
         t0 = time.perf_counter()
@@ -168,7 +180,6 @@ def evolve(ctx: ModelingContext, system: SystemDef, datasets: dict[str, Dataset]
             if pop.best() is None:
                 raise
             log.warning("generation %d: lost the LLM endpoint (%s)", g, err)
-            transport_error = f"generation {g}: {err}"
             records.append(GenerationRecord(g, "transport-failed", error=str(err)))
             break
         else:
@@ -188,9 +199,8 @@ def evolve(ctx: ModelingContext, system: SystemDef, datasets: dict[str, Dataset]
                     params=result.params, delta=result.component_losses,
                     upsilon=result.val_loss, generation=g, description=description,
                 )
-                known = {e.fingerprint for e in pop.entries}
-                pop = population_insert(pop, entry)
-                status = "duplicate" if entry.fingerprint in known else "inserted"
+                before, pop = pop, population_insert(pop, entry)
+                status = "duplicate" if pop is before else "inserted"
                 records.append(GenerationRecord(
                     g, status, upsilon=entry.upsilon,
                     fingerprint=entry.fingerprint, description=description,
@@ -198,7 +208,6 @@ def evolve(ctx: ModelingContext, system: SystemDef, datasets: dict[str, Dataset]
         best = pop.best()
         pop = record_generation(pop, g)
         records[-1].best_upsilon = best.upsilon if best else None
-        best_curve.append(best.upsilon if best else float("inf"))
         if g < cfg.generations and len(pop) > 0:
             t0 = time.perf_counter()
             feedback = critique(client, ctx.requirements, pop, g + 1,
@@ -211,8 +220,7 @@ def evolve(ctx: ModelingContext, system: SystemDef, datasets: dict[str, Dataset]
     t0 = time.perf_counter()
     test_metrics = evaluate_test_metrics(best.spec, best.params, test)
     stages["evaluate"] += time.perf_counter() - t0
-    return RunResult(best, pop, best_curve, records, test_metrics, list(client.transcript),
-                     fit_results, stages, transport_error)
+    return RunResult(pop, records, test_metrics, list(client.transcript), fit_results, stages)
 
 
 def zero_shot(ctx, system, datasets, cfg: EvolveConfig, client) -> RunResult:

@@ -14,7 +14,6 @@ import pytest
 import replay_fixtures
 from hdtwin.agents import (
     DecodingConfig,
-    Feedback,
     HttpClient,
     ModelingContext,
     Population,
@@ -101,7 +100,7 @@ def test_entry_formatting_matches_transcript_style():
 
 def test_later_generation_prompt_embeds_population_and_feedback():
     pop = population_insert(Population(), make_entry(0.5))
-    msgs = render_modeling_prompt(CTX, pop, Feedback("add a decay term", 1), generation=2)
+    msgs = render_modeling_prompt(CTX, pop, "add a decay term", generation=2)
     user = msgs[1]["content"]
     assert "Val Loss: 0.5" in user
     assert "add a decay term" in user
@@ -129,8 +128,8 @@ def test_reflection_history_empty_renders_empty():
 
 def test_prompt_determinism():
     pop = population_insert(Population(), make_entry(0.25))
-    a = render_modeling_prompt(CTX, pop, Feedback("f", 1), 3)
-    b = render_modeling_prompt(CTX, pop, Feedback("f", 1), 3)
+    a = render_modeling_prompt(CTX, pop, "f", 3)
+    b = render_modeling_prompt(CTX, pop, "f", 3)
     assert a == b
 
 
@@ -232,6 +231,27 @@ def test_propose_relays_validation_messages():
     assert "zeta" in retry_msg
 
 
+# one network of 101,438 weights: just over dsl.PARAM_COUNT_CAP for the cancer schema
+OVER_CAP_SPEC = ("mlp net(tumor_volume) hidden [316, 316] act tanh outputs 2\n"
+                 "d(tumor_volume)/dt = net[0]\n"
+                 "d(chemotherapy_drug_concentration)/dt = net[1]\n")
+
+
+def test_propose_relays_the_parameter_cap():
+    good = make_reply("d(tumor_volume)/dt = 0.0\n"
+                      "d(chemotherapy_drug_concentration)/dt = 0.0\n", "zeros")
+    client = ScriptedClient([make_reply(OVER_CAP_SPEC, "too big"), good])
+    _, description = propose(client, CTX, CANCER.schema, Population(), None, 1, FAST)
+    assert description == "zeros"
+    assert client.transcript[1]["request"][-1]["content"] == (
+        "Your previous reply could not be used:\n"
+        "* [param-cap] the specification has 101438 optimizable parameters, more than the"
+        " allowed 100000; use smaller networks\n"
+        'Reply again with a single JSON object carrying the corrected "spec" and'
+        ' "description" fields.'
+    )
+
+
 def test_propose_failure_after_retries():
     client = ScriptedClient(["junk"] * 10)
     with pytest.raises(ProposalFailure):
@@ -263,7 +283,7 @@ def test_critique_returns_text_byte_for_byte():
     text = "Remove the quadratic term.\nTry a saturating chemo effect."
     pop = population_insert(Population(), make_entry(0.5))
     fb = critique(ScriptedClient([text]), "* reqs", pop, 2, 6, FAST)
-    assert fb.text == text
+    assert fb == text
 
 
 def lost_critique_warnings(caplog) -> list[str]:
@@ -274,7 +294,7 @@ def lost_critique_warnings(caplog) -> list[str]:
 def test_critique_empty_reply_flags_warning(caplog):
     pop = population_insert(Population(), make_entry(0.5))
     fb = critique(ScriptedClient([""]), "* reqs", pop, 2, 6, FAST)
-    assert fb == Feedback("", 2)
+    assert fb == ""
     assert lost_critique_warnings(caplog) == [
         "generation 2: critique lost (empty reply), proposing without feedback"]
 
@@ -282,7 +302,7 @@ def test_critique_empty_reply_flags_warning(caplog):
 def test_critique_transport_failure_flags_warning(caplog):
     pop = population_insert(Population(), make_entry(0.5))
     fb = critique(ScriptedClient([]), "* reqs", pop, 2, 6, FAST)
-    assert fb == Feedback("", 2)
+    assert fb == ""
     assert lost_critique_warnings(caplog) == [
         "generation 2: critique lost (replay exhausted after 0 replies),"
         " proposing without feedback"]

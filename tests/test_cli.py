@@ -9,7 +9,7 @@ import pytest
 
 import replay_fixtures
 from conftest import UNUSABLE_FITS, unusable_fit
-from hdtwin import cli
+from hdtwin import cli, engine
 from hdtwin.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUN, EXIT_TRANSPORT, build_parser, dispatch
 from hdtwin.dsl import canonicalize, parse_model_spec
 from hdtwin.engine import (
@@ -123,6 +123,29 @@ def test_fit_rejects_a_negative_network_seed_before_loading_data(tmp_path, capsy
     assert not (tmp_path / "fitrun").exists()
 
 
+def test_fit_refuses_an_over_cap_spec_before_drawing_a_weight(small_data, tmp_path, capsys,
+                                                              monkeypatch):
+    drawn = []
+    real_mlp_init = engine.mlp_init
+    monkeypatch.setattr(engine, "mlp_init",
+                        lambda decl, seed: drawn.append(decl.name) or real_mlp_init(decl, seed))
+    spec_path = tmp_path / "over-cap.hdt"
+    # one network of 101,438 weights: just over the cap
+    spec_path.write_text("mlp net(tumor_volume) hidden [316, 316] act tanh outputs 2\n"
+                         "d(tumor_volume)/dt = net[0]\n"
+                         "d(chemotherapy_drug_concentration)/dt = net[1]\n")
+    code = dispatch(["fit", "--spec", str(spec_path), "--data", str(small_data),
+                     "--out", str(tmp_path / "fitrun")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: spec is not valid for this schema: [param-cap] the specification has 101438"
+        " optimizable parameters, more than the allowed 100000; use smaller networks\n")
+    assert drawn == []
+    assert not (tmp_path / "fitrun").exists()
+    engine.init_params(parse_model_spec(spec_path.read_text()))
+    assert drawn == ["net"]  # the spy sees the draws that init_params makes
+
+
 def test_fit_zero_epochs_writes_the_initial_parameters(small_data, tmp_path, capsys):
     spec_path = tmp_path / "true.hdt"
     spec_path.write_text(canonicalize(builtin_system("cancer-chemo-radio").spec).text)
@@ -217,6 +240,10 @@ def test_evolve_config_errors(tmp_path, capsys):
     ({"gen": {"seed": 99}}, "config 'gen' cannot set 'seed': 'seeds' sets every seed"),
     ({"optim": {"seed": 7}}, "config 'optim' cannot set 'seed': 'seeds' sets every seed"),
     ({"evolve": {"seed": 3}}, "config 'evolve' cannot set 'seed': 'seeds' sets every seed"),
+    ({"evolve": {"optim": {"max_epochs": 2, "patience": 1}}},
+     "config 'evolve' cannot set 'optim': use the 'optim' section"),
+    ({"evolve": {"decoding": {"retries": 0}}},
+     "config 'evolve' cannot set 'decoding': use the 'client' section"),
 ])
 def test_evolve_rejects_a_run_config_of_the_wrong_shape(tmp_path, capsys, config, message):
     cfg = tmp_path / "run.json"

@@ -209,6 +209,19 @@ def test_validate_non_finite_init():
     assert any(v.code == "non-finite" for v in validate(spec, SCHEMA_1D))
 
 
+def test_validate_parameter_cap_holds_at_the_cap_and_counts_only_sound_specs():
+    # 3 * 33,333 + 1 network weights: exactly the cap
+    at_cap = "mlp net(x) hidden [33333] act tanh outputs 1\nd(x)/dt = net[0]\n"
+    assert validate(parse_model_spec(at_cap), SCHEMA_1D) == []
+    over = [(v.code, v.message) for v in validate(
+        parse_model_spec("param a = 1.0\n" + at_cap), SCHEMA_1D)]
+    assert over == [("param-cap", "the specification has 100001 optimizable parameters,"
+                                  " more than the allowed 100000; use smaller networks")]
+    # an otherwise invalid spec reports its other problems only
+    codes = [v.code for v in validate(parse_model_spec("param x = 1.0\n" + at_cap), SCHEMA_1D)]
+    assert codes == ["name-collision"]
+
+
 # ---------------------------------------------------------------------------
 # Canonical form and fingerprint
 

@@ -7,10 +7,14 @@ imports `urllib.request` on its first request, so the offline commands
 and replayed runs start without it.  A fresh interpreter is needed
 because the test session itself may have loaded it already.
 
-No module reaches into another hdtwin module's private names, and every
-public name of the package has a user outside the tests.  Only `engine`
-reads and writes JSON files and CSV tables (read_json, write_json,
-write_table), so no second writer of a format grows back.
+The hdtwin modules import each other in layers, exactly as LAYERS
+declares: `dsl` imports none of them, `engine` only `dsl`; `optim`,
+`agents`, `systems` and `baselines` only those two; `orchestrator` and
+`cli` sit above them all.  No module reaches into another hdtwin
+module's private names, and every public name of the package has a user
+outside the tests.  Only `engine` reads and writes JSON files and CSV
+tables (read_json, write_json, write_table), so no second writer of a
+format grows back.
 """
 
 from __future__ import annotations
@@ -30,6 +34,20 @@ PACKAGE_MODULES = ("hdtwin", "hdtwin.cli", "hdtwin.orchestrator", "hdtwin.system
                    "hdtwin.baselines")
 LAZY_MODULES = ("urllib.request", "http.client", "ssl")
 DROPPED_PACKAGES = ("scipy", "requests")
+
+# the hdtwin modules each module imports, function bodies included
+_BASE = {"dsl", "engine"}
+LAYERS = {
+    "__init__": {"dsl", "engine", "optim"},
+    "dsl": set(),
+    "engine": {"dsl"},
+    "optim": _BASE,
+    "agents": _BASE,
+    "systems": _BASE,
+    "baselines": _BASE,
+    "orchestrator": _BASE | {"optim", "agents", "systems", "baselines"},
+    "cli": _BASE | {"optim", "agents", "systems", "baselines", "orchestrator"},
+}
 
 
 def test_no_module_imports_scipy_or_requests():
@@ -62,6 +80,28 @@ def test_importing_the_package_loads_no_http_stack():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "", f"loaded at import: {proc.stdout.strip()}"
 
+
+
+def hdtwin_imports(path: Path) -> set[str]:
+    """The hdtwin modules a source file imports, function bodies included."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            assert not node.level, f"{path.name}:{node.lineno}: relative import"
+            module = node.module or ""
+            names = ([f"{module}.{alias.name}" for alias in node.names]
+                     if module == "hdtwin" else [module])
+        else:
+            continue
+        found |= {name.split(".")[1] for name in names if name.startswith("hdtwin.")}
+    return found
+
+
+def test_modules_import_each_other_only_as_layered():
+    paths = sorted((ROOT / "src" / "hdtwin").glob("*.py"))
+    assert {p.stem: hdtwin_imports(p) for p in paths} == LAYERS
 
 
 def test_no_module_imports_a_private_name_of_another():

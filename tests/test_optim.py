@@ -252,6 +252,21 @@ def test_fit_rejects_over_cap_specs():
         fit(spec, init_params(spec), train, train, OptimConfig(max_epochs=1, patience=1))
 
 
+def test_evaluator_and_fit_refuse_an_over_cap_spec_with_the_cap_violation():
+    # 3 * 33,333 + 1 network weights and one parameter: one over the cap
+    spec = parse_model_spec("param a = 1.0\nmlp net(x) hidden [33333] act tanh outputs 1\n"
+                            "d(x)/dt = a * x + net[0]")
+    message = ("spec is not valid for this schema: [param-cap] the specification has 100001"
+               " optimizable parameters, more than the allowed 100000; use smaller networks")
+    with pytest.raises(ValueError) as err:
+        Evaluator(spec, SCHEMA)
+    assert str(err.value) == message
+    train = make_linear_dataset(-0.5, 2, 5, seed=0, split="train")
+    with pytest.raises(ValueError) as err:
+        fit(spec, init_params(spec), train, train, OptimConfig(max_epochs=1, patience=1))
+    assert str(err.value) == message
+
+
 def test_optim_config_validation():
     with pytest.raises(ValueError):
         OptimConfig(lr=0.0)
