@@ -21,6 +21,7 @@ names that platform, the running one and the parts that differ.
 from __future__ import annotations
 
 import ctypes
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -137,17 +138,17 @@ INTERVENTION_SHA = "7434b8c8bab9720f16219cfa9a9363be925229084bce4aca9d2e24716320
 
 # sha256 of everything a built-in system defines: see catalogue_sha256
 CATALOGUE_SHA = {
-    "cancer": "c189114b1f15c52db489e0769dfa2240888f183539463b89c77e3c9e3f5056e2",
-    "cancer-chemo": "16b034b76c47ff5caf64186c1121f3a9390dee1ed3832cc80e81eee67b395c96",
-    "cancer-chemo-radio": "ff9dca7bb90dbf4a7a86d8acd3fc598e4054f8aaac232cf4b2e0bc419fa416c4",
-    "seir-covid": "d8a6ab1f51d7e003fa59b0d9dcb5269fac61a4d3bd9a493981548e4be73cb87a",
-    "lv2": "1dbc7b6543f27918c3fcc3eb696def70206a8ef645ad55d5fe5f1b2c566c78b4",
-    "lv3-plankton": "81c8605d4c3678a1c135416b6983b68e1ba47a6edadea29bce32a322cf5c3db8",
-    "synthetic-1": "90d2a5f292ae3905f16d5faf5e38c1bc9a8d94e29fda664e92e19b08ed2cc235",
-    "synthetic-2": "2c9907db00e1c586dea0b313d70c45987849b605bbf11ac6e663d05337f091c1",
-    "synthetic-3": "9f1a580e9f67497e758048803e4eae421dbfaeac5484faa6f76fef41c3a8c06a",
-    "synthetic-4": "c0c157809cde4ca5290549d09e0c8f8fb18cf8319a52216e3b3bc73f8783aef2",
-    "synthetic-5": "a3cac98bd5007e53916caf73fe18ac42ba0852f5e2c49c92f84925f94b4371b2",
+    "cancer": "411f2b6b81afb3216e885e10362789c3ebabf364ed1bc5871863de5fb89d0186",
+    "cancer-chemo": "d5e1a7a8ef3315318b2f92cfab252948b4cbc31c6816addc3f308ece8318dafb",
+    "cancer-chemo-radio": "f635632bc37699e87f498f4a63e8e7d5b353896dea56638d2200fb44853ca415",
+    "seir-covid": "3a5dc01155675111628d791eed4b3bd4048a78f5ff9434450e1f65ed3be5aab5",
+    "lv2": "cdc11a5822538c99e394c887947241c3602564345072b1ae58ca9eeda6c2a9d7",
+    "lv3-plankton": "63b49a5b72c7b615b4d25cef0584f4f678ad178afea605972d5d60664fb2f1e4",
+    "synthetic-1": "f746ebb16ea14037b4ecec8cdb4b33132cb48746bc66ccbd27f5ca24134b70e9",
+    "synthetic-2": "1227ea2dfa4cd06fad5c78a3a15ff29cf94aee3fb8c282c1e09d61530c1e1353",
+    "synthetic-3": "911545b9b89888e2e0d4ed78dfc7e11dea0f4b9e16e3407c26a1c315bf0fd8f2",
+    "synthetic-4": "3cacff63b0a5919248d72097e9cfd916547c118421398af084221f4532c96b3d",
+    "synthetic-5": "c8c0e3892c57ee679fcc8797a83fe3302d120cb65f50d8b8b2eae8a7eb172e0e",
 }
 
 # repr of rollout_mse under perturbed parameters
@@ -231,14 +232,25 @@ def dataset_sha256(sys_id: str, cfg: GenConfig, out: Path) -> str:
     return tree_sha256(out)
 
 
+def spec_content(spec) -> tuple:
+    """A spec's content in declared order, without its dataclasses' field
+    names: each component's target, expression tree as nested (kind,
+    value, name, op, args) tuples and residual; each parameter's (name,
+    init); each network's declaration.  So a field that holds no content
+    can be added to or removed from a spec class without moving a pin."""
+    return (tuple(dataclasses.astuple(c) for c in spec.components),
+            tuple((p.name, p.init) for p in spec.params),
+            tuple(dataclasses.astuple(m) for m in spec.mlps))
+
+
 def catalogue_sha256(sys_id: str) -> str:
     """One hash over a built-in system's spec (its canonical text and its
-    declaration order), schema, sizes, family, title, notes, policy, true
-    parameters and the two prompt texts built from them."""
+    content in declaration order), schema, sizes, family, title, notes,
+    policy, true parameters and the two prompt texts built from them."""
     system = builtin_system(sys_id)
-    fields = (canonicalize(system.spec).text, system.spec, system.schema, system.horizon,
-              system.default_n, system.family, system.title, system.var_notes,
-              system.policy, system.true_params.values.tolist(),
+    fields = (canonicalize(system.spec).text, spec_content(system.spec), system.schema,
+              system.horizon, system.default_n, system.family, system.title,
+              system.var_notes, system.policy, system.true_params.values.tolist(),
               system_description(system), make_modeling_context(system, 20).requirements)
     return hashlib.sha256(repr(fields).encode()).hexdigest()
 
