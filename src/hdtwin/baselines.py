@@ -148,8 +148,7 @@ def sindy_fit(dataset: Dataset, cfg: SindyConfig | None = None) -> SindyResult:
             for t in terms[1:]:
                 expr = Expr.binary("add", expr, t)
         components.append(ComponentDef(state, expr))
-    spec = ModelSpec(tuple(components), tuple(params),
-                     metadata="sparse polynomial regression")
+    spec = ModelSpec(tuple(components), tuple(params))
     return SindyResult(spec, coefficients, [_feature_name(m) for m in monos],
                        cond, total_iters)
 

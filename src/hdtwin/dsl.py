@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 UNARY_FUNCS = ("log", "exp", "sin", "cos", "sqrt", "abs", "sigmoid", "tanh")
@@ -130,7 +130,6 @@ class ModelSpec:
     components: tuple[ComponentDef, ...]
     params: tuple[ParamDecl, ...] = ()
     mlps: tuple[MlpDecl, ...] = ()
-    metadata: str = field(default="", compare=False)
 
     def param_count(self) -> int:
         """Total optimizable scalar count: named params plus network weights."""
