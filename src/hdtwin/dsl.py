@@ -36,6 +36,11 @@ TIME_SYMBOL = "t"
 # also bounds the memory that drawing its initial weights takes
 PARAM_COUNT_CAP = 100_000
 
+# the most nodes from an expression's root to a leaf; validate, canonicalize
+# and the engine walk a tree recursively, and this leaves their callers
+# half of Python's default recursion limit of 1000
+EXPR_DEPTH_CAP = 500
+
 _OP_TOKEN = {"+": "add", "-": "sub", "*": "mul", "/": "div", "^": "pow"}
 _TOKEN_OF_OP = {v: k for k, v in _OP_TOKEN.items()}
 
@@ -405,9 +410,27 @@ def _parse_component_line(p: _LineParser) -> tuple[str, Expr]:
     p.expect("=")
     if p.at_end():
         raise p.error("missing derivative expression")
-    expr = p.parse_expr()
+    col = p.peek().col
+    try:
+        expr = p.parse_expr()
+    except RecursionError:
+        raise ParseError("expression is nested too deeply to parse", p.lineno, col) from None
     p.require_end()
+    depth = _depth(expr)
+    if depth > EXPR_DEPTH_CAP:
+        raise ParseError(f"expression is {depth} levels deep, more than the allowed"
+                         f" {EXPR_DEPTH_CAP}", p.lineno, col)
     return target, expr
+
+
+def _depth(e: Expr) -> int:
+    """The node count of e's longest root-to-leaf path, found without recursion."""
+    deepest, stack = 0, [(e, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((a, depth + 1) for a in node.args)
+    return deepest
 
 
 def _split_residual(target: str, expr: Expr, lineno: int) -> ComponentDef:
@@ -433,7 +456,9 @@ def parse_model_spec(text: str) -> ModelSpec:
     """Parse DSL source into a ModelSpec.
 
     Raises ParseError (with line/column) on bad tokens, malformed lines,
-    duplicate declarations, or residual references to undeclared networks.
+    duplicate declarations, residual references to undeclared networks,
+    or an expression nested deeper than EXPR_DEPTH_CAP or too deeply to
+    parse.
     """
     params: list[ParamDecl] = []
     mlps: list[MlpDecl] = []
@@ -616,7 +641,7 @@ def validate(spec: ModelSpec, schema: SystemSchema) -> list[Violation]:
                         f"{name}[{idx}] is out of range for network {name!r} with {decl.outputs} output(s)",
                     )
                 )
-    if not out and spec.param_count() > PARAM_COUNT_CAP:  # counted on a sound spec only
+    if spec.param_count() > PARAM_COUNT_CAP:
         out.append(Violation("param-cap", f"the specification has {spec.param_count()}"
                              f" optimizable parameters, more than the allowed"
                              f" {PARAM_COUNT_CAP}; use smaller networks"))

@@ -888,10 +888,11 @@ def squared_residuals(spec: ModelSpec, params: ParamVector, dataset: Dataset,
     batch = dataset.transitions()
     f = ev.derivatives(params, batch.x, batch.u, batch.t)
     ev._require_finite(f)
-    f *= dataset.schema.dt
-    f += batch.x
-    f -= batch.y
-    f *= f
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+        f *= dataset.schema.dt  # a finite derivative's residual may overflow to inf
+        f += batch.x
+        f -= batch.y
+        f *= f
     return f
 
 

@@ -1,22 +1,23 @@
 """Parameter fitting: shuffled mini-batch Adam on the one-step MSE with
 early stopping on full-validation loss.
 
-The batching unit is the transition tuple (x, u, y); validation is
-evaluated on the complete validation set once per epoch, plus once
-before the first update so the returned snapshot is never worse than the
-initial parameters; with max_epochs = 0 that pass is the whole fit, which
-scores the initial parameters (the zero-shot ablation).  An epoch counts
-as an improvement only when the validation loss drops by more than
-1e-12, which keeps float noise from resetting the patience window.
+The batching unit is the transition tuple (x, u, y).  Each epoch ends
+with one pass over the complete validation set.  Epoch 0 makes no update
+and only scores the initial parameters (with max_epochs = 0 that is the
+whole fit, the zero-shot ablation); its snapshot is kept even at an
+infinite loss, so the returned one is never worse than the initial
+parameters.  A later epoch counts as an improvement only when the
+validation loss drops by more than 1e-12, which keeps float noise from
+resetting the patience window.
 FitResult.usable is the one rule for using a fit: no fault, finite loss.
 
 Parameters, gradients and Adam's moments m and v share one flat layout
 (engine.ParamVector): each mini-batch makes one adam_update call over the
 whole array and writes it back in place, so the weight views stay valid.
 Every mini-batch's gradient is written into one buffer that fit owns.
-Each epoch draws one permutation of the training rows and gathers each
-mini-batch's rows on its own, so no copy of the whole shuffled epoch is
-held.
+Each training epoch draws one permutation of the training rows and
+gathers each mini-batch's rows on its own, so no copy of the whole
+shuffled epoch is held.
 """
 
 from __future__ import annotations
@@ -109,8 +110,8 @@ def fit(spec: ModelSpec, init: ParamVector, train: Dataset, val: Dataset,
     every validation pass.  Building it validates the spec against the
     training schema, so a spec that dsl.validate refuses (one over
     dsl.PARAM_COUNT_CAP included) raises ValueError before any update.
-    Each epoch draws one permutation of the training rows and gathers
-    each mini-batch's slice of it.
+    Each epoch from 1 on draws one permutation of the training rows and
+    gathers each mini-batch's slice of it; epoch 0 only validates.
 
     A non-finite loss or gradient sets the fault flag and returns the best
     snapshot so far (validation loss +inf if none), which is not usable.
@@ -126,41 +127,34 @@ def fit(spec: ModelSpec, init: ParamVector, train: Dataset, val: Dataset,
     grads = params.zeros_like()
     step = 0
 
-    try:
-        best_delta, best_val = per_component_mse(spec, params, val, evaluator=ev)
-    except EvaluationFault as fault:
-        log.warning("fit aborted: initial parameters fault (%s)", fault)
-        return FitResult(params, float("inf"), np.full(train.schema.d_x, np.inf),
-                         0, [], [], faulted=True)
-    best_params = params.copy()
-    val_curve = [best_val]
+    best_params, best_val, best_delta = params, float("inf"), np.full(train.schema.d_x, np.inf)
+    val_curve: list[float] = []
     train_curve: list[float] = []
     since_improvement = 0
-    epochs_run = 0
     faulted = False
 
     n = len(batch_all)
-    for epoch in range(1, cfg.max_epochs + 1):
-        order = rng.permutation(n)
+    for epoch in range(cfg.max_epochs + 1):
         epoch_losses = []
         try:
-            for lo in range(0, n, cfg.batch_size):
-                batch = batch_all.take(order[lo:lo + cfg.batch_size])
-                loss, _ = ev.loss_and_grad(params, batch, dt, out=grads)
-                epoch_losses.append(loss)
-                step += 1
-                params.values[...], m, v = adam_update(params.values, grads.values, m, v,
-                                                       step, cfg)
+            if epoch:
+                order = rng.permutation(n)
+                for lo in range(0, n, cfg.batch_size):
+                    batch = batch_all.take(order[lo:lo + cfg.batch_size])
+                    loss, _ = ev.loss_and_grad(params, batch, dt, out=grads)
+                    epoch_losses.append(loss)
+                    step += 1
+                    params.values[...], m, v = adam_update(params.values, grads.values, m, v,
+                                                           step, cfg)
             delta, ups = per_component_mse(spec, params, val, evaluator=ev)
         except EvaluationFault as fault:
             log.warning("fit faulted at epoch %d: %s", epoch, fault)
             faulted = True
-            epochs_run = epoch
             break
-        epochs_run = epoch
-        train_curve.append(float(np.mean(epoch_losses)))
+        if epoch:
+            train_curve.append(float(np.mean(epoch_losses)))
         val_curve.append(ups)
-        if ups < best_val - IMPROVEMENT_EPS:
+        if epoch == 0 or ups < best_val - IMPROVEMENT_EPS:  # epoch 0's snapshot even at inf
             best_val = ups
             best_delta = delta
             best_params = params.copy()
@@ -170,5 +164,5 @@ def fit(spec: ModelSpec, init: ParamVector, train: Dataset, val: Dataset,
             if since_improvement >= cfg.patience:
                 break
 
-    return FitResult(best_params, best_val, best_delta, epochs_run,
+    return FitResult(best_params, best_val, best_delta, epoch,
                      train_curve, val_curve, faulted=faulted)

@@ -5,11 +5,11 @@ fixed number of generations, keeps the top-K population, and scores the
 best-by-validation candidate once on the test split with
 engine.evaluate_test_metrics.  Its one per-generation state is a list
 of GenerationRecords; the best-so-far curve and a lost endpoint are read
-off it.  Both ablations are evolve cut to one generation: zero_optim
-fits its proposal, zero_shot fits it for zero epochs, which scores its
-suggested inits.  run_experiment repeats a method over seeds
-(regenerating the datasets per seed) and aggregates the test metric as
-mean with a 95% Student-t half-width.
+off it.  run_experiment repeats a method over seeds (regenerating the
+datasets per seed) and aggregates the test metric as mean with a 95%
+Student-t half-width.  It runs both ablations as settings of evolve: one
+generation, and for zero-shot a zero-epoch fit, which scores the
+proposal's suggested inits; zero-optim fits it once.
 
 Each run can write a plain-text archive: the canonical spec, parameter
 table, metrics, and loss curves per inserted generation, the full
@@ -223,21 +223,8 @@ def evolve(ctx: ModelingContext, system: SystemDef, datasets: dict[str, Dataset]
     return RunResult(pop, records, test_metrics, list(client.transcript), fit_results, stages)
 
 
-def zero_shot(ctx, system, datasets, cfg: EvolveConfig, client) -> RunResult:
-    """The first proposal scored with its suggested inits: a one-generation
-    evolve whose fit runs zero epochs."""
-    optim = dataclasses.replace(cfg.optim, max_epochs=0)
-    return evolve(ctx, system, datasets,
-                  dataclasses.replace(cfg, generations=1, optim=optim), client)
-
-
-def zero_optim(ctx, system, datasets, cfg: EvolveConfig, client) -> RunResult:
-    """zero_shot plus one parameter fit: a one-generation evolve."""
-    return evolve(ctx, system, datasets, dataclasses.replace(cfg, generations=1), client)
-
-
-# the methods an LLM client drives, each a runner with evolve's signature
-AGENT_METHODS = {"evolve": evolve, "zero-shot": zero_shot, "zero-optim": zero_optim}
+# the methods an LLM client drives: evolve and its two one-generation ablations
+AGENT_METHODS = ("evolve", "zero-shot", "zero-optim")
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +304,9 @@ def run_experiment(system_id: str, method: str, seeds: list[int], *,
 
     `method` is one of evolve | zero-shot | zero-optim | sindy |
     baseline:<id>.  Agent methods need `client_factory(seed) -> client`.
-    Per-seed failures, transport failures included, are recorded in the
-    report and the summary, never silently dropped; later seeds still run.
+    A repeated seed raises ValueError before any seed runs.  Per-seed
+    failures, transport failures included, are recorded in the report
+    and the summary, never silently dropped; later seeds still run.
     An evolve run cut short by a transport failure still writes its
     archive of the finished generations, but its metric is not aggregated.
     """
@@ -326,6 +314,9 @@ def run_experiment(system_id: str, method: str, seeds: list[int], *,
 
     if not seeds:
         raise ValueError("need at least one seed")
+    repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
+    if repeated is not None:  # a seed fixes its run: a repeat is no new sample
+        raise ValueError(f"seed {repeated} is given more than once")
     if method not in (*AGENT_METHODS, "sindy") and not method.startswith("baseline:"):
         raise ValueError(f"unknown method {method!r}")
     if method in AGENT_METHODS and client_factory is None:
@@ -348,9 +339,13 @@ def run_experiment(system_id: str, method: str, seeds: list[int], *,
             if method in AGENT_METHODS:
                 if method != "evolve":  # one proposal: the prompt and manifest say so
                     cfg = dataclasses.replace(cfg, generations=1)
+                run_cfg = cfg  # the manifest keeps the configured optim section
+                if method == "zero-shot":  # scores the suggested inits
+                    run_cfg = dataclasses.replace(
+                        cfg, optim=dataclasses.replace(cfg.optim, max_epochs=0))
                 client = client_factory(seed)
                 ctx = make_modeling_context(system, cfg.generations, gen_cfg.n)
-                result = AGENT_METHODS[method](ctx, system, datasets, cfg, client)
+                result = evolve(ctx, system, datasets, run_cfg, client)
                 if result.transport_error is None:
                     outcome.metric = result.test.headline(cfg.test_metric)
                 else:  # a partial run: archived, but not aggregated

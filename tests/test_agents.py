@@ -22,6 +22,7 @@ from hdtwin.agents import (
     ReplayExhausted,
     ScriptedClient,
     TransportError,
+    check_proposal,
     critique,
     format_population_entry,
     make_reply,
@@ -250,6 +251,19 @@ def test_propose_relays_the_parameter_cap():
         'Reply again with a single JSON object carrying the corrected "spec" and'
         ' "description" fields.'
     )
+
+
+@pytest.mark.parametrize("expr, problem", [
+    # 5 parser frames per parenthesis: past the default recursion limit of 1000
+    ("(" * 200 + "tumor_volume" + ")" * 200, "expression is nested too deeply to parse"),
+    # built in a loop, so it parses; the cap refuses it before any recursive walk
+    (" + ".join(["tumor_volume"] * 1500),
+     "expression is 1500 levels deep, more than the allowed 500"),
+])
+def test_check_proposal_refuses_a_too_deeply_nested_expression(expr, problem):
+    text = f"d(tumor_volume)/dt = {expr}\nd(chemotherapy_drug_concentration)/dt = 0.0\n"
+    assert check_proposal(text, CANCER.schema) == (
+        None, [f"parse error: line 1, col 22: {problem}"])
 
 
 def test_propose_failure_after_retries():

@@ -146,6 +146,18 @@ def test_fit_refuses_an_over_cap_spec_before_drawing_a_weight(small_data, tmp_pa
     assert drawn == ["net"]  # the spy sees the draws that init_params makes
 
 
+def test_fit_refuses_a_too_deeply_nested_spec(small_data, tmp_path, capsys):
+    spec_path = tmp_path / "deep.hdt"
+    spec_path.write_text("d(tumor_volume)/dt = " + "(" * 200 + "tumor_volume" + ")" * 200
+                         + "\nd(chemotherapy_drug_concentration)/dt = 0.0\n")
+    code = dispatch(["fit", "--spec", str(spec_path), "--data", str(small_data),
+                     "--out", str(tmp_path / "fitrun")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: line 1, col 22: expression is nested too deeply to parse\n")
+    assert not (tmp_path / "fitrun").exists()
+
+
 def test_fit_zero_epochs_writes_the_initial_parameters(small_data, tmp_path, capsys):
     spec_path = tmp_path / "true.hdt"
     spec_path.write_text(canonicalize(builtin_system("cancer-chemo-radio").spec).text)
@@ -244,6 +256,7 @@ def test_evolve_config_errors(tmp_path, capsys):
      "config 'evolve' cannot set 'optim': use the 'optim' section"),
     ({"evolve": {"decoding": {"retries": 0}}},
      "config 'evolve' cannot set 'decoding': use the 'client' section"),
+    ({"seeds": [0, 1, 0], "method": "sindy"}, "seed 0 is given more than once"),
 ])
 def test_evolve_rejects_a_run_config_of_the_wrong_shape(tmp_path, capsys, config, message):
     cfg = tmp_path / "run.json"
@@ -381,6 +394,16 @@ def test_baseline_has_no_seed_flag_the_run_seeds_set_every_seed(tmp_path, capsys
                      "--seed", "5", "--out", str(tmp_path / "b")])
     assert code == EXIT_CONFIG
     assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
+def test_baseline_refuses_a_repeated_seed_before_any_seed_runs(tmp_path, capsys):
+    # one seed fixes one deterministic run: three copies are not three samples
+    code = dispatch(["baseline", "--id", "lv2", "--system", "lv2", "--seeds", "0", "0", "0",
+                     "--n", "3", "--max-epochs", "3", "--patience", "1",
+                     "--out", str(tmp_path / "b")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: seed 0 is given more than once\n"
     assert not (tmp_path / "b").exists()
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_schema, random_spec
 from hdtwin.dsl import (
+    EXPR_DEPTH_CAP,
     ComponentDef,
     Expr,
     MlpDecl,
@@ -19,6 +20,7 @@ from hdtwin.dsl import (
     parse_model_spec,
     validate,
 )
+from hdtwin.engine import Evaluator, init_params
 
 SCHEMA_1D = SystemSchema(states=(VarSpec("x", 0.0, 100.0),))
 SCHEMA_2D = SystemSchema(states=(VarSpec("x", 0.0, 100.0), VarSpec("y", 0.0, 100.0)))
@@ -209,7 +211,7 @@ def test_validate_non_finite_init():
     assert any(v.code == "non-finite" for v in validate(spec, SCHEMA_1D))
 
 
-def test_validate_parameter_cap_holds_at_the_cap_and_counts_only_sound_specs():
+def test_validate_parameter_cap_holds_at_the_cap_and_is_reported_with_other_violations():
     # 3 * 33,333 + 1 network weights: exactly the cap
     at_cap = "mlp net(x) hidden [33333] act tanh outputs 1\nd(x)/dt = net[0]\n"
     assert validate(parse_model_spec(at_cap), SCHEMA_1D) == []
@@ -217,9 +219,23 @@ def test_validate_parameter_cap_holds_at_the_cap_and_counts_only_sound_specs():
         parse_model_spec("param a = 1.0\n" + at_cap), SCHEMA_1D)]
     assert over == [("param-cap", "the specification has 100001 optimizable parameters,"
                                   " more than the allowed 100000; use smaller networks")]
-    # an otherwise invalid spec reports its other problems only
+    # an otherwise invalid spec reports the cap with its other problems, all at once
     codes = [v.code for v in validate(parse_model_spec("param x = 1.0\n" + at_cap), SCHEMA_1D)]
-    assert codes == ["name-collision"]
+    assert codes == ["name-collision", "param-cap"]
+
+
+def test_a_sum_at_the_depth_cap_parses_validates_canonicalizes_and_evaluates():
+    # a left-nested chain of EXPR_DEPTH_CAP - 1 additions: EXPR_DEPTH_CAP levels deep
+    text = "d(x)/dt = " + " + ".join(["x"] * EXPR_DEPTH_CAP)
+    spec = parse_model_spec(text)
+    assert validate(spec, SCHEMA_1D) == []
+    canon = canonicalize(spec).text
+    assert canonicalize(parse_model_spec(canon)).text == canon
+    ev = Evaluator(spec, SCHEMA_1D)
+    assert ev.derivative(init_params(spec), [0.5], [], 0.0).tolist() == [0.5 * EXPR_DEPTH_CAP]
+    with pytest.raises(ParseError, match=rf"^line 1, col 11: expression is {EXPR_DEPTH_CAP + 1}"
+                                         rf" levels deep, more than the allowed {EXPR_DEPTH_CAP}$"):
+        parse_model_spec(text + " + x")
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ The hdtwin modules import each other in layers, exactly as LAYERS
 declares: `dsl` imports none of them, `engine` only `dsl`; `optim`,
 `agents`, `systems` and `baselines` only those two; `orchestrator` and
 `cli` sit above them all.  No module reaches into another hdtwin
-module's private names, and every public name of the package has a user
-outside the tests.  Only `engine` reads and writes JSON files and CSV
+module's private names, and every public name of the package, and every
+public function, class and method of its modules, has a user outside the
+tests or a mention in the README.  Only `engine` reads and writes JSON files and CSV
 tables (read_json, write_json, write_table), so no second writer of a
 format grows back.
 """
@@ -128,15 +129,40 @@ def referenced_names(path: Path) -> set[str]:
     return names
 
 
+def public_definitions(path: Path) -> list[tuple[str, str]]:
+    """(where, name) of a module's public functions and classes and of the
+    public methods of its classes, where is module.name or module.Class.name."""
+    found = []
+    for node in ast.parse(path.read_text()).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            found.append((f"{path.stem}.{node.name}", node.name))
+        if isinstance(node, ast.ClassDef):
+            found += [(f"{path.stem}.{node.name}.{f.name}", f.name) for f in node.body
+                      if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
+    return found
+
+
+# public definitions with no user a name scan can see, and why each stays
+UNSEEN_USERS = {
+    # bench/tracing.py wraps it by its name, a string, for the policy span;
+    # it can go once that span moves (ROADMAP item 5)
+    "systems.sample_cancer_actions",
+}
+
+
 def test_every_exported_name_is_used_outside_the_tests_or_documented():
-    users = [p for p in sorted((ROOT / "src" / "hdtwin").glob("*.py"))
-             if p.name != "__init__.py"]
+    modules = sorted((ROOT / "src" / "hdtwin").glob("*.py"))
+    users = [p for p in modules if p.name != "__init__.py"]
     users += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
     used = set().union(*map(referenced_names, users))
     readme = (ROOT / "README.md").read_text()
-    unused = [name for name in hdtwin.__all__
-              if name not in used and not re.search(rf"\b{name}\b", readme)]
-    assert unused == []
+    public = [(f"hdtwin.{name}", name) for name in hdtwin.__all__]
+    public += [found for path in modules for found in public_definitions(path)]
+    unused = {where for where, name in public
+              if name not in used and not re.search(rf"\b{name}\b", readme)}
+    assert unused == UNSEEN_USERS
 
 
 def test_only_the_engine_reads_or_writes_json_files_and_csv_tables():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from hdtwin import optim
 from hdtwin.engine import (Dataset, Evaluator, init_params, load_params, per_component_mse,
                            rollout, save_params)
 from hdtwin.optim import FitResult, OptimConfig, adam_update, fit
+from hdtwin.systems import GenConfig, builtin_system, generate_dataset
 
 SCHEMA = SystemSchema(states=(VarSpec("x", -100.0, 100.0),), dt=1.0)
 
@@ -128,6 +131,26 @@ def test_fit_zero_epochs_scores_the_initial_parameters():
     delta, ups = per_component_mse(spec, init, val)
     assert result.val_curve == [ups] and result.val_loss == ups
     assert result.component_losses.tobytes() == delta.tobytes()
+
+
+def test_fit_keeps_epoch_0_when_its_validation_loss_is_infinite_without_a_fault():
+    # 1e200 is a finite derivative, so no EvaluationFault: its squared
+    # residual overflows to inf in the validation pass, quietly
+    system = builtin_system("cancer-chemo-radio")
+    data = generate_dataset(system, GenConfig(n=4, seed=3))
+    spec = parse_model_spec("d(tumor_volume)/dt = 1e200\n"
+                            "d(chemotherapy_drug_concentration)/dt ="
+                            " -chemotherapy_drug_concentration")
+    init = init_params(spec)
+    for cfg, epochs, faulted in ((OptimConfig(max_epochs=0), 0, False),
+                                 (OptimConfig(max_epochs=3, patience=3), 1, True)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = fit(spec, init, data["train"], data["val"], cfg)
+        assert result.component_losses.tolist() == [np.inf, 17.08282367129907]
+        assert result.val_loss == np.inf and result.val_curve == [np.inf]
+        assert (result.epochs_run, result.faulted, result.usable) == (epochs, faulted, False)
+        assert result.params.values.tobytes() == init.values.tobytes()
 
 
 def test_fit_guarded_division_by_zero_init():

@@ -29,8 +29,6 @@ from hdtwin.orchestrator import (
     run_experiment,
     t_quantile_975,
     write_run_archive,
-    zero_optim,
-    zero_shot,
 )
 from hdtwin.systems import GenConfig, builtin_system, generate_dataset
 
@@ -41,6 +39,16 @@ FAST_DECODING = DecodingConfig(retries=2, retry_wait=0.0)
 def small_cfg(generations=6):
     return EvolveConfig(generations=generations, capacity=16, optim=FAST_OPTIM,
                         decoding=FAST_DECODING, seed=0)
+
+
+def ablation(method: str, cfg: EvolveConfig) -> EvolveConfig:
+    """The config run_experiment runs an ablation's evolve with: one
+    generation, and no fitting epoch for zero-shot (checked against
+    run_experiment in test_run_experiment_ablations_prompt_and_record_one_generation)."""
+    cfg = dataclasses.replace(cfg, generations=1)
+    if method == "zero-shot":
+        cfg = dataclasses.replace(cfg, optim=dataclasses.replace(cfg.optim, max_epochs=0))
+    return cfg
 
 
 @pytest.fixture(scope="module")
@@ -191,7 +199,8 @@ def test_evolve_g1_equals_zero_optim(cancer_datasets):
     reply = replay_fixtures.evolution_replies()[0]
     ctx = make_modeling_context(system, 1, n_trajectories=6)
     via_evolve = evolve(ctx, system, datasets, small_cfg(1), ScriptedClient([reply]))
-    via_ablation = zero_optim(ctx, system, datasets, small_cfg(1), ScriptedClient([reply]))
+    via_ablation = evolve(ctx, system, datasets, ablation("zero-optim", small_cfg()),
+                          ScriptedClient([reply]))
     assert via_evolve.best.upsilon == via_ablation.best.upsilon
     assert via_evolve.best.params.scalars == via_ablation.best.params.scalars
     assert via_evolve.test.upsilon == via_ablation.test.upsilon
@@ -205,17 +214,19 @@ def test_zero_shot_true_structure_true_values(cancer_datasets):
     system, datasets = cancer_datasets
     reply = make_reply(canonicalize(system.spec).text, "the true structure")
     ctx = make_modeling_context(system, 1, n_trajectories=6)
-    result = zero_shot(ctx, system, datasets, small_cfg(1), ScriptedClient([reply]))
+    result = evolve(ctx, system, datasets, ablation("zero-shot", small_cfg()),
+                    ScriptedClient([reply]))
     assert result.test.upsilon <= 1e-12
     assert result.test.rollout <= 1e-12
 
 
-@pytest.mark.parametrize("ablation", [zero_shot, zero_optim])
-def test_ablation_failure_reads_like_evolve(cancer_datasets, ablation):
+@pytest.mark.parametrize("method", ["zero-shot", "zero-optim"], ids=["zero_shot", "zero_optim"])
+def test_ablation_failure_reads_like_evolve(cancer_datasets, method):
     system, datasets = cancer_datasets
     ctx = make_modeling_context(system, 1, n_trajectories=6)
     with pytest.raises(RunFailure, match="^no generation produced a usable candidate$") as err:
-        ablation(ctx, system, datasets, small_cfg(3), ScriptedClient(["junk"] * 8))
+        evolve(ctx, system, datasets, ablation(method, small_cfg(3)),
+               ScriptedClient(["junk"] * 8))
     assert len(err.value.transcript) == FAST_DECODING.retries + 1  # one generation only
 
 
@@ -226,7 +237,8 @@ def test_zero_shot_whose_initial_parameters_fault(cancer_datasets, tmp_path):
                        "explosive growth")
     ctx = make_modeling_context(system, 1, n_trajectories=6)
     with pytest.raises(RunFailure, match="^no generation produced a usable candidate$") as err:
-        zero_shot(ctx, system, datasets, small_cfg(1), ScriptedClient([reply]))
+        evolve(ctx, system, datasets, ablation("zero-shot", small_cfg()),
+               ScriptedClient([reply]))
     assert len(err.value.transcript) == 1
     report = run_experiment("cancer-chemo-radio", "zero-shot", [0], gen_cfg=GenConfig(n=4),
                             evolve_cfg=small_cfg(1),
@@ -242,7 +254,7 @@ def test_zero_shot_is_a_zero_epoch_evolve(cancer_datasets):
     reply = replay_fixtures.evolution_replies()[0]
     ctx = make_modeling_context(system, 1, n_trajectories=6)
     cfg = small_cfg(3)
-    shot = zero_shot(ctx, system, datasets, cfg, ScriptedClient([reply]))
+    shot = evolve(ctx, system, datasets, ablation("zero-shot", cfg), ScriptedClient([reply]))
     zero_epochs = dataclasses.replace(cfg, generations=1,
                                       optim=dataclasses.replace(cfg.optim, max_epochs=0))
     explicit = evolve(ctx, system, datasets, zero_epochs, ScriptedClient([reply]))
@@ -261,8 +273,10 @@ def test_zero_optim_no_worse_than_zero_shot(cancer_datasets):
     system, datasets = cancer_datasets
     reply = replay_fixtures.evolution_replies()[0]
     ctx = make_modeling_context(system, 1, n_trajectories=6)
-    shot = zero_shot(ctx, system, datasets, small_cfg(1), ScriptedClient([reply]))
-    optim = zero_optim(ctx, system, datasets, small_cfg(1), ScriptedClient([reply]))
+    shot = evolve(ctx, system, datasets, ablation("zero-shot", small_cfg()),
+                  ScriptedClient([reply]))
+    optim = evolve(ctx, system, datasets, ablation("zero-optim", small_cfg()),
+                   ScriptedClient([reply]))
     assert optim.best.upsilon <= shot.best.upsilon
     assert np.isfinite(shot.best.upsilon)
 
@@ -326,6 +340,20 @@ def test_run_experiment_records_a_negative_seed_and_runs_the_next():
     assert report.mean == good.metric
 
 
+def test_run_experiment_records_a_seed_whose_replies_nest_too_deeply_and_keeps_the_others():
+    deep = make_reply("d(tumor_volume)/dt = " + "(" * 200 + "tumor_volume" + ")" * 200
+                      + "\nd(chemotherapy_drug_concentration)/dt = 0.0", "deep")
+    replies = {0: replay_fixtures.evolution_replies()[:1],
+               1: [deep] * (FAST_DECODING.retries + 1)}
+    report = run_experiment("cancer-chemo-radio", "zero-optim", [0, 1], gen_cfg=GenConfig(n=4),
+                            evolve_cfg=small_cfg(1),
+                            client_factory=lambda seed: ScriptedClient(replies[seed]))
+    first, second = report.outcomes
+    assert first.error is None and np.isfinite(first.metric)
+    assert (second.error, second.metric) == ("no generation produced a usable candidate", None)
+    assert report.mean == first.metric
+
+
 def test_run_experiment_keeps_seeds_before_a_transport_failure(tmp_path):
     # one shared client with a single reply: seed 0 uses it, seed 1 finds
     # the replay exhausted; seed 0's outcome and the summary must survive
@@ -360,22 +388,31 @@ def test_run_experiment_archives_a_seed_whose_test_pass_faults(tmp_path):
 
 
 @pytest.mark.parametrize("method", ["zero-shot", "zero-optim"])
-def test_run_experiment_ablations_prompt_and_record_one_generation(method, tmp_path):
+def test_run_experiment_ablations_prompt_and_record_one_generation(method, tmp_path,
+                                                                   monkeypatch):
     # EvolveConfig's default is 20 generations; each ablation makes one proposal
-    clients = []
+    clients, configs = [], []
 
     def factory(seed):
         clients.append(ScriptedClient(replay_fixtures.evolution_replies()[:1]))
         return clients[-1]
 
+    def spy(ctx, system, datasets, cfg, client):
+        configs.append(cfg)
+        return evolve(ctx, system, datasets, cfg, client)
+
+    monkeypatch.setattr(orchestrator, "evolve", spy)
     report = run_experiment("cancer-chemo-radio", method, [0], gen_cfg=GenConfig(n=4),
                             evolve_cfg=EvolveConfig(), client_factory=factory,
                             out_dir=tmp_path)
     assert report.outcomes[0].error is None
+    assert configs == [ablation(method, EvolveConfig())]  # seed 0 is the default seed
     request = json.dumps(clients[0].transcript[0]["request"])
     assert "called 1 times" in request and "called 20 times" not in request
     manifest = json.loads((tmp_path / "seed-0000" / "run.manifest").read_text())
     assert manifest["generations"] == 1
+    # the manifest records the configured optim section, zero-shot's included
+    assert manifest["optim"] == dataclasses.asdict(OptimConfig())
 
 
 def test_run_experiment_validates_method():
