@@ -212,10 +212,6 @@ def _load_run_config(path: str) -> dict:
     for key in ("system", "method", "out"):
         if key in doc and not isinstance(doc[key], str):
             raise ConfigError(f"config {key!r} must be a string")
-    seeds = doc["seeds"]
-    if not (isinstance(seeds, list) and seeds and all(
-            isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds)):
-        raise ConfigError("config 'seeds' must be a non-empty list of non-negative integers")
     by_seeds = "'seeds' sets every seed"  # run_experiment sets these from each seed
     elsewhere = {("evolve", "seed"): by_seeds, ("optim", "seed"): by_seeds,
                  ("gen", "seed"): by_seeds, ("evolve", "optim"): "use the 'optim' section",

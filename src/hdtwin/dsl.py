@@ -36,10 +36,12 @@ TIME_SYMBOL = "t"
 # also bounds the memory that drawing its initial weights takes
 PARAM_COUNT_CAP = 100_000
 
-# the most nodes from an expression's root to a leaf; validate, canonicalize
-# and the engine walk a tree recursively, and this leaves their callers
-# half of Python's default recursion limit of 1000
-EXPR_DEPTH_CAP = 500
+# the most nodes from an expression's root to a leaf, and the most levels a
+# derivative line nests (parentheses, function calls, unary minus and '^'
+# operands, one inside another).  The parser takes 5 frames per level, ==,
+# hash and repr at most 4 per node, so at the cap they use about half of
+# Python's default recursion limit of 1000 and leave the rest to callers.
+EXPR_DEPTH_CAP = 100
 
 _OP_TOKEN = {"+": "add", "-": "sub", "*": "mul", "/": "div", "^": "pow"}
 _TOKEN_OF_OP = {v: k for k, v in _OP_TOKEN.items()}
@@ -240,7 +242,7 @@ class _LineParser:
         self.pos = 0
         self.lineno = lineno
         self.text = text
-        self.net_refs: list[_Tok] = []  # network-name tokens of NAME[i], in order
+        self.nesting = 0  # parse_unary calls open on the stack
 
     def peek(self) -> _Tok:
         return self.toks[self.pos]
@@ -314,15 +316,22 @@ class _LineParser:
         return node
 
     def parse_unary(self) -> Expr:
+        # every nesting (parentheses, a call, unary minus, a '^' operand)
+        # recurses through here, so counting open calls bounds the stack
+        self.nesting += 1
+        if self.nesting > EXPR_DEPTH_CAP:
+            raise ParseError(f"expression nests deeper than the allowed {EXPR_DEPTH_CAP} levels",
+                             self.lineno, self.peek().col)
         if self.peek().text == "-":
             op = self.next()
             if self.at_end():
                 raise self.error("missing operand for unary '-'", op)
-            inner = self.parse_unary()
-            if inner.kind == "const":
-                return Expr.const(-inner.value)
-            return Expr.unary("neg", inner)
-        return self.parse_pow()
+            node = self.parse_unary()
+            node = Expr.const(-node.value) if node.kind == "const" else Expr.unary("neg", node)
+        else:
+            node = self.parse_pow()
+        self.nesting -= 1
+        return node
 
     def parse_pow(self) -> Expr:
         base = self.parse_atom()
@@ -355,7 +364,6 @@ class _LineParser:
                 self.expect(")")
                 return Expr.unary(tok.text, arg)
             if nxt.text == "[":
-                self.net_refs.append(tok)
                 self.next()
                 idx = self.expect_int("a network output index")
                 self.expect("]")
@@ -411,10 +419,7 @@ def _parse_component_line(p: _LineParser) -> tuple[str, Expr]:
     if p.at_end():
         raise p.error("missing derivative expression")
     col = p.peek().col
-    try:
-        expr = p.parse_expr()
-    except RecursionError:
-        raise ParseError("expression is nested too deeply to parse", p.lineno, col) from None
+    expr = p.parse_expr()
     p.require_end()
     depth = _depth(expr)
     if depth > EXPR_DEPTH_CAP:
@@ -455,15 +460,15 @@ def _split_residual(target: str, expr: Expr, lineno: int) -> ComponentDef:
 def parse_model_spec(text: str) -> ModelSpec:
     """Parse DSL source into a ModelSpec.
 
-    Raises ParseError (with line/column) on bad tokens, malformed lines,
-    duplicate declarations, residual references to undeclared networks,
-    or an expression nested deeper than EXPR_DEPTH_CAP or too deeply to
-    parse.
+    Raises ParseError (with line/column) on grammar only: bad tokens,
+    malformed lines, an unknown function, a network output anywhere but
+    the end of a derivative line, or an expression that nests or reaches
+    deeper than EXPR_DEPTH_CAP.  Names and residual networks are checked
+    by `validate`, as for a spec built in code.
     """
     params: list[ParamDecl] = []
     mlps: list[MlpDecl] = []
     components: list[ComponentDef] = []
-    residual_at: dict[str, tuple[int, int, str]] = {}  # target -> (line, col, text)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -473,23 +478,11 @@ def parse_model_spec(text: str) -> ModelSpec:
         p = _LineParser(toks, lineno, line)
         head = p.peek()
         if head.text == "param":
-            decl = _parse_param_line(p)
-            if any(d.name == decl.name for d in params):
-                raise ParseError(f"duplicate parameter name {decl.name!r}", lineno, head.col, line)
-            params.append(decl)
+            params.append(_parse_param_line(p))
         elif head.text == "mlp":
-            decl = _parse_mlp_line(p)
-            if any(d.name == decl.name for d in mlps):
-                raise ParseError(f"duplicate network name {decl.name!r}", lineno, head.col, line)
-            mlps.append(decl)
+            mlps.append(_parse_mlp_line(p))
         elif head.text == "d":
-            target, expr = _parse_component_line(p)
-            if any(c.target == target for c in components):
-                raise ParseError(f"duplicate derivative for {target!r}", lineno, head.col, line)
-            comp = _split_residual(target, expr, lineno)
-            if comp.residual is not None:  # the line's last network reference
-                residual_at[target] = (lineno, p.net_refs[-1].col, line)
-            components.append(comp)
+            components.append(_split_residual(*_parse_component_line(p), lineno))
         else:
             raise ParseError(
                 f"unrecognized line (expected 'param', 'mlp', or 'd(...)/dt = ...'),"
@@ -501,22 +494,6 @@ def parse_model_spec(text: str) -> ModelSpec:
 
     if not components:
         raise ParseError("spec declares no derivative components", max(1, text.count("\n") + 1), 1)
-
-    for comp in components:
-        if comp.residual is not None:
-            name, idx = comp.residual
-            decl = next((m for m in mlps if m.name == name), None)
-            if decl is None:
-                raise ParseError(
-                    f"d({comp.target})/dt references undeclared network {name!r}",
-                    *residual_at[comp.target],
-                )
-            if not 0 <= idx < decl.outputs:
-                raise ParseError(
-                    f"network output index {name}[{idx}] out of range"
-                    f" (declared outputs {decl.outputs})",
-                    *residual_at[comp.target],
-                )
     return ModelSpec(tuple(components), tuple(params), tuple(mlps))
 
 

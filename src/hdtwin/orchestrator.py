@@ -304,7 +304,8 @@ def run_experiment(system_id: str, method: str, seeds: list[int], *,
 
     `method` is one of evolve | zero-shot | zero-optim | sindy |
     baseline:<id>.  Agent methods need `client_factory(seed) -> client`.
-    A repeated seed raises ValueError before any seed runs.  Per-seed
+    Seeds that are not a non-empty list of non-negative integers, or that
+    repeat one, raise ValueError before any seed runs.  Per-seed
     failures, transport failures included, are recorded in the report
     and the summary, never silently dropped; later seeds still run.
     An evolve run cut short by a transport failure still writes its
@@ -312,8 +313,9 @@ def run_experiment(system_id: str, method: str, seeds: list[int], *,
     """
     from hdtwin.baselines import SindyConfig, builtin_baseline_spec, sindy_fit
 
-    if not seeds:
-        raise ValueError("need at least one seed")
+    if not (isinstance(seeds, list) and seeds and all(
+            isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds)):
+        raise ValueError(f"seeds must be a non-empty list of non-negative integers (got {seeds!r})")
     repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
     if repeated is not None:  # a seed fixes its run: a repeat is no new sample
         raise ValueError(f"seed {repeated} is given more than once")

@@ -254,16 +254,16 @@ def test_propose_relays_the_parameter_cap():
 
 
 @pytest.mark.parametrize("expr, problem", [
-    # 5 parser frames per parenthesis: past the default recursion limit of 1000
-    ("(" * 200 + "tumor_volume" + ")" * 200, "expression is nested too deeply to parse"),
+    # refused at the 101st parenthesis, before the parser recurses any deeper
+    ("(" * 200 + "tumor_volume" + ")" * 200,
+     "col 122: expression nests deeper than the allowed 100 levels"),
     # built in a loop, so it parses; the cap refuses it before any recursive walk
     (" + ".join(["tumor_volume"] * 1500),
-     "expression is 1500 levels deep, more than the allowed 500"),
+     "col 22: expression is 1500 levels deep, more than the allowed 100"),
 ])
 def test_check_proposal_refuses_a_too_deeply_nested_expression(expr, problem):
     text = f"d(tumor_volume)/dt = {expr}\nd(chemotherapy_drug_concentration)/dt = 0.0\n"
-    assert check_proposal(text, CANCER.schema) == (
-        None, [f"parse error: line 1, col 22: {problem}"])
+    assert check_proposal(text, CANCER.schema) == (None, [f"parse error: line 1, {problem}"])
 
 
 def test_propose_failure_after_retries():

@@ -154,7 +154,7 @@ def test_fit_refuses_a_too_deeply_nested_spec(small_data, tmp_path, capsys):
                      "--out", str(tmp_path / "fitrun")])
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err == (
-        "error: line 1, col 22: expression is nested too deeply to parse\n")
+        "error: line 1, col 122: expression nests deeper than the allowed 100 levels\n")
     assert not (tmp_path / "fitrun").exists()
 
 
@@ -238,11 +238,17 @@ def test_evolve_config_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("config, message", [
-    ({"seeds": 3}, "config 'seeds' must be a non-empty list of non-negative integers"),
-    ({"seeds": []}, "config 'seeds' must be a non-empty list of non-negative integers"),
-    ({"seeds": ["a"]}, "config 'seeds' must be a non-empty list of non-negative integers"),
-    ({"seeds": [True]}, "config 'seeds' must be a non-empty list of non-negative integers"),
-    ({"seeds": [0, -1]}, "config 'seeds' must be a non-empty list of non-negative integers"),
+    # run_experiment checks the seeds; sindy needs no client, whose check comes first
+    ({"seeds": 3, "method": "sindy"},
+     "seeds must be a non-empty list of non-negative integers (got 3)"),
+    ({"seeds": [], "method": "sindy"},
+     "seeds must be a non-empty list of non-negative integers (got [])"),
+    ({"seeds": ["a"], "method": "sindy"},
+     "seeds must be a non-empty list of non-negative integers (got ['a'])"),
+    ({"seeds": [True], "method": "sindy"},
+     "seeds must be a non-empty list of non-negative integers (got [True])"),
+    ({"seeds": [0, -1], "method": "sindy"},
+     "seeds must be a non-empty list of non-negative integers (got [0, -1])"),
     ({"system": 5}, "config 'system' must be a string"),
     ({"method": ["evolve"]}, "config 'method' must be a string"),
     ({"out": 5}, "config 'out' must be a string"),
@@ -404,6 +410,18 @@ def test_baseline_refuses_a_repeated_seed_before_any_seed_runs(tmp_path, capsys)
                      "--out", str(tmp_path / "b")])
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err == "error: seed 0 is given more than once\n"
+    assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("seeds", [["0", "-1"], ["-1"]])
+def test_baseline_refuses_a_negative_seed_before_any_seed_runs(tmp_path, capsys, seeds):
+    code = dispatch(["baseline", "--id", "lv2", "--system", "lv2", "--seeds", *seeds,
+                     "--n", "3", "--max-epochs", "2", "--patience", "1",
+                     "--out", str(tmp_path / "b")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: seeds must be a non-empty list of non-negative integers"
+        f" (got [{', '.join(seeds)}])\n")
     assert not (tmp_path / "b").exists()
 
 

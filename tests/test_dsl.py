@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import ast
+import itertools
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,10 +25,13 @@ from hdtwin.dsl import (
     parse_model_spec,
     validate,
 )
-from hdtwin.engine import Evaluator, init_params
+from hdtwin.agents import check_proposal
+from hdtwin.engine import Dataset, Evaluator, Trajectory, init_params
+from hdtwin.optim import OptimConfig, fit
 
 SCHEMA_1D = SystemSchema(states=(VarSpec("x", 0.0, 100.0),))
 SCHEMA_2D = SystemSchema(states=(VarSpec("x", 0.0, 100.0), VarSpec("y", 0.0, 100.0)))
+NET1 = "mlp net(x) hidden [4] act relu outputs 1\n"
 
 
 def spec_equal(a: ModelSpec, b: ModelSpec) -> bool:
@@ -79,31 +87,17 @@ def test_parse_dangling_operator_names_it():
 
 
 def test_parse_errors_carry_location():
-    with pytest.raises(ParseError) as err:
-        parse_model_spec("d(x)/dt = 1 +\nd(y)/dt = 2")
-    assert err.value.line == 1
-    with pytest.raises(ParseError, match="unexpected character"):
-        parse_model_spec("d(x)/dt = 1 ? 2")
-    with pytest.raises(ParseError, match="unknown function"):
-        parse_model_spec("d(x)/dt = relu(x)")
-    with pytest.raises(ParseError, match="duplicate parameter"):
-        parse_model_spec("param a = 1.0\nparam a = 2.0\nd(x)/dt = a")
-    with pytest.raises(ParseError, match="undeclared network") as err:
-        parse_model_spec("d(x)/dt = 0 + net[0]")
-    assert (err.value.line, err.value.col) == (1, 15)
-    with pytest.raises(ParseError, match="undeclared network") as err:
-        parse_model_spec("param a = 1.0\n\nd(x)/dt = a * x + net[0]")
-    assert (err.value.line, err.value.col) == (3, 19)
-    with pytest.raises(ParseError, match="out of range") as err:
-        parse_model_spec("mlp net(x) hidden [4] act relu outputs 1\nd(x)/dt = 0 + net[3]")
-    assert (err.value.line, err.value.col) == (2, 15)
-    assert "'d(x)/dt = 0 + net[3]'" in str(err.value)
-    with pytest.raises(ParseError, match="final additive term"):
-        parse_model_spec("mlp net(x) hidden [4] act relu outputs 1\nd(x)/dt = 2 * net[0]")
-    with pytest.raises(ParseError, match="final additive term"):
-        parse_model_spec("mlp net(x) hidden [4] act relu outputs 1\nd(x)/dt = net[0] + x")
-    with pytest.raises(ParseError, match="final additive term"):
-        parse_model_spec("mlp net(x) hidden [4] act relu outputs 1\nd(x)/dt = x - net[0]")
+    for text, line, col, message in [
+        ("d(x)/dt = 1 +\nd(y)/dt = 2", 1, 13, "missing right operand for '+'"),
+        ("d(x)/dt = 1 ? 2", 1, 13, "unexpected character '?'"),
+        ("d(x)/dt = relu(x)", 1, 11, "unknown function 'relu'"),
+        (NET1 + "d(x)/dt = 2 * net[0]", 2, 1, "final additive term"),
+        (NET1 + "d(x)/dt = net[0] + x", 2, 1, "final additive term"),
+        (NET1 + "d(x)/dt = x - net[0]", 2, 1, "final additive term"),
+    ]:
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            parse_model_spec(text)
+        assert (err.value.line, err.value.col) == (line, col), text
 
 
 @pytest.mark.parametrize("line, col, message", [
@@ -224,6 +218,36 @@ def test_validate_parameter_cap_holds_at_the_cap_and_is_reported_with_other_viol
     assert codes == ["name-collision", "param-cap"]
 
 
+@pytest.mark.parametrize("text, schema, problem", [
+    ("param a = 1.0\nparam a = 2.0\nd(x)/dt = a", SCHEMA_1D,
+     "[duplicate-name] parameter 'a' declared twice"),
+    (NET1 + NET1 + "d(x)/dt = net[0]", SCHEMA_1D, "[duplicate-name] name 'net' declared twice"),
+    ("param net = 1.0\n" + NET1 + "d(x)/dt = net[0]", SCHEMA_1D,
+     "[duplicate-name] name 'net' declared twice"),
+    ("d(x)/dt = x\nd(x)/dt = x", SCHEMA_2D, "[duplicate-name] two derivative lines for state 'x'"),
+    ("d(x)/dt = 0 + net[0]", SCHEMA_1D,
+     "[residual-unresolved] d(x)/dt adds undeclared network 'net'"),
+    (NET1 + "d(x)/dt = 0 + net[3]", SCHEMA_1D,
+     "[residual-unresolved] net[3] is out of range for network 'net' with 1 output(s)"),
+])
+def test_name_and_residual_rules_parse_and_are_reported_by_validate_alone(text, schema, problem):
+    assert [str(v) for v in validate(parse_model_spec(text), schema)] == [problem]
+    assert check_proposal(text, schema) == (None, [problem])
+
+
+def test_readme_lists_every_violation_code_validate_emits():
+    root = Path(__file__).resolve().parent.parent
+    tree = ast.parse((root / "src" / "hdtwin" / "dsl.py").read_text())
+    emitted = sorted({node.args[0].value for node in ast.walk(tree)
+                      if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "Violation"})
+    lines = (root / "README.md").read_text().splitlines()
+    start = lines.index("| code | the rule it reports broken |") + 2  # past the rule line
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
+    documented = [row.split("|")[1].strip().strip("`") for row in rows]
+    assert documented == sorted(documented)
+    assert documented == emitted
+
+
 def test_a_sum_at_the_depth_cap_parses_validates_canonicalizes_and_evaluates():
     # a left-nested chain of EXPR_DEPTH_CAP - 1 additions: EXPR_DEPTH_CAP levels deep
     text = "d(x)/dt = " + " + ".join(["x"] * EXPR_DEPTH_CAP)
@@ -236,6 +260,57 @@ def test_a_sum_at_the_depth_cap_parses_validates_canonicalizes_and_evaluates():
     with pytest.raises(ParseError, match=rf"^line 1, col 11: expression is {EXPR_DEPTH_CAP + 1}"
                                          rf" levels deep, more than the allowed {EXPR_DEPTH_CAP}$"):
         parse_model_spec(text + " + x")
+
+
+def _under_frames(n: int, fn):
+    """fn() called beneath n more Python frames than the caller's."""
+    return fn() if n == 0 else _under_frames(n - 1, fn)
+
+
+def _everything_at_once(text: str):
+    """What can happen to a spec text: parse it, compare, hash and print
+    the spec, canonicalize, validate, evaluate and fit it; the result, or
+    the parse error."""
+    try:
+        spec = parse_model_spec(text)
+    except ParseError as err:
+        return str(err)
+    again = parse_model_spec(text)
+    assert spec == again and hash(spec) == hash(again) and repr(spec) == repr(again)
+    canon = canonicalize(spec).text
+    assert canonicalize(parse_model_spec(canon)).text == canon
+    assert validate(spec, SCHEMA_1D) == []
+    derivative = Evaluator(spec, SCHEMA_1D).derivative(init_params(spec), [0.5], [], 0.0)
+    data = Dataset([Trajectory(np.arange(5.0), np.linspace(0.1, 0.5, 5), np.zeros((5, 0)))],
+                   SCHEMA_1D)
+    fitted = fit(spec, init_params(spec), data, data,
+                 OptimConfig(max_epochs=1, patience=1, batch_size=4))
+    return canon, derivative.tolist(), fitted.val_loss
+
+
+@pytest.mark.parametrize("shape, opener", [
+    # an expression `levels` deep, and the width of the text that opens one level
+    (lambda levels: "(" * (levels - 1) + "x" + ")" * (levels - 1), "("),
+    (lambda levels: "sin(" * (levels - 1) + "x" + ")" * (levels - 1), "sin("),
+    (lambda levels: "-" * (levels - 1) + "x", "-"),
+    (lambda levels: "x ^ " * (levels - 1) + "x", "x ^ "),
+    (lambda levels: " + ".join(["x"] * levels), None),  # a loop, no nesting: the depth cap
+], ids=["parentheses", "calls", "unary-minus", "powers", "sum"])
+def test_the_depth_bound_is_a_property_of_the_text_not_of_the_callers_stack(shape, opener):
+    at_bound = "d(x)/dt = " + shape(EXPR_DEPTH_CAP)
+    past_bound = "d(x)/dt = " + shape(EXPR_DEPTH_CAP + 1)
+    accepted = _everything_at_once(at_bound)
+    assert isinstance(accepted, tuple)
+    if opener is None:
+        refusal = (f"line 1, col 11: expression is {EXPR_DEPTH_CAP + 1} levels deep,"
+                   f" more than the allowed {EXPR_DEPTH_CAP}")
+    else:  # at the token that opens the level past the bound
+        refusal = (f"line 1, col {11 + len(opener) * EXPR_DEPTH_CAP}: expression nests"
+                   f" deeper than the allowed {EXPR_DEPTH_CAP} levels")
+    assert _everything_at_once(past_bound) == refusal
+    # the same answers beneath 200 more frames, as inside a deeper caller
+    assert _under_frames(200, lambda: _everything_at_once(at_bound)) == accepted
+    assert _under_frames(200, lambda: _everything_at_once(past_bound)) == refusal
 
 
 # ---------------------------------------------------------------------------

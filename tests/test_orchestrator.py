@@ -331,13 +331,14 @@ def test_run_experiment_records_per_seed_failures():
     assert report.mean is None
 
 
-def test_run_experiment_records_a_negative_seed_and_runs_the_next():
-    report = run_experiment("lv2", "sindy", [-1, 0], gen_cfg=GenConfig(n=4),
-                            evolve_cfg=small_cfg(1))
-    bad, good = report.outcomes
-    assert (bad.seed, bad.error, bad.metric) == (-1, "seed must be >= 0 (got -1)", None)
-    assert good.seed == 0 and good.error is None and np.isfinite(good.metric)
-    assert report.mean == good.metric
+def test_run_experiment_refuses_bad_seeds_before_any_seed_runs(monkeypatch, tmp_path):
+    generated = []
+    monkeypatch.setattr(orchestrator, "generate_dataset", lambda *a: generated.append(a))
+    for seeds in ([0, -1], [-1], [], (0, 1), 0, [0, 1.0], [0, True], [0, "1"]):
+        with pytest.raises(ValueError, match=r"^seeds must be a non-empty list of"
+                                             r" non-negative integers \(got "):
+            run_experiment("lv2", "sindy", seeds, out_dir=tmp_path / "run")
+    assert generated == [] and not (tmp_path / "run").exists()
 
 
 def test_run_experiment_records_a_seed_whose_replies_nest_too_deeply_and_keeps_the_others():
