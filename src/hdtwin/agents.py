@@ -32,6 +32,7 @@ log = logging.getLogger(__name__)
 
 REPLY_FIELD_SPEC = "spec"
 REPLY_FIELD_DESCRIPTION = "description"
+POPULATION_CAPACITY = 16  # the top K an evolve run keeps
 
 
 class TransportError(Exception):
@@ -85,7 +86,7 @@ class Population:
     """Top-K candidates sorted by ascending validation loss."""
 
     entries: tuple[PopulationEntry, ...] = ()
-    capacity: int = 16
+    capacity: int = POPULATION_CAPACITY
     # (generation, best upsilon so far, description of that best entry)
     history: tuple[tuple[int, float, str], ...] = ()
 

@@ -227,5 +227,5 @@ def builtin_baseline_spec(baseline_id: str, schema: SystemSchema | None = None) 
         return parse_model_spec("\n".join(lines))
     text = _BASELINE_TEXT.get(baseline_id)
     if text is None:
-        raise KeyError(f"unknown baseline {baseline_id!r}; available: {', '.join(BASELINE_IDS)}")
+        raise ValueError(f"unknown baseline {baseline_id!r}; available: {', '.join(BASELINE_IDS)}")
     return parse_model_spec(text)

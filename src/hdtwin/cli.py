@@ -81,21 +81,16 @@ def build_parser() -> argparse.ArgumentParser:
     # no abbreviations: a flag that is a prefix of another (--seed of --seeds) never aliases it
     add = functools.partial(sub.add_parser, allow_abbrev=False,
                             formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    g = GenConfig()
 
     p = add("gen-data", help="generate train/val/test datasets for a built-in system")
     p.add_argument("--system", required=True, choices=BUILTIN_IDS)
-    p.add_argument("--seed", type=int, default=g.seed, help="generation seed")
+    p.add_argument("--seed", type=int, default=GenConfig().seed, help="generation seed")
     p.add_argument("--n", type=int, default=None,
                    help="trajectories per split (default: the system's own)")
     p.add_argument("--ood", action="store_true",
                    help="disjoint train/test initial-volume supports at dt = 1/24")
     p.add_argument("--intervention", action="store_true",
                    help="scale the transmission rate on the test split")
-    p.add_argument("--intervention-day", type=float, default=g.intervention_day,
-                   help="day the transmission change takes effect")
-    p.add_argument("--intervention-scale", type=float, default=g.intervention_scale,
-                   help="multiplier applied to the transmission rate")
     p.add_argument("--out", required=True, help="output directory")
 
     p = add("fit", help="fit one spec file to a generated dataset directory")
@@ -145,9 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_gen_data(args) -> int:
     system = builtin_system(args.system)
-    cfg = GenConfig(n=args.n, seed=args.seed, ood=args.ood, intervention=args.intervention,
-                    intervention_day=args.intervention_day,
-                    intervention_scale=args.intervention_scale)
+    cfg = GenConfig(n=args.n, seed=args.seed, ood=args.ood, intervention=args.intervention)
     t0 = time.perf_counter()
     datasets = generate_dataset(system, cfg)
     t1 = time.perf_counter()

@@ -709,6 +709,7 @@ class Evaluator:
         The gradient is a new ParamVector in params' layout, or out if
         given: a ParamVector in that layout, which is zeroed, filled and
         returned.  After an EvaluationFault out holds no gradient.
+        A non-finite derivative is blamed by _require_finite's one rule.
         """
         if out is not None and (out._index != params._index or out._shapes != params._shapes):
             raise ValueError("out has another layout than params")
@@ -720,6 +721,7 @@ class Evaluator:
         f, (vals, mlp_out, mlp_caches) = self.derivatives(
             params, batch.x, batch.u, batch.t, with_cache=True
         )
+        self._require_finite(f)  # the loss rule below is for a finite f's overflow
         m_rows = len(batch)
         f *= dt  # f becomes the residual (x + f dt) - y, as in squared_residuals
         f += batch.x

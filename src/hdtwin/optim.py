@@ -11,7 +11,9 @@ validation loss drops by more than 1e-12, which keeps float noise from
 resetting the patience window.
 FitResult.usable is the one rule for using a fit: no fault, finite loss.
 
-Parameters, gradients and Adam's moments m and v share one flat layout
+Adam's decay rates and denominator guard are the constants BETA1, BETA2
+and EPS (Kingma & Ba's defaults); its learning rate is the one setting.
+Parameters, gradients and the moments m and v share one flat layout
 (engine.ParamVector): each mini-batch makes one adam_update call over the
 whole array and writes it back in place, so the weight views stay valid.
 Every mini-batch's gradient is written into one buffer that fit owns.
@@ -41,6 +43,9 @@ from hdtwin.engine import (
 log = logging.getLogger(__name__)
 
 IMPROVEMENT_EPS = 1e-12
+BETA1 = 0.9    # Adam's first-moment decay
+BETA2 = 0.999  # Adam's second-moment decay
+EPS = 1e-8     # Adam's denominator guard
 
 
 @dataclass
@@ -49,9 +54,6 @@ class OptimConfig:
     batch_size: int = 1000
     max_epochs: int = 2000
     patience: int = 20
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -64,15 +66,10 @@ class OptimConfig:
             raise ValueError("patience cannot exceed max_epochs")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0 (got {self.seed})")
-        # Adam is undefined outside these ranges: its steps go non-finite,
-        # and a fit would report that as a fault of the model
+        # a non-finite lr makes every Adam step non-finite, and a fit would
+        # report that as a fault of the model
         if not math.isfinite(self.lr):
             raise ValueError(f"lr must be finite (got {self.lr})")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0, 1) (got {getattr(self, name)})")
-        if not self.eps > 0.0:
-            raise ValueError(f"eps must be positive (got {self.eps})")
 
 
 @dataclass
@@ -93,11 +90,11 @@ class FitResult:
 
 def adam_update(param, grad, m, v, step: int, cfg: OptimConfig):
     """One bias-corrected Adam update; works on scalars and arrays alike."""
-    m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
-    v = cfg.beta2 * v + (1.0 - cfg.beta2) * grad * grad
-    m_hat = m / (1.0 - cfg.beta1 ** step)
-    v_hat = v / (1.0 - cfg.beta2 ** step)
-    param = param - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    m = BETA1 * m + (1.0 - BETA1) * grad
+    v = BETA2 * v + (1.0 - BETA2) * grad * grad
+    m_hat = m / (1.0 - BETA1 ** step)
+    v_hat = v / (1.0 - BETA2 ** step)
+    param = param - cfg.lr * m_hat / (np.sqrt(v_hat) + EPS)
     return param, m, v
 
 

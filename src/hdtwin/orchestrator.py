@@ -42,7 +42,7 @@ from hdtwin.agents import (
     propose,
     record_generation,
 )
-from hdtwin.dsl import canonicalize, dsl_skeleton
+from hdtwin.dsl import canonicalize, dsl_skeleton, validate
 from hdtwin.engine import (
     HEADLINE_METRICS,
     Dataset,
@@ -56,7 +56,7 @@ from hdtwin.engine import (
     write_json,
     write_table,
 )
-from hdtwin.optim import FitResult, OptimConfig, fit
+from hdtwin.optim import BETA1, BETA2, EPS, FitResult, OptimConfig, fit
 from hdtwin.systems import GenConfig, SystemDef, builtin_system, generate_dataset, system_description
 
 log = logging.getLogger(__name__)
@@ -73,16 +73,15 @@ class RunFailure(Exception):
 @dataclass
 class EvolveConfig:
     generations: int = 20
-    capacity: int = 16
     optim: OptimConfig = field(default_factory=OptimConfig)
     decoding: DecodingConfig = field(default_factory=DecodingConfig)
     seed: int = 0
     test_metric: str = HEADLINE_METRICS[0]  # the headline; every test score is archived
 
     def __post_init__(self):
-        require_integers(self, "generations", "capacity", "seed")
-        if self.generations < 1 or self.capacity < 1:
-            raise ValueError("generations and capacity must be >= 1")
+        require_integers(self, "generations", "seed")
+        if self.generations < 1:
+            raise ValueError("generations must be >= 1")
         if self.test_metric not in HEADLINE_METRICS:
             raise ValueError(f"test_metric is {' or '.join(map(repr, HEADLINE_METRICS))}")
 
@@ -160,7 +159,7 @@ def evolve(ctx: ModelingContext, system: SystemDef, datasets: dict[str, Dataset]
     error is raised if no generation finished).
     """
     train, val, test = datasets["train"], datasets["val"], datasets["test"]
-    pop = Population(capacity=cfg.capacity)
+    pop = Population()
     feedback = ""
     records: list[GenerationRecord] = []
     fit_results: dict[int, FitResult] = {}
@@ -304,8 +303,9 @@ def run_experiment(system_id: str, method: str, seeds: list[int], *,
 
     `method` is one of evolve | zero-shot | zero-optim | sindy |
     baseline:<id>.  Agent methods need `client_factory(seed) -> client`.
-    Seeds that are not a non-empty list of non-negative integers, or that
-    repeat one, raise ValueError before any seed runs.  Per-seed
+    Seeds that are not a non-empty list of distinct non-negative integers,
+    an unknown system or baseline, and a baseline spec that dsl.validate
+    refuses for the system raise ValueError before any seed runs.  Per-seed
     failures, transport failures included, are recorded in the report
     and the summary, never silently dropped; later seeds still run.
     An evolve run cut short by a transport failure still writes its
@@ -327,6 +327,11 @@ def run_experiment(system_id: str, method: str, seeds: list[int], *,
     gen_cfg = gen_cfg or GenConfig()
     sindy_cfg = sindy_cfg or SindyConfig()
     system = builtin_system(system_id)
+    if method.startswith("baseline:"):  # a spec that cannot run fails before any seed
+        baseline = builtin_baseline_spec(method.split(":", 1)[1], system.schema)
+        if problems := validate(baseline, system.schema):
+            raise ValueError(f"{method} is not valid for system {system_id!r}: "
+                             + "; ".join(map(str, problems)))
     outcomes: list[SeedOutcome] = []
     for seed in seeds:
         outcome = SeedOutcome(seed=seed)
@@ -363,7 +368,7 @@ def run_experiment(system_id: str, method: str, seeds: list[int], *,
                     res = sindy_fit(datasets["train"], sindy_cfg)
                     spec, params = res.spec, init_params(res.spec)
                 else:
-                    spec = builtin_baseline_spec(method.split(":", 1)[1], system.schema)
+                    spec = baseline
                     fitted = fit(spec, init_params(spec, seed=seed),
                                  datasets["train"], datasets["val"], cfg.optim)
                     if not fitted.usable:
@@ -410,9 +415,9 @@ def write_run_archive(out_dir, result: RunResult, system_id: str, method: str,
         "method": method,
         "seed": seed,
         "generations": cfg.generations,
-        "capacity": cfg.capacity,
+        "capacity": result.population.capacity,
         "test_metric": cfg.test_metric,
-        "optim": dataclasses.asdict(cfg.optim),
+        "optim": {**dataclasses.asdict(cfg.optim), "beta1": BETA1, "beta2": BETA2, "eps": EPS},
         "decoding": dataclasses.asdict(cfg.decoding),
     }, out / "run.manifest")
 

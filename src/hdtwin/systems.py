@@ -74,9 +74,7 @@ class GenConfig:
     n: int | None = None         # trajectories per split; None uses the system default
     seed: int = 0
     ood: bool = False            # disjoint train/test initial-volume supports, dt = 1/24
-    intervention: bool = False   # scale beta on the test split from intervention_day on
-    intervention_day: float = 19.0
-    intervention_scale: float = 0.25
+    intervention: bool = False   # seir: scale the test split's beta (INTERVENTION_DAY)
 
     def __post_init__(self):
         require_integers(self, *(() if self.n is None else ("n",)), "seed")
@@ -251,7 +249,7 @@ BUILTIN_IDS = tuple(_SYSTEMS)
 def builtin_system(sys_id: str) -> SystemDef:
     """Fully parameterized definition for one of the built-in systems."""
     if sys_id not in _SYSTEMS:
-        raise KeyError(f"unknown system {sys_id!r}; available: {', '.join(BUILTIN_IDS)}")
+        raise ValueError(f"unknown system {sys_id!r}; available: {', '.join(BUILTIN_IDS)}")
     fields = dict(_SYSTEMS[sys_id])
     spec = parse_model_spec(fields.pop("text"))
     return SystemDef(id=sys_id, spec=spec, true_params=init_params(spec), **fields)
@@ -298,9 +296,9 @@ def _draws_per_trajectory(system: SystemDef) -> int:
 
 def _generate_split(system: SystemDef, ev: Evaluator, draws: np.ndarray,
                     volume_range: tuple[float, float], dt: float,
-                    scaled: ParamVector | None, switch_time: float) -> list[Trajectory]:
+                    scaled: ParamVector | None) -> list[Trajectory]:
     """One trajectory per row of `draws`, using `scaled` parameters from
-    `switch_time` on.  lo + (hi - lo) * u is what Generator.uniform computes."""
+    INTERVENTION_DAY on.  lo + (hi - lo) * u is what Generator.uniform computes."""
     n, d_x, policy = draws.shape[0], system.schema.d_x, system.policy
     if system.family == "cancer":
         lo, hi = volume_range
@@ -313,7 +311,7 @@ def _generate_split(system: SystemDef, ev: Evaluator, draws: np.ndarray,
     times = np.tile(np.arange(system.horizon + 1) * dt, (n, 1))
 
     def inputs(k, x):
-        switched = scaled is not None and times[0, k] >= switch_time
+        switched = scaled is not None and times[0, k] >= INTERVENTION_DAY
         params = scaled if switched else system.true_params
         if policy is None:
             return params, np.zeros((n, system.schema.d_u))
@@ -329,6 +327,8 @@ def _generate_split(system: SystemDef, ev: Evaluator, draws: np.ndarray,
 OOD_TRAIN_VOLUMES = (0.0, 574.0)
 OOD_TEST_VOLUMES = (804.0, 1149.0)
 IID_VOLUMES = (0.0, 1149.0)
+INTERVENTION_DAY = 19      # the intervention's first day on the test split
+INTERVENTION_SCALE = 0.25  # its factor on the transmission rate beta
 
 
 def generate_dataset(system: SystemDef, cfg: GenConfig) -> dict[str, Dataset]:
@@ -348,7 +348,7 @@ def generate_dataset(system: SystemDef, cfg: GenConfig) -> dict[str, Dataset]:
     scaled = None
     if cfg.intervention:
         scaled = system.true_params.copy()
-        scaled.scalars["beta"] *= cfg.intervention_scale
+        scaled.scalars["beta"] *= INTERVENTION_SCALE
 
     n = cfg.n or system.default_n
     names = ["train", "val", "test", "test_iid"] if cfg.ood else ["train", "val", "test"]
@@ -362,8 +362,7 @@ def generate_dataset(system: SystemDef, cfg: GenConfig) -> dict[str, Dataset]:
             volumes = IID_VOLUMES
         draws = rng.random((n, _draws_per_trajectory(system)))
         use_scaled = scaled if (cfg.intervention and name == "test") else None
-        trajectories = _generate_split(system, ev, draws, volumes, schema.dt,
-                                       use_scaled, cfg.intervention_day)
+        trajectories = _generate_split(system, ev, draws, volumes, schema.dt, use_scaled)
         split = "test" if name == "test_iid" else name
         out[name] = Dataset(trajectories, schema, split)
     return out

@@ -47,7 +47,13 @@ from hdtwin.orchestrator import (
     make_modeling_context,
     write_run_archive,
 )
-from hdtwin.systems import GenConfig, builtin_system, generate_dataset
+from hdtwin.systems import (
+    INTERVENTION_DAY,
+    INTERVENTION_SCALE,
+    GenConfig,
+    builtin_system,
+    generate_dataset,
+)
 
 LOG_TUMOR_GROWTH = (
     "param log_rho = -8.5\n"
@@ -269,9 +275,8 @@ def test_criterion_06_evolvability():
     result = fit(spec, init_params(spec), data["train"], data["val"], OptimConfig(seed=0))
     assert not result.faulted
     scaled = result.params.copy()
-    scaled.scalars["beta"] *= 0.25
-
-    day = 19
+    scaled.scalars["beta"] *= INTERVENTION_SCALE
+    day = INTERVENTION_DAY
 
     def post_intervention_mse(params: ParamVector) -> float:
         total, count = 0.0, 0

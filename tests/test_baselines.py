@@ -230,5 +230,8 @@ def test_mlp_twin_parameter_count():
 
 
 def test_unknown_baseline_id():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError) as err:
         builtin_baseline_spec("transformer")
+    assert str(err.value) == ("unknown baseline 'transformer'; available: logistic-tumor,"
+                              " logistic-tumor-chemo, logistic-tumor-chemo-radio, lv2, lv3, seir,"
+                              " mlp-twin")

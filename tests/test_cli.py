@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import replay_fixtures
 from conftest import UNUSABLE_FITS, unusable_fit
-from hdtwin import cli, engine
+from hdtwin import cli, engine, orchestrator
+from hdtwin.agents import DecodingConfig
+from hdtwin.baselines import BASELINE_IDS, SindyConfig
 from hdtwin.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUN, EXIT_TRANSPORT, build_parser, dispatch
 from hdtwin.dsl import canonicalize, parse_model_spec
 from hdtwin.engine import (
@@ -21,7 +26,9 @@ from hdtwin.engine import (
     save_params,
     write_json,
 )
-from hdtwin.systems import builtin_system
+from hdtwin.optim import OptimConfig
+from hdtwin.orchestrator import EvolveConfig
+from hdtwin.systems import BUILTIN_IDS, GenConfig, builtin_system
 
 
 def last_metrics(capsys) -> dict:
@@ -50,8 +57,7 @@ def test_gen_data_layout(small_data, capsys):
 
 def test_gen_data_exposes_every_generation_flag(capsys, tmp_path):
     code = dispatch(["gen-data", "--system", "seir-covid", "--seed", "1", "--n", "2",
-                     "--intervention", "--intervention-day", "19",
-                     "--intervention-scale", "0.25", "--out", str(tmp_path / "x")])
+                     "--intervention", "--out", str(tmp_path / "x")])
     assert code == EXIT_OK
     doc = last_metrics(capsys)
     assert doc["splits"] == ["test", "train", "val"]
@@ -198,7 +204,7 @@ def test_evolve_with_replay_config(tmp_path, capsys):
         "seeds": [0],
         "out": str(out),
         "client": {"mode": "replay", "path": str(replay)},
-        "evolve": {"generations": 6, "capacity": 16},
+        "evolve": {"generations": 6},
         "optim": {"batch_size": 200, "max_epochs": 20, "patience": 8},
         "gen": {"n": 5},
     }
@@ -263,6 +269,16 @@ def test_evolve_config_errors(tmp_path, capsys):
     ({"evolve": {"decoding": {"retries": 0}}},
      "config 'evolve' cannot set 'decoding': use the 'client' section"),
     ({"seeds": [0, 1, 0], "method": "sindy"}, "seed 0 is given more than once"),
+    # settings that only ever held their default are constants now
+    ({"optim": {"beta1": 0.9}}, "unknown optim config keys: beta1"),
+    ({"optim": {"beta2": 0.999}}, "unknown optim config keys: beta2"),
+    ({"optim": {"eps": 1e-8}}, "unknown optim config keys: eps"),
+    ({"evolve": {"capacity": 16}}, "unknown evolve config keys: capacity"),
+    ({"gen": {"intervention_day": 19}}, "unknown gen config keys: intervention_day"),
+    ({"gen": {"intervention_scale": 0.25}}, "unknown gen config keys: intervention_scale"),
+    # the message is the lookup's text, not the repr a KeyError would print
+    ({"system": "nope", "method": "sindy"},
+     f"unknown system 'nope'; available: {', '.join(BUILTIN_IDS)}"),
 ])
 def test_evolve_rejects_a_run_config_of_the_wrong_shape(tmp_path, capsys, config, message):
     cfg = tmp_path / "run.json"
@@ -283,9 +299,33 @@ def test_evolve_rejects_a_run_config_that_is_not_an_object(tmp_path, capsys):
 def test_evolve_rejects_impossible_adam_settings(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"system": "cancer-chemo-radio", "method": "evolve",
-                               "seeds": [0], "optim": {"beta1": 1.0}}))
+                               "seeds": [0], "optim": {"lr": float("nan")}}))
     assert dispatch(["evolve", "--config", str(cfg)]) == EXIT_CONFIG
-    assert "error: bad optim config: beta1 must be in [0, 1)" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: bad optim config: lr must be finite (got nan)\n"
+
+
+def test_readme_lists_the_keys_each_run_config_section_takes(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("Each section takes its own keys only:\n", 1)[1].split("\n\n", 1)[0]
+    listed = {m[1]: set(re.findall(r"`(\w+)`", m[2]))
+              for m in re.finditer(r"^\* `(\w+)`: (.*?)(?=^\*|\Z)", block, re.M | re.S)}
+
+    def refused(section, key):  # a field that _load_run_config sends elsewhere
+        path = tmp_path / "probe.json"
+        path.write_text(json.dumps({"system": "x", "method": "y", "seeds": [0],
+                                    section: {key: 0}}))
+        try:
+            cli._load_run_config(str(path))
+        except cli.ConfigError:
+            return True
+        return False
+
+    sections = {"evolve": EvolveConfig, "optim": OptimConfig, "client": DecodingConfig,
+                "gen": GenConfig, "sindy": SindyConfig}
+    taken = {section: {f.name for f in dataclasses.fields(cls) if not refused(section, f.name)}
+             for section, cls in sections.items()}
+    taken["client"] |= cli.CLIENT_TRANSPORT_KEYS
+    assert listed == taken
 
 
 @pytest.mark.parametrize("client, message", [
@@ -425,10 +465,37 @@ def test_baseline_refuses_a_negative_seed_before_any_seed_runs(tmp_path, capsys,
     assert not (tmp_path / "b").exists()
 
 
-def test_baseline_run_failure_exit_code(tmp_path):
-    code = dispatch(["baseline", "--id", "not-real", "--system", "lv2", "--seeds", "0",
+def test_baseline_run_failure_exit_code(monkeypatch):
+    monkeypatch.setattr(orchestrator, "fit", unusable_fit(UNUSABLE_FITS[0]))
+    code = dispatch(["baseline", "--id", "lv2", "--system", "lv2", "--seeds", "0",
                      "--n", "2", "--max-epochs", "5", "--patience", "5"])
     assert code == EXIT_RUN  # every seed failed
+
+
+@pytest.mark.parametrize("baseline_id, system_id, message", [
+    ("not-real", "lv2", f"unknown baseline 'not-real'; available: {', '.join(BASELINE_IDS)}\n"),
+    ("lv2", "cancer", "baseline:lv2 is not valid for system 'cancer': [component-count] "),
+], ids=["unknown-id", "another-systems-spec"])
+def test_baseline_that_cannot_run_is_a_config_error_before_any_seed_runs(
+        monkeypatch, tmp_path, capsys, baseline_id, system_id, message):
+    generated = []
+    monkeypatch.setattr(orchestrator, "generate_dataset", lambda *a: generated.append(a))
+    code = dispatch(["baseline", "--id", baseline_id, "--system", system_id, "--seeds", "0", "1",
+                     "--n", "2", "--max-epochs", "5", "--patience", "5",
+                     "--out", str(tmp_path / "b")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert generated == [] and not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("flag", ["--intervention-day", "--intervention-scale"])
+def test_gen_data_has_no_flag_for_the_fixed_intervention(tmp_path, capsys, flag):
+    code = dispatch(["gen-data", "--system", "seir-covid", "--intervention", flag, "19",
+                     "--out", str(tmp_path / "x")])
+    assert code == EXIT_CONFIG
+    assert f"unrecognized arguments: {flag} 19" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_report_aggregates_archives(tmp_path, capsys):

@@ -544,23 +544,22 @@ def test_rollout_fault_reports_step():
 BLAME_SCHEMA = SystemSchema(states=(VarSpec("x", 0, 10), VarSpec("y", 0, 10)))
 BLAME_SPEC = parse_model_spec("d(x)/dt = exp(x)\nd(y)/dt = exp(y)")
 
-
-def _blame_one_step():
-    # row 0 overflows y only, row 1 overflows x only: x is the first
-    # column with a bad row, y holds the first bad entry in row order
-    rows = np.array([[1.0, 1000.0], [1000.0, 1.0], [0.0, 0.0]])
-    one_step_mse(BLAME_SPEC, init_params(BLAME_SPEC),
-                 Dataset([Trajectory(np.arange(3.0), rows, np.zeros((3, 0)))], BLAME_SCHEMA))
+# row 0 overflows y only, row 1 overflows x only: x is the first column
+# with a bad row, y holds the first bad entry in row order
+BLAME_ROWS = np.array([[1.0, 1000.0], [1000.0, 1.0], [0.0, 0.0]])
+BLAME_DATA = Dataset([Trajectory(np.arange(3.0), BLAME_ROWS, np.zeros((3, 0)))], BLAME_SCHEMA)
 
 
 @pytest.mark.parametrize("run, step", [
     (lambda: Evaluator(BLAME_SPEC, BLAME_SCHEMA).derivative(
         init_params(BLAME_SPEC), [1.0, 1000.0], [], 0.0), None),
-    (_blame_one_step, None),
+    (lambda: one_step_mse(BLAME_SPEC, init_params(BLAME_SPEC), BLAME_DATA), None),
+    (lambda: Evaluator(BLAME_SPEC, BLAME_SCHEMA).loss_and_grad(
+        init_params(BLAME_SPEC), BLAME_DATA.transitions(), 1.0), None),
     # y = 700, ~1e304, then exp overflows at step 1; x stays finite until step 3
     (lambda: rollout(BLAME_SPEC, init_params(BLAME_SPEC), BLAME_SCHEMA, [1.0, 700.0],
                      np.zeros((5, 0)), dt=1.0), 1),
-], ids=["derivative", "squared_residuals", "rollout"])
+], ids=["derivative", "squared_residuals", "loss_and_grad", "rollout"])
 def test_a_non_finite_derivative_blames_the_first_bad_entry_in_row_order(run, step):
     with pytest.raises(EvaluationFault) as err:
         run()
@@ -834,7 +833,7 @@ def test_init_params_rejects_a_negative_seed(text):
 @pytest.mark.parametrize("cls, name, good", [
     (OptimConfig, "batch_size", 4), (OptimConfig, "max_epochs", 30),
     (OptimConfig, "patience", 5), (OptimConfig, "seed", 3),
-    (EvolveConfig, "generations", 2), (EvolveConfig, "capacity", 2), (EvolveConfig, "seed", 1),
+    (EvolveConfig, "generations", 2), (EvolveConfig, "seed", 1),
     (GenConfig, "n", 3), (GenConfig, "seed", 1),
     (DecodingConfig, "max_tokens", 10), (DecodingConfig, "retries", 1),
     (SindyConfig, "degree", 2),

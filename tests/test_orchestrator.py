@@ -10,6 +10,7 @@ import replay_fixtures
 from conftest import UNUSABLE_FITS, unusable_fit
 from hdtwin import orchestrator
 from hdtwin.agents import (
+    POPULATION_CAPACITY,
     DecodingConfig,
     ReplayExhausted,
     ScriptedClient,
@@ -17,7 +18,7 @@ from hdtwin.agents import (
 )
 from hdtwin.dsl import canonicalize
 from hdtwin.engine import Evaluator, init_params, one_step_mse, per_component_mse, rollout_mse
-from hdtwin.optim import OptimConfig, fit
+from hdtwin.optim import BETA1, BETA2, EPS, OptimConfig, fit
 from hdtwin.orchestrator import (
     EvolveConfig,
     _mix_seed,
@@ -37,7 +38,7 @@ FAST_DECODING = DecodingConfig(retries=2, retry_wait=0.0)
 
 
 def small_cfg(generations=6):
-    return EvolveConfig(generations=generations, capacity=16, optim=FAST_OPTIM,
+    return EvolveConfig(generations=generations, optim=FAST_OPTIM,
                         decoding=FAST_DECODING, seed=0)
 
 
@@ -324,11 +325,28 @@ def test_run_experiment_sindy_over_seeds(tmp_path):
     assert (tmp_path / "seed-0000" / "result.json").exists()
 
 
-def test_run_experiment_records_per_seed_failures():
-    report = run_experiment("lv2", "baseline:not-a-real-id", [0, 1],
+def test_run_experiment_records_per_seed_failures(monkeypatch):
+    monkeypatch.setattr(orchestrator, "fit", unusable_fit(UNUSABLE_FITS[0]))
+    report = run_experiment("lv2", "baseline:lv2", [0, 1],
                             gen_cfg=GenConfig(n=2), evolve_cfg=small_cfg(1))
-    assert all(o.error is not None for o in report.outcomes)
+    assert [o.error for o in report.outcomes] == ["baseline fit faulted"] * 2
     assert report.mean is None
+
+
+@pytest.mark.parametrize("system_id, method, message", [
+    ("lv2", "baseline:not-real", "unknown baseline 'not-real'; available: "),
+    ("cancer", "baseline:lv2", "baseline:lv2 is not valid for system 'cancer': "
+                               "[component-count] spec defines 2 derivative component(s)"),
+    ("lorenz", "sindy", "unknown system 'lorenz'; available: "),
+], ids=["unknown-baseline", "another-systems-baseline", "unknown-system"])
+def test_run_experiment_refuses_a_method_that_cannot_run_before_any_seed_runs(
+        monkeypatch, tmp_path, system_id, method, message):
+    generated = []
+    monkeypatch.setattr(orchestrator, "generate_dataset", lambda *a: generated.append(a))
+    with pytest.raises(ValueError) as err:
+        run_experiment(system_id, method, [0, 1], out_dir=tmp_path / "run")
+    assert str(err.value).startswith(message)
+    assert generated == [] and not (tmp_path / "run").exists()
 
 
 def test_run_experiment_refuses_bad_seeds_before_any_seed_runs(monkeypatch, tmp_path):
@@ -412,8 +430,11 @@ def test_run_experiment_ablations_prompt_and_record_one_generation(method, tmp_p
     assert "called 1 times" in request and "called 20 times" not in request
     manifest = json.loads((tmp_path / "seed-0000" / "run.manifest").read_text())
     assert manifest["generations"] == 1
-    # the manifest records the configured optim section, zero-shot's included
-    assert manifest["optim"] == dataclasses.asdict(OptimConfig())
+    # the manifest records the configured optim section, zero-shot's included,
+    # and the fixed Adam constants and capacity under their former setting keys
+    assert manifest["optim"] == {**dataclasses.asdict(OptimConfig()),
+                                 "beta1": BETA1, "beta2": BETA2, "eps": EPS}
+    assert manifest["capacity"] == POPULATION_CAPACITY
 
 
 def test_run_experiment_validates_method():
