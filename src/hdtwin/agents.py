@@ -3,9 +3,13 @@
 The modeling agent is prompted with a system description, a fill-in
 skeleton, the current top-K fitted specs with their losses and optimized
 parameter values, and the evaluation agent's latest feedback; it must
-reply with one JSON object carrying the new spec text and a short
-description.  The evaluation agent sees the same population plus the
-history of per-iteration bests and replies with free-form feedback.
+reply with a JSON object carrying the new spec text and a short
+description (prose or a code fence around the object is skipped).  The
+evaluation agent sees the same population plus the history of
+per-iteration bests, which the caller passes in, and replies with
+free-form feedback.  A population is a plain tuple of entries, best
+first, that population_insert keeps sorted, unique and within
+POPULATION_CAPACITY.
 
 Transport is pluggable: HttpClient posts chat-completion requests to a
 configurable endpoint (API key from HDTWIN_LLM_API_KEY); ScriptedClient
@@ -19,9 +23,8 @@ import json
 import logging
 import math
 import os
-import re
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,20 +84,10 @@ class PopulationEntry:
     description: str = ""
 
 
-@dataclass(frozen=True)
-class Population:
-    """Top-K candidates sorted by ascending validation loss."""
-
-    entries: tuple[PopulationEntry, ...] = ()
-    capacity: int = POPULATION_CAPACITY
-    # (generation, best upsilon so far, description of that best entry)
-    history: tuple[tuple[int, float, str], ...] = ()
-
-    def best(self) -> PopulationEntry | None:
-        return self.entries[0] if self.entries else None
-
-    def __len__(self) -> int:
-        return len(self.entries)
+# the top-K candidates in ascending validation loss, best first
+Population = tuple[PopulationEntry, ...]
+# one (generation, best upsilon so far, description of that best) line per generation
+History = list[tuple[int, float, str]]
 
 
 @dataclass
@@ -126,22 +119,12 @@ class DecodingConfig:
 def population_insert(pop: Population, entry: PopulationEntry) -> Population:
     """Insert unless the structural fingerprint is already present (then
     `pop` itself is returned), keep ascending validation-loss order,
-    truncate to capacity."""
+    truncate to POPULATION_CAPACITY."""
     if not np.isfinite(entry.upsilon):
         raise ValueError("faulted candidates (non-finite loss) are never inserted")
-    if any(e.fingerprint == entry.fingerprint for e in pop.entries):
+    if any(e.fingerprint == entry.fingerprint for e in pop):
         return pop
-    entries = sorted(pop.entries + (entry,), key=lambda e: e.upsilon)
-    return replace(pop, entries=tuple(entries[: pop.capacity]))
-
-
-def record_generation(pop: Population, generation: int) -> Population:
-    """Append this generation's best-so-far line to the history."""
-    best = pop.best()
-    if best is None:
-        return pop
-    line = (generation, best.upsilon, best.description)
-    return replace(pop, history=pop.history + (line,))
+    return tuple(sorted(pop + (entry,), key=lambda e: e.upsilon)[:POPULATION_CAPACITY])
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +221,13 @@ def format_population_entry(entry: PopulationEntry) -> str:
 
 def _completions_block(population: Population) -> str:
     # worst first, best ("lowest validation loss") last
-    ordered = sorted(population.entries, key=lambda e: -e.upsilon)
+    ordered = sorted(population, key=lambda e: -e.upsilon)
     return "\n\n".join(format_population_entry(e) for e in ordered)
 
 
-def _history_block(population: Population) -> str:
+def _history_block(history: History) -> str:
     return "\n".join(
-        f"Iteration {g}. Best Val Loss: {v!r}. Model description: {d}"
-        for g, v, d in population.history
+        f"Iteration {g}. Best Val Loss: {v!r}. Model description: {d}" for g, v, d in history
     )
 
 
@@ -264,7 +246,7 @@ def render_modeling_prompt(ctx: ModelingContext, population: Population,
         generation=generation,
         generations=ctx.generations,
     )
-    if generation > 1 and len(population) > 0:
+    if generation > 1 and population:
         task += "\n\n" + _REGENERATE.format(
             completions=_completions_block(population),
             feedback=feedback or "(none)",
@@ -278,13 +260,13 @@ def render_modeling_prompt(ctx: ModelingContext, population: Population,
     ]
 
 
-def render_reflection_prompt(requirements: str, population: Population,
+def render_reflection_prompt(requirements: str, population: Population, history: History,
                              next_generation: int, generations: int) -> list[dict]:
     """System + user messages for the evaluation agent."""
-    if len(population) == 0:
+    if not population:
         raise ValueError("reflection needs a non-empty population")
     task = _REFLECTION.format(
-        history=_history_block(population),
+        history=_history_block(history),
         completions=_completions_block(population),
         generation=next_generation,
         generations=generations,
@@ -399,24 +381,19 @@ class ScriptedClient:
 # ---------------------------------------------------------------------------
 # Agent operations
 
-_JSON_RE = re.compile(r"\{.*\}", re.DOTALL)
-
-
 def _extract_reply_fields(reply: str) -> tuple[str, str]:
-    """Pull the spec text and description out of a (possibly fenced) JSON reply."""
-    body = reply.strip()
-    if body.startswith("```"):
-        body = re.sub(r"^```[a-zA-Z]*\n?", "", body)
-        body = re.sub(r"\n?```$", "", body.strip())
-    try:
-        doc = json.loads(body)
-    except json.JSONDecodeError:
-        match = _JSON_RE.search(body)
-        if match is None:
-            raise ValueError("reply carries no JSON object")
-        doc = json.loads(match.group())
-    if not isinstance(doc, dict) or REPLY_FIELD_SPEC not in doc:
-        raise ValueError(f'reply JSON must carry a "{REPLY_FIELD_SPEC}" field')
+    """Pull the spec text and description out of the first JSON object in
+    the reply that has a "spec" key; prose and code fences around it are skipped."""
+    decoder = json.JSONDecoder()
+    for start in (i for i, c in enumerate(reply) if c == "{"):
+        try:
+            doc, _ = decoder.raw_decode(reply, start)
+        except json.JSONDecodeError:
+            continue
+        if isinstance(doc, dict) and REPLY_FIELD_SPEC in doc:
+            break
+    else:
+        raise ValueError(f'reply carries no JSON object with a "{REPLY_FIELD_SPEC}" field')
     spec_text = doc[REPLY_FIELD_SPEC]
     if not isinstance(spec_text, str) or not spec_text.strip():
         raise ValueError(f'"{REPLY_FIELD_SPEC}" must be a non-empty string')
@@ -464,11 +441,12 @@ def propose(client, ctx: ModelingContext, schema: SystemSchema, population: Popu
     raise ProposalFailure(problems)
 
 
-def critique(client, requirements: str, population: Population, next_generation: int,
-             generations: int, decoding: DecodingConfig) -> str:
+def critique(client, requirements: str, population: Population, history: History,
+             next_generation: int, generations: int, decoding: DecodingConfig) -> str:
     """Ask the evaluation agent for improvement feedback (free-form text); a
     lost critique (transport error or empty reply) is logged and gives empty feedback."""
-    messages = render_reflection_prompt(requirements, population, next_generation, generations)
+    messages = render_reflection_prompt(requirements, population, history, next_generation,
+                                        generations)
     try:
         text, cause = client.complete(messages, decoding), "empty reply"
     except TransportError as err:

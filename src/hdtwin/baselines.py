@@ -43,7 +43,6 @@ class SindyResult:
     coefficients: np.ndarray      # (d_x, n_features), zeros where pruned
     feature_names: list[str]
     condition_number: float
-    iterations: int
 
 
 def finite_difference_derivatives(traj: Trajectory) -> np.ndarray:
@@ -82,9 +81,7 @@ def _stlsq(theta: np.ndarray, target: np.ndarray, cfg: SindyConfig):
     n_feat = theta.shape[1]
     active = np.ones(n_feat, dtype=bool)
     coef = np.zeros(n_feat)
-    iterations = 0
     for _ in range(n_feat + 1):
-        iterations += 1
         sub = theta[:, active]
         gram = sub.T @ sub + cfg.alpha * np.eye(sub.shape[1])
         coef_active = np.linalg.solve(gram, sub.T @ target)
@@ -92,11 +89,11 @@ def _stlsq(theta: np.ndarray, target: np.ndarray, cfg: SindyConfig):
         coef[active] = coef_active
         keep = np.abs(coef) >= cfg.threshold
         if keep.sum() == 0:
-            return np.zeros(n_feat), iterations
+            return np.zeros(n_feat)
         if (keep == active).all():
             break
         active = keep
-    return coef, iterations
+    return coef
 
 
 def sindy_fit(dataset: Dataset, cfg: SindyConfig | None = None) -> SindyResult:
@@ -122,10 +119,8 @@ def sindy_fit(dataset: Dataset, cfg: SindyConfig | None = None) -> SindyResult:
     cond = float(np.linalg.cond(theta))
 
     coefficients = np.zeros((schema.d_x, len(monos)))
-    total_iters = 0
     for j in range(schema.d_x):
-        coefficients[j], iters = _stlsq(theta, derivs[:, j], cfg)
-        total_iters += iters
+        coefficients[j] = _stlsq(theta, derivs[:, j], cfg)
 
     params: list[ParamDecl] = []
     components: list[ComponentDef] = []
@@ -149,8 +144,7 @@ def sindy_fit(dataset: Dataset, cfg: SindyConfig | None = None) -> SindyResult:
                 expr = Expr.binary("add", expr, t)
         components.append(ComponentDef(state, expr))
     spec = ModelSpec(tuple(components), tuple(params))
-    return SindyResult(spec, coefficients, [_feature_name(m) for m in monos],
-                       cond, total_iters)
+    return SindyResult(spec, coefficients, [_feature_name(m) for m in monos], cond)
 
 
 # ---------------------------------------------------------------------------

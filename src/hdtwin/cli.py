@@ -71,6 +71,18 @@ def _optim_from_args(args) -> OptimConfig:
                        patience=args.patience)
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """States each flag's default once, after its help.  A switch is off
+    unless given, and a flag whose default is None says in its own help
+    what leaving it out means, so neither gets a default appended."""
+
+    def _get_help_string(self, action):
+        text = action.help or ""
+        if action.default in (None, argparse.SUPPRESS) or action.default is False:
+            return text
+        return text + " (default: %(default)s)"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hdtwin",
@@ -80,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # no abbreviations: a flag that is a prefix of another (--seed of --seeds) never aliases it
     add = functools.partial(sub.add_parser, allow_abbrev=False,
-                            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+                            formatter_class=_HelpFormatter)
 
     p = add("gen-data", help="generate train/val/test datasets for a built-in system")
     p.add_argument("--system", required=True, choices=BUILTIN_IDS)
@@ -98,9 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True,
                    help="dataset directory holding train/ val/ (and optionally test/)")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--mlp-seed", type=int, default=0, help="network weight init seed")
     _optim_flags(p)
-    p.add_argument("--seed", type=int, default=OptimConfig().seed, help="shuffling seed")
+    p.add_argument("--seed", type=int, default=OptimConfig().seed,
+                   help="network weight init and shuffling seed")
 
     p = add("eval", help="evaluate a spec + parameter table on a dataset directory")
     p.add_argument("--spec", required=True, help="path to a .hdt model spec")
@@ -115,8 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"sindy or one of: {', '.join(BASELINE_IDS)}")
     p.add_argument("--system", required=True, choices=BUILTIN_IDS)
     p.add_argument("--seeds", type=int, nargs="+", default=[0], help="run seeds")
-    p.add_argument("--n", type=int, default=None, help="trajectories per split")
-    p.add_argument("--out", default=None, help="optional archive directory")
+    p.add_argument("--n", type=int, default=None,
+                   help="trajectories per split (default: the system's own)")
+    p.add_argument("--out", default=None, help="archive directory (default: no archive)")
     p.add_argument("--test-metric", choices=HEADLINE_METRICS, default=HEADLINE_METRICS[0],
                    help="headline test metric")
     p.add_argument("--degree", type=int, default=SindyConfig().degree,
@@ -129,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("report", help="aggregate run archives into one summary")
     p.add_argument("--runs", nargs="+", required=True, help="run archive directories")
-    p.add_argument("--out", default=None, help="optional CSV to write")
+    p.add_argument("--out", default=None, help="CSV to write (default: none)")
 
     return parser
 
@@ -158,15 +171,13 @@ def cmd_gen_data(args) -> int:
 def cmd_fit(args) -> int:
     cfg = dataclasses.replace(_optim_from_args(args), seed=args.seed)
     spec = parse_model_spec(Path(args.spec).read_text())
-    if args.mlp_seed < 0:  # refused before any data is read
-        raise ConfigError(f"seed must be >= 0 (got {args.mlp_seed})")
     data_dir = Path(args.data)
     train = load_saved_dataset(data_dir / "train")
     val = load_saved_dataset(data_dir / "val")
     problems = validate(spec, train.schema)  # before init_params draws a weight
     if problems:
         raise ConfigError("spec is not valid for this schema: " + "; ".join(map(str, problems)))
-    result = fit(spec, init_params(spec, seed=args.mlp_seed), train, val, cfg)
+    result = fit(spec, init_params(spec, seed=args.seed), train, val, cfg)
     if not result.usable:
         raise RunFailure("fit faulted or its validation loss is not finite", [])
     doc = {

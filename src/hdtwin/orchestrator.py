@@ -3,16 +3,19 @@
 evolve() iterates propose -> fit -> evaluate -> insert -> critique for a
 fixed number of generations, keeps the top-K population, and scores the
 best-by-validation candidate once on the test split with
-engine.evaluate_test_metrics.  Its one per-generation state is a list
-of GenerationRecords; the best-so-far curve and a lost endpoint are read
-off it.  run_experiment repeats a method over seeds (regenerating the
-datasets per seed) and aggregates the test metric as mean with a 95%
-Student-t half-width.  It runs both ablations as settings of evolve: one
-generation, and for zero-shot a zero-epoch fit, which scores the
-proposal's suggested inits; zero-optim fits it once.
+engine.evaluate_test_metrics.  Its one per-generation log is a list of
+GenerationRecords, each holding the population's best after its
+generation; the evaluation agent's history of per-iteration bests, the
+best-so-far curve and a lost endpoint are read off it.  The population
+itself is a plain tuple of entries, best first.  run_experiment repeats
+a method over seeds (regenerating the datasets per seed) and aggregates
+the test metric as mean with a 95% Student-t half-width.  It runs both
+ablations as settings of evolve: one generation, and for zero-shot a
+zero-epoch fit, which scores the proposal's suggested inits; zero-optim
+fits it once.
 
 Each run can write a plain-text archive: the canonical spec, parameter
-table, metrics, and loss curves per inserted generation, the full
+table, metrics, and loss curves per entry of the final population, the full
 request/reply transcript (replayable through ScriptedClient), and a
 per-generation report.  Archives contain no wall-clock data, so two runs
 with the same seed and replay file are byte-identical on one numeric
@@ -31,6 +34,7 @@ import numpy as np
 
 from hdtwin.agents import (
     DEFAULT_OBJECTIVE,
+    POPULATION_CAPACITY,
     DecodingConfig,
     ModelingContext,
     Population,
@@ -40,7 +44,6 @@ from hdtwin.agents import (
     critique,
     population_insert,
     propose,
-    record_generation,
 )
 from hdtwin.dsl import canonicalize, dsl_skeleton, validate
 from hdtwin.engine import (
@@ -91,10 +94,14 @@ class GenerationRecord:
     generation: int
     status: str  # inserted | duplicate | proposal-failed | fit-faulted | transport-failed
     upsilon: float | None = None
-    best_upsilon: float | None = None
     fingerprint: int | None = None
     description: str = ""
     error: str | None = None  # why a transport-failed generation ended the run
+    best: PopulationEntry | None = None  # the population's best after this generation
+
+    @property
+    def best_upsilon(self) -> float | None:
+        return None if self.best is None else self.best.upsilon
 
 
 @dataclass
@@ -110,7 +117,7 @@ class RunResult:
 
     @property
     def best(self) -> PopulationEntry:
-        return self.population.best()
+        return self.population[0]
 
     @property
     def best_curve(self) -> list[float]:  # best loss after each finished generation
@@ -159,7 +166,7 @@ def evolve(ctx: ModelingContext, system: SystemDef, datasets: dict[str, Dataset]
     error is raised if no generation finished).
     """
     train, val, test = datasets["train"], datasets["val"], datasets["test"]
-    pop = Population()
+    pop: Population = ()
     feedback = ""
     records: list[GenerationRecord] = []
     fit_results: dict[int, FitResult] = {}
@@ -176,7 +183,7 @@ def evolve(ctx: ModelingContext, system: SystemDef, datasets: dict[str, Dataset]
             records.append(GenerationRecord(g, "proposal-failed"))
         except TransportError as err:
             stages["propose"] += time.perf_counter() - t0
-            if pop.best() is None:
+            if not pop:
                 raise
             log.warning("generation %d: lost the LLM endpoint (%s)", g, err)
             records.append(GenerationRecord(g, "transport-failed", error=str(err)))
@@ -204,18 +211,18 @@ def evolve(ctx: ModelingContext, system: SystemDef, datasets: dict[str, Dataset]
                     g, status, upsilon=entry.upsilon,
                     fingerprint=entry.fingerprint, description=description,
                 ))
-        best = pop.best()
-        pop = record_generation(pop, g)
-        records[-1].best_upsilon = best.upsilon if best else None
-        if g < cfg.generations and len(pop) > 0:
+        records[-1].best = pop[0] if pop else None
+        if g < cfg.generations and pop:
             t0 = time.perf_counter()
-            feedback = critique(client, ctx.requirements, pop, g + 1,
+            history = [(r.generation, r.best.upsilon, r.best.description)
+                       for r in records if r.best is not None]
+            feedback = critique(client, ctx.requirements, pop, history, g + 1,
                                 cfg.generations, cfg.decoding)
             stages["critique"] += time.perf_counter() - t0
 
-    best = pop.best()
-    if best is None:
+    if not pop:
         raise RunFailure("no generation produced a usable candidate", list(client.transcript))
+    best = pop[0]
     t0 = time.perf_counter()
     test_metrics = evaluate_test_metrics(best.spec, best.params, test)
     stages["evaluate"] += time.perf_counter() - t0
@@ -415,7 +422,7 @@ def write_run_archive(out_dir, result: RunResult, system_id: str, method: str,
         "method": method,
         "seed": seed,
         "generations": cfg.generations,
-        "capacity": result.population.capacity,
+        "capacity": POPULATION_CAPACITY,
         "test_metric": cfg.test_metric,
         "optim": {**dataclasses.asdict(cfg.optim), "beta1": BETA1, "beta2": BETA2, "eps": EPS},
         "decoding": dataclasses.asdict(cfg.decoding),
@@ -424,12 +431,8 @@ def write_run_archive(out_dir, result: RunResult, system_id: str, method: str,
     (out / "transcript").mkdir(exist_ok=True)
     write_json(result.transcript, out / "transcript" / "transcript.json")
 
-    inserted = {r.generation: r for r in result.records if r.status == "inserted"}
-    by_gen = {e.generation: e for e in result.population.entries}
-    for g, record in inserted.items():
-        entry = by_gen.get(g)
-        if entry is None:
-            continue  # inserted but later evicted; metrics stay in report.csv
+    for entry in result.population:  # an evicted entry's metrics stay in report.csv
+        g = entry.generation
         gen_dir = out / "population" / f"gen-{g:03d}"
         gen_dir.mkdir(parents=True, exist_ok=True)
         (gen_dir / "model.hdt").write_text(entry.canonical_text)

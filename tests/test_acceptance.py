@@ -26,7 +26,7 @@ from conftest import (
     random_schema,
     random_spec,
 )
-from hdtwin.agents import Population, ScriptedClient
+from hdtwin.agents import POPULATION_CAPACITY, ScriptedClient
 from hdtwin.baselines import builtin_baseline_spec, sindy_fit
 from hdtwin.dsl import parse_model_spec
 from hdtwin.engine import (
@@ -352,9 +352,10 @@ def test_criterion_08_population_and_determinism(tmp_path):
 
     rng = np.random.default_rng(1)
     texts = [f"param a = 1.0\nd(x)/dt = a * x ^ {k}.0\n" for k in range(1, 30)]
-    pop = Population(capacity=4)
+    pop = ()
     oracle = []
     inserts_ok = True
+    evictions = 0
     for _ in range(150):
         entry = make_entry(float(rng.uniform(0, 1)),
                            text=texts[int(rng.integers(0, len(texts)))])
@@ -362,8 +363,9 @@ def test_criterion_08_population_and_determinism(tmp_path):
         if entry.fingerprint not in {e.fingerprint for e in oracle}:
             oracle.append(entry)
             oracle.sort(key=lambda e: e.upsilon)
-            oracle = oracle[:4]
-        inserts_ok &= [e.fingerprint for e in pop.entries] == [e.fingerprint for e in oracle]
+            evictions += len(oracle) > POPULATION_CAPACITY
+            oracle = oracle[:POPULATION_CAPACITY]
+        inserts_ok &= [e.fingerprint for e in pop] == [e.fingerprint for e in oracle]
 
     system = builtin_system("cancer-chemo-radio")
     datasets = generate_dataset(system, GenConfig(n=5, seed=3))
@@ -381,10 +383,12 @@ def test_criterion_08_population_and_determinism(tmp_path):
         (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
         for rel in files
     )
-    ok = inserts_ok and identical and len(files) > 4
+    ok = inserts_ok and evictions > 0 and identical and len(files) > 4
     report("8 population-and-determinism", ok,
-           f"oracle match: {inserts_ok}, {len(files)} archive files byte-identical: {identical}")
+           f"oracle match: {inserts_ok} over {evictions} evictions,"
+           f" {len(files)} archive files byte-identical: {identical}")
     assert inserts_ok
+    assert evictions > 0  # 29 structures against the capacity: inserts must evict
     assert identical
 
 

@@ -13,10 +13,10 @@ import pytest
 
 import replay_fixtures
 from hdtwin.agents import (
+    POPULATION_CAPACITY,
     DecodingConfig,
     HttpClient,
     ModelingContext,
-    Population,
     PopulationEntry,
     ProposalFailure,
     ReplayExhausted,
@@ -28,7 +28,6 @@ from hdtwin.agents import (
     make_reply,
     population_insert,
     propose,
-    record_generation,
     render_modeling_prompt,
     render_reflection_prompt,
 )
@@ -66,7 +65,7 @@ def make_entry(upsilon, generation=1, text="param a = 1.0\nd(x)/dt = a * x\n",
 
 
 def test_first_generation_prompt_has_no_population_block():
-    msgs = render_modeling_prompt(CTX, Population(), None, generation=1)
+    msgs = render_modeling_prompt(CTX, (), None, generation=1)
     assert [m["role"] for m in msgs] == ["system", "user"]
     user = msgs[1]["content"]
     assert CTX.system_description in user
@@ -100,7 +99,7 @@ def test_entry_formatting_matches_transcript_style():
 
 
 def test_later_generation_prompt_embeds_population_and_feedback():
-    pop = population_insert(Population(), make_entry(0.5))
+    pop = population_insert((), make_entry(0.5))
     msgs = render_modeling_prompt(CTX, pop, "add a decay term", generation=2)
     user = msgs[1]["content"]
     assert "Val Loss: 0.5" in user
@@ -109,11 +108,11 @@ def test_later_generation_prompt_embeds_population_and_feedback():
 
 
 def test_reflection_prompt_orders_completions_worse_first():
-    pop = Population()
-    pop = population_insert(pop, make_entry(0.9, text="param b = 2.0\nd(x)/dt = b + x\n"))
+    pop = population_insert((), make_entry(0.9, text="param b = 2.0\nd(x)/dt = b + x\n"))
     pop = population_insert(pop, make_entry(0.1, text="param c = 3.0\nd(x)/dt = c * x\n"))
-    pop = record_generation(pop, 1)
-    msgs = render_reflection_prompt("* be accurate", pop, next_generation=2, generations=6)
+    history = [(1, 0.1, "test model")]
+    msgs = render_reflection_prompt("* be accurate", pop, history, next_generation=2,
+                                    generations=6)
     user = msgs[1]["content"]
     assert user.index("Val Loss: 0.9 (Where") < user.index("Val Loss: 0.1 (Where")
     assert "exhausted white box models" in user
@@ -121,14 +120,14 @@ def test_reflection_prompt_orders_completions_worse_first():
 
 
 def test_reflection_history_empty_renders_empty():
-    pop = population_insert(Population(), make_entry(0.5))
-    msgs = render_reflection_prompt("* r", pop, next_generation=2, generations=6)
+    pop = population_insert((), make_entry(0.5))
+    msgs = render_reflection_prompt("* r", pop, [], next_generation=2, generations=6)
     head = msgs[1]["content"].split("```")[1]
     assert head.strip() == ""
 
 
 def test_prompt_determinism():
-    pop = population_insert(Population(), make_entry(0.25))
+    pop = population_insert((), make_entry(0.25))
     a = render_modeling_prompt(CTX, pop, "f", 3)
     b = render_modeling_prompt(CTX, pop, "f", 3)
     assert a == b
@@ -146,27 +145,28 @@ def test_context_validation():
 
 
 def test_population_insert_dedupes_on_fingerprint():
-    pop = population_insert(Population(), make_entry(0.5))
+    pop = population_insert((), make_entry(0.5))
     again = population_insert(pop, make_entry(0.1))  # same structure, same fingerprint
     assert len(again) == 1
-    assert again.entries[0].upsilon == 0.5
+    assert again[0].upsilon == 0.5
 
 
 def test_population_insert_evicts_worst():
-    pop = Population(capacity=2)
-    pop = population_insert(pop, make_entry(0.5, text="param a = 1.0\nd(x)/dt = a * x\n"))
-    pop = population_insert(pop, make_entry(0.9, text="param a = 1.0\nd(x)/dt = a + x\n"))
+    pop = ()
+    for k in range(POPULATION_CAPACITY):  # full, losses 0.5 and up
+        text = f"param a = 1.0\nd(x)/dt = a * x ^ {k + 1}.0\n"
+        pop = population_insert(pop, make_entry(0.5 + k / 100, text=text))
     worse = make_entry(2.0, text="param a = 1.0\nd(x)/dt = a - x\n")
-    assert population_insert(pop, worse).entries == pop.entries
+    assert [e.upsilon for e in population_insert(pop, worse)] == [e.upsilon for e in pop]
     better = make_entry(0.1, text="param a = 1.0\nd(x)/dt = a / x\n")
     pop2 = population_insert(pop, better)
-    assert len(pop2) == 2
-    assert [e.upsilon for e in pop2.entries] == [0.1, 0.5]
+    assert len(pop2) == POPULATION_CAPACITY
+    assert [e.upsilon for e in pop2] == [0.1] + [e.upsilon for e in pop[:-1]]
 
 
 def test_population_rejects_non_finite():
     with pytest.raises(ValueError):
-        population_insert(Population(), make_entry(float("inf")))
+        population_insert((), make_entry(float("inf")))
 
 
 def test_population_insert_matches_brute_force_oracle():
@@ -174,7 +174,7 @@ def test_population_insert_matches_brute_force_oracle():
     # re-enter later with a better loss
     rng = np.random.default_rng(0)
     texts = [f"param a = 1.0\nd(x)/dt = a * x ^ {k}.0\n" for k in range(1, 40)]
-    pop = Population(capacity=5)
+    pop = ()
     oracle: list[PopulationEntry] = []
     for _ in range(200):
         k = int(rng.integers(0, len(texts)))
@@ -184,12 +184,12 @@ def test_population_insert_matches_brute_force_oracle():
         if entry.fingerprint not in {e.fingerprint for e in oracle}:
             oracle.append(entry)
             oracle.sort(key=lambda e: e.upsilon)
-            oracle = oracle[:5]
-        assert [e.fingerprint for e in pop.entries] == [e.fingerprint for e in oracle]
-        assert [e.upsilon for e in pop.entries] == [e.upsilon for e in oracle]
-        ordered = [e.upsilon for e in pop.entries]
+            oracle = oracle[:POPULATION_CAPACITY]
+        assert [e.fingerprint for e in pop] == [e.fingerprint for e in oracle]
+        assert [e.upsilon for e in pop] == [e.upsilon for e in oracle]
+        ordered = [e.upsilon for e in pop]
         assert ordered == sorted(ordered)
-        assert len({e.fingerprint for e in pop.entries}) == len(pop.entries)
+        assert len({e.fingerprint for e in pop}) == len(pop)
 
 
 # ---------------------------------------------------------------------------
@@ -202,21 +202,38 @@ def test_propose_valid_reply_round_trips():
                        " - 0.5 * chemotherapy_drug_concentration\n",
                        "simple white box")
     client = ScriptedClient([reply])
-    spec, description = propose(client, CTX, CANCER.schema, Population(), None, 1, FAST)
+    spec, description = propose(client, CTX, CANCER.schema, (), None, 1, FAST)
     assert description == "simple white box"
     assert canonicalize(parse_model_spec(canonicalize(spec).text)) == canonicalize(spec)
+
+
+@pytest.mark.parametrize("wrapping", [
+    "```json\nREPLY\n```",
+    "Sure, here is {my} model: REPLY",
+    "REPLY\nNote: a set {a, b} of terms.",
+    "```json\nREPLY\n```\nA set {a, b} of terms follows.",
+    '{"note": "no spec here"} and then REPLY',
+], ids=["fenced", "prose-with-brace-before", "prose-with-braces-after",
+        "fenced-then-braces", "spec-less-object-first"])
+def test_propose_reads_the_first_reply_object_with_a_spec(wrapping):
+    text = "d(tumor_volume)/dt = 0.0\nd(chemotherapy_drug_concentration)/dt = 0.0\n"
+    client = ScriptedClient([wrapping.replace("REPLY", make_reply(text, "zeros"))])
+    spec, description = propose(client, CTX, CANCER.schema, (), None, 1, FAST)
+    assert (canonicalize(spec).text, description) == (canonicalize(parse_model_spec(text)).text,
+                                                      "zeros")
+    assert len(client.transcript) == 1
 
 
 def test_propose_retries_on_garbage_then_succeeds():
     good = make_reply("d(tumor_volume)/dt = 0.0\n"
                       "d(chemotherapy_drug_concentration)/dt = 0.0\n", "zeros")
     client = ScriptedClient(["not json at all", good])
-    spec, _ = propose(client, CTX, CANCER.schema, Population(), None, 1, FAST)
+    spec, _ = propose(client, CTX, CANCER.schema, (), None, 1, FAST)
     assert len(client.transcript) == 2
     retry_msg = client.transcript[1]["request"][-1]["content"]
     assert retry_msg == (
         "Your previous reply could not be used:\n"
-        "* reply carries no JSON object\n"
+        '* reply carries no JSON object with a "spec" field\n'
         'Reply again with a single JSON object carrying the corrected "spec" and'
         ' "description" fields.'
     )
@@ -227,7 +244,7 @@ def test_propose_relays_validation_messages():
     good = make_reply("d(tumor_volume)/dt = 0.0\n"
                       "d(chemotherapy_drug_concentration)/dt = 0.0\n", "zeros")
     client = ScriptedClient([bad, good])
-    propose(client, CTX, CANCER.schema, Population(), None, 1, FAST)
+    propose(client, CTX, CANCER.schema, (), None, 1, FAST)
     retry_msg = client.transcript[1]["request"][-1]["content"]
     assert "zeta" in retry_msg
 
@@ -242,7 +259,7 @@ def test_propose_relays_the_parameter_cap():
     good = make_reply("d(tumor_volume)/dt = 0.0\n"
                       "d(chemotherapy_drug_concentration)/dt = 0.0\n", "zeros")
     client = ScriptedClient([make_reply(OVER_CAP_SPEC, "too big"), good])
-    _, description = propose(client, CTX, CANCER.schema, Population(), None, 1, FAST)
+    _, description = propose(client, CTX, CANCER.schema, (), None, 1, FAST)
     assert description == "zeros"
     assert client.transcript[1]["request"][-1]["content"] == (
         "Your previous reply could not be used:\n"
@@ -269,7 +286,7 @@ def test_check_proposal_refuses_a_too_deeply_nested_expression(expr, problem):
 def test_propose_failure_after_retries():
     client = ScriptedClient(["junk"] * 10)
     with pytest.raises(ProposalFailure):
-        propose(client, CTX, CANCER.schema, Population(), None, 1, FAST)
+        propose(client, CTX, CANCER.schema, (), None, 1, FAST)
     assert len(client.transcript) == FAST.retries + 1  # never more requests than that
 
 
@@ -282,7 +299,7 @@ def test_hybrid_fixture_validates_clean_against_schema():
 
 def test_propose_parses_final_hybrid_fixture():
     client = ScriptedClient([replay_fixtures.modeling_replies()[-1]])
-    spec, _ = propose(client, CTX, CANCER.schema, Population(), None, 1, FAST)
+    spec, _ = propose(client, CTX, CANCER.schema, (), None, 1, FAST)
     names = {p.name for p in spec.params}
     assert {"alpha", "beta", "gamma", "kappa_base", "kappa_mod", "delta_base",
             "delta_mod", "eta", "theta", "rho", "zeta"} == names
@@ -295,8 +312,8 @@ def test_propose_parses_final_hybrid_fixture():
 
 def test_critique_returns_text_byte_for_byte():
     text = "Remove the quadratic term.\nTry a saturating chemo effect."
-    pop = population_insert(Population(), make_entry(0.5))
-    fb = critique(ScriptedClient([text]), "* reqs", pop, 2, 6, FAST)
+    pop = population_insert((), make_entry(0.5))
+    fb = critique(ScriptedClient([text]), "* reqs", pop, [], 2, 6, FAST)
     assert fb == text
 
 
@@ -306,16 +323,16 @@ def lost_critique_warnings(caplog) -> list[str]:
 
 
 def test_critique_empty_reply_flags_warning(caplog):
-    pop = population_insert(Population(), make_entry(0.5))
-    fb = critique(ScriptedClient([""]), "* reqs", pop, 2, 6, FAST)
+    pop = population_insert((), make_entry(0.5))
+    fb = critique(ScriptedClient([""]), "* reqs", pop, [], 2, 6, FAST)
     assert fb == ""
     assert lost_critique_warnings(caplog) == [
         "generation 2: critique lost (empty reply), proposing without feedback"]
 
 
 def test_critique_transport_failure_flags_warning(caplog):
-    pop = population_insert(Population(), make_entry(0.5))
-    fb = critique(ScriptedClient([]), "* reqs", pop, 2, 6, FAST)
+    pop = population_insert((), make_entry(0.5))
+    fb = critique(ScriptedClient([]), "* reqs", pop, [], 2, 6, FAST)
     assert fb == ""
     assert lost_critique_warnings(caplog) == [
         "generation 2: critique lost (replay exhausted after 0 replies),"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import re
@@ -123,7 +124,7 @@ def test_fit_rejects_a_negative_network_seed_before_loading_data(tmp_path, capsy
     spec_path = tmp_path / "scalar.hdt"
     spec_path.write_text("param a = 0.5\nd(tumor_volume)/dt = a * tumor_volume\n")
     code = dispatch(["fit", "--spec", str(spec_path), "--data", str(tmp_path / "missing"),
-                     "--out", str(tmp_path / "fitrun"), "--mlp-seed", "-1"])
+                     "--out", str(tmp_path / "fitrun"), "--seed", "-1"])
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err == "error: seed must be >= 0 (got -1)\n"
     assert not (tmp_path / "fitrun").exists()
@@ -661,6 +662,37 @@ def test_help_lists_defaults():
     assert "default: 1000" in fit_help.stdout       # batch size
     assert "default: 2000" in fit_help.stdout       # max epochs
     assert "default: 20" in fit_help.stdout         # patience
+
+
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    (action,) = (a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_help_states_each_default_once(command, capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([command, "--help"])
+    options = capsys.readouterr().out.split("options:", 1)[1]
+    entries = [" ".join(entry.split()) for entry in re.split(r"\n  -", options)]
+    assert not [e for e in entries if "(default: None)" in e or e.count("(default:") > 1]
+    # an optional flag left at None says in words what leaving it out means
+    assert not [a.dest for a in subcommands()[command]._actions
+                if a.default is None and not a.required and "(default:" not in a.help]
+
+
+@pytest.mark.parametrize("command, opening", [
+    ("gen-data", "`gen-data` takes "),
+    ("fit", "`hdtwin fit` takes "),
+    ("baseline", "`hdtwin baseline` takes "),
+])
+def test_readme_lists_every_flag_of_a_command(command, opening):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    sentence = readme.split(opening, 1)[1].split(".", 1)[0]
+    flags = [flag for action in subcommands()[command]._actions
+             for flag in action.option_strings if flag.startswith("--") and flag != "--help"]
+    assert sorted(re.findall(r"`(--[\w-]+)`", sentence)) == sorted(flags)
 
 
 def test_module_entry_point_smoke(tmp_path):

@@ -126,6 +126,24 @@ def test_evolve_failed_proposals_consume_generations(cancer_datasets):
     assert len(result.population) == 1
 
 
+def test_evolve_reflection_history_has_one_line_per_generation_with_a_best(cancer_datasets):
+    system, datasets = cancer_datasets
+    ctx = make_modeling_context(system, 4, n_trajectories=6)
+    good = replay_fixtures.evolution_replies()[0]
+    replies = ["junk"] * (FAST_DECODING.retries + 1) + [good, "fb", good, "fb", good]
+    result = evolve(ctx, system, datasets, small_cfg(4), ScriptedClient(replies))
+    assert [r.status for r in result.records] == [
+        "proposal-failed", "inserted", "duplicate", "duplicate"]
+    reflections = [pair["request"][-1]["content"] for pair in result.transcript
+                   if pair["request"][-1]["content"].startswith("You generated")]
+    best = result.best
+    two, three = (f"Iteration {g}. Best Val Loss: {best.upsilon!r}."
+                  f" Model description: {best.description}" for g in (2, 3))
+    # the failed generation 1 had no best, so it has no line
+    assert [text.split("```")[1] for text in reflections] == [
+        f"\n{two}\n", f"\n{two}\n{three}\n"]
+
+
 def test_evolve_fit_fault_consumes_generation(cancer_datasets):
     system, datasets = cancer_datasets
     ctx = make_modeling_context(system, 2, n_trajectories=6)
@@ -259,7 +277,10 @@ def test_zero_shot_is_a_zero_epoch_evolve(cancer_datasets):
     zero_epochs = dataclasses.replace(cfg, generations=1,
                                       optim=dataclasses.replace(cfg.optim, max_epochs=0))
     explicit = evolve(ctx, system, datasets, zero_epochs, ScriptedClient([reply]))
-    assert shot.records == explicit.records
+    fields = ("generation", "status", "upsilon", "best_upsilon", "fingerprint", "description",
+              "error")  # the report.csv columns; a record's best entry holds arrays
+    assert ([[getattr(r, f) for f in fields] for r in shot.records]
+            == [[getattr(r, f) for f in fields] for r in explicit.records])
     assert shot.transcript == explicit.transcript
     assert np.float64(shot.best.upsilon).tobytes() == np.float64(explicit.best.upsilon).tobytes()
     # the one fit ran no epoch: the entry holds the suggested inits and their score

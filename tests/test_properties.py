@@ -7,7 +7,8 @@ EvaluationFault; no other exception may escape.  Its passes with and
 without a backward give the same derivative bits.  The DSL's text forms
 round-trip: format_expr output parses back to the same tree, and the
 canonical text of a spec is a fixed point of parse + canonicalize.
-population_insert keeps its invariants.  save_dataset writes the bytes
+population_insert keeps its invariants, and a modeling reply's object is
+read out of any prose around it.  save_dataset writes the bytes
 csv.writer writes for repr'd floats, and its files load back bit-exactly.
 Examples are derandomized, so every run draws the same cases.
 """
@@ -33,7 +34,13 @@ from conftest import (
     random_schema,
     random_spec,
 )
-from hdtwin.agents import Population, PopulationEntry, population_insert
+from hdtwin.agents import (
+    POPULATION_CAPACITY,
+    PopulationEntry,
+    _extract_reply_fields,
+    make_reply,
+    population_insert,
+)
 from hdtwin.dsl import (
     BINARY_OPS,
     UNARY_FUNCS,
@@ -178,7 +185,9 @@ def test_canonical_text_is_a_fixed_point(seed):
 # ---------------------------------------------------------------------------
 # population_insert
 
-STRUCTURES = [parse_model_spec(f"param a = 1.0\nd(x)/dt = a * x ^ {k}.0") for k in range(1, 9)]
+# more structures than the population holds, so that inserts evict
+STRUCTURES = [parse_model_spec(f"param a = 1.0\nd(x)/dt = a * x ^ {k}.0")
+              for k in range(1, POPULATION_CAPACITY + 3)]
 
 
 def _entry(structure, upsilon):
@@ -189,32 +198,42 @@ def _entry(structure, upsilon):
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
-@given(capacity=st.integers(1, 5),
-       inserts=st.lists(st.tuples(st.integers(0, len(STRUCTURES) - 1),
+@given(inserts=st.lists(st.tuples(st.integers(0, len(STRUCTURES) - 1),
                                   st.sampled_from([0.0, 0.25, 0.5, 1.0, 1e300])
-                                  | st.floats(0.0, 2.0)), max_size=30))
-def test_population_insert_invariants(capacity, inserts):
-    pop = Population(capacity=capacity)
+                                  | st.floats(0.0, 2.0)),
+                        min_size=2 * POPULATION_CAPACITY, max_size=80))
+def test_population_insert_invariants(inserts):
+    pop = ()
     for structure, upsilon in inserts:
         entry = _entry(structure, upsilon)
         new = population_insert(pop, entry)
-        ups = [e.upsilon for e in new.entries]
+        ups = [e.upsilon for e in new]
         assert ups == sorted(ups)
-        assert len(new) <= capacity
-        assert len({e.fingerprint for e in new.entries}) == len(new)
-        assert set(map(id, new.entries)) <= set(map(id, pop.entries)) | {id(entry)}
-        assert new.capacity == pop.capacity and new.history == pop.history
-        if any(e.fingerprint == entry.fingerprint for e in pop.entries):
+        assert len(new) <= POPULATION_CAPACITY
+        assert len({e.fingerprint for e in new}) == len(new)
+        assert set(map(id, new)) <= set(map(id, pop)) | {id(entry)}
+        if any(e.fingerprint == entry.fingerprint for e in pop):
             assert new is pop
         else:
             # ties keep the incumbents ahead of the newcomer
-            fits = len(pop) < capacity or upsilon < pop.entries[-1].upsilon
-            assert any(e is entry for e in new.entries) == fits
-            assert len(new) == min(capacity, len(pop) + 1)
+            fits = len(pop) < POPULATION_CAPACITY or upsilon < pop[-1].upsilon
+            assert any(e is entry for e in new) == fits
+            assert len(new) == min(POPULATION_CAPACITY, len(pop) + 1)
         pop = new
     for bad in (float("inf"), float("nan")):
         with pytest.raises(ValueError):
             population_insert(pop, _entry(0, bad))
+
+
+# prose with braces but no double quote, so no object in it can carry a key
+prose = st.text(alphabet="ab {}[]:,.\n`")
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(before=prose, after=prose | st.text(), description=st.text())
+def test_the_reply_object_is_read_out_of_any_prose_around_it(before, after, description):
+    reply = before + make_reply("d(x)/dt = 0.0\n", description) + after
+    assert _extract_reply_fields(reply) == ("d(x)/dt = 0.0\n", description)
 
 
 # ---------------------------------------------------------------------------
