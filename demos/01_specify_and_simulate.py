@@ -8,7 +8,7 @@ rolls it forward with an explicit Euler solver.
 
 import numpy as np
 
-from hdtwin import canonicalize, init_params, parse_model_spec, rollout, validate
+from hdtwin import Evaluator, canonicalize, init_params, parse_model_spec, validate
 from hdtwin.systems import builtin_system
 
 system = builtin_system("cancer-chemo")
@@ -33,8 +33,8 @@ print(canon.text)
 
 # ten days of therapy: dose 5 mg/m^3 on even days
 doses = np.array([[5.0 * (day % 2 == 0)] for day in range(10)])
-trajectory = rollout(spec, init_params(spec), system.schema,
-                     x0=[450.0, 0.0], actions=doses, dt=1.0)
+trajectory = Evaluator(spec, system.schema).rollout(init_params(spec), x0=[450.0, 0.0],
+                                                    actions=doses, dt=1.0)
 
 print("day  tumor_volume  drug_concentration")
 for t, (volume, conc) in zip(trajectory.times, trajectory.states):

@@ -12,7 +12,7 @@ while the unadapted model keeps predicting the old dynamics.
 import numpy as np
 
 from hdtwin.baselines import builtin_baseline_spec
-from hdtwin.engine import init_params, rollout
+from hdtwin.engine import Evaluator, init_params
 from hdtwin.optim import OptimConfig, fit
 from hdtwin.systems import (
     INTERVENTION_DAY,
@@ -35,12 +35,15 @@ adapted.scalars["beta"] *= INTERVENTION_SCALE
 print("adapted transmission rate:", round(adapted.scalars["beta"], 4))
 
 
+evaluator = Evaluator(spec, system.schema)  # compiled once, for every rollout below
+
+
 def mse_from_day(params):
     total = count = 0
     for tr in data["test"].trajectories:
         steps = len(tr) - 1 - INTERVENTION_DAY
-        out = rollout(spec, params, system.schema, tr.states[INTERVENTION_DAY],
-                      np.zeros((steps, 0)), system.schema.dt, t0=float(INTERVENTION_DAY))
+        out = evaluator.rollout(params, tr.states[INTERVENTION_DAY], np.zeros((steps, 0)),
+                                system.schema.dt, t0=float(INTERVENTION_DAY))
         total += np.sum((out.states - tr.states[INTERVENTION_DAY:]) ** 2)
         count += out.states.size
     return total / count

@@ -25,15 +25,14 @@ from hdtwin.dsl import (
 from hdtwin.engine import (
     Dataset,
     EvaluationFault,
+    Evaluator,
     ParamVector,
     Trajectory,
     TransitionBatch,
     init_params,
-    loss_gradient,
     mlp_init,
     one_step_mse,
     per_component_mse,
-    rollout,
     rollout_mse,
 )
 from hdtwin.optim import FitResult, OptimConfig, adam_update, fit
@@ -42,6 +41,7 @@ __all__ = [
     "ComponentDef",
     "Dataset",
     "EvaluationFault",
+    "Evaluator",
     "Expr",
     "FitResult",
     "MlpDecl",
@@ -59,12 +59,10 @@ __all__ = [
     "canonicalize",
     "fit",
     "init_params",
-    "loss_gradient",
     "mlp_init",
     "one_step_mse",
     "parse_model_spec",
     "per_component_mse",
-    "rollout",
     "rollout_mse",
     "validate",
 ]

@@ -34,21 +34,22 @@ Python scalars; a row-varying node's forward rule writes its value into
 a row of a (rows, M) float64 block through a ufunc `out=`.  The tape
 numbers these rows twice.  loss_and_grad's backward pass reads every
 node's value again, so there each row-varying node owns a row.  A pass
-without a backward (validation, squared_residuals, the Euler rollouts
-and data generation) reads a node's value once, when its parent is
-computed, as the tape is tree-shaped; only a component root is read at
-the end.  So the second numbering reuses a row once its one reader is on
-the tape, and never gives a node its own operand's row (guard writes its
-row before it copies its operand there).  The scripted evolution's hybrid
-tumor models need 37 rows with a backward and 4 without.  With a
-backward, a network has one (M, width) array per layer: a hidden layer's
-activation overwrites its pre-activation in place, and each layer's
-input is all the backward pass reads.  Without one, a network has two
-buffers: layer i writes the one that layer i - 1 did not, and the network
-input and the last layer's output are contiguous prefixes of them.  Each
-network keeps its own pair, as every network's output is read after all
-of them have run.  The block and the network arrays form the evaluator's
-workspace for M rows and one pass kind.
+without a backward (squared_residuals, for validation and test scoring,
+and euler_rollout, for rollouts and data generation) reads a node's
+value once, when its parent is computed, as the tape is tree-shaped;
+only a component root is read at the end.  So the second numbering
+reuses a row once its one reader is on the tape, and never gives a node
+its own operand's row (guard writes its row before it copies its operand
+there).  The scripted evolution's hybrid tumor models need 37 rows with
+a backward and 4 without.  With a backward, a network has one (M, width)
+array per layer: a hidden layer's activation overwrites its
+pre-activation in place, and each layer's input is all the backward pass
+reads.  Without one, a network has two buffers: layer i writes the one
+that layer i - 1 did not, and the network input and the last layer's
+output are contiguous prefixes of them.  Each network keeps its own
+pair, as every network's output is read after all of them have run.  The
+block and the network arrays form the evaluator's workspace for M rows
+and one pass kind.
 
 Every workspace of an evaluator is a set of views of its one flat
 float64 pool, which is sized for the largest workspace built so far.  A
@@ -86,11 +87,15 @@ gives the same bits, without the per-row loop.  A single column is
 contiguous, so sum(axis=0) adds it pairwise, and an array that is not
 C-contiguous is walked in another order: both keep sum(axis=0).
 
-Test scoring is here too.  evaluate_test_metrics builds one evaluator and
-makes one one-step pass, reduced as per_component_mse and one_step_mse
-reduce theirs, plus the rollout MSE.  A faulting one-step pass scores
-inf, as an exploding rollout does.  TestMetrics.doc writes the test keys
-of every result.json; HEADLINE_METRICS names the headline choices.
+Besides derivatives and loss_and_grad, an Evaluator holds the one
+explicit-Euler loop (euler_rollout), a single rollout, and a dataset's
+squared one-step residuals; every pass goes through derivatives, which
+checks x, u and t against the schema's shapes.  The test scorers reduce
+those passes.  evaluate_test_metrics builds one evaluator and makes one
+one-step pass, reduced as per_component_mse and one_step_mse reduce
+theirs, plus the rollout MSE.  A faulting one-step pass scores inf, as
+an exploding rollout does.  TestMetrics.doc writes the test keys of
+every result.json; HEADLINE_METRICS names the headline choices.
 
 Every JSON file is read by read_json and written by write_json, and every
 CSV table by write_table; dataset CSVs keep save_dataset's one-pass writer.
@@ -649,13 +654,19 @@ class Evaluator:
     # -- forward
 
     def derivatives(self, params: ParamVector, x, u, t, with_cache: bool = False):
-        """Model dx/dt for a batch; x (M, d_x), u (M, d_u), t (M,).
+        """Model dx/dt for a batch; x (M, d_x), u (M, d_u), t (M,), else a
+        ValueError naming both shapes.  Every pass of an evaluator comes here.
 
         Overflow to inf/nan is allowed here and surfaced as an
         EvaluationFault by the callers that check finiteness.  The cache
         (with_cache) holds workspace arrays, valid only until the
         evaluator's next call: loss_and_grad's backward pass reads it.
         """
+        m = np.shape(x)[:1]
+        want = (m + (self.schema.d_x,), m + (self.schema.d_u,), m)
+        got = (np.shape(x), np.shape(u), np.shape(t))
+        if got != want:
+            raise ValueError(f"x, u, t have shapes {got}, expected {want}")
         with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
             return self._derivatives(params, x, u, t, with_cache)
 
@@ -769,6 +780,73 @@ class Evaluator:
             raise EvaluationFault(f"non-finite gradient {kind} {name!r}", param=name)
         return loss, grads
 
+    # -- passes without a backward
+
+    def squared_residuals(self, params: ParamVector, dataset: Dataset) -> np.ndarray:
+        """((x + f dt) - y)^2 per transition and component of a dataset of
+        this evaluator's schema, computed in place in the derivative array."""
+        if dataset.schema != self.schema:
+            raise ValueError("the dataset has another schema than the evaluator")
+        self.check_params(params)
+        batch = dataset.transitions()
+        f = self.derivatives(params, batch.x, batch.u, batch.t)
+        self._require_finite(f)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+            f *= self.schema.dt  # a finite derivative's residual may overflow to inf
+            f += batch.x
+            f -= batch.y
+            f *= f
+        return f
+
+    def euler_rollout(self, x0, times: np.ndarray, dt: float, inputs):
+        """The one explicit-Euler loop (rollout, rollout_mse, data generation);
+        steps N trajectories together.  x0 (N, d_x); times (N, T+1), each row a
+        trajectory's own time column; inputs(k, x) gives step k's (params,
+        actions (N, d_u)) from the states x, and at k = T the terminal action.
+        Returns states (N, T+1, d_x) and actions (N, T+1, d_u).  Raises
+        EvaluationFault at the first step with a non-finite derivative."""
+        by_step = np.ascontiguousarray(np.asarray(times, dtype=float).T)  # (T+1, N)
+        steps, n = by_step.shape[0] - 1, by_step.shape[1]
+        x = np.array(x0, dtype=float)
+        if x.shape != (n, self.schema.d_x):
+            raise ValueError(f"x0 has shape {x.shape}, expected {(n, self.schema.d_x)}")
+        states = np.empty((n, steps + 1, self.schema.d_x))
+        actions = np.empty((n, steps + 1, self.schema.d_u))
+        states[:, 0] = x
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(steps):
+                params, u = inputs(k, x)
+                actions[:, k] = u
+                f = self.derivatives(params, x, u, by_step[k])
+                self._require_finite(f, step=k)
+                x = x + f * dt
+                states[:, k + 1] = x
+        actions[:, steps] = inputs(steps, x)[1]
+        return states, actions
+
+    def rollout(self, params: ParamVector, x0, actions, dt: float,
+                t0: float = 0.0) -> Trajectory:
+        """Explicit-Euler rollout; one step per action row.
+
+        Returns a trajectory with len(actions) + 1 rows whose final action row
+        is zero padding (no action is taken at the terminal state).
+        """
+        self.check_params(params)
+        d_u = self.schema.d_u
+        actions = np.asarray(actions, dtype=float)
+        if actions.ndim != 2:
+            if d_u == 0:
+                raise ValueError("for action-free systems pass actions with shape (steps, 0)")
+            actions = actions.reshape(-1, d_u)
+        if actions.shape[1] != d_u:
+            raise ValueError(f"actions have {actions.shape[1]} columns, schema has {d_u}")
+        steps = actions.shape[0]
+        padded = np.vstack([actions, np.zeros((1, d_u))])
+        times = t0 + np.arange(steps + 1) * dt
+        states, _ = self.euler_rollout(np.reshape(x0, (1, -1)), times[None], dt,
+                                       lambda k, x: (params, padded[k:k + 1]))
+        return Trajectory(times, states[0], padded)
+
 
 # ---------------------------------------------------------------------------
 # Parameter initialization
@@ -812,64 +890,17 @@ def _checked_evaluator(spec: ModelSpec, params: ParamVector, schema: SystemSchem
     return evaluator
 
 
-def euler_rollout(ev: Evaluator, x0, times: np.ndarray, dt: float, inputs):
-    """The one explicit-Euler loop (rollout, rollout_mse, data generation);
-    steps N trajectories together.  x0 (N, d_x); times (N, T+1), each row a
-    trajectory's own time column; inputs(k, x) gives step k's (params,
-    actions (N, d_u)) from the states x, and at k = T the terminal action.
-    Returns states (N, T+1, d_x) and actions (N, T+1, d_u).  Raises
-    EvaluationFault at the first step with a non-finite derivative."""
-    by_step = np.ascontiguousarray(np.asarray(times, dtype=float).T)  # (T+1, N)
-    steps, n = by_step.shape[0] - 1, by_step.shape[1]
-    states = np.empty((n, steps + 1, ev.schema.d_x))
-    actions = np.empty((n, steps + 1, ev.schema.d_u))
-    x = np.array(x0, dtype=float).reshape(n, -1)
-    states[:, 0] = x
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            params, u = inputs(k, x)
-            actions[:, k] = u
-            f = ev.derivatives(params, x, u, by_step[k])
-            ev._require_finite(f, step=k)
-            x = x + f * dt
-            states[:, k + 1] = x
-    actions[:, steps] = inputs(steps, x)[1]
-    return states, actions
-
-
-def rollout(spec: ModelSpec, params: ParamVector, schema: SystemSchema, x0, actions,
-            dt: float, t0: float = 0.0) -> Trajectory:
-    """Explicit-Euler rollout; one step per action row.
-
-    Returns a trajectory with len(actions) + 1 rows whose final action row
-    is zero padding (no action is taken at the terminal state).
-    """
-    ev = _checked_evaluator(spec, params, schema)
-    actions = np.asarray(actions, dtype=float)
-    if actions.ndim != 2:
-        if schema.d_u == 0:
-            raise ValueError("for action-free systems pass actions with shape (steps, 0)")
-        actions = actions.reshape(-1, schema.d_u)
-    if actions.shape[1] != schema.d_u:
-        raise ValueError(f"actions have {actions.shape[1]} columns, schema has {schema.d_u}")
-    steps = actions.shape[0]
-    padded = np.vstack([actions, np.zeros((1, actions.shape[1]))])
-    times = t0 + np.arange(steps + 1) * dt
-    states, _ = euler_rollout(ev, np.reshape(x0, (1, -1)), times[None], dt,
-                              lambda k, x: (params, padded[k:k + 1]))
-    return Trajectory(times, states[0], padded)
-
-
 def one_step_mse(spec: ModelSpec, params: ParamVector, dataset: Dataset) -> float:
     """Teacher-forced mean over transitions of ||(x + f dt) - y||^2."""
-    return _mean_row_sum(squared_residuals(spec, params, dataset))
+    return _mean_row_sum(Evaluator(spec, dataset.schema).squared_residuals(params, dataset))
 
 
 def per_component_mse(spec: ModelSpec, params: ParamVector, dataset: Dataset,
                       evaluator: Evaluator | None = None):
     """Per-dimension one-step MSE delta and its mean upsilon.
     `evaluator`, if given, must be compiled for spec and dataset.schema."""
-    return _component_means(squared_residuals(spec, params, dataset, evaluator))
+    ev = _checked_evaluator(spec, params, dataset.schema, evaluator)
+    return _component_means(ev.squared_residuals(params, dataset))
 
 
 def _mean_row_sum(sq: np.ndarray) -> float:  # one_step_mse of the squared residuals sq
@@ -879,29 +910,6 @@ def _mean_row_sum(sq: np.ndarray) -> float:  # one_step_mse of the squared resid
 def _component_means(sq: np.ndarray) -> tuple[np.ndarray, float]:  # per_component_mse of sq
     delta = _column_sums(sq) / sq.shape[0]  # the bits of np.mean(sq, axis=0)
     return delta, float(np.mean(delta))
-
-
-def squared_residuals(spec: ModelSpec, params: ParamVector, dataset: Dataset,
-                      evaluator: Evaluator | None = None) -> np.ndarray:
-    """((x + f dt) - y)^2 per transition and component, computed in place
-    in the derivative array.  `evaluator`, if given, must be compiled for
-    spec and dataset.schema."""
-    ev = _checked_evaluator(spec, params, dataset.schema, evaluator)
-    batch = dataset.transitions()
-    f = ev.derivatives(params, batch.x, batch.u, batch.t)
-    ev._require_finite(f)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-        f *= dataset.schema.dt  # a finite derivative's residual may overflow to inf
-        f += batch.x
-        f -= batch.y
-        f *= f
-    return f
-
-
-def loss_gradient(spec: ModelSpec, params: ParamVector, schema: SystemSchema,
-                  batch: TransitionBatch, dt: float):
-    """(batch one-step MSE, exact gradients for every scalar and weight)."""
-    return _checked_evaluator(spec, params, schema).loss_and_grad(params, batch, dt)
 
 
 def rollout_mse(spec: ModelSpec, params: ParamVector, dataset: Dataset,
@@ -923,8 +931,8 @@ def rollout_mse(spec: ModelSpec, params: ParamVector, dataset: Dataset,
         stored = np.stack([tr.actions for tr in trs], axis=1)  # (T+1, N, d_u)
         times = np.stack([tr.times for tr in trs])
         try:
-            predicted, _ = euler_rollout(ev, truth[:, 0], times, dataset.schema.dt,
-                                         lambda k, x: (params, stored[k]))
+            predicted, _ = ev.euler_rollout(truth[:, 0], times, dataset.schema.dt,
+                                            lambda k, x: (params, stored[k]))
         except EvaluationFault:
             return float("inf")
         with np.errstate(over="ignore", invalid="ignore"):
@@ -965,7 +973,7 @@ def evaluate_test_metrics(spec: ModelSpec, params: ParamVector, test: Dataset) -
     one-step pass scores inf, as an exploding rollout does in rollout_mse."""
     ev = Evaluator(spec, test.schema)
     try:
-        sq = squared_residuals(spec, params, test, evaluator=ev)
+        sq = ev.squared_residuals(params, test)
     except EvaluationFault:
         sq = np.full((1, len(spec.components)), np.inf)
     delta, upsilon = _component_means(sq)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -113,7 +112,6 @@ class RunResult:
     test: TestMetrics
     transcript: list[dict]
     fit_results: dict[int, FitResult]
-    stage_seconds: dict[str, float]
 
     @property
     def best(self) -> PopulationEntry:
@@ -170,30 +168,23 @@ def evolve(ctx: ModelingContext, system: SystemDef, datasets: dict[str, Dataset]
     feedback = ""
     records: list[GenerationRecord] = []
     fit_results: dict[int, FitResult] = {}
-    stages = {"propose": 0.0, "fit": 0.0, "evaluate": 0.0, "critique": 0.0}
 
     for g in range(1, cfg.generations + 1):
-        t0 = time.perf_counter()
         try:
             spec, description = propose(client, ctx, system.schema, pop, feedback, g,
                                         cfg.decoding)
         except ProposalFailure as err:
-            stages["propose"] += time.perf_counter() - t0
             log.warning("generation %d: proposal failed (%s)", g, err)
             records.append(GenerationRecord(g, "proposal-failed"))
         except TransportError as err:
-            stages["propose"] += time.perf_counter() - t0
             if not pop:
                 raise
             log.warning("generation %d: lost the LLM endpoint (%s)", g, err)
             records.append(GenerationRecord(g, "transport-failed", error=str(err)))
             break
         else:
-            stages["propose"] += time.perf_counter() - t0
-            t0 = time.perf_counter()
             result = fit(spec, init_params(spec, seed=_mix_seed(cfg.seed, g)),
                          train, val, cfg.optim)
-            stages["fit"] += time.perf_counter() - t0
             fit_results[g] = result
             if not result.usable:
                 log.warning("generation %d: fit faulted", g)
@@ -213,20 +204,16 @@ def evolve(ctx: ModelingContext, system: SystemDef, datasets: dict[str, Dataset]
                 ))
         records[-1].best = pop[0] if pop else None
         if g < cfg.generations and pop:
-            t0 = time.perf_counter()
             history = [(r.generation, r.best.upsilon, r.best.description)
                        for r in records if r.best is not None]
             feedback = critique(client, ctx.requirements, pop, history, g + 1,
                                 cfg.generations, cfg.decoding)
-            stages["critique"] += time.perf_counter() - t0
 
     if not pop:
         raise RunFailure("no generation produced a usable candidate", list(client.transcript))
     best = pop[0]
-    t0 = time.perf_counter()
     test_metrics = evaluate_test_metrics(best.spec, best.params, test)
-    stages["evaluate"] += time.perf_counter() - t0
-    return RunResult(pop, records, test_metrics, list(client.transcript), fit_results, stages)
+    return RunResult(pop, records, test_metrics, list(client.transcript), fit_results)
 
 
 # the methods an LLM client drives: evolve and its two one-generation ablations

@@ -3,7 +3,8 @@
 Every built-in system carries its true dynamics as an ordinary model
 spec.  A split draws all its uniforms up front, in per-trajectory stream
 order, then steps its trajectories together through the engine's one
-Euler loop (`euler_rollout`); `engine.rollout` reproduces them exactly.
+Euler loop (`Evaluator.euler_rollout`); `Evaluator.rollout` reproduces
+them exactly.
 
 Systems:
   cancer, cancer-chemo, cancer-chemo-radio
@@ -34,7 +35,6 @@ from hdtwin.engine import (
     ParamVector,
     Trajectory,
     csv_trajectory,
-    euler_rollout,
     init_params,
     read_csv_rows,
     require_integers,
@@ -320,7 +320,7 @@ def _generate_split(system: SystemDef, ev: Evaluator, draws: np.ndarray,
         radio = np.where(draws[:, 2 + 2 * k] < p_r, policy.radio_quantum, 0.0)
         return params, np.column_stack([chemo, radio])[:, :system.schema.d_u]
 
-    states, actions = euler_rollout(ev, x0, times, dt, inputs)
+    states, actions = ev.euler_rollout(x0, times, dt, inputs)
     return [Trajectory(times[i], states[i], actions[i]) for i in range(n)]
 
 

@@ -31,12 +31,11 @@ from hdtwin.baselines import builtin_baseline_spec, sindy_fit
 from hdtwin.dsl import parse_model_spec
 from hdtwin.engine import (
     EvaluationFault,
+    Evaluator,
     ParamVector,
     init_params,
-    loss_gradient,
     one_step_mse,
     per_component_mse,
-    rollout,
     rollout_mse,
 )
 from hdtwin.optim import OptimConfig, adam_update, fit
@@ -94,7 +93,7 @@ def test_criterion_01_gradient_correctness():
         params = random_params(rng, spec)
         batch = random_batch(rng, schema, 6)
         try:
-            loss, grads = loss_gradient(spec, params, schema, batch, dt=0.5)
+            loss, grads = Evaluator(spec, schema).loss_and_grad(params, batch, dt=0.5)
         except EvaluationFault:
             continue
         if loss > 1e4:  # guard-clamped denominators make finite differences meaningless
@@ -277,13 +276,14 @@ def test_criterion_06_evolvability():
     scaled = result.params.copy()
     scaled.scalars["beta"] *= INTERVENTION_SCALE
     day = INTERVENTION_DAY
+    evaluator = Evaluator(spec, system.schema)
 
     def post_intervention_mse(params: ParamVector) -> float:
         total, count = 0.0, 0
         for tr in data["test"].trajectories:
             steps = len(tr) - 1 - day
-            out = rollout(spec, params, system.schema, tr.states[day],
-                          np.zeros((steps, 0)), system.schema.dt, t0=float(day))
+            out = evaluator.rollout(params, tr.states[day], np.zeros((steps, 0)),
+                                    system.schema.dt, t0=float(day))
             total += float(np.sum((out.states - tr.states[day:]) ** 2))
             count += out.states.size
         return total / count

@@ -10,7 +10,7 @@ from hdtwin.baselines import (
     sindy_fit,
 )
 from hdtwin.dsl import parse_model_spec, validate
-from hdtwin.engine import Dataset, Trajectory, init_params, one_step_mse, rollout
+from hdtwin.engine import Dataset, Evaluator, Trajectory, init_params, one_step_mse
 from hdtwin.systems import GenConfig, builtin_system, generate_dataset
 
 
@@ -35,7 +35,7 @@ def test_forward_differences_match_euler_generator_exactly():
 
     schema = SystemSchema(states=(VarSpec("x", 0, 10),), dt=0.5)
     spec = parse_model_spec("d(x)/dt = -0.5 * x")
-    tr = rollout(spec, init_params(spec), schema, [8.0], np.zeros((12, 0)), dt=0.5)
+    tr = Evaluator(spec, schema).rollout(init_params(spec), [8.0], np.zeros((12, 0)), dt=0.5)
     fd = finite_difference_derivatives(tr)
     assert np.max(np.abs(fd[:, 0] - (-0.5) * tr.states[:-1, 0])) == 0.0
 
@@ -56,8 +56,9 @@ def _linear_decay_dataset(n_traj=8, steps=30):
     schema = SystemSchema(states=(VarSpec("x", 0, 10),), dt=0.25)
     spec = parse_model_spec("d(x)/dt = -0.5 * x")
     rng = np.random.default_rng(0)
-    trs = [rollout(spec, init_params(spec), schema, [float(rng.uniform(1, 9))],
-                   np.zeros((steps, 0)), dt=0.25) for _ in range(n_traj)]
+    ev = Evaluator(spec, schema)
+    trs = [ev.rollout(init_params(spec), [float(rng.uniform(1, 9))], np.zeros((steps, 0)),
+                      dt=0.25) for _ in range(n_traj)]
     return Dataset(trs, schema)
 
 

@@ -110,17 +110,7 @@ def test_fit_refuses_an_unusable_fit(small_data, tmp_path, capsys, monkeypatch, 
     assert not (tmp_path / "fitrun").exists()
 
 
-def test_fit_rejects_a_negative_seed(small_data, tmp_path, capsys):
-    spec_path = tmp_path / "true.hdt"
-    spec_path.write_text(canonicalize(builtin_system("cancer-chemo-radio").spec).text)
-    code = dispatch(["fit", "--spec", str(spec_path), "--data", str(small_data),
-                     "--out", str(tmp_path / "fitrun"), "--seed", "-1"])
-    assert code == EXIT_CONFIG
-    assert capsys.readouterr().err == "error: seed must be >= 0 (got -1)\n"
-    assert not (tmp_path / "fitrun").exists()
-
-
-def test_fit_rejects_a_negative_network_seed_before_loading_data(tmp_path, capsys):
+def test_fit_rejects_a_negative_seed_before_loading_data(tmp_path, capsys):
     spec_path = tmp_path / "scalar.hdt"
     spec_path.write_text("param a = 0.5\nd(tumor_volume)/dt = a * tumor_volume\n")
     code = dispatch(["fit", "--spec", str(spec_path), "--data", str(tmp_path / "missing"),

@@ -30,11 +30,9 @@ from hdtwin.engine import (
     init_params,
     load_params,
     load_saved_dataset,
-    loss_gradient,
     mlp_init,
     one_step_mse,
     per_component_mse,
-    rollout,
     rollout_mse,
     save_dataset,
     save_params,
@@ -130,6 +128,40 @@ def test_guarded_division_is_total():
     assert f2[0] == pytest.approx(math.log(1e-8))
 
 
+SHAPE_SCHEMA = SystemSchema(states=(VarSpec("x", 0, 10), VarSpec("y", 0, 10)))
+SHAPE_SPEC = parse_model_spec("param a = 0.5\nd(x)/dt = a * x\nd(y)/dt = a * y")
+SHAPE_WANT = "expected ((1, 2), (1, 0), (1,))"
+
+
+@pytest.mark.parametrize("state, got", [
+    ([1.0, 2.0, 7.0], "((1, 3), (1, 0), (1,))"),  # the extra column was read as a parameter
+    ([1.0], "((1, 1), (1, 0), (1,))"),             # an IndexError from inside the tape
+], ids=["extra state column", "missing state column"])
+def test_derivative_refuses_a_state_of_the_wrong_width(state, got):
+    with pytest.raises(ValueError) as err:
+        Evaluator(SHAPE_SPEC, SHAPE_SCHEMA).derivative(init_params(SHAPE_SPEC), state, [], 0.0)
+    assert str(err.value) == f"x, u, t have shapes {got}, {SHAPE_WANT}"
+
+
+@pytest.mark.parametrize("x, u, t", [
+    (np.ones((1, 2)), np.full((1, 1), 9.0), np.zeros(1)),
+    (np.ones((1, 2)), np.zeros((1, 0)), np.zeros((1, 1))),
+    (np.ones((1, 2)), np.zeros((1, 0)), np.zeros(2)),
+], ids=["extra action column", "time as a column", "more times than rows"])
+def test_derivatives_refuse_inputs_of_the_wrong_shape(x, u, t):
+    with pytest.raises(ValueError) as err:
+        Evaluator(SHAPE_SPEC, SHAPE_SCHEMA).derivatives(init_params(SHAPE_SPEC), x, u, t)
+    assert str(err.value) == f"x, u, t have shapes {(x.shape, u.shape, t.shape)}, {SHAPE_WANT}"
+
+
+@pytest.mark.parametrize("x0", [[1.0], [1.0, 2.0, 3.0]], ids=["one value", "three values"])
+def test_rollout_refuses_an_initial_state_of_the_wrong_width(x0):
+    with pytest.raises(ValueError) as err:
+        Evaluator(SHAPE_SPEC, SHAPE_SCHEMA).rollout(init_params(SHAPE_SPEC), x0, np.zeros((3, 0)),
+                                                    dt=1.0)
+    assert str(err.value) == f"x0 has shape (1, {len(x0)}), expected (1, 2)"
+
+
 def test_scalar_power_overflow_is_a_fault():
     # a parameter-only power of a Python float init once escaped as OverflowError
     schema = SystemSchema(states=(VarSpec("x", 0, 10),))
@@ -190,7 +222,10 @@ def test_reused_evaluator_matches_fresh_across_row_counts(text):
     """Passes with and without a backward on one evaluator, each with a
     fresh evaluator's bits.  First a mixed order: a small pass with a
     backward, a larger one without (the pool grows and drops the cached
-    views), the small pass again and an odd partial batch."""
+    views), the small pass again and an odd partial batch.  Then, on the
+    grown pool, the passes of rollouts and scoring: a one-trajectory
+    rollout, a residual pass of M rows, a batched Euler loop of N
+    trajectories, and the first rollout again."""
     spec = parse_model_spec(text)
     shared = Evaluator(spec, WS_SCHEMA)
     passes = [(100, True), (3000, False), (100, True), (37, True), (37, False)]
@@ -205,6 +240,21 @@ def test_reused_evaluator_matches_fresh_across_row_counts(text):
         else:
             f = shared.derivatives(params, batch.x, batch.u, batch.t)
             assert f.tobytes() == fresh.derivatives(params, batch.x, batch.u, batch.t).tobytes(), i
+    _, params, _ = _ws_case(text, 1, seed=len(passes))
+    rng = np.random.default_rng(7)
+    actions, n = rng.uniform(0.0, 5.0, (30, 1)), 64
+    data = Dataset([Trajectory(np.arange(401.0) * WS_SCHEMA.dt, rng.uniform(-2.0, 3.0, (401, 2)),
+                               rng.uniform(0.0, 5.0, (401, 1)))], WS_SCHEMA)
+    x0, times = rng.uniform(0.5, 2.0, (n, 2)), np.tile(np.arange(31) * 0.01, (n, 1))
+    inputs = rng.uniform(0.0, 5.0, (31, n, 1))
+    runs = [
+        lambda ev: ev.rollout(params, [1.0, 0.5], actions, dt=0.01).states,
+        lambda ev: ev.squared_residuals(params, data),
+        lambda ev: ev.euler_rollout(x0, times, 0.01, lambda k, x: (params, inputs[k]))[0],
+        lambda ev: ev.rollout(params, [1.0, 0.5], actions, dt=0.01).states,
+    ]
+    for i, run in enumerate(runs):
+        assert run(shared).tobytes() == run(Evaluator(spec, WS_SCHEMA)).tobytes(), i
 
 
 def _arrays(grads):
@@ -510,7 +560,7 @@ def test_column_sums_fall_back_off_the_c_contiguous_path(monkeypatch):
 def test_rollout_one_euler_step():
     schema = SystemSchema(states=(VarSpec("c", 0, 100),))
     spec = parse_model_spec("d(c)/dt = -0.5 * c")
-    tr = rollout(spec, init_params(spec), schema, [10.0], np.zeros((1, 0)), dt=1.0)
+    tr = Evaluator(spec, schema).rollout(init_params(spec), [10.0], np.zeros((1, 0)), dt=1.0)
     assert tr.states[1, 0] == pytest.approx(5.0, abs=0)
     assert list(tr.times) == [0.0, 1.0]
 
@@ -519,14 +569,14 @@ def test_rollout_linear_dynamics_exact():
     # one Euler step of dx/dt = a x is exactly x (1 + a dt)
     schema = SystemSchema(states=(VarSpec("x", -100, 100),))
     spec = parse_model_spec("param a = -0.37\nd(x)/dt = a * x")
-    tr = rollout(spec, init_params(spec), schema, [3.0], np.zeros((1, 0)), dt=0.25)
+    tr = Evaluator(spec, schema).rollout(init_params(spec), [3.0], np.zeros((1, 0)), dt=0.25)
     assert tr.states[1, 0] == 3.0 * (1.0 + -0.37 * 0.25)
 
 
 def test_rollout_zero_dynamics_constant():
     schema = SystemSchema(states=(VarSpec("x", 0, 10), VarSpec("y", 0, 10)))
     spec = parse_model_spec("d(x)/dt = 0.0\nd(y)/dt = 0.0")
-    tr = rollout(spec, init_params(spec), schema, [4.0, 5.0], np.zeros((7, 0)), dt=1.0)
+    tr = Evaluator(spec, schema).rollout(init_params(spec), [4.0, 5.0], np.zeros((7, 0)), dt=1.0)
     assert (tr.states == [4.0, 5.0]).all()
     assert len(tr) == 8
 
@@ -535,7 +585,7 @@ def test_rollout_fault_reports_step():
     schema = SystemSchema(states=(VarSpec("x", 0, 10),))
     spec = parse_model_spec("d(x)/dt = x ^ 3.0")
     with pytest.raises(EvaluationFault) as err:
-        rollout(spec, init_params(spec), schema, [5.0], np.zeros((80, 0)), dt=1.0)
+        Evaluator(spec, schema).rollout(init_params(spec), [5.0], np.zeros((80, 0)), dt=1.0)
     # x = 5, 130, ~2.2e6, ~1e19, ~1e57, ~1e171: the cube overflows at step 5
     assert err.value.step == 5
     assert err.value.component == 0
@@ -557,8 +607,8 @@ BLAME_DATA = Dataset([Trajectory(np.arange(3.0), BLAME_ROWS, np.zeros((3, 0)))],
     (lambda: Evaluator(BLAME_SPEC, BLAME_SCHEMA).loss_and_grad(
         init_params(BLAME_SPEC), BLAME_DATA.transitions(), 1.0), None),
     # y = 700, ~1e304, then exp overflows at step 1; x stays finite until step 3
-    (lambda: rollout(BLAME_SPEC, init_params(BLAME_SPEC), BLAME_SCHEMA, [1.0, 700.0],
-                     np.zeros((5, 0)), dt=1.0), 1),
+    (lambda: Evaluator(BLAME_SPEC, BLAME_SCHEMA).rollout(
+        init_params(BLAME_SPEC), [1.0, 700.0], np.zeros((5, 0)), dt=1.0), 1),
 ], ids=["derivative", "squared_residuals", "loss_and_grad", "rollout"])
 def test_a_non_finite_derivative_blames_the_first_bad_entry_in_row_order(run, step):
     with pytest.raises(EvaluationFault) as err:
@@ -587,8 +637,17 @@ def test_one_step_mse_single_transition():
     assert one_step_mse(spec, init_params(spec), ds) == 1.0
 
 
+def test_squared_residuals_refuse_a_dataset_of_another_schema():
+    schema = SystemSchema(states=(VarSpec("x", 0, 10),))
+    spec = parse_model_spec("d(x)/dt = 0.0")
+    ds = _one_transition_dataset(schema, [1.0], [2.0], dt=0.5)  # the same states, another dt
+    with pytest.raises(ValueError, match="the dataset has another schema than the evaluator"):
+        Evaluator(spec, schema).squared_residuals(init_params(spec), ds)
+
+
 def test_one_step_mse_self_consistency_zero():
     spec, params = cancer_model()
+    ev = Evaluator(spec, CANCER_SCHEMA)
     rng = np.random.default_rng(3)
     trajectories = []
     for _ in range(5):
@@ -596,7 +655,7 @@ def test_one_step_mse_self_consistency_zero():
         actions = np.column_stack([
             rng.choice([0.0, 5.0], size=20), rng.choice([0.0, 2.0], size=20)
         ])
-        trajectories.append(rollout(spec, params, CANCER_SCHEMA, x0, actions, dt=1.0))
+        trajectories.append(ev.rollout(params, x0, actions, dt=1.0))
     ds = Dataset(trajectories, CANCER_SCHEMA)
     assert one_step_mse(spec, params, ds) <= 1e-12
 
@@ -632,7 +691,7 @@ def test_one_step_mse_matches_naive_double_loop():
         spec = random_spec(rng, schema)
         params = random_params(rng, spec)
         batch = random_batch(rng, schema, 8)
-        loss, _ = loss_gradient(spec, params, schema, batch, dt=1.0)
+        loss, _ = Evaluator(spec, schema).loss_and_grad(params, batch, dt=1.0)
         naive = naive_one_step_loss(spec, schema, params, batch, dt=1.0)
         assert loss == pytest.approx(naive, rel=1e-12, abs=1e-300)
 
@@ -645,14 +704,15 @@ def test_unfitted_hybrid_fixture_loss_matches_naive_double_loop():
     spec = parse_model_spec(replay_fixtures.SPEC_6)
     params = init_params(spec, seed=0)
     true_spec, true_params = cancer_model()
+    true_ev = Evaluator(true_spec, CANCER_SCHEMA)
     rng = np.random.default_rng(12)
     trs = []
     for _ in range(3):
         actions = np.column_stack([
             rng.choice([0.0, 5.0], size=12), rng.choice([0.0, 2.0], size=12)
         ])
-        trs.append(rollout(true_spec, true_params, CANCER_SCHEMA,
-                           [float(rng.uniform(1, 1000)), 0.0], actions, dt=1.0))
+        trs.append(true_ev.rollout(true_params, [float(rng.uniform(1, 1000)), 0.0], actions,
+                                   dt=1.0))
     ds = Dataset(trs, CANCER_SCHEMA)
     batch = ds.transitions()
     engine_loss = one_step_mse(spec, params, ds)
@@ -670,7 +730,7 @@ def test_loss_gradient_hand_case():
     batch = TransitionBatch(
         x=np.array([[2.0]]), u=np.zeros((1, 0)), t=np.zeros(1), y=np.array([[2.0]])
     )
-    loss, grads = loss_gradient(spec, init_params(spec), schema, batch, dt=1.0)
+    loss, grads = Evaluator(spec, schema).loss_and_grad(init_params(spec), batch, dt=1.0)
     assert loss == pytest.approx(1.0)           # predicted 3, observed 2
     assert grads.scalars["a"] == pytest.approx(4.0)  # 2 * (3 - 2) * 2
 
@@ -679,7 +739,7 @@ def test_unreachable_parameter_gets_zero_gradient():
     schema = SystemSchema(states=(VarSpec("x", 0, 10),))
     spec = parse_model_spec("param a = 0.5\nparam unused = 3.0\nd(x)/dt = a * x")
     batch = TransitionBatch(np.array([[2.0]]), np.zeros((1, 0)), np.zeros(1), np.array([[5.0]]))
-    _, grads = loss_gradient(spec, init_params(spec), schema, batch, dt=1.0)
+    _, grads = Evaluator(spec, schema).loss_and_grad(init_params(spec), batch, dt=1.0)
     assert grads.scalars["unused"] == 0.0
 
 
@@ -694,7 +754,7 @@ def test_gradient_matches_finite_differences_randomized():
         params = random_params(rng, spec)
         batch = random_batch(rng, schema, 6)
         try:
-            loss, grads = loss_gradient(spec, params, schema, batch, dt=0.5)
+            loss, grads = Evaluator(spec, schema).loss_and_grad(params, batch, dt=0.5)
         except EvaluationFault:
             continue
         if loss > 1e4:
@@ -720,7 +780,7 @@ def test_gradient_through_pow_with_parameter_exponent():
     spec = parse_model_spec("param p = 1.7\nd(x)/dt = x ^ p")
     params = init_params(spec)
     batch = TransitionBatch(np.array([[2.0]]), np.zeros((1, 0)), np.zeros(1), np.array([[2.0]]))
-    _, grads = loss_gradient(spec, params, schema, batch, dt=1.0)
+    _, grads = Evaluator(spec, schema).loss_and_grad(params, batch, dt=1.0)
     # d pred/dp = x^p ln x; residual = x^p
     expected = 2.0 * (2.0 ** 1.7) * (2.0 ** 1.7) * math.log(2.0)
     assert grads.scalars["p"] == pytest.approx(expected, rel=1e-12)
@@ -731,7 +791,7 @@ def test_gradient_fault_carries_param_name():
     spec = parse_model_spec("param a = 700.0\nd(x)/dt = exp(a) * x")
     batch = TransitionBatch(np.array([[2.0]]), np.zeros((1, 0)), np.zeros(1), np.array([[2.0]]))
     with pytest.raises(EvaluationFault):
-        loss_gradient(spec, init_params(spec), schema, batch, dt=1.0)
+        Evaluator(spec, schema).loss_and_grad(init_params(spec), batch, dt=1.0)
 
 
 def test_gradient_overflow_with_finite_loss_names_the_scalar():
@@ -742,7 +802,7 @@ def test_gradient_overflow_with_finite_loss_names_the_scalar():
     batch = TransitionBatch(np.array([[1.0]]), np.zeros((1, 0)), np.zeros(1),
                             np.array([[-1e10]]))
     with pytest.raises(EvaluationFault) as err:
-        loss_gradient(spec, init_params(spec), schema, batch, dt=1.0)
+        Evaluator(spec, schema).loss_and_grad(init_params(spec), batch, dt=1.0)
     assert err.value.param == "a"
     assert str(err.value) == "non-finite gradient for parameter 'a'"
 
@@ -766,7 +826,7 @@ def test_gradient_overflow_with_finite_loss_names_the_network():
     batch = TransitionBatch(np.array([[1.0, 1.0]]), np.array([[1e300]]), np.zeros(1),
                             np.array([[1.0, -1e10]]))
     with pytest.raises(EvaluationFault) as err:
-        loss_gradient(spec, params, schema, batch, dt=1.0)
+        Evaluator(spec, schema).loss_and_grad(params, batch, dt=1.0)
     assert err.value.param == "net"
     assert str(err.value) == "non-finite gradient in network 'net'"
 
@@ -852,14 +912,14 @@ def test_config_integer_fields_reject_floats_and_bools(cls, name, good):
 
 def test_rollout_mse_zero_for_true_model():
     spec, params = cancer_model()
+    ev = Evaluator(spec, CANCER_SCHEMA)
     rng = np.random.default_rng(1)
     trs = []
     for _ in range(4):
         actions = np.column_stack([
             rng.choice([0.0, 5.0], size=15), rng.choice([0.0, 2.0], size=15)
         ])
-        trs.append(rollout(spec, params, CANCER_SCHEMA, [float(rng.uniform(1, 1000)), 0.0],
-                           actions, dt=1.0))
+        trs.append(ev.rollout(params, [float(rng.uniform(1, 1000)), 0.0], actions, dt=1.0))
     ds = Dataset(trs, CANCER_SCHEMA)
     assert rollout_mse(spec, params, ds) <= 1e-18
 
@@ -867,7 +927,7 @@ def test_rollout_mse_zero_for_true_model():
 def test_rollout_mse_inf_for_exploding_model():
     schema = SystemSchema(states=(VarSpec("x", 0, 10),))
     true = parse_model_spec("d(x)/dt = 0.0")
-    tr = rollout(true, init_params(true), schema, [5.0], np.zeros((200, 0)), dt=1.0)
+    tr = Evaluator(true, schema).rollout(init_params(true), [5.0], np.zeros((200, 0)), dt=1.0)
     bad = parse_model_spec("d(x)/dt = x ^ 3.0")
     assert rollout_mse(bad, init_params(bad), Dataset([tr], schema)) == float("inf")
 
@@ -878,14 +938,14 @@ def test_rollout_mse_inf_for_exploding_model():
 
 def test_dataset_round_trip_bit_exact(tmp_path):
     spec, params = cancer_model()
+    ev = Evaluator(spec, CANCER_SCHEMA)
     rng = np.random.default_rng(8)
     trs = []
     for _ in range(3):
         actions = np.column_stack([
             rng.choice([0.0, 5.0], size=10), rng.choice([0.0, 2.0], size=10)
         ])
-        trs.append(rollout(spec, params, CANCER_SCHEMA, [float(rng.uniform(1, 1000)), 0.0],
-                           actions, dt=1.0))
+        trs.append(ev.rollout(params, [float(rng.uniform(1, 1000)), 0.0], actions, dt=1.0))
     ds = Dataset(trs, CANCER_SCHEMA, split="val")
     save_dataset(ds, tmp_path / "d", seed=8)
     back = load_saved_dataset(tmp_path / "d")
@@ -904,7 +964,7 @@ def test_dataset_round_trip_bit_exact(tmp_path):
 
 def test_load_saved_dataset_checks_csv_against_manifest(tmp_path):
     spec, params = cancer_model()
-    tr = rollout(spec, params, CANCER_SCHEMA, [100.0, 0.0], np.zeros((5, 2)), dt=1.0)
+    tr = Evaluator(spec, CANCER_SCHEMA).rollout(params, [100.0, 0.0], np.zeros((5, 2)), dt=1.0)
     save_dataset(Dataset([tr, tr], CANCER_SCHEMA), tmp_path / "d")
     path = tmp_path / "d" / "traj-00001.csv"
     lines = path.read_text().splitlines()
@@ -931,7 +991,7 @@ def test_trajectory_rejects_non_finite_times(times):
 def test_load_saved_dataset_names_the_file_whose_times_are_rejected(tmp_path, bad_time,
                                                                    message):
     spec, params = cancer_model()
-    tr = rollout(spec, params, CANCER_SCHEMA, [100.0, 0.0], np.zeros((5, 2)), dt=1.0)
+    tr = Evaluator(spec, CANCER_SCHEMA).rollout(params, [100.0, 0.0], np.zeros((5, 2)), dt=1.0)
     save_dataset(Dataset([tr, tr], CANCER_SCHEMA), tmp_path / "d")
     path = tmp_path / "d" / "traj-00001.csv"
     lines = path.read_text().splitlines()
@@ -943,8 +1003,9 @@ def test_load_saved_dataset_names_the_file_whose_times_are_rejected(tmp_path, ba
 
 def test_load_saved_dataset_reads_exactly_the_manifest_count(tmp_path):
     spec, params = cancer_model()
-    trs = [rollout(spec, params, CANCER_SCHEMA, [float(10 * (k + 1)), 0.0], np.zeros((4, 2)),
-                   dt=1.0) for k in range(6)]
+    ev = Evaluator(spec, CANCER_SCHEMA)
+    trs = [ev.rollout(params, [float(10 * (k + 1)), 0.0], np.zeros((4, 2)), dt=1.0)
+           for k in range(6)]
     d = tmp_path / "d"
     save_dataset(Dataset(trs, CANCER_SCHEMA), d)
     # re-saving three trajectories deletes the stale traj-00003..5

@@ -40,7 +40,6 @@ from hdtwin.engine import (
     Evaluator,
     TransitionBatch,
     init_params,
-    rollout,
     rollout_mse,
     save_dataset,
     save_params,
@@ -278,8 +277,8 @@ def t0_rollout():
     system = builtin_system("synthetic-1")
     rng = np.random.default_rng(19)
     actions = np.column_stack([5.0 * (rng.random(40) < 0.5), 2.0 * (rng.random(40) < 0.5)])
-    return rollout(system.spec, system.true_params, system.schema, [640.0, 1.5], actions,
-                   dt=0.5, t0=19.0)
+    return Evaluator(system.spec, system.schema).rollout(system.true_params, [640.0, 1.5],
+                                                         actions, dt=0.5, t0=19.0)
 
 
 @pytest.mark.parametrize("sys_id", BUILTIN_IDS)

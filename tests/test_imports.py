@@ -16,11 +16,18 @@ public function, class and method of its modules, has a user outside the
 tests or a mention in the README.  Only `engine` reads and writes JSON files and CSV
 tables (read_json, write_json, write_table), so no second writer of a
 format grows back.
+
+The benchmark looks hdtwin's functions and methods up by name: the
+tracer wraps them by attribute, and the workloads call them through
+their modules.  A rename in `src/` would break it without an error, so
+every name it looks up must resolve, read from its source with no import
+of the benchmark.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -28,6 +35,7 @@ import sys
 from pathlib import Path
 
 import hdtwin
+from hdtwin import engine, optim, orchestrator
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -176,3 +184,48 @@ def test_only_the_engine_reads_or_writes_json_files_and_csv_tables():
                     {("json", "load"), ("json", "dump"), ("csv", "writer")}):
                 found.append(f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}")
     assert found == []
+
+
+# the hdtwin modules bench/workloads.py calls through
+BENCH_MODULES = ("dsl", "engine", "optim", "orchestrator", "systems")
+
+
+def bench_names() -> set[tuple[str, str]]:
+    """(owner, name) of each hdtwin name the benchmark looks up: the owner
+    and attribute of every (span, owner, attribute, ...) tuple in
+    bench/tracing.py's install, and every attribute of a BENCH_MODULES
+    module that bench/workloads.py reads.  An owner is a module or
+    module.Class."""
+    found = set()
+    tracing = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+    install = next(node for node in tracing.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "install")
+    for node in ast.walk(install):
+        if isinstance(node, ast.Tuple) and len(node.elts) == 5 and all(
+                isinstance(node.elts[i], ast.Constant) for i in (0, 2)):
+            found.add((ast.unparse(node.elts[1]), node.elts[2].value))
+    for node in ast.walk(ast.parse((ROOT / "bench" / "workloads.py").read_text())):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in BENCH_MODULES):
+            found.add((node.value.id, node.attr))
+    return found
+
+
+def test_every_name_the_bench_looks_up_resolves():
+    names = bench_names()
+    assert {("engine", "rollout_mse"), ("engine.Evaluator", "derivatives"),
+            ("optim", "fit"), ("systems", "generate_dataset")} <= names
+    missing = []
+    for owner, name in sorted(names):
+        module, *classes = owner.split(".")
+        found = importlib.import_module(f"hdtwin.{module}")
+        for cls in classes:
+            found = getattr(found, cls, None)
+        # install wraps a method found in its class's own namespace
+        if not (name in vars(found) if isinstance(found, type) else hasattr(found, name)):
+            missing.append(f"{owner}.{name}")
+    assert missing == []
+    # the tracer tells fit's validation pass and evolve's test scoring by
+    # these bindings of the engine's functions
+    assert optim.per_component_mse is engine.per_component_mse
+    assert orchestrator.evaluate_test_metrics is engine.evaluate_test_metrics

@@ -9,7 +9,7 @@ from conftest import UNUSABLE_FITS, unusable_fit
 from hdtwin.dsl import SystemSchema, VarSpec, parse_model_spec
 from hdtwin import optim
 from hdtwin.engine import (Dataset, Evaluator, init_params, load_params, per_component_mse,
-                           rollout, save_params)
+                           save_params)
 from hdtwin.optim import FitResult, OptimConfig, adam_update, fit
 from hdtwin.systems import GenConfig, builtin_system, generate_dataset
 
@@ -18,11 +18,10 @@ SCHEMA = SystemSchema(states=(VarSpec("x", -100.0, 100.0),), dt=1.0)
 
 def make_linear_dataset(a: float, n_traj: int, steps: int, seed: int, split: str) -> Dataset:
     spec = parse_model_spec(f"param a = {a}\nd(x)/dt = a * x")
-    params = init_params(spec)
+    params, ev = init_params(spec), Evaluator(spec, SCHEMA)
     rng = np.random.default_rng(seed)
     trs = [
-        rollout(spec, params, SCHEMA, [float(rng.uniform(1.0, 5.0))],
-                np.zeros((steps, 0)), dt=1.0)
+        ev.rollout(params, [float(rng.uniform(1.0, 5.0))], np.zeros((steps, 0)), dt=1.0)
         for _ in range(n_traj)
     ]
     return Dataset(trs, SCHEMA, split)

@@ -59,7 +59,6 @@ from hdtwin.engine import (
     TransitionBatch,
     init_params,
     load_saved_dataset,
-    loss_gradient,
     save_dataset,
 )
 
@@ -113,7 +112,7 @@ def test_evaluation_matches_oracle_or_faults(seed, values):
         want = _oracle(naive_derivative, spec, schema, params, batch.x[r], batch.u[r], batch.t[r])
         assert _matches(got, want), (got, want)
     try:
-        loss, grads = loss_gradient(spec, params, schema, batch, DT)
+        loss, grads = Evaluator(spec, schema).loss_and_grad(params, batch, DT)
     except EvaluationFault:
         return
     assert _matches(loss, _oracle(naive_one_step_loss, spec, schema, params, batch, DT))
@@ -134,7 +133,7 @@ def test_guard_branches_are_total(text):
     x = np.array([[0.0], [-0.0], [-1.0], [1e-8], [2.0]])
     batch = TransitionBatch(x, np.zeros((5, 0)), np.zeros(5), np.zeros((5, 1)))
     try:
-        loss, _ = loss_gradient(spec, params, schema, batch, DT)
+        loss, _ = Evaluator(spec, schema).loss_and_grad(params, batch, DT)
     except EvaluationFault:
         return
     assert _matches(loss, _oracle(naive_one_step_loss, spec, schema, params, batch, DT))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hdtwin.dsl import SystemSchema, VarSpec, validate
-from hdtwin.engine import Evaluator, read_csv_rows, rollout, save_dataset
+from hdtwin.engine import Evaluator, read_csv_rows, save_dataset
 from hdtwin.systems import (
     BUILTIN_IDS,
     CancerPolicyParams,
@@ -123,9 +123,10 @@ def test_regeneration_fidelity_through_engine_rollout():
     for sys_id in ("cancer-chemo-radio", "seir-covid", "lv2"):
         system = builtin_system(sys_id)
         data = generate_dataset(system, GenConfig(n=3, seed=11))
+        ev = Evaluator(system.spec, system.schema)
         for tr in data["train"].trajectories:
-            redone = rollout(system.spec, system.true_params, system.schema,
-                             tr.states[0], tr.actions[:-1], system.schema.dt)
+            redone = ev.rollout(system.true_params, tr.states[0], tr.actions[:-1],
+                                system.schema.dt)
             assert np.max(np.abs(redone.states - tr.states)) <= 1e-12
             assert np.max(np.abs(redone.times - tr.times)) == 0.0
 
@@ -363,12 +364,12 @@ def test_load_csv_feeds_the_fit_pipeline(tmp_path):
     # the documented real-data workflow: a single 92-row series, split
     # chronologically 63/14/14, fitted through the ordinary optimizer
     from hdtwin.baselines import builtin_baseline_spec
-    from hdtwin.engine import init_params, rollout
+    from hdtwin.engine import init_params
     from hdtwin.optim import OptimConfig, fit
 
     system = builtin_system("lv2")
-    tr = rollout(system.spec, system.true_params, system.schema,
-                 [2.0, 1.0], np.zeros((91, 0)), system.schema.dt)
+    tr = Evaluator(system.spec, system.schema).rollout(system.true_params, [2.0, 1.0],
+                                                       np.zeros((91, 0)), system.schema.dt)
     path = tmp_path / "pelts.csv"
     with open(path, "w") as fh:
         fh.write("t,x_1,x_2\n")
