@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import os
 import time
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hdtwin.dsl import DslError, ModelSpec, SystemSchema, parse_model_spec, validate
-from hdtwin.engine import ParamVector, read_json, require_integers
+from hdtwin.engine import ParamVector, read_json, require_integers, require_numbers
 
 log = logging.getLogger(__name__)
 
@@ -101,9 +100,7 @@ class DecodingConfig:
 
     def __post_init__(self):
         require_integers(self, "max_tokens", "retries")
-        for name in ("temperature", "timeout", "retry_wait"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite (got {getattr(self, name)})")
+        require_numbers(self, "temperature", "timeout", "retry_wait")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
         if self.max_tokens < 1:

@@ -22,7 +22,7 @@ from hdtwin.dsl import (
     SystemSchema,
     parse_model_spec,
 )
-from hdtwin.engine import Dataset, Trajectory, require_integers
+from hdtwin.engine import Dataset, Trajectory, require_integers, require_numbers
 
 
 @dataclass
@@ -33,6 +33,7 @@ class SindyConfig:
 
     def __post_init__(self):
         require_integers(self, "degree")
+        require_numbers(self, "alpha", "threshold")
         if self.degree < 1 or self.alpha < 0 or self.threshold < 0:
             raise ValueError("degree >= 1, alpha >= 0, threshold >= 0 required")
 

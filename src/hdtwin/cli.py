@@ -317,11 +317,11 @@ def cmd_report(args) -> int:
     for run_dir in args.runs:
         path = Path(run_dir) / "result.json"
         doc = read_json(path, "headline_value")
-        try:
-            value = float(doc["headline_value"])
-        except (TypeError, ValueError):
-            raise ConfigError(f"{path} has a 'headline_value' that is not a number") from None
-        rows.append([str(path.parent), doc.get("headline_metric", HEADLINE_METRICS[0]), value])
+        value = doc["headline_value"]  # a JSON number: not a string, a bool or null
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{path} has a 'headline_value' that is not a number")
+        rows.append([str(path.parent), doc.get("headline_metric", HEADLINE_METRICS[0]),
+                     float(value)])
     first_run = {kind: run for run, kind, _ in reversed(rows)}  # of each headline kind
     if len(first_run) > 1:
         raise ConfigError("runs mix headline metrics: " + ", ".join(

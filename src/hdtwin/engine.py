@@ -99,6 +99,11 @@ every result.json; HEADLINE_METRICS names the headline choices.
 
 Every JSON file is read by read_json and written by write_json, and every
 CSV table by write_table; dataset CSVs keep save_dataset's one-pass writer.
+The dataset CSV layout ``t, x_1..x_dX, u_1..u_dU`` is this module's alone:
+both loaders, load_saved_dataset for a save_dataset directory and
+load_csv_dataset for one series split chronologically, build every
+trajectory through _csv_trajectory, which names the file of a trajectory
+whose times Trajectory refuses or whose step is not the schema's dt.
 """
 
 from __future__ import annotations
@@ -155,6 +160,18 @@ def require_integers(config, *names: str):
         value = getattr(config, name)
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer (got {value!r})")
+
+
+def require_numbers(config, *names: str):
+    """Raise ValueError naming the first of config's fields `names` that
+    holds no finite number: a bool, a string, nan or inf.  An int or a
+    float passes, numpy's too."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a number (got {value!r})")
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite (got {value})")
 
 
 class _Scalars(Mapping):
@@ -1019,13 +1036,19 @@ def read_csv_rows(path: Path, width: int) -> tuple[list[str], np.ndarray]:
     return rows[0], data.reshape(len(body), width)
 
 
-def csv_trajectory(path: Path, rows: np.ndarray, d_x: int) -> Trajectory:
+def _csv_trajectory(path: Path, rows: np.ndarray, schema: SystemSchema) -> Trajectory:
     """The trajectory of rows ``t, x_1..x_dX, u_1..u_dU`` read from the CSV
-    file path; a ValueError for its times names the file."""
+    file path; a ValueError for its times, or for a step that is not the
+    schema's dt (within Trajectory's spacing tolerance), names the file."""
     try:
-        return Trajectory(rows[:, 0], rows[:, 1:1 + d_x], rows[:, 1 + d_x:])
+        tr = Trajectory(rows[:, 0], rows[:, 1:1 + schema.d_x], rows[:, 1 + schema.d_x:])
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
+    # Trajectory holds every step to the first, so one step checks them all
+    step = float(tr.times[1] - tr.times[0]) if len(tr) >= 2 else schema.dt
+    if abs(step - schema.dt) > 1e-9 * max(1.0, abs(schema.dt)):
+        raise ValueError(f"{path}: time step {step!r} is not the schema's dt {schema.dt!r}")
+    return tr
 
 
 def save_dataset(ds: Dataset, out_dir: str | Path, seed: int | None = None,
@@ -1103,8 +1126,53 @@ def load_saved_dataset(in_dir: str | Path) -> Dataset:
         if names != header:
             raise ValueError(f"{path}: row 1 has header {','.join(names)},"
                              f" expected {','.join(header)}")
-        trajectories.append(csv_trajectory(path, body, schema.d_x))
+        trajectories.append(_csv_trajectory(path, body, schema))
     return Dataset(trajectories, schema, manifest["split"])
+
+
+def load_csv_dataset(path: str | Path, schema: SystemSchema,
+                     splits: tuple = (0.7, 0.15, 0.15)) -> dict[str, Dataset]:
+    """Chronological train/val/test split of a single-trajectory CSV.
+
+    The file layout matches the generator export: header ``t, x_1..x_dX,
+    u_1..u_dU`` with one row per time step.  `splits` is either three
+    fractions (rows are divided floor-then-remainder, nothing dropped) or
+    three absolute row counts (trailing rows beyond their sum are dropped,
+    as for the 92-row hare-lynx and 102-row plankton files).  A negative
+    entry, a fraction above 1, train plus val fractions above 1, or a
+    split of fewer than 2 rows (no transition) raise ValueError naming the
+    file.
+    """
+    path = Path(path)
+    counts = all(isinstance(s, int) for s in splits)
+    if not all(s >= 0 for s in splits):  # nan is not >= 0 either
+        raise ValueError(f"{path}: split sizes {splits} must not be negative")
+    if not counts and (max(splits) > 1 or splits[0] + splits[1] > 1):
+        raise ValueError(f"{path}: split fractions {splits} must each be at most 1,"
+                         " and train plus val too")
+    _, data = read_csv_rows(path, 1 + schema.d_x + schema.d_u)
+    times = data[:, 0]
+    if np.any(np.diff(times) <= 0):
+        raise ValueError(f"{path}: time column is not strictly increasing")
+
+    n = len(data)
+    if counts:
+        n_train, n_val, n_test = splits
+        if n_train + n_val + n_test > n:
+            raise ValueError(f"{path}: split sizes {splits} exceed {n} rows")
+    else:
+        f_train, f_val, _ = splits
+        n_train = int(n * f_train)
+        n_val = int(n * f_val)
+        n_test = n - n_train - n_val
+    bounds = [0, n_train, n_train + n_val, n_train + n_val + n_test]
+    out = {}
+    for split, lo, hi in zip(("train", "val", "test"), bounds, bounds[1:]):
+        if hi - lo < 2:
+            raise ValueError(f"{path}: split {split} of {splits} has {hi - lo} of the {n} rows;"
+                             " each split needs at least 2 for a transition")
+        out[split] = Dataset([_csv_trajectory(path, data[lo:hi], schema)], schema, split)
+    return out
 
 
 def read_json(path: str | Path, *keys: str):

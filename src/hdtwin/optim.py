@@ -38,6 +38,7 @@ from hdtwin.engine import (
     ParamVector,
     per_component_mse,
     require_integers,
+    require_numbers,
 )
 
 log = logging.getLogger(__name__)
@@ -58,6 +59,9 @@ class OptimConfig:
 
     def __post_init__(self):
         require_integers(self, "batch_size", "max_epochs", "patience", "seed")
+        # a non-finite lr makes every Adam step non-finite, and a fit would
+        # report that as a fault of the model
+        require_numbers(self, "lr")
         if min(self.lr, self.batch_size, self.patience) <= 0:
             raise ValueError("lr, batch_size and patience must be positive")
         if self.max_epochs < 0:
@@ -66,10 +70,6 @@ class OptimConfig:
             raise ValueError("patience cannot exceed max_epochs")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0 (got {self.seed})")
-        # a non-finite lr makes every Adam step non-finite, and a fit would
-        # report that as a fault of the model
-        if not math.isfinite(self.lr):
-            raise ValueError(f"lr must be finite (got {self.lr})")
 
 
 @dataclass

@@ -4,7 +4,8 @@ Every built-in system carries its true dynamics as an ordinary model
 spec.  A split draws all its uniforms up front, in per-trajectory stream
 order, then steps its trajectories together through the engine's one
 Euler loop (`Evaluator.euler_rollout`); `Evaluator.rollout` reproduces
-them exactly.
+them exactly.  This module reads and writes no file: the engine saves
+and loads datasets, external single-series CSVs included.
 
 Systems:
   cancer, cancer-chemo, cancer-chemo-radio
@@ -24,7 +25,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -34,9 +34,7 @@ from hdtwin.engine import (
     Evaluator,
     ParamVector,
     Trajectory,
-    csv_trajectory,
     init_params,
-    read_csv_rows,
     require_integers,
     sigmoid,
 )
@@ -365,55 +363,6 @@ def generate_dataset(system: SystemDef, cfg: GenConfig) -> dict[str, Dataset]:
         trajectories = _generate_split(system, ev, draws, volumes, schema.dt, use_scaled)
         split = "test" if name == "test_iid" else name
         out[name] = Dataset(trajectories, schema, split)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Loader for externally supplied single-trajectory CSV files
-
-
-def load_csv_dataset(path: str | Path, schema: SystemSchema,
-                     splits: tuple = (0.7, 0.15, 0.15)) -> dict[str, Dataset]:
-    """Chronological train/val/test split of a single-trajectory CSV.
-
-    The file layout matches the generator export: header ``t, x_1..x_dX,
-    u_1..u_dU`` with one row per time step.  `splits` is either three
-    fractions (rows are divided floor-then-remainder, nothing dropped) or
-    three absolute row counts (trailing rows beyond their sum are dropped,
-    as for the 92-row hare-lynx and 102-row plankton files).  A negative
-    entry, a fraction above 1, train plus val fractions above 1, or a
-    split of fewer than 2 rows (no transition) raise ValueError naming the
-    file.
-    """
-    path = Path(path)
-    counts = all(isinstance(s, int) for s in splits)
-    if not all(s >= 0 for s in splits):  # nan is not >= 0 either
-        raise ValueError(f"{path}: split sizes {splits} must not be negative")
-    if not counts and (max(splits) > 1 or splits[0] + splits[1] > 1):
-        raise ValueError(f"{path}: split fractions {splits} must each be at most 1,"
-                         " and train plus val too")
-    _, data = read_csv_rows(path, 1 + schema.d_x + schema.d_u)
-    times = data[:, 0]
-    if np.any(np.diff(times) <= 0):
-        raise ValueError(f"{path}: time column is not strictly increasing")
-
-    n = len(data)
-    if counts:
-        n_train, n_val, n_test = splits
-        if n_train + n_val + n_test > n:
-            raise ValueError(f"{path}: split sizes {splits} exceed {n} rows")
-    else:
-        f_train, f_val, _ = splits
-        n_train = int(n * f_train)
-        n_val = int(n * f_val)
-        n_test = n - n_train - n_val
-    bounds = [0, n_train, n_train + n_val, n_train + n_val + n_test]
-    out = {}
-    for split, lo, hi in zip(("train", "val", "test"), bounds, bounds[1:]):
-        if hi - lo < 2:
-            raise ValueError(f"{path}: split {split} of {splits} has {hi - lo} of the {n} rows;"
-                             " each split needs at least 2 for a transition")
-        out[split] = Dataset([csv_trajectory(path, data[lo:hi], schema.d_x)], schema, split)
     return out
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import re
 import subprocess
 import sys
@@ -295,6 +296,16 @@ def test_evolve_rejects_impossible_adam_settings(tmp_path, capsys):
     assert capsys.readouterr().err == "error: bad optim config: lr must be finite (got nan)\n"
 
 
+def test_evolve_rejects_a_bool_learning_rate(tmp_path, capsys):
+    # true used to be read as 1.0, and every seed fitted at lr 1.0
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"system": "cancer-chemo-radio", "method": "evolve",
+                               "seeds": [0], "optim": {"lr": True}}))
+    assert dispatch(["evolve", "--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: bad optim config: lr must be a number (got True)\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_readme_lists_the_keys_each_run_config_section_takes(tmp_path):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("Each section takes its own keys only:\n", 1)[1].split("\n\n", 1)[0]
@@ -578,6 +589,21 @@ def test_report_rejects_a_headline_value_that_is_not_a_number(tmp_path, capsys, 
     assert dispatch(["report", "--runs", str(tmp_path)]) == EXIT_CONFIG
     assert capsys.readouterr().err == (
         f"error: {result} has a 'headline_value' that is not a number\n")
+
+
+def test_report_reads_only_json_numbers(tmp_path, capsys):
+    # float() took the string "1.5" and true, and these two runs reported mean 1.25
+    runs = []
+    for k, text in enumerate(['"1.5"', "true", "Infinity"]):
+        runs.append(tmp_path / f"run{k}")
+        runs[-1].mkdir()
+        (runs[-1] / "result.json").write_text(f'{{"headline_value": {text}}}')
+    for run in runs[:2]:
+        assert dispatch(["report", "--runs", str(run), str(runs[2])]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {run / 'result.json'} has a 'headline_value' that is not a number\n")
+    assert dispatch(["report", "--runs", str(runs[2])]) == EXIT_OK  # inf is a number
+    assert last_metrics(capsys)["mean"] == math.inf
 
 
 SCALAR_SPEC = "param a = 0.5\nd(tumor_volume)/dt = a * tumor_volume\n"

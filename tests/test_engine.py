@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -39,7 +41,7 @@ from hdtwin.engine import (
 )
 from hdtwin.optim import OptimConfig, fit
 from hdtwin.orchestrator import EvolveConfig
-from hdtwin.systems import BUILTIN_IDS, GenConfig, builtin_system
+from hdtwin.systems import BUILTIN_IDS, GenConfig, builtin_system, generate_dataset
 
 CANCER_SCHEMA = SystemSchema(
     states=(VarSpec("tumor_volume", 0.01433, 1170.861),
@@ -906,6 +908,24 @@ def test_config_integer_fields_reject_floats_and_bools(cls, name, good):
     assert getattr(cls(**{name: np.int64(good)}), name) == good
 
 
+@pytest.mark.parametrize("cls, name", [
+    (OptimConfig, "lr"), (DecodingConfig, "temperature"), (DecodingConfig, "timeout"),
+    (DecodingConfig, "retry_wait"), (SindyConfig, "alpha"), (SindyConfig, "threshold"),
+])
+def test_config_number_fields_reject_bools_strings_and_non_finite_values(cls, name):
+    # a bool used to construct as 1.0 or 0.0 ("lr": true fitted at lr 1.0),
+    # and SindyConfig took a nan or inf alpha and threshold
+    for bad in (True, False, "0.5"):
+        with pytest.raises(ValueError,
+                           match=rf"^{name} must be a number \(got {re.escape(repr(bad))}\)$"):
+            cls(**{name: bad})
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite \(got {bad}\)$"):
+            cls(**{name: bad})
+    assert getattr(cls(**{name: 1}), name) == 1
+    assert getattr(cls(**{name: np.float64(0.5)}), name) == 0.5
+
+
 # ---------------------------------------------------------------------------
 # rollout_mse
 
@@ -1018,6 +1038,21 @@ def test_load_saved_dataset_reads_exactly_the_manifest_count(tmp_path):
     (d / "traj-00001.csv").unlink()
     with pytest.raises(ValueError, match=r"traj-00001\.csv: missing; the manifest lists 3"):
         load_saved_dataset(d)
+
+
+def test_load_saved_dataset_refuses_a_step_that_is_not_the_manifest_dt(tmp_path):
+    # loaded silently before: the true model then scored a one-step MSE of
+    # 218.79 on the 0.5 manifest, against 0.0 at the files' own step
+    system = builtin_system("cancer-chemo-radio")
+    d = tmp_path / "d"
+    save_dataset(generate_dataset(system, GenConfig(n=50, seed=0))["test"], d)
+    assert one_step_mse(system.spec, system.true_params, load_saved_dataset(d)) == 0.0
+    manifest = json.loads((d / "manifest.json").read_text())
+    manifest["schema"]["dt"] = 0.5
+    (d / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError) as err:
+        load_saved_dataset(d)
+    assert str(err.value) == f"{d / 'traj-00000.csv'}: time step 1.0 is not the schema's dt 0.5"
 
 
 def test_param_vector_is_one_array_with_write_through_views():

@@ -40,6 +40,7 @@ from hdtwin.engine import (
     Evaluator,
     TransitionBatch,
     init_params,
+    load_csv_dataset,
     rollout_mse,
     save_dataset,
     save_params,
@@ -57,7 +58,6 @@ from hdtwin.systems import (
     GenConfig,
     builtin_system,
     generate_dataset,
-    load_csv_dataset,
     system_description,
 )
 from test_engine import BITS_SPEC, GUARD_ROWS, WS_SCHEMA, WS_SPECS

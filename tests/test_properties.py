@@ -260,15 +260,16 @@ def trajectories(draw):
     dt = draw(st.floats(0.01, 10.0))
     states = draw(hnp.arrays(np.float64, (rows, d_x), elements=csv_floats))
     actions = draw(hnp.arrays(np.float64, (rows, d_u), elements=csv_floats))
-    return Trajectory(t0 + dt * np.arange(rows), states, actions)
+    return Trajectory(t0 + dt * np.arange(rows), states, actions), dt
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
-@given(tr=trajectories())
-def test_save_dataset_bytes_match_csv_writer_and_reload_bit_exactly(tr):
+@given(case=trajectories())
+def test_save_dataset_bytes_match_csv_writer_and_reload_bit_exactly(case):
+    tr, dt = case  # the loader holds a trajectory's step to the schema's dt
     d_x, d_u = tr.states.shape[1], tr.actions.shape[1]
     schema = SystemSchema(states=tuple(VarSpec(f"s{i}", 0, 1) for i in range(d_x)),
-                          actions=tuple(VarSpec(f"a{i}", 0, 1) for i in range(d_u)))
+                          actions=tuple(VarSpec(f"a{i}", 0, 1) for i in range(d_u)), dt=dt)
     header = ["t"] + [f"x_{i + 1}" for i in range(d_x)] + [f"u_{i + 1}" for i in range(d_u)]
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hdtwin.dsl import SystemSchema, VarSpec, validate
-from hdtwin.engine import Evaluator, read_csv_rows, save_dataset
+from hdtwin.engine import Evaluator, load_csv_dataset, read_csv_rows, save_dataset
 from hdtwin.systems import (
     BUILTIN_IDS,
     CancerPolicyParams,
@@ -15,7 +15,6 @@ from hdtwin.systems import (
     builtin_system,
     cancer_dose_probabilities,
     generate_dataset,
-    load_csv_dataset,
     sample_cancer_actions,
     system_description,
     volume_to_diameter,
@@ -241,8 +240,8 @@ def test_mode_validation():
 # CSV loader
 
 
-def _write_csv(path, n_rows, shuffle_time=False):
-    times = list(range(n_rows))
+def _write_csv(path, n_rows, shuffle_time=False, step=1.0):
+    times = [step * i for i in range(n_rows)]
     if shuffle_time:
         times[3], times[4] = times[4], times[3]
     with open(path, "w") as fh:
@@ -308,6 +307,18 @@ def test_load_csv_rejects_non_monotone_time(tmp_path):
     _write_csv(path, 10, shuffle_time=True)
     with pytest.raises(ValueError, match="strictly increasing"):
         load_csv_dataset(path, LOAD_SCHEMA)
+
+
+def test_load_csv_refuses_a_step_that_is_not_the_schema_dt(tmp_path):
+    # a 20-row file stepping 2.0 split silently into 14, 3 and 3 rows at dt 1.0
+    path = tmp_path / "coarse.csv"
+    _write_csv(path, 20, step=2.0)
+    with pytest.raises(ValueError) as err:
+        load_csv_dataset(path, LOAD_SCHEMA)
+    assert str(err.value) == f"{path}: time step 2.0 is not the schema's dt 1.0"
+    # within Trajectory's spacing tolerance, a step is the schema's dt
+    _write_csv(path, 20, step=1.0 + 1e-10)
+    assert len(load_csv_dataset(path, LOAD_SCHEMA)["train"].trajectories[0]) == 14
 
 
 def test_load_csv_names_the_file_when_a_time_is_not_finite(tmp_path):
