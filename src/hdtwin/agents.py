@@ -58,13 +58,12 @@ class ModelingContext:
     """The structured prompt: what system to model and under what rules."""
 
     system_description: str
-    objective: str
     requirements: str
     skeleton: str
     generations: int
 
     def __post_init__(self):
-        for name in ("system_description", "objective", "requirements", "skeleton"):
+        for name in ("system_description", "requirements", "skeleton"):
             if not getattr(self, name).strip():
                 raise ValueError(f"modeling context field {name} is empty")
         if self.generations < 1:
@@ -137,7 +136,7 @@ You cannot visualize any graphical output. You exist within a machine. The speci
 When replying only provide a single RFC8259 compliant JSON object following this format without deviation:
 {"spec": "the complete model specification text", "description": "a concise description of the model, indicating if it is a white box only or white and black box model"}"""
 
-DEFAULT_OBJECTIVE = """* The parameters of the model will be optimized to an observed training dataset with the given simulator.
+_OBJECTIVE = """* The parameters of the model will be optimized to an observed training dataset with the given simulator.
 * The observed training dataset has very few samples, and the model must be able to generalize to unseen data."""
 
 _USEFUL_TO_KNOW = """* You are a specification evolving machine, and you will be called {generations} times to generate a specification, and improve it to achieve the lowest possible validation loss.
@@ -236,7 +235,7 @@ def render_modeling_prompt(ctx: ModelingContext, population: Population,
         raise ValueError("generations are numbered from 1")
     task = _FIRST_TASK.format(
         system_description=ctx.system_description,
-        objective=ctx.objective,
+        objective=_OBJECTIVE,
         requirements=ctx.requirements,
         skeleton=ctx.skeleton,
         useful=_USEFUL_TO_KNOW.format(generations=ctx.generations),

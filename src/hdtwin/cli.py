@@ -320,8 +320,11 @@ def cmd_report(args) -> int:
         value = doc["headline_value"]  # a JSON number: not a string, a bool or null
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path} has a 'headline_value' that is not a number")
-        rows.append([str(path.parent), doc.get("headline_metric", HEADLINE_METRICS[0]),
-                     float(value)])
+        try:
+            value = float(value)
+        except OverflowError:  # an int beyond float range
+            raise ConfigError(f"{path} has a 'headline_value' beyond float range") from None
+        rows.append([str(path.parent), doc.get("headline_metric", HEADLINE_METRICS[0]), value])
     first_run = {kind: run for run, kind, _ in reversed(rows)}  # of each headline kind
     if len(first_run) > 1:
         raise ConfigError("runs mix headline metrics: " + ", ".join(

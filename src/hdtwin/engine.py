@@ -90,12 +90,17 @@ C-contiguous is walked in another order: both keep sum(axis=0).
 Besides derivatives and loss_and_grad, an Evaluator holds the one
 explicit-Euler loop (euler_rollout), a single rollout, and a dataset's
 squared one-step residuals; every pass goes through derivatives, which
-checks x, u and t against the schema's shapes.  The test scorers reduce
-those passes.  evaluate_test_metrics builds one evaluator and makes one
-one-step pass, reduced as per_component_mse and one_step_mse reduce
-theirs, plus the rollout MSE.  A faulting one-step pass scores inf, as
-an exploding rollout does.  TestMetrics.doc writes the test keys of
-every result.json; HEADLINE_METRICS names the headline choices.
+checks x, u and t against the schema's shapes.  The scorers reduce
+those passes, by two conventions.  one_step_mse and evaluate_test_metrics
+take a spec, compile it once and score it.  per_component_mse and
+rollout_mse take an evaluator the caller has already compiled (fit's,
+for its validation passes) and reduce one pass of it; a pass checks its
+dataset's schema and the parameters' layout once.  evaluate_test_metrics
+makes one one-step pass, reduced as per_component_mse and one_step_mse
+reduce theirs, and hands its evaluator to rollout_mse.  A faulting
+one-step pass scores inf, as an exploding rollout does.  TestMetrics.doc
+writes the test keys of every result.json; HEADLINE_METRICS names the
+headline choices.
 
 Every JSON file is read by read_json and written by write_json, and every
 CSV table by write_table; dataset CSVs keep save_dataset's one-pass writer.
@@ -164,13 +169,17 @@ def require_integers(config, *names: str):
 
 def require_numbers(config, *names: str):
     """Raise ValueError naming the first of config's fields `names` that
-    holds no finite number: a bool, a string, nan or inf.  An int or a
-    float passes, numpy's too."""
+    holds no finite number: a bool, a string, nan, inf or an int beyond
+    float range.  An int or a float passes, numpy's too."""
     for name in names:
         value = getattr(config, name)
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValueError(f"{name} must be a number (got {value!r})")
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # math converts an int to a float
+            raise ValueError(f"{name} must be finite (got an int beyond float range)") from None
+        if not finite:
             raise ValueError(f"{name} must be finite (got {value})")
 
 
@@ -668,6 +677,13 @@ class Evaluator:
                     raise ValueError(f"{decl.name!r} layer {li} has shape {g[0]}/{g[1]},"
                                      f" expected {w[0]}/{w[1]}")
 
+    def _check_pass(self, params: ParamVector, dataset: Dataset):
+        """The one check of a scoring pass's inputs: a dataset of this
+        evaluator's schema and params in the spec's layout."""
+        if dataset.schema != self.schema:
+            raise ValueError("the dataset has another schema than the evaluator")
+        self.check_params(params)
+
     # -- forward
 
     def derivatives(self, params: ParamVector, x, u, t, with_cache: bool = False):
@@ -802,9 +818,7 @@ class Evaluator:
     def squared_residuals(self, params: ParamVector, dataset: Dataset) -> np.ndarray:
         """((x + f dt) - y)^2 per transition and component of a dataset of
         this evaluator's schema, computed in place in the derivative array."""
-        if dataset.schema != self.schema:
-            raise ValueError("the dataset has another schema than the evaluator")
-        self.check_params(params)
+        self._check_pass(params, dataset)
         batch = dataset.transitions()
         f = self.derivatives(params, batch.x, batch.u, batch.t)
         self._require_finite(f)
@@ -895,28 +909,14 @@ def init_params(spec: ModelSpec, seed: int = 0) -> ParamVector:
 # Public operations
 
 
-def _checked_evaluator(spec: ModelSpec, params: ParamVector, schema: SystemSchema,
-                       evaluator: Evaluator | None = None) -> Evaluator:
-    """The given evaluator, or a new one for (spec, schema), checked
-    against params."""
-    if evaluator is None:
-        evaluator = Evaluator(spec, schema)
-    elif evaluator.spec != spec or evaluator.schema != schema:
-        raise ValueError("the evaluator was compiled for another spec or schema")
-    evaluator.check_params(params)
-    return evaluator
-
-
 def one_step_mse(spec: ModelSpec, params: ParamVector, dataset: Dataset) -> float:
     """Teacher-forced mean over transitions of ||(x + f dt) - y||^2."""
     return _mean_row_sum(Evaluator(spec, dataset.schema).squared_residuals(params, dataset))
 
 
-def per_component_mse(spec: ModelSpec, params: ParamVector, dataset: Dataset,
-                      evaluator: Evaluator | None = None):
-    """Per-dimension one-step MSE delta and its mean upsilon.
-    `evaluator`, if given, must be compiled for spec and dataset.schema."""
-    ev = _checked_evaluator(spec, params, dataset.schema, evaluator)
+def per_component_mse(ev: Evaluator, params: ParamVector, dataset: Dataset):
+    """Per-dimension one-step MSE delta and its mean upsilon of the
+    compiled evaluator ev under params."""
     return _component_means(ev.squared_residuals(params, dataset))
 
 
@@ -929,16 +929,15 @@ def _component_means(sq: np.ndarray) -> tuple[np.ndarray, float]:  # per_compone
     return delta, float(np.mean(delta))
 
 
-def rollout_mse(spec: ModelSpec, params: ParamVector, dataset: Dataset,
-                evaluator: Evaluator | None = None) -> float:
-    """Full-trajectory MSE: roll the model from each x(0) with the stored
-    actions and average ||predicted - true||^2 over every row.
-    `evaluator`, if given, must be compiled for spec and dataset.schema.
+def rollout_mse(ev: Evaluator, params: ParamVector, dataset: Dataset) -> float:
+    """Full-trajectory MSE of the compiled evaluator ev: roll the model
+    from each x(0) with the stored actions and average
+    ||predicted - true||^2 over every row.
 
     Non-finite rollouts return inf rather than raising (an exploding model
     is a bad model, not a crash).
     """
-    ev = _checked_evaluator(spec, params, dataset.schema, evaluator)
+    ev._check_pass(params, dataset)
     total, count = 0.0, 0
     for length in sorted({len(tr) for tr in dataset.trajectories}):
         trs = [tr for tr in dataset.trajectories if len(tr) == length]
@@ -994,8 +993,7 @@ def evaluate_test_metrics(spec: ModelSpec, params: ParamVector, test: Dataset) -
     except EvaluationFault:
         sq = np.full((1, len(spec.components)), np.inf)
     delta, upsilon = _component_means(sq)
-    return TestMetrics(upsilon, delta, _mean_row_sum(sq),
-                       rollout_mse(spec, params, test, evaluator=ev))
+    return TestMetrics(upsilon, delta, _mean_row_sum(sq), rollout_mse(ev, params, test))
 
 
 # ---------------------------------------------------------------------------

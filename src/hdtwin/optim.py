@@ -143,7 +143,7 @@ def fit(spec: ModelSpec, init: ParamVector, train: Dataset, val: Dataset,
                     step += 1
                     params.values[...], m, v = adam_update(params.values, grads.values, m, v,
                                                            step, cfg)
-            delta, ups = per_component_mse(spec, params, val, evaluator=ev)
+            delta, ups = per_component_mse(ev, params, val)
         except EvaluationFault as fault:
             log.warning("fit faulted at epoch %d: %s", epoch, fault)
             faulted = True

@@ -32,7 +32,6 @@ from pathlib import Path
 import numpy as np
 
 from hdtwin.agents import (
-    DEFAULT_OBJECTIVE,
     POPULATION_CAPACITY,
     DecodingConfig,
     ModelingContext,
@@ -140,7 +139,6 @@ def make_modeling_context(system: SystemDef, generations: int,
     )
     return ModelingContext(
         system_description=system_description(system, n_trajectories),
-        objective=DEFAULT_OBJECTIVE,
         requirements=requirements,
         skeleton=dsl_skeleton(system.schema),
         generations=generations,

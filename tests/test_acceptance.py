@@ -176,7 +176,8 @@ def test_criterion_04a_sindy_cancer_window(lung_cancer_data):
     res = sindy_fit(lung_cancer_data["train"])
     params = init_params(res.spec)
     one_step = one_step_mse(res.spec, params, lung_cancer_data["test"])
-    trajectory = rollout_mse(res.spec, params, lung_cancer_data["test"])
+    trajectory = rollout_mse(Evaluator(res.spec, lung_cancer_data["test"].schema), params,
+                             lung_cancer_data["test"])
     elapsed = time.perf_counter() - started
     ok = 100.0 <= trajectory <= 1000.0 and elapsed < 120.0
     kept = np.count_nonzero(res.coefficients)
@@ -193,7 +194,8 @@ def test_criterion_04a_cause_is_the_all_zero_model(lung_cancer_data):
     the all-zero model's trajectory MSE (28.2) lies below the window."""
     res = sindy_fit(lung_cancer_data["train"])
     assert np.all(res.coefficients == 0.0)
-    assert rollout_mse(res.spec, init_params(res.spec), lung_cancer_data["test"]) < 100.0
+    test = lung_cancer_data["test"]
+    assert rollout_mse(Evaluator(res.spec, test.schema), init_params(res.spec), test) < 100.0
 
 
 def test_criterion_04b_sindy_support_recovery():
@@ -232,7 +234,8 @@ def test_criterion_05_loss_identities():
     data = generate_dataset(system, GenConfig(n=20, seed=1))
     worst_gap = 0.0
     for split in data.values():
-        delta, ups = per_component_mse(system.spec, system.true_params, split)
+        delta, ups = per_component_mse(Evaluator(system.spec, split.schema),
+                                       system.true_params, split)
         worst_gap = max(worst_gap, abs(ups - float(np.mean(delta))))
     self_mse = one_step_mse(system.spec, system.true_params, data["train"])
 
@@ -251,7 +254,7 @@ def test_criterion_05_loss_identities():
         rows = rng.uniform(0.3, 2.0, size=(8, schema.d_x))
         ds = Dataset([Trajectory(np.arange(8.0), rows,
                                  rng.uniform(0, 1, size=(8, schema.d_u)))], schema)
-        delta, ups = per_component_mse(spec, params, ds)
+        delta, ups = per_component_mse(Evaluator(spec, ds.schema), params, ds)
         worst_gap = max(worst_gap, abs(ups - float(np.mean(delta))))
 
     ok = worst_gap <= 1e-12 and self_mse <= 1e-12 and conservation <= 1e-9

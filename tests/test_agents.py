@@ -39,7 +39,6 @@ CANCER = builtin_system("cancer-chemo-radio")
 
 CTX = ModelingContext(
     system_description=system_description(CANCER),
-    objective="* Fit the observed training dataset.",
     requirements="* Achieve the lowest possible validation loss.",
     skeleton=dsl_skeleton(CANCER.schema),
     generations=6,
@@ -135,9 +134,9 @@ def test_prompt_determinism():
 
 def test_context_validation():
     with pytest.raises(ValueError):
-        ModelingContext(" ", "o", "r", "s", 5)
+        ModelingContext(" ", "r", "s", 5)
     with pytest.raises(ValueError):
-        ModelingContext("d", "o", "r", "s", 0)
+        ModelingContext("d", "r", "s", 0)
 
 
 # ---------------------------------------------------------------------------

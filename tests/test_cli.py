@@ -20,6 +20,7 @@ from hdtwin.baselines import BASELINE_IDS, SindyConfig
 from hdtwin.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUN, EXIT_TRANSPORT, build_parser, dispatch
 from hdtwin.dsl import canonicalize, parse_model_spec
 from hdtwin.engine import (
+    Evaluator,
     init_params,
     load_params,
     load_saved_dataset,
@@ -88,7 +89,8 @@ def test_fit_and_eval_round_trip(small_data, tmp_path, capsys):
     # the printed numbers match a direct library evaluation exactly
     spec = system.spec
     params = load_params(out / "best-params.json")
-    delta, ups = per_component_mse(spec, params, load_saved_dataset(small_data / "test"))
+    test = load_saved_dataset(small_data / "test")
+    delta, ups = per_component_mse(Evaluator(spec, test.schema), params, test)
     assert doc["command"] == "eval"
     assert (doc["headline_metric"], doc["headline_value"]) == ("one-step", doc["test_upsilon"])
     assert doc["test_upsilon"] == pytest.approx(ups, abs=1e-12)
@@ -168,7 +170,8 @@ def test_fit_zero_epochs_writes_the_initial_parameters(small_data, tmp_path, cap
     assert doc["epochs_run"] == 0 and "faulted" not in doc
     init = init_params(spec)
     assert load_params(out / "best-params.json").values.tobytes() == init.values.tobytes()
-    delta, ups = per_component_mse(spec, init, load_saved_dataset(small_data / "val"))
+    val = load_saved_dataset(small_data / "val")
+    delta, ups = per_component_mse(Evaluator(spec, val.schema), init, val)
     assert doc["val_upsilon"] == ups
 
 
@@ -271,6 +274,11 @@ def test_evolve_config_errors(tmp_path, capsys):
     # the message is the lookup's text, not the repr a KeyError would print
     ({"system": "nope", "method": "sindy"},
      f"unknown system 'nope'; available: {', '.join(BUILTIN_IDS)}"),
+    # an int beyond float range, where math.isfinite raised OverflowError
+    *(({section: {key: 10 ** 400}, "method": method},
+       f"bad {section} config: {key} must be finite (got an int beyond float range)")
+      for method, section, key in (("evolve", "optim", "lr"), ("evolve", "client", "timeout"),
+                                   ("sindy", "sindy", "alpha"))),
 ])
 def test_evolve_rejects_a_run_config_of_the_wrong_shape(tmp_path, capsys, config, message):
     cfg = tmp_path / "run.json"
@@ -604,6 +612,14 @@ def test_report_reads_only_json_numbers(tmp_path, capsys):
             f"error: {run / 'result.json'} has a 'headline_value' that is not a number\n")
     assert dispatch(["report", "--runs", str(runs[2])]) == EXIT_OK  # inf is a number
     assert last_metrics(capsys)["mean"] == math.inf
+
+
+def test_report_refuses_an_int_beyond_float_range(tmp_path, capsys):
+    # float() raised OverflowError, and report died with a traceback
+    (tmp_path / "result.json").write_text(f'{{"headline_value": {10 ** 400}}}')
+    assert dispatch(["report", "--runs", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'result.json'} has a 'headline_value' beyond float range\n")
 
 
 SCALAR_SPEC = "param a = 0.5\nd(tumor_volume)/dt = a * tumor_volume\n"

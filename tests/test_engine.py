@@ -346,7 +346,7 @@ def test_validation_pass_allocates_only_its_compact_workspace():
     f = sq = 8 * m * val.schema.d_x
     tracemalloc.start()
     try:
-        per_component_mse(spec, params, val, ev)
+        per_component_mse(ev, params, val)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -371,7 +371,7 @@ def test_a_fit_holds_its_pool_and_one_batch_but_no_epoch_copy():
     n, dt = len(rows), train.schema.dt
     cfg = OptimConfig(batch_size=1000, max_epochs=2, patience=2)
     ev = Evaluator(spec, train.schema)  # the fit's own evaluator, laid out the same
-    per_component_mse(spec, params, val, ev)
+    per_component_mse(ev, params, val)
     ev.loss_and_grad(params, rows.take(np.arange(cfg.batch_size)), dt)
     tracemalloc.start()
     try:
@@ -647,6 +647,30 @@ def test_squared_residuals_refuse_a_dataset_of_another_schema():
         Evaluator(spec, schema).squared_residuals(init_params(spec), ds)
 
 
+def _hybrid_params(hidden: str) -> ParamVector:
+    return init_params(parse_model_spec(WS_HYBRID.format(act="tanh").replace("[5, 4]", hidden)))
+
+
+@pytest.mark.parametrize("scorer", [per_component_mse, rollout_mse])
+@pytest.mark.parametrize("params, schema, message", [
+    (_hybrid_params("[5, 4]"), SystemSchema(states=WS_SCHEMA.states, actions=WS_SCHEMA.actions,
+                                            dt=0.5),
+     "the dataset has another schema than the evaluator"),
+    (ParamVector({}, _hybrid_params("[5, 4]").weights), WS_SCHEMA,
+     "parameter vector is missing 'a'"),
+    (_hybrid_params("[5]"), WS_SCHEMA, "parameter vector has wrong layer count for 'net'"),
+    (_hybrid_params("[5, 3]"), WS_SCHEMA,
+     "'net' layer 1 has shape (5, 3)/(3,), expected (5, 4)/(4,)"),
+], ids=["another-schema", "missing-scalar", "layer-count", "layer-shape"])
+def test_scorers_refuse_another_schema_or_parameter_layout(scorer, params, schema, message):
+    ev = Evaluator(parse_model_spec(WS_HYBRID.format(act="tanh")), WS_SCHEMA)
+    rng = np.random.default_rng(2)
+    tr = Trajectory(np.arange(4.0) * schema.dt, rng.uniform(-2.0, 3.0, (4, 2)),
+                    rng.uniform(0.0, 5.0, (4, 1)))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        scorer(ev, params, Dataset([tr], schema))
+
+
 def test_one_step_mse_self_consistency_zero():
     spec, params = cancer_model()
     ev = Evaluator(spec, CANCER_SCHEMA)
@@ -666,7 +690,7 @@ def test_per_component_mse_and_mean_identity():
     schema = SystemSchema(states=(VarSpec("x", 0, 10), VarSpec("y", 0, 10)))
     spec = parse_model_spec("d(x)/dt = 0.0\nd(y)/dt = 0.0")
     ds = _one_transition_dataset(schema, [1.0, 5.0], [3.0, 5.0])
-    delta, ups = per_component_mse(spec, init_params(spec), ds)
+    delta, ups = per_component_mse(Evaluator(spec, ds.schema), init_params(spec), ds)
     assert delta == pytest.approx([4.0, 0.0])
     assert ups == 2.0
     # and the sum-over-dimensions loss is d_x times the mean
@@ -682,7 +706,7 @@ def test_upsilon_equals_mean_delta_randomized():
         rows = rng.uniform(0.3, 2.0, size=(6, schema.d_x))
         trs = [Trajectory(np.arange(6.0), rows, rng.uniform(0, 1, size=(6, schema.d_u)))]
         ds = Dataset(trs, schema)
-        delta, ups = per_component_mse(spec, params, ds)
+        delta, ups = per_component_mse(Evaluator(spec, ds.schema), params, ds)
         assert ups == pytest.approx(float(np.mean(delta)), abs=1e-12)
 
 
@@ -941,7 +965,7 @@ def test_rollout_mse_zero_for_true_model():
         ])
         trs.append(ev.rollout(params, [float(rng.uniform(1, 1000)), 0.0], actions, dt=1.0))
     ds = Dataset(trs, CANCER_SCHEMA)
-    assert rollout_mse(spec, params, ds) <= 1e-18
+    assert rollout_mse(ev, params, ds) <= 1e-18
 
 
 def test_rollout_mse_inf_for_exploding_model():
@@ -949,7 +973,8 @@ def test_rollout_mse_inf_for_exploding_model():
     true = parse_model_spec("d(x)/dt = 0.0")
     tr = Evaluator(true, schema).rollout(init_params(true), [5.0], np.zeros((200, 0)), dt=1.0)
     bad = parse_model_spec("d(x)/dt = x ^ 3.0")
-    assert rollout_mse(bad, init_params(bad), Dataset([tr], schema)) == float("inf")
+    ds = Dataset([tr], schema)
+    assert rollout_mse(Evaluator(bad, schema), init_params(bad), ds) == float("inf")
 
 
 # ---------------------------------------------------------------------------

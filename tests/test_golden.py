@@ -305,7 +305,8 @@ def test_intervention_dataset_pin(tmp_path):
 def test_rollout_mse_pin_generated(sys_id):
     system = builtin_system(sys_id)
     test = generate_dataset(system, GenConfig(n=3, seed=7))["test"]
-    assert repr(rollout_mse(system.spec, perturbed(system), test)) == ROLLOUT_MSE_GENERATED[sys_id]
+    ev = Evaluator(system.spec, system.schema)
+    assert repr(rollout_mse(ev, perturbed(system), test)) == ROLLOUT_MSE_GENERATED[sys_id]
 
 
 def test_rollout_mse_pin_csv_blocks(tmp_path):
@@ -314,7 +315,8 @@ def test_rollout_mse_pin_csv_blocks(tmp_path):
     assert parts["test"].trajectories[0].times[0] > 0.0
     parts["mixed"] = Dataset([parts[s].trajectories[0] for s in ("train", "val", "test")],
                              system.schema, "test")
-    got = {name: repr(rollout_mse(system.spec, perturbed(system), ds))
+    ev = Evaluator(system.spec, system.schema)
+    got = {name: repr(rollout_mse(ev, perturbed(system), ds))
            for name, ds in parts.items()}
     assert got == ROLLOUT_MSE_CSV
 

@@ -127,7 +127,7 @@ def test_fit_zero_epochs_scores_the_initial_parameters():
     assert result.params.values.tobytes() == init.values.tobytes()
     assert result.params is not init
     assert (result.epochs_run, result.train_curve, result.faulted) == (0, [], False)
-    delta, ups = per_component_mse(spec, init, val)
+    delta, ups = per_component_mse(Evaluator(spec, val.schema), init, val)
     assert result.val_curve == [ups] and result.val_loss == ups
     assert result.component_losses.tobytes() == delta.tobytes()
 
@@ -228,7 +228,7 @@ def test_fit_best_is_monotone_and_snapshot_consistent():
     result = fit(spec, init_params(spec), train, val,
                  OptimConfig(batch_size=100, max_epochs=60, patience=60, seed=0))
     assert result.val_loss <= min(result.val_curve)
-    delta, ups = per_component_mse(spec, result.params, val)
+    delta, ups = per_component_mse(Evaluator(spec, val.schema), result.params, val)
     assert ups == pytest.approx(result.val_loss, abs=1e-12)
     assert np.allclose(delta, result.component_losses, atol=1e-12)
 

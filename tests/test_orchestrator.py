@@ -84,13 +84,12 @@ def test_evolve_replay_progression(cancer_datasets):
 def test_evolve_best_metrics_rederivable(cancer_datasets):
     system, datasets = cancer_datasets
     result = run_fixture_evolution(system, datasets)
-    delta, ups = per_component_mse(result.best.spec, result.best.params, datasets["val"])
+    ev = Evaluator(result.best.spec, system.schema)
+    delta, ups = per_component_mse(ev, result.best.params, datasets["val"])
     assert ups == pytest.approx(result.best.upsilon, abs=1e-12)
     assert np.allclose(delta, result.best.delta, atol=1e-12)
     assert result.test.upsilon == pytest.approx(
-        per_component_mse(result.best.spec, result.best.params, datasets["test"])[1],
-        abs=1e-12,
-    )
+        per_component_mse(ev, result.best.params, datasets["test"])[1], abs=1e-12)
 
 
 def test_test_metrics_compile_once_and_match_the_separate_scores(cancer_datasets, monkeypatch):
@@ -99,9 +98,10 @@ def test_test_metrics_compile_once_and_match_the_separate_scores(cancer_datasets
     params = system.true_params.copy()
     for name in params.scalars:
         params.scalars[name] *= 1.2
-    delta, ups = per_component_mse(system.spec, params, test)
+    ev = Evaluator(system.spec, test.schema)
+    delta, ups = per_component_mse(ev, params, test)
     separate = (ups, delta.tobytes(), one_step_mse(system.spec, params, test),
-                rollout_mse(system.spec, params, test))
+                rollout_mse(ev, params, test))
     builds = []
     init = Evaluator.__init__
 
@@ -288,7 +288,8 @@ def test_zero_shot_is_a_zero_epoch_evolve(cancer_datasets):
     spec = shot.best.spec
     inits = init_params(spec, seed=_mix_seed(cfg.seed, 1))
     assert shot.best.params.values.tobytes() == inits.values.tobytes()
-    assert shot.best.upsilon == per_component_mse(spec, inits, datasets["val"])[1]
+    val = datasets["val"]
+    assert shot.best.upsilon == per_component_mse(Evaluator(spec, val.schema), inits, val)[1]
 
 
 def test_zero_optim_no_worse_than_zero_shot(cancer_datasets):
