@@ -90,12 +90,14 @@ C-contiguous is walked in another order: both keep sum(axis=0).
 Besides derivatives and loss_and_grad, an Evaluator holds the one
 explicit-Euler loop (euler_rollout), a single rollout, and a dataset's
 squared one-step residuals; every pass goes through derivatives, which
-checks x, u and t against the schema's shapes.  The scorers reduce
-those passes, by two conventions.  one_step_mse and evaluate_test_metrics
-take a spec, compile it once and score it.  per_component_mse and
-rollout_mse take an evaluator the caller has already compiled (fit's,
-for its validation passes) and reduce one pass of it; a pass checks its
-dataset's schema and the parameters' layout once.  evaluate_test_metrics
+checks x, u and t against the schema's shapes and the parameters against
+the spec's layout (check_params, rerun only for another layout than the
+last, gives the positions of the tape's scalars in the values).  The
+scorers reduce those passes, by two conventions.  one_step_mse and
+evaluate_test_metrics take a spec, compile it once and score it.
+per_component_mse and rollout_mse take an evaluator the caller has
+already compiled (fit's, for its validation passes) and reduce one pass
+of it, which first checks its dataset's schema.  evaluate_test_metrics
 makes one one-step pass, reduced as per_component_mse and one_step_mse
 reduce theirs, and hands its evaluator to rollout_mse.  A faulting
 one-step pass scores inf, as an exploding rollout does.  TestMetrics.doc
@@ -363,6 +365,14 @@ def _column_sums(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return a.sum(axis=0, out=out)
 
 
+def _residual(f: np.ndarray, batch: TransitionBatch, dt: float) -> np.ndarray:
+    """The one-step residual (x + f dt) - y, written over the derivatives f."""
+    f *= dt
+    f += batch.x
+    f -= batch.y
+    return f
+
+
 def _mlp_forward(decl: MlpDecl, layers: Sequence[Layer], z0: np.ndarray, buffers):
     """The network's output for inputs z0, computed in buffers, one (M,
     width) array per layer: a hidden layer's activation overwrites its
@@ -611,7 +621,8 @@ class Evaluator:
     only the cache of derivatives(with_cache=True) does.  A
     gradient is new memory unless loss_and_grad is given out=, a
     ParamVector in the parameters' layout: the gradient is then out
-    itself, overwritten by each call that is given it.
+    itself, overwritten by each call that is given it.  derivatives keeps
+    the last layout check_params passed, so a fit checks its layout once.
     """
 
     def __init__(self, spec: ModelSpec, schema: SystemSchema):
@@ -626,6 +637,7 @@ class Evaluator:
         self._tape = _compile(spec, schema)
         self._pool = np.empty(0)
         self._workspaces: dict[tuple[int, bool], _Workspace] = {}
+        self._layout = None, None, None, None  # the last checked layout and its positions
 
     def _workspace(self, m_rows: int, with_cache: bool) -> _Workspace:
         ws = self._workspaces.get((m_rows, with_cache))
@@ -661,8 +673,11 @@ class Evaluator:
 
     # -- parameter bookkeeping
 
-    def check_params(self, params: ParamVector):
-        """Compare params' layout with the spec; extra scalars are allowed."""
+    def check_params(self, params: ParamVector) -> tuple[np.ndarray, np.ndarray]:
+        """Compare params' layout with the spec; extra scalars are allowed.
+        Returns the positions in params.values of the tape's scalars and of
+        its parameter occurrences.  derivatives, which every pass enters,
+        calls it only for another layout than the last one it passed."""
         for p in self.spec.params:
             if p.name not in params.scalars:
                 raise ValueError(f"parameter vector is missing {p.name!r}")
@@ -676,19 +691,21 @@ class Evaluator:
                 if g != w:
                     raise ValueError(f"{decl.name!r} layer {li} has shape {g[0]}/{g[1]},"
                                      f" expected {w[0]}/{w[1]}")
+        return tuple(np.array([params._index[n] for n in names], dtype=np.intp)
+                     for names in (self._tape.params, self._tape.occurrences))
 
-    def _check_pass(self, params: ParamVector, dataset: Dataset):
-        """The one check of a scoring pass's inputs: a dataset of this
-        evaluator's schema and params in the spec's layout."""
+    def _check_dataset(self, dataset: Dataset):
+        """A scoring pass's dataset must have this evaluator's schema."""
         if dataset.schema != self.schema:
             raise ValueError("the dataset has another schema than the evaluator")
-        self.check_params(params)
 
     # -- forward
 
+    @np.errstate(all="ignore")
     def derivatives(self, params: ParamVector, x, u, t, with_cache: bool = False):
         """Model dx/dt for a batch; x (M, d_x), u (M, d_u), t (M,), else a
-        ValueError naming both shapes.  Every pass of an evaluator comes here.
+        ValueError naming both shapes, and params in the spec's layout, else
+        check_params' ValueError.  Every pass of an evaluator comes here.
 
         Overflow to inf/nan is allowed here and surfaced as an
         EvaluationFault by the callers that check finiteness.  The cache
@@ -700,13 +717,10 @@ class Evaluator:
         got = (np.shape(x), np.shape(u), np.shape(t))
         if got != want:
             raise ValueError(f"x, u, t have shapes {got}, expected {want}")
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-            return self._derivatives(params, x, u, t, with_cache)
-
-    def _derivatives(self, params: ParamVector, x, u, t, with_cache: bool = False):
+        if self._layout[:2] != (params._index, params._shapes):  # identical objects in a fit
+            self._layout = (params._index, params._shapes, *self.check_params(params))
         tape = self._tape
-        scalars = params.scalars
-        vals = [t, *x.T, *u.T, *[scalars[n] for n in tape.params], *tape.consts]
+        vals = [t, *x.T, *u.T, *params.values[self._layout[2]].tolist(), *tape.consts]
         m_rows = x.shape[0]
         ws = self._workspace(m_rows, with_cache)
         mlp_out, mlp_caches = {}, {}
@@ -746,6 +760,7 @@ class Evaluator:
         raise EvaluationFault(f"non-finite derivative{at} (component"
                               f" {self.spec.components[j].target})", component=j, step=step)
 
+    @np.errstate(all="ignore")
     def loss_and_grad(self, params: ParamVector, batch: TransitionBatch, dt: float,
                       out: ParamVector | None = None):
         """Batch one-step MSE and its exact reverse-mode gradient.
@@ -757,20 +772,12 @@ class Evaluator:
         """
         if out is not None and (out._index != params._index or out._shapes != params._shapes):
             raise ValueError("out has another layout than params")
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-            return self._loss_and_grad(params, batch, dt, out)
-
-    def _loss_and_grad(self, params: ParamVector, batch: TransitionBatch, dt: float,
-                       out: ParamVector | None):
-        f, (vals, mlp_out, mlp_caches) = self.derivatives(
-            params, batch.x, batch.u, batch.t, with_cache=True
-        )
+        f, (vals, mlp_out, mlp_caches) = self.derivatives(params, batch.x, batch.u, batch.t,
+                                                          with_cache=True)
         self._require_finite(f)  # the loss rule below is for a finite f's overflow
         m_rows = len(batch)
-        f *= dt  # f becomes the residual (x + f dt) - y, as in squared_residuals
-        f += batch.x
-        f -= batch.y
-        sq = f * f
+        r = _residual(f, batch, dt)  # scaled below into the loss's adjoint of each derivative
+        sq = r * r
         loss = float(np.sum(sq)) / m_rows
         if not np.isfinite(loss):
             sums = np.sum(sq, axis=0)  # the first non-finite sum, else the largest
@@ -779,17 +786,16 @@ class Evaluator:
             raise EvaluationFault(
                 f"non-finite loss (component {self.spec.components[bad].target})", component=bad
             )
-        f *= 2.0 * dt / m_rows
-        g_f = f  # the loss's adjoint of each derivative
+        r *= 2.0 * dt / m_rows
         tape = self._tape
         adj = [None] * (tape.n_values + len(tape.occurrences))
         out_adj = {name: np.zeros_like(net_out) for name, net_out in mlp_out.items()}
         for j, comp in enumerate(self.spec.components):
             if tape.seeds[j] is not None:
-                adj[tape.seeds[j]] = g_f[:, j]
+                adj[tape.seeds[j]] = r[:, j]
             if comp.residual is not None:
                 name, idx = comp.residual
-                out_adj[name][:, idx] += g_f[:, j]
+                out_adj[name][:, idx] += r[:, j]
         for slot, a, b, k, rule_a, to_a, rule_b, to_b in tape.backward:
             g, va, vb, y = adj[slot], vals[a], vals[b], vals[slot]
             adj[slot] = None  # the tape is tree-shaped: this rule is the adjoint's one reader
@@ -804,7 +810,7 @@ class Evaluator:
                           grads.weights[name])
         if tape.occurrences:  # one row per occurrence, each summed as a 1-D array would be
             totals = np.array(adj[tape.n_values:]).sum(axis=1)
-            np.add.at(grads.values, [grads._index[name] for name in tape.occurrences], totals)
+            np.add.at(grads.values, self._layout[3], totals)  # as derivatives bound params
         finite = np.isfinite(grads.values)
         if not finite.all():
             bad = int(np.argmin(finite))
@@ -815,20 +821,18 @@ class Evaluator:
 
     # -- passes without a backward
 
+    @np.errstate(all="ignore")
     def squared_residuals(self, params: ParamVector, dataset: Dataset) -> np.ndarray:
         """((x + f dt) - y)^2 per transition and component of a dataset of
         this evaluator's schema, computed in place in the derivative array."""
-        self._check_pass(params, dataset)
+        self._check_dataset(dataset)
         batch = dataset.transitions()
         f = self.derivatives(params, batch.x, batch.u, batch.t)
-        self._require_finite(f)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-            f *= self.schema.dt  # a finite derivative's residual may overflow to inf
-            f += batch.x
-            f -= batch.y
-            f *= f
-        return f
+        self._require_finite(f)  # a finite derivative's residual may overflow to inf
+        r = _residual(f, batch, self.schema.dt)
+        return np.multiply(r, r, out=r)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def euler_rollout(self, x0, times: np.ndarray, dt: float, inputs):
         """The one explicit-Euler loop (rollout, rollout_mse, data generation);
         steps N trajectories together.  x0 (N, d_x); times (N, T+1), each row a
@@ -844,14 +848,13 @@ class Evaluator:
         states = np.empty((n, steps + 1, self.schema.d_x))
         actions = np.empty((n, steps + 1, self.schema.d_u))
         states[:, 0] = x
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(steps):
-                params, u = inputs(k, x)
-                actions[:, k] = u
-                f = self.derivatives(params, x, u, by_step[k])
-                self._require_finite(f, step=k)
-                x = x + f * dt
-                states[:, k + 1] = x
+        for k in range(steps):
+            params, u = inputs(k, x)
+            actions[:, k] = u
+            f = self.derivatives(params, x, u, by_step[k])
+            self._require_finite(f, step=k)
+            x = x + f * dt
+            states[:, k + 1] = x
         actions[:, steps] = inputs(steps, x)[1]
         return states, actions
 
@@ -862,7 +865,6 @@ class Evaluator:
         Returns a trajectory with len(actions) + 1 rows whose final action row
         is zero padding (no action is taken at the terminal state).
         """
-        self.check_params(params)
         d_u = self.schema.d_u
         actions = np.asarray(actions, dtype=float)
         if actions.ndim != 2:
@@ -929,6 +931,7 @@ def _component_means(sq: np.ndarray) -> tuple[np.ndarray, float]:  # per_compone
     return delta, float(np.mean(delta))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def rollout_mse(ev: Evaluator, params: ParamVector, dataset: Dataset) -> float:
     """Full-trajectory MSE of the compiled evaluator ev: roll the model
     from each x(0) with the stored actions and average
@@ -937,12 +940,10 @@ def rollout_mse(ev: Evaluator, params: ParamVector, dataset: Dataset) -> float:
     Non-finite rollouts return inf rather than raising (an exploding model
     is a bad model, not a crash).
     """
-    ev._check_pass(params, dataset)
+    ev._check_dataset(dataset)
     total, count = 0.0, 0
-    for length in sorted({len(tr) for tr in dataset.trajectories}):
+    for length in sorted({len(tr) for tr in dataset.trajectories if len(tr) >= 2}):
         trs = [tr for tr in dataset.trajectories if len(tr) == length]
-        if length < 2:
-            continue
         truth = np.stack([tr.states for tr in trs])  # (N, T+1, d_x)
         stored = np.stack([tr.actions for tr in trs], axis=1)  # (T+1, N, d_u)
         times = np.stack([tr.times for tr in trs])
@@ -951,9 +952,8 @@ def rollout_mse(ev: Evaluator, params: ParamVector, dataset: Dataset) -> float:
                                             lambda k, x: (params, stored[k]))
         except EvaluationFault:
             return float("inf")
-        with np.errstate(over="ignore", invalid="ignore"):
-            sq = np.sum((predicted[:, 1:] - truth[:, 1:]) ** 2, axis=2)
-            err = np.cumsum(sq, axis=1)[:, -1]  # in step order; np.sum would add pairwise
+        sq = np.sum((predicted[:, 1:] - truth[:, 1:]) ** 2, axis=2)
+        err = np.cumsum(sq, axis=1)[:, -1]  # in step order; np.sum would add pairwise
         if not np.isfinite(err).all():
             return float("inf")
         total += float(np.sum(err))

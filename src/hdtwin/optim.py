@@ -104,9 +104,9 @@ def fit(spec: ModelSpec, init: ParamVector, train: Dataset, val: Dataset,
     with the best full-validation loss.
 
     The spec is compiled once: one Evaluator serves every mini-batch and
-    every validation pass.  Building it validates the spec against the
-    training schema, so a spec that dsl.validate refuses (one over
-    dsl.PARAM_COUNT_CAP included) raises ValueError before any update.
+    every validation pass.  A spec that dsl.validate refuses for the
+    training schema (one over dsl.PARAM_COUNT_CAP included), or init in
+    another layout than the spec's, raises ValueError before any update.
     Each epoch from 1 on draws one permutation of the training rows and
     gathers each mini-batch's slice of it; epoch 0 only validates.
 
@@ -115,7 +115,6 @@ def fit(spec: ModelSpec, init: ParamVector, train: Dataset, val: Dataset,
     """
     cfg = cfg or OptimConfig()
     ev = Evaluator(spec, train.schema)
-    ev.check_params(init)
     params = init.copy()
     batch_all = train.transitions()
     dt = train.schema.dt

@@ -307,8 +307,8 @@ def test_evolve_rejects_impossible_adam_settings(tmp_path, capsys):
 def test_evolve_rejects_a_bool_learning_rate(tmp_path, capsys):
     # true used to be read as 1.0, and every seed fitted at lr 1.0
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"system": "cancer-chemo-radio", "method": "evolve",
-                               "seeds": [0], "optim": {"lr": True}}))
+    cfg.write_text(json.dumps({"system": "cancer-chemo-radio", "method": "evolve", "seeds": [0],
+                               "out": str(tmp_path / "run"), "optim": {"lr": True}}))
     assert dispatch(["evolve", "--config", str(cfg)]) == EXIT_CONFIG
     assert capsys.readouterr().err == "error: bad optim config: lr must be a number (got True)\n"
     assert not (tmp_path / "run").exists()

@@ -651,24 +651,64 @@ def _hybrid_params(hidden: str) -> ParamVector:
     return init_params(parse_model_spec(WS_HYBRID.format(act="tanh").replace("[5, 4]", hidden)))
 
 
-@pytest.mark.parametrize("scorer", [per_component_mse, rollout_mse])
-@pytest.mark.parametrize("params, schema, message", [
-    (_hybrid_params("[5, 4]"), SystemSchema(states=WS_SCHEMA.states, actions=WS_SCHEMA.actions,
-                                            dt=0.5),
-     "the dataset has another schema than the evaluator"),
-    (ParamVector({}, _hybrid_params("[5, 4]").weights), WS_SCHEMA,
-     "parameter vector is missing 'a'"),
-    (_hybrid_params("[5]"), WS_SCHEMA, "parameter vector has wrong layer count for 'net'"),
-    (_hybrid_params("[5, 3]"), WS_SCHEMA,
-     "'net' layer 1 has shape (5, 3)/(3,), expected (5, 4)/(4,)"),
-], ids=["another-schema", "missing-scalar", "layer-count", "layer-shape"])
-def test_scorers_refuse_another_schema_or_parameter_layout(scorer, params, schema, message):
+def _euler_rollout(ev, params, ds):
+    tr = ds.trajectories[0]
+    return ev.euler_rollout(tr.states[:1], tr.times[None], ds.schema.dt,
+                            lambda k, x: (params, tr.actions[k:k + 1]))
+
+
+# every pass of an evaluator, given the parameters and a one-trajectory dataset
+PASSES = {
+    "derivatives": lambda ev, params, ds: ev.derivatives(
+        params, ds.transitions().x, ds.transitions().u, ds.transitions().t),
+    "derivative": lambda ev, params, ds: ev.derivative(
+        params, ds.trajectories[0].states[0], ds.trajectories[0].actions[0], 0.0),
+    "loss_and_grad": lambda ev, params, ds: ev.loss_and_grad(params, ds.transitions(),
+                                                             ds.schema.dt),
+    "euler_rollout": _euler_rollout,
+    "rollout": lambda ev, params, ds: ev.rollout(
+        params, ds.trajectories[0].states[0], ds.trajectories[0].actions[:-1], ds.schema.dt),
+    "squared_residuals": lambda ev, params, ds: ev.squared_residuals(params, ds),
+    "per_component_mse": per_component_mse,
+    "rollout_mse": rollout_mse,
+}
+# the passes that take a dataset, and so check its schema
+DATASET_PASSES = ("squared_residuals", "per_component_mse", "rollout_mse")
+BAD_INPUTS = {  # case: (params, schema, message)
+    "another-schema": (_hybrid_params("[5, 4]"),
+                       SystemSchema(states=WS_SCHEMA.states, actions=WS_SCHEMA.actions, dt=0.5),
+                       "the dataset has another schema than the evaluator"),
+    "missing-scalar": (ParamVector({}, _hybrid_params("[5, 4]").weights), WS_SCHEMA,
+                       "parameter vector is missing 'a'"),
+    "layer-count": (_hybrid_params("[5]"), WS_SCHEMA,
+                    "parameter vector has wrong layer count for 'net'"),
+    "layer-shape": (_hybrid_params("[5, 3]"), WS_SCHEMA,
+                    "'net' layer 1 has shape (5, 3)/(3,), expected (5, 4)/(4,)"),
+}
+
+
+@pytest.mark.parametrize("case, name", [
+    (case, name) for case in BAD_INPUTS for name in PASSES
+    if case != "another-schema" or name in DATASET_PASSES
+], ids=lambda v: v)
+def test_scorers_refuse_another_schema_or_parameter_layout(case, name):
+    """Each pass refuses bad inputs with check_params' (or the schema
+    check's) message; one evaluator given good, bad and good inputs in turn
+    refuses the bad ones, so the layout it last checked cannot mask them."""
+    params, schema, message = BAD_INPUTS[case]
     ev = Evaluator(parse_model_spec(WS_HYBRID.format(act="tanh")), WS_SCHEMA)
     rng = np.random.default_rng(2)
-    tr = Trajectory(np.arange(4.0) * schema.dt, rng.uniform(-2.0, 3.0, (4, 2)),
-                    rng.uniform(0.0, 5.0, (4, 1)))
-    with pytest.raises(ValueError, match=re.escape(message)):
-        scorer(ev, params, Dataset([tr], schema))
+
+    def dataset(schema):
+        tr = Trajectory(np.arange(4.0) * schema.dt, rng.uniform(-2.0, 3.0, (4, 2)),
+                        rng.uniform(0.0, 5.0, (4, 1)))
+        return Dataset([tr], schema)
+
+    good, run = _hybrid_params("[5, 4]"), PASSES[name]
+    run(ev, good, dataset(WS_SCHEMA))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run(ev, params, dataset(schema))
+    run(ev, good, dataset(WS_SCHEMA))
 
 
 def test_one_step_mse_self_consistency_zero():

@@ -15,7 +15,11 @@ bits.  numpy likewise picks the SIMD kernels of exp and log (and so of
 the sigmoid) when it starts, and another level moves their last bit,
 which moves the fit, the evolve archive and backward pins 3 and 4.  So
 these pins hold only on the platform below.  When one fails, its message
-names that platform, the running one and the parts that differ.
+names that platform, the running one and the parts that differ.  The
+backward and fit pins also keep a few values as repr probes; the hash
+alone decides a pin, and on a mismatch the message adds how many ulp the
+probes moved, which tells a last-bit platform drift from a changed
+computation.
 """
 
 from __future__ import annotations
@@ -23,9 +27,13 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import hashlib
+import math
 import os
+import re
+import struct
 import subprocess
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -92,15 +100,40 @@ def running_platform() -> dict[str, str]:
     return here
 
 
-def platforms() -> str:
-    """The failure message of a platform-sensitive pin."""
+def platforms(probes: Sequence[str] = (), pinned: Sequence[str] = ()) -> str:
+    """The failure message of a platform-sensitive pin; given the reprs of
+    its probes and their pinned reprs, it adds how far they moved."""
     here = running_platform()
     differ = [PARTS[k] for k in PINNED_ON if here[k] != PINNED_ON[k]]
     cause = (" and ".join(differ) + " differ, which can move the last bits."
              if differ else "the platform is the same, so the code moved the bits.")
-    pinned, running = (", ".join(f"{k} {v}" for k, v in p.items()) for p in (PINNED_ON, here))
-    return f"pinned on {pinned} at {PINNED_AT}; this run is on {running}: {cause}"
+    pinned_on, running = (", ".join(f"{k} {v}" for k, v in p.items()) for p in (PINNED_ON, here))
+    message = f"pinned on {pinned_on} at {PINNED_AT}; this run is on {running}: {cause}"
+    return f"{message} {drift(probes, pinned)}" if pinned else message
 
+
+def _ordered(v: float) -> int:
+    """v's float64 bits as an integer that counts ulps across zero."""
+    bits = struct.unpack("<q", struct.pack("<d", v))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def drift(probes: Sequence[str], pinned: Sequence[str]) -> str:
+    """The largest ulp and relative difference of the probe reprs from the
+    pinned ones."""
+    if len(probes) != len(pinned):
+        return f"there are {len(probes)} probes, where {len(pinned)} were pinned."
+    pairs = [(float(p), float(g)) for p, g in zip(pinned, probes)]
+    if not all(math.isfinite(g) for _, g in pairs):
+        return "a probe is no longer finite."
+    ulps = max(abs(_ordered(p) - _ordered(g)) for p, g in pairs)
+    if not ulps:
+        return "the probes did not move: the hashed bytes moved elsewhere."
+    rel = max(abs(g - p) / max(abs(p), abs(g)) for p, g in pairs if p != g)
+    return f"probes moved by at most {ulps} ulp ({rel:.1e} relative)."
+
+
+PROBED = 8  # how many leading entries of a parameter or gradient vector a pin probes
 
 CANCER_FAMILY = tuple(s for s in BUILTIN_IDS
                       if s.startswith("cancer") or s.startswith("synthetic-"))
@@ -176,6 +209,11 @@ FIT_VAL_CURVE = ("[23418.464545837753, 5246.933954363322, 1547.3357356867223,"
                  " 1133.3945480763987, 729.5604290215385, 232.54701238419412,"
                  " 73.48803581772422, 119.47171486317121, 88.28789797686295]")
 FIT_PARAMS_SHA = "ec6940759182e94232b5e649d3d50e28de0793cb10626bb540c08b90ff05e784"
+# with the curves, the probes that only explain a failing fit pin: repr of
+# the first PROBED fitted values and of math.fsum over all 573 of them
+FIT_PARAMS_PROBES = ("0.0012207257984850044", "0.3136083601588566", "0.08361642813484292",
+                     "1032.4078573029146", "0.09272476364746363", "-0.06464193426369305",
+                     "0.0060832792410380546", "0.08030322396747291", "1033.2439741567528")
 
 # sha256 of the write_run_archive tree of the scripted six-generation evolve
 # on cancer-chemo-radio GenConfig(n=5, seed=3), 10 fixed epochs per fit
@@ -215,6 +253,28 @@ BACKWARD_SHA = {
 }
 # 3 and 4 were taken again, the commit after ab88aa8, when the sigmoid
 # moved from scipy's expit to engine.sigmoid; CHANGES.md gives the drift
+# per spec, probes that only explain a failing pin: repr of the loss at
+# each row count, then of the first PROBED gradient entries at 6000 rows
+BACKWARD_PROBES = {
+    0: ("12.710296560723192", "8.920654322566909", "13.963059656379432", "13.940987886707932",
+        "1.8392714084596478", "-3.05899544101056e-05", "0.7880430795142278",
+        "0.6663002120544261", "0.0002198061912158097", "-0.8025968519954328",
+        "0.00035872757370234386", "2.914662167284723"),
+    1: ("4.528101629970449", "24.554299441352974", "22.69210782497904", "23.34536393517868",
+        "-0.44885024936432694", "-0.01940109772919805", "0.08243477054845669",
+        "0.22717132245339908", "0.19150392434796526", "0.22270001919328866",
+        "-0.07851988127977841", "-0.03302295736419898"),
+    2: ("9.570538379615236", "11.727212247218066", "11.123300797037112", "10.320863155084025",
+        "-2.158781551662269", "0.024354766703198392", "0.007975853676202507",
+        "0.0006758640482804477", "-0.009977821800186575", "-0.0033593240537677016",
+        "-0.1268434827035998", "-0.03168388355707643"),
+    3: ("1091292142409.9832", "1091294469137.2013", "451795039539.99493", "437244484902.9964",
+        "973508148.0516642", "-16108661361631.629"),
+    4: ("91.01695248759262", "73.73588558493346", "63.484315567236365", "62.55432834887436",
+        "-0.9304529950057233", "0.2246821724941448", "1.7480919949363594",
+        "0.008304979286836947", "-2.3777002141906083", "11.26542684137128",
+        "26.891248044608233", "37.43302348662259"),
+}
 
 
 def tree_sha256(root: Path) -> str:
@@ -328,18 +388,28 @@ def test_rollout_t0_pin():
     assert hashlib.sha256(tr.times.tobytes()).hexdigest() == ROLLOUT_T0_TIMES
 
 
-def test_fit_pin(tmp_path):
+def test_fit_pin(tmp_path, monkeypatch):
     system = builtin_system("cancer-chemo-radio")
     data = generate_dataset(system, GenConfig(n=6, seed=3))
     spec = parse_model_spec(replay_fixtures.SPEC_5)
     # 360 training rows in batches of 100: three full batches and a short one
     cfg = OptimConfig(batch_size=100, max_epochs=8, patience=8, seed=2)
+    checks = []  # the fit's parameters, copies and gradients share one layout
+    check_params = Evaluator.check_params
+    monkeypatch.setattr(Evaluator, "check_params",
+                        lambda ev, params: checks.append(1) or check_params(ev, params))
     result = fit(spec, init_params(spec, seed=5), data["train"], data["val"], cfg)
-    assert repr(result.train_curve) == FIT_TRAIN_CURVE, platforms()
-    assert repr(result.val_curve) == FIT_VAL_CURVE, platforms()
+    assert len(checks) == 1
+    values = result.params.values
+    probes = [*map(repr, result.train_curve), *map(repr, result.val_curve),
+              *map(repr, values[:PROBED].tolist()), repr(math.fsum(values))]
+    pinned = [*FIT_TRAIN_CURVE[1:-1].split(", "), *FIT_VAL_CURVE[1:-1].split(", "),
+              *FIT_PARAMS_PROBES]
+    assert repr(result.train_curve) == FIT_TRAIN_CURVE, platforms(probes, pinned)
+    assert repr(result.val_curve) == FIT_VAL_CURVE, platforms(probes, pinned)
     save_params(result.params, tmp_path / "params.json")
     params_sha = hashlib.sha256((tmp_path / "params.json").read_bytes()).hexdigest()
-    assert params_sha == FIT_PARAMS_SHA, platforms()
+    assert params_sha == FIT_PARAMS_SHA, platforms(probes, pinned)
 
 
 def test_evolve_archive_pin(tmp_path):
@@ -354,12 +424,15 @@ def test_evolve_archive_pin(tmp_path):
     assert tree_sha256(tmp_path) == EVOLVE_ARCHIVE_SHA, platforms()
 
 
-def backward_hashes(text: str, seed: int) -> tuple[str, str]:
+def backward_pass(text: str, seed: int) -> tuple[tuple[str, str], list[str]]:
+    """The two backward-pin hashes, and the probes: repr(loss) at each row
+    count, then the first PROBED gradient entries at the last."""
     spec = parse_model_spec(text)
     rng = np.random.default_rng(seed)
     params = init_params(spec) if text == BITS_SPEC else random_params(rng, spec)
     ev = Evaluator(spec, WS_SCHEMA)
     grad_sha, deriv_sha = hashlib.sha256(), hashlib.sha256()
+    probes = []
     for m in BITS_ROWS:
         batch = TransitionBatch(
             rng.uniform(-2.0, 3.0, (m, 2)), rng.uniform(0.0, 5.0, (m, 1)),
@@ -370,18 +443,20 @@ def backward_hashes(text: str, seed: int) -> tuple[str, str]:
         deriv_sha.update(ev.derivatives(params, batch.x, batch.u, batch.t).tobytes())
         loss, grads = ev.loss_and_grad(params, batch, 0.5)
         grad_sha.update(repr(loss).encode() + grads.values.tobytes())
-    return grad_sha.hexdigest(), deriv_sha.hexdigest()
+        probes.append(repr(loss))
+    probes += map(repr, grads.values[:PROBED].tolist())
+    return (grad_sha.hexdigest(), deriv_sha.hexdigest()), probes
 
 
 @pytest.mark.parametrize("i", range(len(WS_SPECS) + 1))
 def test_backward_pin(i):
-    text = [*WS_SPECS, BITS_SPEC][i]
-    assert backward_hashes(text, seed=i) == BACKWARD_SHA[i], platforms()
+    hashes, probes = backward_pass([*WS_SPECS, BITS_SPEC][i], seed=i)
+    assert hashes == BACKWARD_SHA[i], platforms(probes, BACKWARD_PROBES[i])
 
 
 def test_backward_pin_failure_names_the_simd_difference():
     """Pin 4 in a child process without numpy's AVX-512 kernels fails, and
-    its message blames the SIMD targets."""
+    its message blames the SIMD targets and measures an ulp-sized drift."""
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(__file__).parent.parent / "src"), env.get("PYTHONPATH")) if p)
@@ -390,6 +465,8 @@ def test_backward_pin_failure_names_the_simd_difference():
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "the SIMD targets" in proc.stdout, proc.stdout
+    moved = re.search(r"probes moved by at most (\d+) ulp \((\S+) relative\)", proc.stdout)
+    assert moved and 0 < int(moved[1]) <= 64 and float(moved[2]) < 1e-14, proc.stdout
 
 
 def run_experiment_tree(system_id: str, method: str, out: Path) -> str:
