@@ -20,12 +20,30 @@ Every mini-batch's gradient is written into one buffer that fit owns.
 Each training epoch draws one permutation of the training rows and
 gathers each mini-batch's rows on its own, so no copy of the whole
 shuffled epoch is held.
+
+Each fit forks one validation worker once its Evaluator is built.  The
+worker holds a copy of the evaluator and the validation split, takes each
+epoch's parameters as raw float64 bytes over a pipe and answers with
+per_component_mse's delta bytes and upsilon, or with the pickled
+exception.  So epoch e+1 trains while epoch e is scored, and the loop then
+applies the rules in epoch order: a validation fault first, then
+improvement or patience, then a training fault.  The curves, epochs_run,
+the best snapshot and the log lines are those of scoring each epoch in
+turn, bit for bit; the only extra work is the one discarded epoch that
+trains while patience runs out.  The worker is killed and reaped before
+fit returns or raises, and one that dies makes fit raise RuntimeError with
+its exit status.  Where os.fork is missing the same loop scores each
+snapshot in-process when it is submitted.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import os
+import pickle
+import signal
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,17 +116,126 @@ def adam_update(param, grad, m, v, step: int, cfg: OptimConfig):
     return param, m, v
 
 
+def _read(fd: int, size: int) -> bytes:
+    """size bytes from fd, or fewer if the pipe reaches end-of-file first."""
+    chunks = []
+    while size:
+        chunk = os.read(fd, size)
+        if not chunk:
+            break
+        chunks.append(chunk)
+        size -= len(chunk)
+    return b"".join(chunks)
+
+
+def _write(fd: int, data: bytes):
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+_ANSWER = struct.Struct("=?q")  # scored (else the payload is a pickled exception), payload size
+
+
+class _ValidationWorker:
+    """Scores parameter snapshots of one fit with per_component_mse on its
+    validation split: in a forked worker, or where os.fork is missing,
+    in-process at submit time.  result() answers the last submit, or raises
+    what scoring it raised."""
+
+    def __init__(self, ev: Evaluator, val: Dataset, params: ParamVector):
+        self.ev, self.val = ev, val
+        self.pid, self._fds = None, ()  # the worker's pid until it is reaped; the fit's pipe ends
+        if not hasattr(os, "fork"):
+            return
+        val.transitions()  # built once in the parent, so every worker inherits it
+        requests, self._requests = os.pipe()
+        self._answers, answers = os.pipe()
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            for fd in (requests, self._requests, self._answers, answers):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(self._requests)
+                os.close(self._answers)
+                self._serve(requests, answers, params.copy())
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(requests)
+        os.close(answers)
+        self._fds = (self._requests, self._answers)
+
+    def _serve(self, requests: int, answers: int, params: ParamVector):
+        size = 1 + params.values.nbytes  # a tag byte, so a parameterless spec's request is not empty
+        while len(request := _read(requests, size)) == size:  # end-of-file: the fit is over
+            params.values[...] = np.frombuffer(request, offset=1)
+            try:
+                delta, ups = per_component_mse(self.ev, params, self.val)
+                scored, payload = True, np.append(delta, ups).tobytes()
+            except Exception as exc:
+                scored, payload = False, pickle.dumps(exc)
+            _write(answers, _ANSWER.pack(scored, len(payload)) + payload)
+
+    def submit(self, params: ParamVector):
+        if self.pid is None:
+            try:
+                self._answer = per_component_mse(self.ev, params, self.val)
+            except Exception as exc:
+                self._answer = exc
+            return
+        try:
+            _write(self._requests, b"p" + params.values.tobytes())
+        except BrokenPipeError:
+            self._died()
+
+    def result(self) -> tuple[np.ndarray, float]:
+        if self.pid is None:
+            if isinstance(self._answer, Exception):
+                raise self._answer
+            return self._answer
+        head = _read(self._answers, _ANSWER.size)
+        if len(head) < _ANSWER.size:
+            self._died()
+        scored, size = _ANSWER.unpack(head)
+        payload = _read(self._answers, size)
+        if len(payload) < size:
+            self._died()
+        if not scored:
+            raise pickle.loads(payload)
+        values = np.frombuffer(payload)
+        return values[:-1].copy(), float(values[-1])
+
+    def _died(self):
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        raise RuntimeError("the validation worker exited with status "
+                           f"{os.waitstatus_to_exitcode(status)}")
+
+    def close(self):
+        for fd in self._fds:
+            os.close(fd)
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+
+
 def fit(spec: ModelSpec, init: ParamVector, train: Dataset, val: Dataset,
         cfg: OptimConfig | None = None) -> FitResult:
     """Fit a spec's parameters to training data, returning the snapshot
     with the best full-validation loss.
 
-    The spec is compiled once: one Evaluator serves every mini-batch and
-    every validation pass.  A spec that dsl.validate refuses for the
-    training schema (one over dsl.PARAM_COUNT_CAP included), or init in
-    another layout than the spec's, raises ValueError before any update.
-    Each epoch from 1 on draws one permutation of the training rows and
-    gathers each mini-batch's slice of it; epoch 0 only validates.
+    The spec is compiled once: one Evaluator serves every mini-batch, and
+    the validation worker's copy of it every validation pass.  A spec that
+    dsl.validate refuses for the training schema (one over
+    dsl.PARAM_COUNT_CAP included), or init in another layout than the
+    spec's, raises ValueError before any update.  Each epoch from 1 on
+    draws one permutation of the training rows and gathers each
+    mini-batch's slice of it; epoch 0 only validates.
 
     A non-finite loss or gradient sets the fault flag and returns the best
     snapshot so far (validation loss +inf if none), which is not usable.
@@ -123,42 +250,64 @@ def fit(spec: ModelSpec, init: ParamVector, train: Dataset, val: Dataset,
     grads = params.zeros_like()
     step = 0
 
-    best_params, best_val, best_delta = params, float("inf"), np.full(train.schema.d_x, np.inf)
+    snapshot, losses = params.copy(), []  # the epoch being scored and its training losses
+    best_params, best_val, best_delta = snapshot, float("inf"), np.full(train.schema.d_x, np.inf)
     val_curve: list[float] = []
     train_curve: list[float] = []
     since_improvement = 0
     faulted = False
 
     n = len(batch_all)
-    for epoch in range(cfg.max_epochs + 1):
-        epoch_losses = []
-        try:
-            if epoch:
-                order = rng.permutation(n)
-                for lo in range(0, n, cfg.batch_size):
-                    batch = batch_all.take(order[lo:lo + cfg.batch_size])
-                    loss, _ = ev.loss_and_grad(params, batch, dt, out=grads)
-                    epoch_losses.append(loss)
-                    step += 1
-                    params.values[...], m, v = adam_update(params.values, grads.values, m, v,
-                                                           step, cfg)
-            delta, ups = per_component_mse(ev, params, val)
-        except EvaluationFault as fault:
-            log.warning("fit faulted at epoch %d: %s", epoch, fault)
-            faulted = True
-            break
-        if epoch:
-            train_curve.append(float(np.mean(epoch_losses)))
-        val_curve.append(ups)
-        if epoch == 0 or ups < best_val - IMPROVEMENT_EPS:  # epoch 0's snapshot even at inf
-            best_val = ups
-            best_delta = delta
-            best_params = params.copy()
-            since_improvement = 0
-        else:
-            since_improvement += 1
-            if since_improvement >= cfg.patience:
+    epoch = 0
+    worker = _ValidationWorker(ev, val, params)
+    try:
+        worker.submit(snapshot)
+        while True:
+            # train epoch + 1 while the worker scores epoch's snapshot
+            next_losses, train_error = [], None
+            if epoch < cfg.max_epochs:
+                try:
+                    order = rng.permutation(n)
+                    for lo in range(0, n, cfg.batch_size):
+                        batch = batch_all.take(order[lo:lo + cfg.batch_size])
+                        loss, _ = ev.loss_and_grad(params, batch, dt, out=grads)
+                        next_losses.append(loss)
+                        step += 1
+                        params.values[...], m, v = adam_update(params.values, grads.values,
+                                                               m, v, step, cfg)
+                except Exception as exc:  # raised only if epoch's score lets training go on
+                    train_error = exc
+            try:
+                delta, ups = worker.result()
+            except EvaluationFault as fault:
+                log.warning("fit faulted at epoch %d: %s", epoch, fault)
+                faulted = True
                 break
+            if epoch:
+                train_curve.append(float(np.mean(losses)))
+            val_curve.append(ups)
+            if epoch == 0 or ups < best_val - IMPROVEMENT_EPS:  # epoch 0's snapshot even at inf
+                best_val = ups
+                best_delta = delta
+                best_params = snapshot
+                since_improvement = 0
+            else:
+                since_improvement += 1
+                if since_improvement >= cfg.patience:
+                    break
+            if epoch == cfg.max_epochs:
+                break
+            epoch += 1
+            if isinstance(train_error, EvaluationFault):
+                log.warning("fit faulted at epoch %d: %s", epoch, train_error)
+                faulted = True
+                break
+            if train_error is not None:
+                raise train_error
+            snapshot, losses = params.copy(), next_losses
+            worker.submit(snapshot)
+    finally:
+        worker.close()
 
     return FitResult(best_params, best_val, best_delta, epoch,
                      train_curve, val_curve, faulted=faulted)

@@ -90,7 +90,7 @@ class EvolveConfig:
 @dataclass
 class GenerationRecord:
     generation: int
-    status: str  # inserted | duplicate | proposal-failed | fit-faulted | transport-failed
+    status: str  # inserted | duplicate | cut | proposal-failed | fit-faulted | transport-failed
     upsilon: float | None = None
     fingerprint: int | None = None
     description: str = ""
@@ -154,8 +154,9 @@ def evolve(ctx: ModelingContext, system: SystemDef, datasets: dict[str, Dataset]
     """Run the full propose/fit/evaluate/insert/critique loop.
 
     Failed proposals and unusable fits (FitResult.usable) consume their
-    generation without an insertion.  The best-by-validation entry is
-    evaluated once on test.
+    generation without an insertion, and so does a structural duplicate
+    or a new entry worse than a full population (status cut).  The
+    best-by-validation entry is evaluated once on test.
     A TransportError while proposing ends the run at that generation: the
     finished generations are kept and the run's last record is
     transport-failed, which `RunResult.transport_error` reports (the
@@ -195,7 +196,8 @@ def evolve(ctx: ModelingContext, system: SystemDef, datasets: dict[str, Dataset]
                     upsilon=result.val_loss, generation=g, description=description,
                 )
                 before, pop = pop, population_insert(pop, entry)
-                status = "duplicate" if pop is before else "inserted"
+                status = ("duplicate" if pop is before
+                          else "inserted" if any(e is entry for e in pop) else "cut")
                 records.append(GenerationRecord(
                     g, status, upsilon=entry.upsilon,
                     fingerprint=entry.fingerprint, description=description,

@@ -16,9 +16,9 @@ the sigmoid) when it starts, and another level moves their last bit,
 which moves the fit, the evolve archive and backward pins 3 and 4.  So
 these pins hold only on the platform below.  When one fails, its message
 names that platform, the running one and the parts that differ.  The
-backward and fit pins also keep a few values as repr probes; the hash
-alone decides a pin, and on a mismatch the message adds how many ulp the
-probes moved, which tells a last-bit platform drift from a changed
+backward, fit and archive pins also keep a few values as repr probes; the
+hash alone decides a pin, and on a mismatch the message adds how many ulp
+the probes moved, which tells a last-bit platform drift from a changed
 computation.
 """
 
@@ -49,6 +49,7 @@ from hdtwin.engine import (
     TransitionBatch,
     init_params,
     load_csv_dataset,
+    read_json,
     rollout_mse,
     save_dataset,
     save_params,
@@ -134,6 +135,10 @@ def drift(probes: Sequence[str], pinned: Sequence[str]) -> str:
 
 
 PROBED = 8  # how many leading entries of a parameter or gradient vector a pin probes
+# the flat derivative entries at 6000 rows that every backward pin probes:
+# without numpy's AVX-512 kernels, 190 of pin 3's 12000 entries move (its
+# exp and sigmoid), and these four among them, 2006 the most (6.0e-14)
+DERIVATIVE_PROBES = (72, 94, 284, 2006)
 
 CANCER_FAMILY = tuple(s for s in BUILTIN_IDS
                       if s.startswith("cancer") or s.startswith("synthetic-"))
@@ -218,6 +223,9 @@ FIT_PARAMS_PROBES = ("0.0012207257984850044", "0.3136083601588566", "0.083616428
 # sha256 of the write_run_archive tree of the scripted six-generation evolve
 # on cancer-chemo-radio GenConfig(n=5, seed=3), 10 fixed epochs per fit
 EVOLVE_ARCHIVE_SHA = "45f68c02bf24cbc43d266c242b9233689cfa19d2511e55a383a91963faf685f6"
+# with each archive pin, the probes that only explain a failing one: repr of
+# best_upsilon and test_upsilon of each result.json, in path order
+EVOLVE_ARCHIVE_PROBES = ("1.1115744734746578", "1.042668210962142")
 
 # sha256 of the run_experiment output tree, seeds 0 and 1, GenConfig(n=5,
 # seed=3), one generation with 10 fixed epochs; the agent methods get the
@@ -231,6 +239,16 @@ EXPERIMENT_SHA = {
         "36f0b51e816f336f3fee39087a5aac22e8c01108380cd0883688b8861e5a1640",
     ("lv2", "baseline:lv2"):
         "b45d748dab8f2e9d0045b4a1ff707310c9fab0591e917aeb2409a116d2547ad4",
+}
+EXPERIMENT_PROBES = {
+    ("cancer-chemo-radio", "zero-optim"):
+        ("3.4091917929418507", "3.3182460295939475", "3.232410212841444", "6.223868136978864"),
+    ("cancer-chemo-radio", "zero-shot"):
+        ("146.35158423320888", "132.4742023207778", "41.76981294831119", "134.6577373077786"),
+    ("lv2", "baseline:lv2"):
+        ("0.004953639533047691", "0.006711141218305081"),
+    ("lv2", "sindy"):
+        ("5.8541839262525e-11", "7.173609037055273e-11"),
 }
 
 # The backward pass: test_engine's WS_SPECS and BITS_SPEC, evaluated by
@@ -254,27 +272,46 @@ BACKWARD_SHA = {
 # 3 and 4 were taken again, the commit after ab88aa8, when the sigmoid
 # moved from scipy's expit to engine.sigmoid; CHANGES.md gives the drift
 # per spec, probes that only explain a failing pin: repr of the loss at
-# each row count, then of the first PROBED gradient entries at 6000 rows
+# each row count, then of the first PROBED gradient entries at 6000 rows,
+# then of the DERIVATIVE_PROBES entries there
 BACKWARD_PROBES = {
     0: ("12.710296560723192", "8.920654322566909", "13.963059656379432", "13.940987886707932",
         "1.8392714084596478", "-3.05899544101056e-05", "0.7880430795142278",
         "0.6663002120544261", "0.0002198061912158097", "-0.8025968519954328",
-        "0.00035872757370234386", "2.914662167284723"),
+        "0.00035872757370234386", "2.914662167284723", "-0.5008340980685944",
+        "0.2616828385845511", "-1.5910668713271932",
+        "4.471324033386032"),
     1: ("4.528101629970449", "24.554299441352974", "22.69210782497904", "23.34536393517868",
         "-0.44885024936432694", "-0.01940109772919805", "0.08243477054845669",
         "0.22717132245339908", "0.19150392434796526", "0.22270001919328866",
-        "-0.07851988127977841", "-0.03302295736419898"),
+        "-0.07851988127977841", "-0.03302295736419898", "-4.494980497589418",
+        "-2.074866139561138", "-2.1555923970429576",
+        "-1.1653105754905022"),
     2: ("9.570538379615236", "11.727212247218066", "11.123300797037112", "10.320863155084025",
         "-2.158781551662269", "0.024354766703198392", "0.007975853676202507",
         "0.0006758640482804477", "-0.009977821800186575", "-0.0033593240537677016",
-        "-0.1268434827035998", "-0.03168388355707643"),
+        "-0.1268434827035998", "-0.03168388355707643", "-2.4765711864147693",
+        "-1.9264026762759772", "-3.6223190784344403",
+        "-1.9260115160019886"),
     3: ("1091292142409.9832", "1091294469137.2013", "451795039539.99493", "437244484902.9964",
-        "973508148.0516642", "-16108661361631.629"),
+        "973508148.0516642", "-16108661361631.629", "-0.8155011348897734",
+        "-1.815200334241102", "-0.6567801622334974",
+        "0.003717985581901284"),
     4: ("91.01695248759262", "73.73588558493346", "63.484315567236365", "62.55432834887436",
         "-0.9304529950057233", "0.2246821724941448", "1.7480919949363594",
         "0.008304979286836947", "-2.3777002141906083", "11.26542684137128",
-        "26.891248044608233", "37.43302348662259"),
+        "26.891248044608233", "37.43302348662259", "-17.910031387992934",
+        "-18.390913643540344", "1.3235957138699246",
+        "-18.3739160424797"),
 }
+
+
+def result_probes(root: Path) -> list[str]:
+    """repr of best_upsilon (a baseline seed has none) and test_upsilon of
+    every result.json under root."""
+    docs = map(read_json, sorted(root.rglob("result.json")))
+    return [repr(doc[key]) for doc in docs for key in ("best_upsilon", "test_upsilon")
+            if key in doc]
 
 
 def tree_sha256(root: Path) -> str:
@@ -421,12 +458,14 @@ def test_evolve_archive_pin(tmp_path):
     result = evolve(ctx, system, data, cfg, ScriptedClient(replay_fixtures.evolution_replies()))
     assert [r.status for r in result.records] == ["inserted"] * 6
     write_run_archive(tmp_path, result, "cancer-chemo-radio", "evolve", 0, cfg)
-    assert tree_sha256(tmp_path) == EVOLVE_ARCHIVE_SHA, platforms()
+    assert tree_sha256(tmp_path) == EVOLVE_ARCHIVE_SHA, platforms(
+        result_probes(tmp_path), EVOLVE_ARCHIVE_PROBES)
 
 
 def backward_pass(text: str, seed: int) -> tuple[tuple[str, str], list[str]]:
     """The two backward-pin hashes, and the probes: repr(loss) at each row
-    count, then the first PROBED gradient entries at the last."""
+    count, then the first PROBED gradient entries at the last, then its
+    DERIVATIVE_PROBES entries."""
     spec = parse_model_spec(text)
     rng = np.random.default_rng(seed)
     params = init_params(spec) if text == BITS_SPEC else random_params(rng, spec)
@@ -440,12 +479,15 @@ def backward_pass(text: str, seed: int) -> tuple[tuple[str, str], list[str]]:
         k = min(m, len(GUARD_ROWS))
         batch.x[:k, 0] = params.scalars["a"] + GUARD_ROWS[:k]
         batch.x[:k, 1] = GUARD_ROWS[:k]
-        deriv_sha.update(ev.derivatives(params, batch.x, batch.u, batch.t).tobytes())
+        f = ev.derivatives(params, batch.x, batch.u, batch.t)
+        deriv_sha.update(f.tobytes())
+        if m == BITS_ROWS[-1]:  # before the evaluator's next pass may overwrite f
+            deriv_probes = [repr(float(f.flat[i])) for i in DERIVATIVE_PROBES]
         loss, grads = ev.loss_and_grad(params, batch, 0.5)
         grad_sha.update(repr(loss).encode() + grads.values.tobytes())
         probes.append(repr(loss))
     probes += map(repr, grads.values[:PROBED].tolist())
-    return (grad_sha.hexdigest(), deriv_sha.hexdigest()), probes
+    return (grad_sha.hexdigest(), deriv_sha.hexdigest()), probes + deriv_probes
 
 
 @pytest.mark.parametrize("i", range(len(WS_SPECS) + 1))
@@ -481,4 +523,5 @@ def run_experiment_tree(system_id: str, method: str, out: Path) -> str:
 @pytest.mark.parametrize("system_id, method", sorted(EXPERIMENT_SHA))
 def test_run_experiment_pin(system_id, method, tmp_path):
     tree = run_experiment_tree(system_id, method, tmp_path)
-    assert tree == EXPERIMENT_SHA[system_id, method], platforms()
+    assert tree == EXPERIMENT_SHA[system_id, method], platforms(
+        result_probes(tmp_path), EXPERIMENT_PROBES[system_id, method])

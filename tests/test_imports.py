@@ -1,7 +1,9 @@
 """What the package's modules import.
 
 numpy is the only third-party package the modules import: no module
-imports scipy or requests, not even inside a function.  Importing the
+imports scipy or requests, not even inside a function.  Nor does any
+import multiprocessing, threading or concurrent.futures: `optim` alone
+calls os.fork, once per fit, for its validation worker.  Importing the
 package does not load the HTTP stack either.  `HttpClient.complete`
 imports `urllib.request` on its first request, so the offline commands
 and replayed runs start without it.  A fresh interpreter is needed
@@ -45,6 +47,9 @@ PACKAGE_MODULES = ("hdtwin", "hdtwin.cli", "hdtwin.orchestrator", "hdtwin.system
                    "hdtwin.baselines")
 LAZY_MODULES = ("urllib.request", "http.client", "ssl")
 DROPPED_PACKAGES = ("scipy", "requests")
+# fit's validation worker is the one other process or thread hdtwin starts:
+# a forked process on raw pipes, whose answers keep every bit
+CONCURRENCY_PACKAGES = ("multiprocessing", "threading", "concurrent")
 
 # the hdtwin modules each module imports, function bodies included
 _BASE = {"dsl", "engine"}
@@ -61,10 +66,11 @@ LAYERS = {
 }
 
 
-def test_no_module_imports_scipy_or_requests():
+def imported_packages(packages: tuple[str, ...]) -> list[str]:
+    """Where a module imports one of packages, function bodies included."""
     found = []
     for path in sorted((ROOT / "src" / "hdtwin").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):  # function bodies included
+        for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and not node.level:
@@ -72,8 +78,24 @@ def test_no_module_imports_scipy_or_requests():
             else:
                 continue
             found += [f"{path.name}:{node.lineno}: {name}" for name in names
-                      if name.split(".")[0] in DROPPED_PACKAGES]
-    assert found == []
+                      if name.split(".")[0] in packages]
+    return found
+
+
+def test_no_module_imports_scipy_or_requests():
+    assert imported_packages(DROPPED_PACKAGES) == []
+
+
+def test_only_optim_forks_and_no_module_starts_threads_or_process_pools():
+    assert imported_packages(CONCURRENCY_PACKAGES) == []
+    forks = []
+    for path in sorted((ROOT / "src" / "hdtwin").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):  # function bodies included
+            if isinstance(node, ast.Attribute) and node.attr in ("fork", "forkpty"):
+                forks.append(f"{path.stem}.{ast.unparse(node)}")
+            elif isinstance(node, ast.alias) and node.name in ("fork", "forkpty"):
+                forks.append(f"{path.stem}: imports {node.name}")
+    assert forks == ["optim.os.fork"]
 
 
 def test_importing_the_package_loads_no_http_stack():

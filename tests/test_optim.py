@@ -1,27 +1,31 @@
 from __future__ import annotations
 
+import logging
+import os
 import warnings
 
 import numpy as np
 import pytest
 
+import replay_fixtures
 from conftest import UNUSABLE_FITS, unusable_fit
 from hdtwin.dsl import SystemSchema, VarSpec, parse_model_spec
 from hdtwin import optim
-from hdtwin.engine import (Dataset, Evaluator, init_params, load_params, per_component_mse,
-                           save_params)
+from hdtwin.engine import (Dataset, EvaluationFault, Evaluator, init_params, load_params,
+                           per_component_mse, save_params)
 from hdtwin.optim import FitResult, OptimConfig, adam_update, fit
 from hdtwin.systems import GenConfig, builtin_system, generate_dataset
 
 SCHEMA = SystemSchema(states=(VarSpec("x", -100.0, 100.0),), dt=1.0)
 
 
-def make_linear_dataset(a: float, n_traj: int, steps: int, seed: int, split: str) -> Dataset:
+def make_linear_dataset(a: float, n_traj: int, steps: int, seed: int, split: str,
+                        x0: tuple[float, float] = (1.0, 5.0)) -> Dataset:
     spec = parse_model_spec(f"param a = {a}\nd(x)/dt = a * x")
     params, ev = init_params(spec), Evaluator(spec, SCHEMA)
     rng = np.random.default_rng(seed)
     trs = [
-        ev.rollout(params, [float(rng.uniform(1.0, 5.0))], np.zeros((steps, 0)), dt=1.0)
+        ev.rollout(params, [float(rng.uniform(*x0))], np.zeros((steps, 0)), dt=1.0)
         for _ in range(n_traj)
     ]
     return Dataset(trs, SCHEMA, split)
@@ -249,12 +253,165 @@ def test_fit_early_stop_contract():
 def test_fit_faulted_model_flags_and_returns():
     train = make_linear_dataset(-0.5, 5, 10, seed=12, split="train")
     val = make_linear_dataset(-0.5, 3, 10, seed=13, split="val")
-    # exp(exp(x)) explodes as soon as the optimizer pushes p upward
+    # exp(exp(p x)) overflows at the initial p, so epoch 0's validation pass faults
     spec = parse_model_spec("param p = 3.0\nd(x)/dt = exp(exp(p * x))")
     result = fit(spec, init_params(spec), train, val,
                  OptimConfig(batch_size=50, max_epochs=10, patience=10, seed=0))
     assert result.faulted
     assert result.val_loss == float("inf") or np.isfinite(result.val_loss)
+
+
+# ---------------------------------------------------------------------------
+# the forked validation worker
+
+
+def sequential_fit(spec, init, train, val, cfg):
+    """The fit loop that scores each epoch before the next one trains, as
+    fit did before its validation worker: its result, and its warnings."""
+    ev, params, batch_all = Evaluator(spec, train.schema), init.copy(), train.transitions()
+    rng = np.random.default_rng(cfg.seed)
+    m, v, grads, step = np.zeros_like(params.values), np.zeros_like(params.values), \
+        params.zeros_like(), 0
+    best = (params, float("inf"), np.full(train.schema.d_x, np.inf))
+    val_curve, train_curve, since, messages = [], [], 0, []
+    for epoch in range(cfg.max_epochs + 1):
+        losses = []
+        try:
+            if epoch:
+                order = rng.permutation(len(batch_all))
+                for lo in range(0, len(batch_all), cfg.batch_size):
+                    batch = batch_all.take(order[lo:lo + cfg.batch_size])
+                    losses.append(ev.loss_and_grad(params, batch, train.schema.dt, out=grads)[0])
+                    step += 1
+                    params.values[...], m, v = adam_update(params.values, grads.values, m, v,
+                                                           step, cfg)
+            delta, ups = per_component_mse(ev, params, val)
+        except EvaluationFault as fault:
+            messages.append(f"fit faulted at epoch {epoch}: {fault}")
+            break
+        if epoch:
+            train_curve.append(float(np.mean(losses)))
+        val_curve.append(ups)
+        if epoch == 0 or ups < best[1] - optim.IMPROVEMENT_EPS:
+            best, since = (params.copy(), ups, delta), 0
+        else:
+            since += 1
+            if since >= cfg.patience:
+                break
+    return FitResult(*best, epoch, train_curve, val_curve, faulted=bool(messages)), messages
+
+
+def fit_record(result: FitResult) -> tuple:
+    """Every bit a fit returns."""
+    return (result.params.values.tobytes(), repr(result.val_loss),
+            result.component_losses.tobytes(), result.epochs_run,
+            repr(result.train_curve), repr(result.val_curve), result.faulted)
+
+
+def count_forks(monkeypatch) -> list:
+    forks, real_fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    return forks
+
+
+def no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def cancer_spec_5_fit():
+    data = generate_dataset(builtin_system("cancer-chemo-radio"), GenConfig(n=4, seed=3))
+    spec = parse_model_spec(replay_fixtures.SPEC_5)
+    return (spec, init_params(spec, seed=1), data["train"], data["val"],
+            OptimConfig(batch_size=100, max_epochs=6, patience=6, seed=2))
+
+
+def patience_fit():
+    spec = parse_model_spec("param a = -0.5\nd(x)/dt = a * x")
+    return (spec, init_params(spec), make_linear_dataset(-0.5, 10, 10, seed=2, split="train"),
+            make_linear_dataset(-0.5, 5, 10, seed=3, split="val"),
+            OptimConfig(batch_size=50, max_epochs=100, patience=20, seed=0))
+
+
+def validation_fault_fit(x0_low: float):
+    # a validation split of far larger states than the training split: exp(p x)
+    # overflows there first, at epoch 0 for p = 0.05, at epoch 4 from p = 0
+    spec = parse_model_spec(f"param p = {0.05 if x0_low > 1e6 else 0.0}\n"
+                            "d(x)/dt = x * exp(p * x) - x")
+    return (spec, init_params(spec), make_linear_dataset(0.1, 10, 10, seed=0, split="train"),
+            make_linear_dataset(0.1, 5, 10, seed=1, split="val", x0=(x0_low, x0_low * 4 / 3)),
+            OptimConfig(lr=0.001, batch_size=50, max_epochs=30, patience=10))
+
+
+def training_fault_fit():
+    # a parameterless spec: its validation loss is inf without a fault at
+    # every epoch, while epoch 1's training loss and gradient are not finite
+    data = generate_dataset(builtin_system("cancer-chemo-radio"), GenConfig(n=4, seed=3))
+    spec = parse_model_spec("d(tumor_volume)/dt = 1e200\n"
+                            "d(chemotherapy_drug_concentration)/dt ="
+                            " -chemotherapy_drug_concentration")
+    return (spec, init_params(spec), data["train"], data["val"],
+            OptimConfig(max_epochs=3, patience=3))
+
+
+# each case's epochs_run, and the start of its one warning (None: it logs none)
+WORKER_CASES = {
+    "spec-5": (cancer_spec_5_fit, 6, None),
+    "patience": (patience_fit, 20, None),
+    "validation-fault-at-0": (lambda: validation_fault_fit(3e7), 0,
+                              "fit faulted at epoch 0: non-finite derivative"),
+    "validation-fault-at-4": (lambda: validation_fault_fit(3e4), 4,
+                              "fit faulted at epoch 4: non-finite derivative"),
+    "training-fault": (training_fault_fit, 1, "fit faulted at epoch 1: "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WORKER_CASES))
+def test_fit_is_bit_identical_with_the_worker_and_in_process(case, monkeypatch, caplog):
+    """The worker scores epoch e while epoch e + 1 trains, and the loop then
+    applies the rules in epoch order; scoring each snapshot in-process
+    where os.fork is missing must return and log the same, bit for bit."""
+    make, epochs, warning = WORKER_CASES[case]
+    forks = count_forks(monkeypatch)
+    runs = []
+    for forked in (True, False):
+        if not forked:
+            monkeypatch.delattr(os, "fork")
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="hdtwin.optim"):
+            result = fit(*make())
+        runs.append((fit_record(result), [r.getMessage() for r in caplog.records]))
+        assert no_child_is_left()
+    assert forks == [1]
+    reference, reference_messages = sequential_fit(*make())
+    assert runs[0] == runs[1] == (fit_record(reference), reference_messages)
+    (*_, epochs_run, _, _, faulted), messages = runs[0]
+    assert (epochs_run, faulted) == (epochs, warning is not None)
+    if warning is None:
+        assert messages == []
+    else:
+        assert len(messages) == 1 and messages[0].startswith(warning), messages
+
+
+def test_a_validation_split_of_another_schema_raises_the_same_value_error():
+    train = make_linear_dataset(-0.5, 2, 5, seed=0, split="train")
+    other = Dataset(train.trajectories, SystemSchema(states=(VarSpec("x", -100.0, 100.0),),
+                                                     dt=0.5), "val")
+    spec = parse_model_spec("param a = 0.5\nd(x)/dt = a * x")
+    with pytest.raises(ValueError, match="^the dataset has another schema than the evaluator$"):
+        fit(spec, init_params(spec), train, other, OptimConfig(max_epochs=3, patience=3))
+    assert no_child_is_left()
+
+
+def test_a_dead_worker_makes_fit_raise_its_exit_status(monkeypatch):
+    train = make_linear_dataset(-0.5, 2, 5, seed=0, split="train")
+    spec = parse_model_spec("param a = 0.5\nd(x)/dt = a * x")
+    # runs only in the forked worker: fit never scores in its own process
+    monkeypatch.setattr(optim, "per_component_mse", lambda *args: os._exit(3))
+    with pytest.raises(RuntimeError, match="^the validation worker exited with status 3$"):
+        fit(spec, init_params(spec), train, train, OptimConfig(max_epochs=3, patience=3))
+    assert no_child_is_left()
 
 
 @pytest.mark.parametrize("kind", UNUSABLE_FITS)

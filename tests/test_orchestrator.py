@@ -158,6 +158,24 @@ def test_evolve_fit_fault_consumes_generation(cancer_datasets):
     assert [r.status for r in result.records] == ["fit-faulted", "inserted"]
 
 
+def test_an_entry_cut_at_capacity_is_reported_as_cut(cancer_datasets):
+    """A 17th entry worse than a full population is not in it, so its row
+    says cut, not inserted."""
+    system, datasets = cancer_datasets
+    generations = POPULATION_CAPACITY + 1
+    # each generation's constant tumor growth is further from the data than the last's
+    specs = [make_reply(f"d(tumor_volume)/dt = {100 * g}.0\n"
+                        "d(chemotherapy_drug_concentration)/dt = -chemotherapy_drug_concentration",
+                        f"constant growth {g}") for g in range(1, generations + 1)]
+    replies = [reply for spec in specs for reply in (spec, "feedback")][:-1]
+    ctx = make_modeling_context(system, generations, n_trajectories=6)
+    cfg = dataclasses.replace(small_cfg(generations), optim=OptimConfig(max_epochs=0))
+    result = evolve(ctx, system, datasets, cfg, ScriptedClient(replies))
+    assert [r.status for r in result.records] == ["inserted"] * POPULATION_CAPACITY + ["cut"]
+    assert [e.generation for e in result.population] == list(range(1, generations))
+    assert result.records[-1].upsilon > result.population[-1].upsilon
+
+
 @pytest.mark.parametrize("kind", UNUSABLE_FITS)
 def test_evolve_and_baselines_refuse_an_unusable_fit(cancer_datasets, monkeypatch, kind):
     fits = []
