@@ -314,10 +314,9 @@ def count_forks(monkeypatch) -> list:
     return forks
 
 
-def no_child_is_left():
+def assert_no_child_is_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    return True
 
 
 def cancer_spec_5_fit():
@@ -334,11 +333,10 @@ def patience_fit():
             OptimConfig(batch_size=50, max_epochs=100, patience=20, seed=0))
 
 
-def validation_fault_fit(x0_low: float):
+def validation_fault_fit(p: float, x0_low: float):
     # a validation split of far larger states than the training split: exp(p x)
-    # overflows there first, at epoch 0 for p = 0.05, at epoch 4 from p = 0
-    spec = parse_model_spec(f"param p = {0.05 if x0_low > 1e6 else 0.0}\n"
-                            "d(x)/dt = x * exp(p * x) - x")
+    # overflows there, while training stays finite
+    spec = parse_model_spec(f"param p = {p}\nd(x)/dt = x * exp(p * x) - x")
     return (spec, init_params(spec), make_linear_dataset(0.1, 10, 10, seed=0, split="train"),
             make_linear_dataset(0.1, 5, 10, seed=1, split="val", x0=(x0_low, x0_low * 4 / 3)),
             OptimConfig(lr=0.001, batch_size=50, max_epochs=30, patience=10))
@@ -359,9 +357,9 @@ def training_fault_fit():
 WORKER_CASES = {
     "spec-5": (cancer_spec_5_fit, 6, None),
     "patience": (patience_fit, 20, None),
-    "validation-fault-at-0": (lambda: validation_fault_fit(3e7), 0,
+    "validation-fault-at-0": (lambda: validation_fault_fit(0.05, 3e7), 0,
                               "fit faulted at epoch 0: non-finite derivative"),
-    "validation-fault-at-4": (lambda: validation_fault_fit(3e4), 4,
+    "validation-fault-at-4": (lambda: validation_fault_fit(0.0, 3e4), 4,
                               "fit faulted at epoch 4: non-finite derivative"),
     "training-fault": (training_fault_fit, 1, "fit faulted at epoch 1: "),
 }
@@ -382,7 +380,7 @@ def test_fit_is_bit_identical_with_the_worker_and_in_process(case, monkeypatch, 
         with caplog.at_level(logging.WARNING, logger="hdtwin.optim"):
             result = fit(*make())
         runs.append((fit_record(result), [r.getMessage() for r in caplog.records]))
-        assert no_child_is_left()
+        assert_no_child_is_left()
     assert forks == [1]
     reference, reference_messages = sequential_fit(*make())
     assert runs[0] == runs[1] == (fit_record(reference), reference_messages)
@@ -401,7 +399,7 @@ def test_a_validation_split_of_another_schema_raises_the_same_value_error():
     spec = parse_model_spec("param a = 0.5\nd(x)/dt = a * x")
     with pytest.raises(ValueError, match="^the dataset has another schema than the evaluator$"):
         fit(spec, init_params(spec), train, other, OptimConfig(max_epochs=3, patience=3))
-    assert no_child_is_left()
+    assert_no_child_is_left()
 
 
 def test_a_dead_worker_makes_fit_raise_its_exit_status(monkeypatch):
@@ -411,7 +409,7 @@ def test_a_dead_worker_makes_fit_raise_its_exit_status(monkeypatch):
     monkeypatch.setattr(optim, "per_component_mse", lambda *args: os._exit(3))
     with pytest.raises(RuntimeError, match="^the validation worker exited with status 3$"):
         fit(spec, init_params(spec), train, train, OptimConfig(max_epochs=3, patience=3))
-    assert no_child_is_left()
+    assert_no_child_is_left()
 
 
 @pytest.mark.parametrize("kind", UNUSABLE_FITS)
