@@ -21,19 +21,29 @@ Each training epoch draws one permutation of the training rows and
 gathers each mini-batch's rows on its own, so no copy of the whole
 shuffled epoch is held.
 
-Each fit forks one validation worker once its Evaluator is built.  The
-worker holds a copy of the evaluator and the validation split, takes each
-epoch's parameters as raw float64 bytes over a pipe and answers with
-per_component_mse's delta bytes and upsilon, or with the pickled
-exception.  So epoch e+1 trains while epoch e is scored, and the loop then
-applies the rules in epoch order: a validation fault first, then
-improvement or patience, then a training fault.  The curves, epochs_run,
-the best snapshot and the log lines are those of scoring each epoch in
-turn, bit for bit; the only extra work is the one discarded epoch that
-trains while patience runs out.  The worker is killed and reaped before
-fit returns or raises, and one that dies makes fit raise RuntimeError with
-its exit status.  Where os.fork is missing the same loop scores each
-snapshot in-process when it is submitted.
+Each fit scores its epochs in a forked validation worker where one can
+run beside training: os.fork exists, the process may run on two cores or
+more, and it runs no other thread.  Another thread (numpy's BLAS pool at
+its default size, a notebook kernel's) already takes the second core when
+it runs, and a fork copies the process without its other threads, which
+Python 3.12 warns about; so fit forks only from a single-threaded process.
+Elsewhere the same loop scores each snapshot in-process when it is
+submitted, as fit always did.
+
+The worker is forked once the fit's Evaluator is built and holds a copy
+of it and of the validation split.  It takes each epoch's parameters as
+raw float64 bytes over a pipe and answers with the pickled result of
+per_component_mse, or with the pickled exception.  So epoch e+1 trains
+while epoch e is scored, and the loop then applies the rules in epoch
+order: a validation fault first, then improvement or patience, then a
+training fault.  The curves, epochs_run, the best snapshot and the log
+lines are those of scoring each epoch in turn, bit for bit.  The extra
+work, with or without the worker: the epoch that trains while patience
+runs out or while a faulting epoch is scored, which is discarded, and a
+copy of the parameters at every epoch (not only at an improvement); with
+the worker also one fork, kill and reap per fit.  The worker is killed
+and reaped before fit returns or raises, and one that dies makes fit
+raise RuntimeError with its exit status.
 """
 
 from __future__ import annotations
@@ -134,19 +144,29 @@ def _write(fd: int, data: bytes):
         view = view[os.write(fd, view):]
 
 
-_ANSWER = struct.Struct("=?q")  # scored (else the payload is a pickled exception), payload size
+_SIZE = struct.Struct("=Q")  # the size of a pickled answer
+
+
+def _worker_gets_a_core() -> bool:
+    """Whether a forked validation worker can score beside training: the
+    process may run on two cores or more and runs no other thread.  Where
+    the process cannot tell (no sched_getaffinity, no /proc), it cannot."""
+    try:
+        return len(os.sched_getaffinity(0)) >= 2 and len(os.listdir("/proc/self/task")) == 1
+    except (AttributeError, OSError):
+        return False
 
 
 class _ValidationWorker:
     """Scores parameter snapshots of one fit with per_component_mse on its
-    validation split: in a forked worker, or where os.fork is missing,
-    in-process at submit time.  result() answers the last submit, or raises
-    what scoring it raised."""
+    validation split: in a forked worker where one gets a core of its own,
+    otherwise in-process at submit time.  result() answers the last
+    submit, or raises what scoring it raised."""
 
     def __init__(self, ev: Evaluator, val: Dataset, params: ParamVector):
         self.ev, self.val = ev, val
         self.pid, self._fds = None, ()  # the worker's pid until it is reaped; the fit's pipe ends
-        if not hasattr(os, "fork"):
+        if not (hasattr(os, "fork") and _worker_gets_a_core()):
             return
         val.transitions()  # built once in the parent, so every worker inherits it
         requests, self._requests = os.pipe()
@@ -170,23 +190,22 @@ class _ValidationWorker:
         os.close(answers)
         self._fds = (self._requests, self._answers)
 
+    def _score(self, params: ParamVector):
+        try:
+            return per_component_mse(self.ev, params, self.val)
+        except Exception as exc:
+            return exc
+
     def _serve(self, requests: int, answers: int, params: ParamVector):
-        size = 1 + params.values.nbytes  # a tag byte, so a parameterless spec's request is not empty
+        size = 1 + params.values.nbytes  # a tag byte: a parameterless spec sends a byte too
         while len(request := _read(requests, size)) == size:  # end-of-file: the fit is over
             params.values[...] = np.frombuffer(request, offset=1)
-            try:
-                delta, ups = per_component_mse(self.ev, params, self.val)
-                scored, payload = True, np.append(delta, ups).tobytes()
-            except Exception as exc:
-                scored, payload = False, pickle.dumps(exc)
-            _write(answers, _ANSWER.pack(scored, len(payload)) + payload)
+            payload = pickle.dumps(self._score(params))
+            _write(answers, _SIZE.pack(len(payload)) + payload)
 
     def submit(self, params: ParamVector):
         if self.pid is None:
-            try:
-                self._answer = per_component_mse(self.ev, params, self.val)
-            except Exception as exc:
-                self._answer = exc
+            self._answer = self._score(params)
             return
         try:
             _write(self._requests, b"p" + params.values.tobytes())
@@ -194,21 +213,18 @@ class _ValidationWorker:
             self._died()
 
     def result(self) -> tuple[np.ndarray, float]:
-        if self.pid is None:
-            if isinstance(self._answer, Exception):
-                raise self._answer
-            return self._answer
-        head = _read(self._answers, _ANSWER.size)
-        if len(head) < _ANSWER.size:
-            self._died()
-        scored, size = _ANSWER.unpack(head)
-        payload = _read(self._answers, size)
-        if len(payload) < size:
-            self._died()
-        if not scored:
-            raise pickle.loads(payload)
-        values = np.frombuffer(payload)
-        return values[:-1].copy(), float(values[-1])
+        if self.pid is not None:
+            head = _read(self._answers, _SIZE.size)
+            if len(head) < _SIZE.size:
+                self._died()
+            (size,) = _SIZE.unpack(head)
+            payload = _read(self._answers, size)
+            if len(payload) < size:
+                self._died()
+            self._answer = pickle.loads(payload)
+        if isinstance(self._answer, Exception):
+            raise self._answer
+        return self._answer
 
     def _died(self):
         _, status = os.waitpid(self.pid, 0)
@@ -229,8 +245,10 @@ def fit(spec: ModelSpec, init: ParamVector, train: Dataset, val: Dataset,
     """Fit a spec's parameters to training data, returning the snapshot
     with the best full-validation loss.
 
-    The spec is compiled once: one Evaluator serves every mini-batch, and
-    the validation worker's copy of it every validation pass.  A spec that
+    The spec is compiled once: one Evaluator serves every mini-batch and
+    every validation pass, the latter through the validation worker's copy
+    where fit forks one (see the module docstring: only from a process on
+    two cores or more that runs no other thread, so the fork is safe).  A spec that
     dsl.validate refuses for the training schema (one over
     dsl.PARAM_COUNT_CAP included), or init in another layout than the
     spec's, raises ValueError before any update.  Each epoch from 1 on

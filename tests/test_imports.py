@@ -3,8 +3,8 @@
 numpy is the only third-party package the modules import: no module
 imports scipy or requests, not even inside a function.  Nor does any
 import multiprocessing, threading or concurrent.futures: `optim` alone
-calls os.fork, once per fit, for its validation worker.  Importing the
-package does not load the HTTP stack either.  `HttpClient.complete`
+calls os.fork, at most once per fit, for its validation worker.
+Importing the package does not load the HTTP stack either.  `HttpClient.complete`
 imports `urllib.request` on its first request, so the offline commands
 and replayed runs start without it.  A fresh interpreter is needed
 because the test session itself may have loaded it already.

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import logging
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -308,6 +311,12 @@ def fit_record(result: FitResult) -> tuple:
             repr(result.train_curve), repr(result.val_curve), result.faulted)
 
 
+def force_the_worker(monkeypatch):
+    """fit forks its worker only from a single-threaded process on two cores
+    or more, and numpy's BLAS pool may run threads in this one."""
+    monkeypatch.setattr(optim, "_worker_gets_a_core", lambda: True)
+
+
 def count_forks(monkeypatch) -> list:
     forks, real_fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
@@ -368,22 +377,29 @@ WORKER_CASES = {
 @pytest.mark.parametrize("case", sorted(WORKER_CASES))
 def test_fit_is_bit_identical_with_the_worker_and_in_process(case, monkeypatch, caplog):
     """The worker scores epoch e while epoch e + 1 trains, and the loop then
-    applies the rules in epoch order; scoring each snapshot in-process
-    where os.fork is missing must return and log the same, bit for bit."""
+    applies the rules in epoch order; scoring each snapshot in-process, on
+    one core or where os.fork is missing, must return and log the same, bit
+    for bit."""
     make, epochs, warning = WORKER_CASES[case]
     forks = count_forks(monkeypatch)
     runs = []
-    for forked in (True, False):
-        if not forked:
-            monkeypatch.delattr(os, "fork")
-        caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="hdtwin.optim"):
-            result = fit(*make())
+    for arm in ("worker", "one core", "no fork"):
+        with monkeypatch.context() as patch:
+            if arm == "worker":
+                force_the_worker(patch)
+            elif arm == "one core":
+                patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            else:
+                force_the_worker(patch)
+                patch.delattr(os, "fork")
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="hdtwin.optim"):
+                result = fit(*make())
         runs.append((fit_record(result), [r.getMessage() for r in caplog.records]))
         assert_no_child_is_left()
     assert forks == [1]
     reference, reference_messages = sequential_fit(*make())
-    assert runs[0] == runs[1] == (fit_record(reference), reference_messages)
+    assert runs[0] == runs[1] == runs[2] == (fit_record(reference), reference_messages)
     (*_, epochs_run, _, _, faulted), messages = runs[0]
     assert (epochs_run, faulted) == (epochs, warning is not None)
     if warning is None:
@@ -392,7 +408,40 @@ def test_fit_is_bit_identical_with_the_worker_and_in_process(case, monkeypatch, 
         assert len(messages) == 1 and messages[0].startswith(warning), messages
 
 
-def test_a_validation_split_of_another_schema_raises_the_same_value_error():
+WORKER_SELECTION = """
+import os, threading
+from hdtwin import optim
+os.sched_getaffinity = lambda pid: {0, 1}
+alone = optim._worker_gets_a_core()
+stop = threading.Event()
+thread = threading.Thread(target=stop.wait)
+thread.start()
+beside_a_thread = optim._worker_gets_a_core()
+stop.set()
+thread.join()
+os.sched_getaffinity = lambda pid: {0}
+on_one_core = optim._worker_gets_a_core()
+print(alone, beside_a_thread, on_one_core)
+"""
+
+
+def test_fit_forks_only_from_a_single_threaded_process_on_two_cores():
+    """In a process of its own with BLAS held to one thread, so that no
+    other thread runs until the script starts one."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH"))
+        if p)
+    proc = subprocess.run([sys.executable, "-c", WORKER_SELECTION], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False", "False"]
+
+
+@pytest.mark.parametrize("forked", [True, False], ids=["worker", "in-process"])
+def test_a_validation_split_of_another_schema_raises_the_same_value_error(forked, monkeypatch):
+    if forked:
+        force_the_worker(monkeypatch)
     train = make_linear_dataset(-0.5, 2, 5, seed=0, split="train")
     other = Dataset(train.trajectories, SystemSchema(states=(VarSpec("x", -100.0, 100.0),),
                                                      dt=0.5), "val")
@@ -405,6 +454,7 @@ def test_a_validation_split_of_another_schema_raises_the_same_value_error():
 def test_a_dead_worker_makes_fit_raise_its_exit_status(monkeypatch):
     train = make_linear_dataset(-0.5, 2, 5, seed=0, split="train")
     spec = parse_model_spec("param a = 0.5\nd(x)/dt = a * x")
+    force_the_worker(monkeypatch)
     # runs only in the forked worker: fit never scores in its own process
     monkeypatch.setattr(optim, "per_component_mse", lambda *args: os._exit(3))
     with pytest.raises(RuntimeError, match="^the validation worker exited with status 3$"):
