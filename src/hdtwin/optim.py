@@ -31,13 +31,15 @@ Elsewhere the same loop scores each snapshot in-process when it is
 submitted, as fit always did.
 
 The worker is forked once the fit's Evaluator is built and holds a copy
-of it and of the validation split.  It takes each epoch's parameters as
-raw float64 bytes over a pipe and answers with the pickled result of
-per_component_mse, or with the pickled exception.  So epoch e+1 trains
-while epoch e is scored, and the loop then applies the rules in epoch
-order: a validation fault first, then improvement or patience, then a
-training fault.  The curves, epochs_run, the best snapshot and the log
-lines are those of scoring each epoch in turn, bit for bit.  The extra
+of it and of the validation split.  Each end of its two pipes is a
+buffered file, and both directions are pickles, which frame themselves:
+a request is the pickled bytes of an epoch's parameter values, and an
+answer is the pickled result of per_component_mse or its exception, each
+flushed once written.  So epoch e+1 trains while epoch e is scored, and
+the loop then applies the rules in epoch order: a validation fault
+first, then improvement or patience, then a training fault.  The curves,
+epochs_run, the best snapshot and the log lines are those of scoring
+each epoch in turn, bit for bit.  The extra
 work, with or without the worker: the epoch that trains while patience
 runs out or while a faulting epoch is scored, which is discarded, and a
 copy of the parameters at every epoch (not only at an improvement); with
@@ -53,7 +55,6 @@ import math
 import os
 import pickle
 import signal
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,27 +127,6 @@ def adam_update(param, grad, m, v, step: int, cfg: OptimConfig):
     return param, m, v
 
 
-def _read(fd: int, size: int) -> bytes:
-    """size bytes from fd, or fewer if the pipe reaches end-of-file first."""
-    chunks = []
-    while size:
-        chunk = os.read(fd, size)
-        if not chunk:
-            break
-        chunks.append(chunk)
-        size -= len(chunk)
-    return b"".join(chunks)
-
-
-def _write(fd: int, data: bytes):
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-_SIZE = struct.Struct("=Q")  # the size of a pickled answer
-
-
 def _worker_gets_a_core() -> bool:
     """Whether a forked validation worker can score beside training: the
     process may run on two cores or more and runs no other thread.  Where
@@ -161,11 +141,13 @@ class _ValidationWorker:
     """Scores parameter snapshots of one fit with per_component_mse on its
     validation split: in a forked worker where one gets a core of its own,
     otherwise in-process at submit time.  result() answers the last
-    submit, or raises what scoring it raised."""
+    submit, or raises what scoring it raised.  The fit writes pickled
+    requests to one pipe and reads pickled answers from the other; a worker
+    that dies shows as end-of-file, a truncated answer or a broken pipe."""
 
     def __init__(self, ev: Evaluator, val: Dataset, params: ParamVector):
         self.ev, self.val = ev, val
-        self.pid, self._fds = None, ()  # the worker's pid until it is reaped; the fit's pipe ends
+        self.pid, self._files = None, ()  # the worker's pid until it is reaped; the fit's pipe ends
         if not (hasattr(os, "fork") and _worker_gets_a_core()):
             return
         val.transitions()  # built once in the parent, so every worker inherits it
@@ -182,13 +164,14 @@ class _ValidationWorker:
             try:
                 os.close(self._requests)
                 os.close(self._answers)
-                self._serve(requests, answers, params.copy())
+                self._serve(open(requests, "rb"), open(answers, "wb"), params.copy())
                 status = 0
             finally:
                 os._exit(status)
         os.close(requests)
         os.close(answers)
-        self._fds = (self._requests, self._answers)
+        self._requests, self._answers = open(self._requests, "wb"), open(self._answers, "rb")
+        self._files = (self._requests, self._answers)
 
     def _score(self, params: ParamVector):
         try:
@@ -196,32 +179,32 @@ class _ValidationWorker:
         except Exception as exc:
             return exc
 
-    def _serve(self, requests: int, answers: int, params: ParamVector):
-        size = 1 + params.values.nbytes  # a tag byte: a parameterless spec sends a byte too
-        while len(request := _read(requests, size)) == size:  # end-of-file: the fit is over
-            params.values[...] = np.frombuffer(request, offset=1)
-            payload = pickle.dumps(self._score(params))
-            _write(answers, _SIZE.pack(len(payload)) + payload)
+    def _serve(self, requests, answers, params: ParamVector):
+        while True:
+            try:
+                request = pickle.load(requests)
+            except EOFError:  # the fit is over
+                return
+            params.values[...] = np.frombuffer(request)
+            pickle.dump(self._score(params), answers)
+            answers.flush()
 
     def submit(self, params: ParamVector):
         if self.pid is None:
             self._answer = self._score(params)
             return
         try:
-            _write(self._requests, b"p" + params.values.tobytes())
+            pickle.dump(params.values.tobytes(), self._requests)
+            self._requests.flush()
         except BrokenPipeError:
             self._died()
 
     def result(self) -> tuple[np.ndarray, float]:
         if self.pid is not None:
-            head = _read(self._answers, _SIZE.size)
-            if len(head) < _SIZE.size:
+            try:
+                self._answer = pickle.load(self._answers)
+            except (EOFError, pickle.UnpicklingError):
                 self._died()
-            (size,) = _SIZE.unpack(head)
-            payload = _read(self._answers, size)
-            if len(payload) < size:
-                self._died()
-            self._answer = pickle.loads(payload)
         if isinstance(self._answer, Exception):
             raise self._answer
         return self._answer
@@ -233,8 +216,11 @@ class _ValidationWorker:
                            f"{os.waitstatus_to_exitcode(status)}")
 
     def close(self):
-        for fd in self._fds:
-            os.close(fd)
+        for f in self._files:
+            try:
+                f.close()
+            except BrokenPipeError:  # a request that a dead worker left unread
+                pass
         if self.pid is not None:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)

@@ -6,7 +6,7 @@ and are asserted faithfully anyway; see notes in each test:
   4a  sparse-regression test MSE on the untreated tumor data lands near
       28 (trajectory mode), far below the stated [100, 1000] window
   7b  the out-of-distribution/in-distribution error ratio of the true
-      structural fit sits near 55x, above the stated 10x
+      structural fit sits near 56x, above the stated 10x
 """
 
 from __future__ import annotations
@@ -325,26 +325,66 @@ def test_criterion_07a_ood_supports(ood_data):
     assert gap > 0.0
 
 
-def test_criterion_07b_ood_generalization(ood_data):
-    """The true-structure fit's out-of-distribution one-step test MSE within
-    10x of its in-distribution test MSE.
-
-    The fit's residual parameter error lies along the direction the
-    training support constrains worst, x*(log(x) - c); on the shifted
-    support that direction is amplified ~55x for any Adam-reachable
-    optimum (measured stable across parametrizations, learning rates, and
-    seeds).  Expected to fail; kept faithful to the stated 10x bound.
-    """
+@pytest.fixture(scope="module")
+def ood_fit(ood_data):
+    """The true-structure fit of 7b, shared with the test of its cause."""
     spec = parse_model_spec(LOG_TUMOR_GROWTH)
     result = fit(spec, init_params(spec), ood_data["train"], ood_data["val"],
                  OptimConfig(seed=0))
     mse_ood = one_step_mse(spec, result.params, ood_data["test"])
     mse_iid = one_step_mse(spec, result.params, ood_data["test_iid"])
+    return result.params, mse_ood, mse_iid
+
+
+def first_order_ood_ratio(ood_data, params: ParamVector) -> tuple[float, float]:
+    """The direction of the fit's error and how much the shifted support
+    amplifies it, to first order: with d the fitted log-parameters minus
+    the true ones, the one-step error of exp(log_rho) * log(exp(log_kcap)
+    / x) * x is proportional to x * (log(x) - c), c = log(kcap) +
+    d(log_kcap) / d(log_rho).  Returns c and the OOD/IID ratio of the mean
+    square of that direction over the test transitions."""
+    true = builtin_system("cancer").true_params.scalars
+    fitted = params.scalars
+    c = math.log(true["kcap"]) + ((fitted["log_kcap"] - math.log(true["kcap"]))
+                                  / (fitted["log_rho"] - math.log(true["rho"])))
+
+    def mean_square(split: str) -> float:
+        x = ood_data[split].transitions().x[:, 0]
+        return float(np.mean((x * (np.log(x) - c)) ** 2))
+
+    return c, mean_square("test") / mean_square("test_iid")
+
+
+def test_criterion_07b_ood_generalization(ood_data, ood_fit):
+    """The true-structure fit's out-of-distribution one-step test MSE within
+    10x of its in-distribution test MSE.
+
+    The fit's residual parameter error lies along the direction the
+    training support constrains worst, x*(log(x) - c); on the shifted
+    support that direction is amplified ~56x for any Adam-reachable
+    optimum (measured stable across parametrizations, learning rates, and
+    seeds; test_criterion_07b_cause_is_one_error_direction checks it at
+    this fit).  Expected to fail; kept faithful to the stated 10x bound.
+    """
+    params, mse_ood, mse_iid = ood_fit
     ratio = mse_ood / mse_iid
+    c, amplified = first_order_ood_ratio(ood_data, params)
     ok = ratio <= 10.0
     report("7b ood-generalization", ok,
-           f"OOD {mse_ood:.2e} vs IID {mse_iid:.2e} (ratio {ratio:.1f}, bound 10)")
+           f"OOD {mse_ood:.2e} vs IID {mse_iid:.2e} (ratio {ratio:.1f}, bound 10)"
+           f" (direction x*(log x - {c:.3f}) amplified {amplified:.1f}x)")
     assert ratio <= 10.0
+
+
+def test_criterion_07b_cause_is_one_error_direction(ood_data, ood_fit):
+    """Why 7b fails: the first-order amplification of the fit's error
+    direction (56.76 at this fit) predicts the measured OOD/IID ratio
+    (56.22) within 5%.  Taking c from the fitted log_kcap instead gives
+    55.67, so first-order readings lie within 1% of the measurement; an
+    error along any other direction would move the ratio much further."""
+    params, mse_ood, mse_iid = ood_fit
+    _, amplified = first_order_ood_ratio(ood_data, params)
+    assert abs(amplified / (mse_ood / mse_iid) - 1.0) < 0.05
 
 
 def test_criterion_08_population_and_determinism(tmp_path):

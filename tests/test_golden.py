@@ -49,6 +49,7 @@ from hdtwin.engine import (
     TransitionBatch,
     init_params,
     load_csv_dataset,
+    load_params,
     read_json,
     rollout_mse,
     save_dataset,
@@ -223,9 +224,27 @@ FIT_PARAMS_PROBES = ("0.0012207257984850044", "0.3136083601588566", "0.083616428
 # sha256 of the write_run_archive tree of the scripted six-generation evolve
 # on cancer-chemo-radio GenConfig(n=5, seed=3), 10 fixed epochs per fit
 EVOLVE_ARCHIVE_SHA = "45f68c02bf24cbc43d266c242b9233689cfa19d2511e55a383a91963faf685f6"
-# with each archive pin, the probes that only explain a failing one: repr of
-# best_upsilon and test_upsilon of each result.json, in path order
-EVOLVE_ARCHIVE_PROBES = ("1.1115744734746578", "1.042668210962142")
+# with each archive pin, the probes that only explain a failing one (see
+# result_probes): repr of best_upsilon and test_upsilon of each result.json,
+# then of the leading values and the fsum of each params file, in path order
+EVOLVE_ARCHIVE_PROBES = ("1.1115744734746578", "1.042668210962142", "0.01423766961124064",
+                         "0.028466413680185147", "0.20298242694945043", "0.049710309905366026",
+                         "999.957545291459", "1000.2529421116053", "0.022883086055312054",
+                         "0.028319179513459036", "0.061244418521260294", "0.11244668409003139",
+                         "0.01423766961124064", "0.028466413680185147", "0.20298242694945043",
+                         "0.049710309905366026", "999.957545291459", "1000.2529421116053",
+                         "0.017774118568144023", "0.034035600987978566", "0.326655600977309",
+                         "-0.0014343608805612797", "0.054658211478696636", "1015.9586041930594",
+                         "1016.3902933641909", "-0.008848713408713375", "0.14535345792279997",
+                         "0.11549707135578456", "0.07535139638758105", "0.051040870087597744",
+                         "1032.0466065414173", "0.507574235230883", "0.5402412553954641",
+                         "1030.597006532685", "0.0073024870765617455", "0.31100885926486294",
+                         "-0.05997819030162788", "0.005000266652073826", "0.07948149401904787",
+                         "0.08205399841226854", "1032.406971761443", "0.09638226055403386",
+                         "1032.5383629473868", "0.034947092922044544", "0.418502364264686",
+                         "0.12807018419889335", "-0.002996610114486666", "0.04059497876367067",
+                         "0.05167887383042112", "1030.0338137701672", "-1.9791987472147357",
+                         "1044.621817968295")
 
 # sha256 of the run_experiment output tree, seeds 0 and 1, GenConfig(n=5,
 # seed=3), one generation with 10 fixed epochs; the agent methods get the
@@ -242,13 +261,27 @@ EXPERIMENT_SHA = {
 }
 EXPERIMENT_PROBES = {
     ("cancer-chemo-radio", "zero-optim"):
-        ("3.4091917929418507", "3.3182460295939475", "3.232410212841444", "6.223868136978864"),
+        ("3.4091917929418507", "3.3182460295939475", "3.232410212841444", "6.223868136978864",
+         "0.010930764277044876", "0.02911207750350628", "0.04868501351630776",
+         "0.08872785529685892", "0.010930764277044876", "0.02911207750350628",
+         "0.04868501351630776", "0.08872785529685892", "0.024666852780263288",
+         "0.03197946591464921", "0.05625997538847288", "0.11290629408338537",
+         "0.024666852780263288", "0.03197946591464921", "0.05625997538847288",
+         "0.11290629408338537"),
     ("cancer-chemo-radio", "zero-shot"):
-        ("146.35158423320888", "132.4742023207778", "41.76981294831119", "134.6577373077786"),
+        ("146.35158423320888", "132.4742023207778", "41.76981294831119", "134.6577373077786",
+         "0.1", "0.05", "0.03", "0.18", "0.1", "0.05", "0.03", "0.18", "0.1", "0.05", "0.03",
+         "0.18", "0.1", "0.05", "0.03", "0.18"),
     ("lv2", "baseline:lv2"):
-        ("0.004953639533047691", "0.006711141218305081"),
+        ("0.004953639533047691", "0.006711141218305081", "0.6508919024373933",
+         "0.27079637130211187", "0.10631653779419953", "0.401535362738635",
+         "1.4295401742723397", "0.6458162685479374", "0.26855902682153004",
+         "0.10621675563486037", "0.40207002127854297", "1.4226620722828707"),
     ("lv2", "sindy"):
-        ("5.8541839262525e-11", "7.173609037055273e-11"),
+        ("5.8541839262525e-11", "7.173609037055273e-11", "1.099955907937004",
+         "-0.39998847214100597", "-0.39996455054999114", "0.0999962575722142",
+         "0.39999914281822113", "1.0999563313095428", "-0.3999884888923269",
+         "-0.399965160665014", "0.09999631058357433", "0.3999989923357763"),
 }
 
 # The backward pass: test_engine's WS_SPECS and BITS_SPEC, evaluated by
@@ -308,10 +341,16 @@ BACKWARD_PROBES = {
 
 def result_probes(root: Path) -> list[str]:
     """repr of best_upsilon (a baseline seed has none) and test_upsilon of
-    every result.json under root."""
+    every result.json under root, then of the first PROBED values and of
+    math.fsum over all values of every params file (best-params.json and
+    each population entry's params.json), each in path order."""
     docs = map(read_json, sorted(root.rglob("result.json")))
-    return [repr(doc[key]) for doc in docs for key in ("best_upsilon", "test_upsilon")
-            if key in doc]
+    probes = [repr(doc[key]) for doc in docs for key in ("best_upsilon", "test_upsilon")
+              if key in doc]
+    for path in sorted(root.rglob("*params.json")):
+        values = load_params(path).values
+        probes += [*map(repr, values[:PROBED].tolist()), repr(math.fsum(values))]
+    return probes
 
 
 def tree_sha256(root: Path) -> str:
@@ -462,6 +501,15 @@ def test_evolve_archive_pin(tmp_path):
         result_probes(tmp_path), EVOLVE_ARCHIVE_PROBES)
 
 
+def test_evolve_archive_pin_failure_sizes_the_simd_drift():
+    """Without numpy's AVX-512 kernels the archive's best entry keeps its
+    bits and only other population entries move (21 ulp, 2.5e-15 relative,
+    on the pinning platform), so only the probes of every params file can
+    size the drift."""
+    ulps, rel = drift_without_avx512("test_evolve_archive_pin")
+    assert ulps > 0 and rel < 1e-12
+
+
 def backward_pass(text: str, seed: int) -> tuple[tuple[str, str], list[str]]:
     """The two backward-pin hashes, and the probes: repr(loss) at each row
     count, then the first PROBED gradient entries at the last, then its
@@ -496,19 +544,27 @@ def test_backward_pin(i):
     assert hashes == BACKWARD_SHA[i], platforms(probes, BACKWARD_PROBES[i])
 
 
-def test_backward_pin_failure_names_the_simd_difference():
-    """Pin 4 in a child process without numpy's AVX-512 kernels fails, and
-    its message blames the SIMD targets and measures an ulp-sized drift."""
+def drift_without_avx512(test_id: str) -> tuple[int, float]:
+    """How far the probes of a pin moved when it ran in a child process
+    without numpy's AVX-512 kernels, where it must fail and blame the SIMD
+    targets: (ulp, relative)."""
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(__file__).parent.parent / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                           f"{__file__}::test_backward_pin[4]"],
+                           f"{__file__}::{test_id}"],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "the SIMD targets" in proc.stdout, proc.stdout
     moved = re.search(r"probes moved by at most (\d+) ulp \((\S+) relative\)", proc.stdout)
-    assert moved and 0 < int(moved[1]) <= 64 and float(moved[2]) < 1e-14, proc.stdout
+    assert moved, proc.stdout
+    return int(moved[1]), float(moved[2])
+
+
+def test_backward_pin_failure_names_the_simd_difference():
+    """Pin 4 without numpy's AVX-512 kernels fails with an ulp-sized drift."""
+    ulps, rel = drift_without_avx512("test_backward_pin[4]")
+    assert 0 < ulps <= 64 and rel < 1e-14
 
 
 def run_experiment_tree(system_id: str, method: str, out: Path) -> str:

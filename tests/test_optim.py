@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import logging
 import os
+import pickle
+import signal
 import subprocess
 import sys
 import warnings
@@ -425,17 +427,63 @@ print(alone, beside_a_thread, on_one_core)
 """
 
 
-def test_fit_forks_only_from_a_single_threaded_process_on_two_cores():
-    """In a process of its own with BLAS held to one thread, so that no
-    other thread runs until the script starts one."""
+def run_single_threaded(script: str, *args: str) -> list[str]:
+    """The words script prints, run in a process of its own with BLAS held
+    to one thread, so that no other thread runs until the script starts
+    one; the tests directory is on its path."""
+    tests = Path(__file__).resolve().parent
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH"))
-        if p)
-    proc = subprocess.run([sys.executable, "-c", WORKER_SELECTION], env=env,
-                          capture_output=True, text=True, timeout=60)
+        p for p in (str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True", "False", "False"]
+    return proc.stdout.split()
+
+
+def test_fit_forks_only_from_a_single_threaded_process_on_two_cores():
+    assert run_single_threaded(WORKER_SELECTION) == ["True", "False", "False"]
+
+
+EVOLVE_TWICE = """
+import os, sys
+from pathlib import Path
+import replay_fixtures
+from hdtwin.agents import ScriptedClient
+from hdtwin.optim import OptimConfig
+from hdtwin.orchestrator import EvolveConfig, evolve, make_modeling_context, write_run_archive
+from hdtwin.systems import GenConfig, builtin_system, generate_dataset
+from test_golden import tree_sha256
+
+forks, real_fork = [], os.fork
+os.fork = lambda: forks.append(1) or real_fork()
+
+def archive_sha256(out):
+    system = builtin_system("cancer-chemo-radio")
+    data = generate_dataset(system, GenConfig(n=2, seed=3))
+    cfg = EvolveConfig(generations=2, seed=0,
+                       optim=OptimConfig(max_epochs=2, patience=2, seed=0))
+    ctx = make_modeling_context(system, 2, n_trajectories=2)
+    result = evolve(ctx, system, data, cfg, ScriptedClient(replay_fixtures.evolution_replies()))
+    write_run_archive(out, result, "cancer-chemo-radio", "evolve", 0, cfg)
+    return tree_sha256(out)
+
+default = archive_sha256(Path(sys.argv[1], "default"))
+default_forks = len(forks)
+os.sched_getaffinity = lambda pid: {0}
+one_core = archive_sha256(Path(sys.argv[1], "one-core"))
+print(default_forks, len(forks) - default_forks, default == one_core)
+"""
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                    reason="the process is allowed fewer than two cores")
+def test_a_scripted_evolve_forks_by_the_default_selection_and_keeps_its_bits(tmp_path):
+    """Unpatched, in a single-threaded process: a scripted evolve forks one
+    worker per fit, and on one core forks none and writes the same archive.
+    Both runs are made and compared in that one process, whose BLAS thread
+    count differs from this one's."""
+    assert run_single_threaded(EVOLVE_TWICE, str(tmp_path)) == ["2", "0", "True"]
 
 
 @pytest.mark.parametrize("forked", [True, False], ids=["worker", "in-process"])
@@ -452,14 +500,66 @@ def test_a_validation_split_of_another_schema_raises_the_same_value_error(forked
 
 
 def test_a_dead_worker_makes_fit_raise_its_exit_status(monkeypatch):
+    # runs only in the forked worker: fit never scores in its own process
+    monkeypatch.setattr(optim, "per_component_mse", lambda *args: os._exit(3))
+    linear_fit_in_a_worker(monkeypatch, 3)
+
+
+class ExitWhenPickled:
+    def __reduce__(self):
+        os._exit(5)
+
+
+def linear_fit_in_a_worker(monkeypatch, status: int):
+    """Fit a one-parameter spec through a forced worker, which must make
+    fit raise RuntimeError with the worker's exit status and leave no child."""
     train = make_linear_dataset(-0.5, 2, 5, seed=0, split="train")
     spec = parse_model_spec("param a = 0.5\nd(x)/dt = a * x")
     force_the_worker(monkeypatch)
-    # runs only in the forked worker: fit never scores in its own process
-    monkeypatch.setattr(optim, "per_component_mse", lambda *args: os._exit(3))
-    with pytest.raises(RuntimeError, match="^the validation worker exited with status 3$"):
+    with pytest.raises(RuntimeError, match=f"^the validation worker exited with status {status}$"):
         fit(spec, init_params(spec), train, train, OptimConfig(max_epochs=3, patience=3))
     assert_no_child_is_left()
+
+
+def test_a_worker_that_dies_after_part_of_its_answer_makes_fit_raise_its_exit_status(
+        monkeypatch):
+    """The answer's first 100 kB outgrow the writer's buffer, so a part of
+    the pickle reaches the fit before the worker exits."""
+    monkeypatch.setattr(optim, "per_component_mse",
+                        lambda *args: (bytes(100_000), ExitWhenPickled()))
+    linear_fit_in_a_worker(monkeypatch, 5)
+
+
+def test_a_worker_that_dies_inside_a_pickle_frame_makes_fit_raise_its_exit_status(
+        monkeypatch):
+    """Half of the answer's one pickle frame reaches the fit, which reads a
+    truncated pickle rather than an end-of-file."""
+    fit_pid, dump = os.getpid(), pickle.dump
+
+    def dump_half_an_answer(obj, file):
+        if os.getpid() == fit_pid:
+            return dump(obj, file)
+        data = pickle.dumps(obj)
+        file.write(data[:len(data) // 2])
+        file.flush()
+        os._exit(6)
+
+    monkeypatch.setattr(pickle, "dump", dump_half_an_answer)
+    linear_fit_in_a_worker(monkeypatch, 6)
+
+
+def test_a_worker_killed_before_a_request_makes_fit_raise_its_exit_status(monkeypatch):
+    """The request meets a pipe with no reader, and the unsent request left
+    in the writer's buffer does not stop fit from closing it."""
+    submit = optim._ValidationWorker.submit
+
+    def submit_to_a_killed_worker(worker, params):
+        os.kill(worker.pid, signal.SIGKILL)
+        os.waitid(os.P_PID, worker.pid, os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
+        submit(worker, params)
+
+    monkeypatch.setattr(optim._ValidationWorker, "submit", submit_to_a_killed_worker)
+    linear_fit_in_a_worker(monkeypatch, -signal.SIGKILL)
 
 
 @pytest.mark.parametrize("kind", UNUSABLE_FITS)
