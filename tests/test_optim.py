@@ -499,10 +499,9 @@ def test_a_validation_split_of_another_schema_raises_the_same_value_error(forked
     assert_no_child_is_left()
 
 
-def test_a_dead_worker_makes_fit_raise_its_exit_status(monkeypatch):
+def exit_while_scoring(monkeypatch):
     # runs only in the forked worker: fit never scores in its own process
     monkeypatch.setattr(optim, "per_component_mse", lambda *args: os._exit(3))
-    linear_fit_in_a_worker(monkeypatch, 3)
 
 
 class ExitWhenPickled:
@@ -510,28 +509,14 @@ class ExitWhenPickled:
         os._exit(5)
 
 
-def linear_fit_in_a_worker(monkeypatch, status: int):
-    """Fit a one-parameter spec through a forced worker, which must make
-    fit raise RuntimeError with the worker's exit status and leave no child."""
-    train = make_linear_dataset(-0.5, 2, 5, seed=0, split="train")
-    spec = parse_model_spec("param a = 0.5\nd(x)/dt = a * x")
-    force_the_worker(monkeypatch)
-    with pytest.raises(RuntimeError, match=f"^the validation worker exited with status {status}$"):
-        fit(spec, init_params(spec), train, train, OptimConfig(max_epochs=3, patience=3))
-    assert_no_child_is_left()
-
-
-def test_a_worker_that_dies_after_part_of_its_answer_makes_fit_raise_its_exit_status(
-        monkeypatch):
+def exit_after_part_of_the_answer(monkeypatch):
     """The answer's first 100 kB outgrow the writer's buffer, so a part of
     the pickle reaches the fit before the worker exits."""
     monkeypatch.setattr(optim, "per_component_mse",
                         lambda *args: (bytes(100_000), ExitWhenPickled()))
-    linear_fit_in_a_worker(monkeypatch, 5)
 
 
-def test_a_worker_that_dies_inside_a_pickle_frame_makes_fit_raise_its_exit_status(
-        monkeypatch):
+def exit_inside_a_pickle_frame(monkeypatch):
     """Half of the answer's one pickle frame reaches the fit, which reads a
     truncated pickle rather than an end-of-file."""
     fit_pid, dump = os.getpid(), pickle.dump
@@ -545,10 +530,9 @@ def test_a_worker_that_dies_inside_a_pickle_frame_makes_fit_raise_its_exit_statu
         os._exit(6)
 
     monkeypatch.setattr(pickle, "dump", dump_half_an_answer)
-    linear_fit_in_a_worker(monkeypatch, 6)
 
 
-def test_a_worker_killed_before_a_request_makes_fit_raise_its_exit_status(monkeypatch):
+def killed_before_a_request(monkeypatch):
     """The request meets a pipe with no reader, and the unsent request left
     in the writer's buffer does not stop fit from closing it."""
     submit = optim._ValidationWorker.submit
@@ -559,7 +543,27 @@ def test_a_worker_killed_before_a_request_makes_fit_raise_its_exit_status(monkey
         submit(worker, params)
 
     monkeypatch.setattr(optim._ValidationWorker, "submit", submit_to_a_killed_worker)
-    linear_fit_in_a_worker(monkeypatch, -signal.SIGKILL)
+
+
+# how each worker dies, and its exit status
+WORKER_DEATHS = {
+    "while-scoring": (exit_while_scoring, 3),
+    "after-part-of-the-answer": (exit_after_part_of_the_answer, 5),
+    "inside-a-pickle-frame": (exit_inside_a_pickle_frame, 6),
+    "killed-before-a-request": (killed_before_a_request, -signal.SIGKILL),
+}
+
+
+@pytest.mark.parametrize("death", WORKER_DEATHS)
+def test_a_dead_worker_makes_fit_raise_its_exit_status(death, monkeypatch):
+    die, status = WORKER_DEATHS[death]
+    train = make_linear_dataset(-0.5, 2, 5, seed=0, split="train")
+    spec = parse_model_spec("param a = 0.5\nd(x)/dt = a * x")
+    force_the_worker(monkeypatch)
+    die(monkeypatch)
+    with pytest.raises(RuntimeError, match=f"^the validation worker exited with status {status}$"):
+        fit(spec, init_params(spec), train, train, OptimConfig(max_epochs=3, patience=3))
+    assert_no_child_is_left()
 
 
 @pytest.mark.parametrize("kind", UNUSABLE_FITS)
